@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test perf perf-check lint bench faults trace-smoke par-smoke \
 	eclat-smoke mmcs-smoke steal-smoke serve-smoke obs-smoke chaos \
-	coverage scale-smoke
+	coverage scale-smoke ledger-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -55,23 +55,23 @@ trace-smoke:
 	$(PYTHON) -m benchmarks.trace_report $(SMOKE_DIR)/smoke.jsonl --validate
 	rm -rf $(SMOKE_DIR)
 
-# Multi-core smoke: the same mine end-to-end through the CLI with
-# --workers 2 (sharded counting + traced worker events), plus the
+# Multi-core smoke: a mine end-to-end through the CLI with --workers 2
+# (work-stolen eclat + traced worker events), plus the parallel
 # transversal path, then schema-validate the trace.
 par-smoke:
 	$(eval PAR_DIR := $(shell mktemp -d /tmp/par_smoke.XXXXXX))
 	$(PYTHON) -m repro generate $(PAR_DIR)/smoke.dat \
 		--items 20 --transactions 500 --seed 11
 	$(PYTHON) -m repro mine $(PAR_DIR)/smoke.dat --min-support 0.35 \
-		--algorithm levelwise --workers 2 \
+		--algorithm eclat --workers 2 \
 		--trace $(PAR_DIR)/smoke.jsonl --metrics
 	$(PYTHON) -m repro transversals --edges "0 1, 1 2, 2 3, 0 3" \
-		--method berge --workers 2
+		--method mmcs --workers 2
 	$(PYTHON) -m benchmarks.trace_report $(PAR_DIR)/smoke.jsonl --validate
 	rm -rf $(PAR_DIR)
 
 # Depth-first engine smoke: a traced eclat mine with live metrics, the
-# --engine shorthand with sharded workers (must print the same theory),
+# --engine shorthand with stolen workers (must print the same theory),
 # then schema-validate + profile the trace offline.
 eclat-smoke:
 	$(eval ECLAT_DIR := $(shell mktemp -d /tmp/eclat_smoke.XXXXXX))
@@ -85,8 +85,8 @@ eclat-smoke:
 	rm -rf $(ECLAT_DIR)
 
 # Transversal-core smoke: a dualize-and-advance mine through the MMCS
-# engine, the transversal CLI over --method mmcs (traced) and rs, the
-# same family through the depth-2 work-stealing driver at --workers 2
+# engine, the transversal CLI over --method mmcs (traced), the same
+# family through the depth-2 work-stealing driver at --workers 2
 # (bit-identical by construction), then offline schema validation of
 # the mmcs trace (the theorem-monitor verdict prints via --metrics).
 mmcs-smoke:
@@ -99,15 +99,12 @@ mmcs-smoke:
 		--edges "0 1, 1 2, 2 3, 0 3, 1 4, 3 4" --method mmcs \
 		--trace $(MMCS_DIR)/mmcs.jsonl --metrics
 	$(PYTHON) -m repro transversals \
-		--edges "0 1, 1 2, 2 3, 0 3, 1 4, 3 4" --method rs
-	$(PYTHON) -m repro transversals \
 		--edges "0 1, 1 2, 2 3, 0 3, 1 4, 3 4" --method mmcs --workers 2
 	$(PYTHON) -m benchmarks.trace_report $(MMCS_DIR)/mmcs.jsonl --validate
 	rm -rf $(MMCS_DIR)
 
 # Work-stealing + shared-memory smoke: the steal determinism suite at
-# 2 workers, a CLI mine through each --memory transport (identical
-# theories by construction — the suite asserts it), a traced shm mine
+# 2 workers, a traced CLI mine over the shared-memory store
 # schema-validated offline, and the /dev/shm leak sweep.
 steal-smoke:
 	$(eval STEAL_DIR := $(shell mktemp -d /tmp/steal_smoke.XXXXXX))
@@ -116,10 +113,8 @@ steal-smoke:
 	$(PYTHON) -m repro generate $(STEAL_DIR)/smoke.dat \
 		--items 20 --transactions 500 --seed 11
 	$(PYTHON) -m repro mine $(STEAL_DIR)/smoke.dat --min-support 0.3 \
-		--algorithm eclat --workers 2 --memory shm \
+		--algorithm eclat --workers 2 \
 		--trace $(STEAL_DIR)/smoke.jsonl --metrics
-	$(PYTHON) -m repro mine $(STEAL_DIR)/smoke.dat --min-support 0.3 \
-		--algorithm eclat --workers 2 --memory pickle
 	$(PYTHON) -m benchmarks.trace_report $(STEAL_DIR)/smoke.jsonl --validate
 	$(PYTHON) -m benchmarks.shm_leak_check
 	rm -rf $(STEAL_DIR)
@@ -183,6 +178,11 @@ scale-smoke:
 	$(PYTHON) -m repro mine $(SCALE_DIR)/smoke.dat --min-support 0.3 \
 		--algorithm eclat --backend roaring --workers 2
 	rm -rf $(SCALE_DIR)
+
+# Layer-ledger smoke: every workload of the end-to-end benchmark on
+# tiny inputs, correctness gates included (seconds, not minutes).
+ledger-smoke:
+	$(PYTHON) -m benchmarks.ledger --smoke
 
 lint:
 	ruff check src tests benchmarks

@@ -1,6 +1,6 @@
 """Real-scale (1M+ rows) benchmark suite for the roaring backend.
 
-PR 5's tidset/diffset backends made vertical mining fast on Quest-sized
+The default big-int backend made vertical mining fast on Quest-sized
 synthetic data; the memory wall the ROADMAP calls out appears at
 "millions of transactions", where every big-int cover costs
 ``n_rows / 8`` bytes *regardless of how sparse it is* — a column with
@@ -11,11 +11,11 @@ data (no network, no fixture downloads):
 
 * ``scale_dense_cover_memory`` — 1M × 2K-item clustered ("dense runs")
   data; the gated ``speedup`` is the **cover-memory ratio** (total
-  tidset cover bytes / total roaring cover bytes, ``metric:
+  big-int cover bytes / total roaring cover bytes, ``metric:
   cover_bytes_ratio``), with the ISSUE's ≥4× reduction as the target.
   Wall-clock columns are the ``from_columnar`` build times.
 * ``scale_eclat_dense`` / ``scale_eclat_sparse`` — end-to-end
-  :func:`~repro.mining.eclat.eclat` wall-clock, tidset vs roaring, on
+  :func:`~repro.mining.eclat.eclat` wall-clock, big-int vs roaring, on
   the clustered and the scattered-sparse workloads.  Timing comes from
   one child that interleaves the two backends (machine drift cancels
   instead of landing on one side of the ratio); the per-backend
@@ -23,11 +23,6 @@ data (no network, no fixture downloads):
   "within 1.5×" bound (``speedup ≥ 0.667``); on sparse data roaring is
   expected to win outright.  ``outputs_equal`` asserts the mined
   theory/borders/accounting digests match bit-for-bit.
-* ``scale_stream_ingest`` — :func:`~repro.datasets.fimi.read_fimi`
-  (horizontal) vs :func:`~repro.datasets.fimi.read_fimi_stream`
-  (columnar) on a generated 1M-row FIMI file; seconds are gated
-  informationally (no target) and the peak-RSS columns show the
-  memory story.
 
 Every measurement runs in a fresh **spawned** subprocess so
 ``ru_maxrss`` is that measurement's own peak, not the suite's
@@ -47,12 +42,10 @@ import multiprocessing
 import os
 import random
 import resource
-import tempfile
 import time
 from array import array
 from pathlib import Path
 
-from repro.datasets.fimi import read_fimi, read_fimi_stream
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import eclat
 from repro.util.bitset import Universe
@@ -167,7 +160,7 @@ def run_build(n_rows: int, n_items: int, seed: int, backend: str) -> dict:
         (1 << rng.randrange(n_items)) | (1 << rng.randrange(n_items))
         for _ in range(200)
     ]
-    counts = database.support_counts(masks)
+    counts = [database.support_count(mask) for mask in masks]
     digest = hashlib.sha256(json.dumps(counts).encode()).hexdigest()
     return {
         "seconds": seconds,
@@ -206,7 +199,7 @@ def run_eclat_pair(n_rows: int, n_items: int, seed: int, kind: str) -> dict:
     A single mine is 20-150 ms at full scale; with each variant in its
     own process, minutes-scale machine drift lands on one side of the
     ratio and swings it ~2x, tripping the regression floor on a healthy
-    tree.  Alternating tidset/roaring rounds inside one process cancels
+    tree.  Alternating auto/roaring rounds inside one process cancels
     the drift (the PR 8 suite's interleaving trick); best-of-3 per side
     then absorbs scheduler noise.  Peak RSS is NOT meaningful here —
     both representations live in this process — which is what
@@ -218,9 +211,9 @@ def run_eclat_pair(n_rows: int, n_items: int, seed: int, kind: str) -> dict:
         backend: TransactionDatabase.from_columnar(
             universe, columns, n_rows, backend=backend
         )
-        for backend in ("tidset", "roaring")
+        for backend in ("auto", "roaring")
     }
-    seconds = {"tidset": float("inf"), "roaring": float("inf")}
+    seconds = {"auto": float("inf"), "roaring": float("inf")}
     digests = {}
     for _ in range(3):
         for backend, database in databases.items():
@@ -231,46 +224,16 @@ def run_eclat_pair(n_rows: int, n_items: int, seed: int, kind: str) -> dict:
             )
             digests[backend] = _result_digest(result)
     return {
-        "old_seconds": seconds["tidset"],
+        "old_seconds": seconds["auto"],
         "new_seconds": seconds["roaring"],
-        "outputs_equal": digests["tidset"] == digests["roaring"],
+        "outputs_equal": digests["auto"] == digests["roaring"],
     }
-
-
-def run_ingest(path: str, stream: bool, repeats: int = 1) -> dict:
-    """Read a FIMI file horizontally or streamed-columnar.
-
-    ``repeats`` takes best-of-N; the streamed side finishes in a few
-    seconds, where allocator/page-cache noise would otherwise swing the
-    reported ratio enough to trip the regression floor.  The horizontal
-    side runs for over a minute and self-averages, so one pass is
-    enough (and two would double the suite's wall-clock).
-    """
-    reader = read_fimi_stream if stream else read_fimi
-    seconds = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        database = reader(path)
-        seconds = min(seconds, time.perf_counter() - started)
-    digest = hashlib.sha256(
-        json.dumps(
-            {
-                "rows": database.n_transactions,
-                "items": list(database.universe.items),
-                "supports": database.support_counts(
-                    [1 << i for i in range(database.n_items)]
-                ),
-            }
-        ).encode()
-    ).hexdigest()
-    return {"seconds": seconds, "digest": digest}
 
 
 _BODIES = {
     "build": run_build,
     "eclat": run_eclat,
     "eclat_pair": run_eclat_pair,
-    "ingest": run_ingest,
 }
 
 
@@ -302,24 +265,13 @@ def measure(body: str, **kwargs) -> dict:
 # -- suite ------------------------------------------------------------------
 
 
-def _write_ingest_file(path: str, n_rows: int, n_items: int, seed: int):
-    """Stream a deterministic FIMI file to disk, row by row."""
-    rng = random.Random(seed + 3)
-    with open(path, "w", encoding="ascii") as handle:
-        for _ in range(n_rows):
-            length = rng.randrange(0, 9)  # avg 4, empty lines included
-            row = sorted({rng.randrange(n_items) for _ in range(length)})
-            handle.write(" ".join(str(i) for i in row))
-            handle.write("\n")
-
-
 def run_suite(params: dict, smoke: bool) -> dict:
     n_rows, n_items, seed = params["n_rows"], params["n_items"], params["seed"]
     workloads = []
 
-    print(f"[1/4] dense cover memory ({n_rows} rows x {n_items} items)")
+    print(f"[1/3] dense cover memory ({n_rows} rows x {n_items} items)")
     tid = measure("build", n_rows=n_rows, n_items=n_items, seed=seed,
-                  backend="tidset")
+                  backend="auto")
     roar = measure("build", n_rows=n_rows, n_items=n_items, seed=seed,
                    backend="roaring")
     ratio = tid["cover_bytes"] / max(1, roar["cover_bytes"])
@@ -332,7 +284,7 @@ def run_suite(params: dict, smoke: bool) -> dict:
             "old_cover_bytes": tid["cover_bytes"],
             "new_cover_bytes": roar["cover_bytes"],
             "note": "seconds are from_columnar build times; the gated "
-                    "speedup is tidset/roaring total cover bytes",
+                    "speedup is big-int/roaring total cover bytes",
         },
         "old_seconds": round(tid["seconds"], 4),
         "new_seconds": round(roar["seconds"], 4),
@@ -347,9 +299,9 @@ def run_suite(params: dict, smoke: bool) -> dict:
     })
 
     for index, kind in enumerate(("dense", "sparse"), start=2):
-        print(f"[{index}/4] eclat wall-clock ({kind})")
+        print(f"[{index}/3] eclat wall-clock ({kind})")
         tid = measure("eclat", n_rows=n_rows, n_items=n_items, seed=seed,
-                      backend="tidset", kind=kind)
+                      backend="auto", kind=kind)
         roar = measure("eclat", n_rows=n_rows, n_items=n_items, seed=seed,
                        backend="roaring", kind=kind)
         pair = measure("eclat_pair", n_rows=n_rows, n_items=n_items,
@@ -367,7 +319,8 @@ def run_suite(params: dict, smoke: bool) -> dict:
                 "threshold": tid["threshold"],
                 "maximal": tid["maximal"],
                 "negative": tid["negative"],
-                "family": f"{kind} workload, tidset vs roaring end-to-end",
+                "family": f"{kind} workload, big-int vs roaring "
+                          "end-to-end",
                 "note": "seconds are best-of-3 from one interleaved "
                         "child (drift-cancelling); RSS columns are from "
                         "the per-backend children",
@@ -386,43 +339,13 @@ def run_suite(params: dict, smoke: bool) -> dict:
             ),
         })
 
-    print("[4/4] streamed ingestion")
-    ingest_rows = n_rows if not smoke else min(n_rows, 5_000)
-    with tempfile.TemporaryDirectory(prefix="bench_scale.") as tmp:
-        dat = os.path.join(tmp, "scale.dat")
-        _write_ingest_file(dat, ingest_rows, n_items, seed)
-        horizontal = measure("ingest", path=dat, stream=False)
-        streamed = measure("ingest", path=dat, stream=True, repeats=3)
-    speed = horizontal["seconds"] / max(1e-9, streamed["seconds"])
-    workloads.append({
-        "name": "scale_stream_ingest",
-        "params": {
-            "n_rows": ingest_rows, "n_items": n_items, "seed": seed,
-            "family": "FIMI file, read_fimi vs read_fimi_stream",
-            "note": "no wall-clock target; the peak-RSS columns are the "
-                    "point — streamed ingestion never holds the "
-                    "horizontal row list",
-        },
-        "old_seconds": round(horizontal["seconds"], 4),
-        "new_seconds": round(streamed["seconds"], 4),
-        "old_peak_rss_kb": horizontal["peak_rss_kb"],
-        "new_peak_rss_kb": streamed["peak_rss_kb"],
-        "speedup": round(speed, 2),
-        "target": None,
-        "workers_needed": 1,
-        "cpu_gated": False,
-        "meets_target": None,
-        "outputs_equal": horizontal["digest"] == streamed["digest"],
-    })
-
     return {
         "pr": 10,
         "description": (
             "Real-scale roaring-backend suite: cover-memory reduction on "
-            "1M x 2K clustered data (gated >=4x vs tidset), end-to-end "
-            "eclat wall-clock tidset-vs-roaring on dense and sparse "
-            "workloads (gated within 1.5x), and horizontal-vs-streamed "
-            "FIMI ingestion with peak-RSS columns. Deterministic "
+            "1M x 2K clustered data (gated >=4x vs big-int covers), "
+            "end-to-end eclat wall-clock big-int-vs-roaring on dense "
+            "and sparse workloads (gated within 1.5x). Deterministic "
             "generators, no network. See benchmarks/bench_scale.py."
         ),
         "available_cpus": os.cpu_count(),

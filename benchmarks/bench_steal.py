@@ -44,7 +44,6 @@ from repro.datasets.synthetic import QuestParameters, generate_quest_database
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import eclat
 from repro.parallel.eclat import eclat_parallel
-from repro.parallel.shm import shm_available
 from repro.util.bitset import Universe
 
 from benchmarks.wave_reference import eclat_waves
@@ -192,11 +191,7 @@ def _workload(
 
 def run_suite(repeats: int = 2) -> dict:
     cpus = available_cpus()
-    memory = "shm" if shm_available() else "pickle"
-    print(
-        f"== PR 6 work-stealing benchmark (cpus={cpus}, "
-        f"memory={memory}) =="
-    )
+    print(f"== PR 6 work-stealing benchmark (cpus={cpus}) ==")
     skewed = skewed_database()
     skewed_threshold = SKEWED["threshold_rows"]
     uniform = uniform_database()
@@ -205,11 +200,9 @@ def run_suite(repeats: int = 2) -> dict:
     records = [
         _workload(
             "steal_skewed_serial_vs_8w_shm",
-            {**SKEWED, "memory": memory},
+            SKEWED,
             lambda: eclat(skewed, skewed_threshold),
-            lambda: eclat_parallel(
-                skewed, skewed_threshold, workers=8, memory=memory
-            ),
+            lambda: eclat_parallel(skewed, skewed_threshold, workers=8),
             workers_needed=8,
             cpus=cpus,
             target=STEAL_8W_TARGET,
@@ -217,11 +210,9 @@ def run_suite(repeats: int = 2) -> dict:
         ),
         _workload(
             "steal_skewed_waves_vs_steal_4w",
-            {**SKEWED, "memory": memory},
+            SKEWED,
             lambda: eclat_waves(skewed, skewed_threshold, 4),
-            lambda: eclat_parallel(
-                skewed, skewed_threshold, workers=4, memory=memory
-            ),
+            lambda: eclat_parallel(skewed, skewed_threshold, workers=4),
             workers_needed=4,
             cpus=cpus,
             target=STEAL_VS_WAVES_TARGET,
@@ -229,36 +220,18 @@ def run_suite(repeats: int = 2) -> dict:
         ),
         _workload(
             "steal_skewed_serial_vs_2w",
-            {**SKEWED, "memory": memory},
+            SKEWED,
             lambda: eclat(skewed, skewed_threshold),
-            lambda: eclat_parallel(
-                skewed, skewed_threshold, workers=2, memory=memory
-            ),
+            lambda: eclat_parallel(skewed, skewed_threshold, workers=2),
             workers_needed=2,
             cpus=cpus,
             repeats=repeats,
         ),
         _workload(
-            "steal_skewed_shm_vs_pickle_4w",
-            {**SKEWED},
-            lambda: eclat_parallel(
-                skewed, skewed_threshold, workers=4, memory="pickle"
-            ),
-            lambda: eclat_parallel(
-                skewed, skewed_threshold, workers=4, memory=memory
-            ),
-            workers_needed=4,
-            cpus=cpus,
-            repeats=repeats,
-        ),
-        _workload(
             "steal_uniform_waves_vs_steal_4w",
-            {**UNIFORM, "threshold_rows": uniform_threshold,
-             "memory": memory},
+            {**UNIFORM, "threshold_rows": uniform_threshold},
             lambda: eclat_waves(uniform, uniform_threshold, 4),
-            lambda: eclat_parallel(
-                uniform, uniform_threshold, workers=4, memory=memory
-            ),
+            lambda: eclat_parallel(uniform, uniform_threshold, workers=4),
             workers_needed=4,
             cpus=cpus,
             repeats=repeats,
@@ -280,7 +253,6 @@ def run_suite(repeats: int = 2) -> dict:
             "CPUs (cpu_gated records the decision)."
         ),
         "available_cpus": cpus,
-        "memory": memory,
         "workloads": records,
         "targets_met": all(r["meets_target"] for r in targeted),
     }

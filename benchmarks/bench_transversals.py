@@ -1,8 +1,8 @@
 """Transversal-engine crossover benchmark suite (``BENCH_PR9.json``).
 
-Times the four minimal-transversal engines — Berge multiplication,
-Fredman–Khachiyan incremental enumeration, and the PR 9 MMCS/RS
-branch-and-bound enumerators — against each other across the regimes
+Times the minimal-transversal engines — Berge multiplication,
+Fredman–Khachiyan incremental enumeration, and the MMCS
+branch-and-bound enumerator — against each other across the regimes
 where the crossover actually happens:
 
 * **data-profiling FD workload** — minimal keys of a synthetic
@@ -18,9 +18,6 @@ where the crossover actually happens:
 * **small random hypergraphs** — the largest instance where *full* FK
   enumeration is affordable, making FK's one-duality-test-per-member
   pricing visible.
-* **MMCS vs RS** — same search tree, criticality *recomputed* per node
-  (RS) versus *incrementally maintained with rollback* (MMCS); the
-  ratio prices the update-and-rollback discipline.
 * **MMCS serial vs 2 workers** — the depth-2 work-stealing driver;
   CPU-gated like every parallel target (a 1-CPU sandbox records the
   number but cannot certify a speedup).
@@ -46,7 +43,7 @@ from repro.datasets.relations import generate_relation_with_keys
 from repro.hypergraph.berge import berge_transversal_masks
 from repro.hypergraph.fredman_khachiyan import find_new_minimal_transversal
 from repro.hypergraph.generators import random_simple_hypergraph
-from repro.hypergraph.mmcs import mmcs_transversal_masks, rs_transversal_masks
+from repro.hypergraph.mmcs import mmcs_transversal_masks
 from repro.parallel.mmcs import mmcs_transversals_parallel
 from repro.util.bitset import popcount
 
@@ -221,15 +218,6 @@ def run_suite(repeats: int = 2) -> dict:
             repeats=repeats,
         ),
         _workload(
-            "transversals_fd_profiling_rs_vs_mmcs",
-            fd_params,
-            lambda: rs_transversal_masks(fd_edges),
-            lambda: mmcs_transversal_masks(fd_edges),
-            workers_needed=1,
-            cpus=cpus,
-            repeats=repeats,
-        ),
-        _workload(
             "transversals_medium_random_berge_vs_mmcs",
             medium_params,
             lambda: berge_transversal_masks(medium_edges),
@@ -266,13 +254,12 @@ def run_suite(repeats: int = 2) -> dict:
     return {
         "pr": 9,
         "description": (
-            "Berge vs Fredman-Khachiyan vs MMCS/RS minimal-transversal "
+            "Berge vs Fredman-Khachiyan vs MMCS minimal-transversal "
             "crossover: a data-profiling-shaped minimal-key workload "
             "(agree-set complements, where MMCS must beat Berge 3x, "
             "asserted serially), the medium-random regime where Berge "
             "stays competitive, the small regime where full FK "
-            "enumeration is affordable, "
-            "the MMCS-vs-RS bookkeeping ablation, and the depth-2 "
+            "enumeration is affordable, and the depth-2 "
             "work-stealing driver (CPU-gated). See "
             "benchmarks/bench_transversals.py."
         ),

@@ -2,9 +2,8 @@
 
 Snapshots ``/dev/shm`` (or the platform's shared-memory mount), drives
 the shm-backed engines through every lifecycle the tentpole promises to
-clean up after — a full work-stealing run, a mid-run budget cut, a
-sharded-counter session, and an engine-level exception — then snapshots
-again.  Any new entry is a leak and the script exits 1, printing the
+clean up after — a full work-stealing run, a mid-run budget cut, and
+an engine-level exception — then snapshots again.  Any new entry is a leak and the script exits 1, printing the
 offending names.  CI runs this after the determinism suite
 (``make steal-smoke``); it is also a quick local smoke::
 
@@ -20,8 +19,6 @@ from pathlib import Path
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import eclat
 from repro.parallel.eclat import eclat_parallel
-from repro.parallel.sharding import ShardedSupportCounter
-from repro.parallel.shm import shm_available
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult
 from repro.util.bitset import Universe
@@ -45,7 +42,7 @@ def exercise() -> None:
     database = _database(7)
 
     # 1. full work-stealing run over the shm store
-    full = eclat_parallel(database, 40, workers=2, memory="shm")
+    full = eclat_parallel(database, 40, workers=2)
     serial = eclat(database, 40)
     assert full.interesting == serial.interesting, "full-run mismatch"
 
@@ -54,30 +51,19 @@ def exercise() -> None:
         database,
         40,
         workers=2,
-        memory="shm",
         budget=Budget(max_queries=30),
         on_exhaust="return",
     )
     assert isinstance(cut, PartialResult), type(cut)
 
-    # 3. sharded counter session (store stays open for the session)
-    with ShardedSupportCounter(database, 2, memory="shm") as counter:
-        masks = [1, 3, 0b1011]
-        assert counter.support_counts(masks) == database.support_counts(
-            masks
-        )
-
-    # 4. engine failure mid-flight: finalizers still unlink
+    # 3. engine failure mid-flight: finalizers still unlink
     try:
-        eclat_parallel(database, -1, workers=2, memory="shm")
+        eclat_parallel(database, -1, workers=2)
     except ValueError:
         pass
 
 
 def main() -> int:
-    if not shm_available():
-        print("shared memory unavailable on this platform; nothing to check")
-        return 0
     before = shm_entries()
     exercise()
     leaked = shm_entries() - before

@@ -7,7 +7,7 @@ CLI's ``--trace FILE``) and prints:
   name, so the time split between candidate generation, oracle passes,
   and dualization is visible without a profiler;
 * per-worker attribution — stitched multi-process traces carry
-  ``worker.task`` / ``worker.count`` spans tagged with the worker pid;
+  ``worker.task`` spans tagged with the worker pid;
   the report totals each worker's task count and wall clock, making
   load imbalance visible from the trace alone;
 * per-request latency — service traces (``repro serve --trace``) close
@@ -44,8 +44,6 @@ from repro.obs.monitor import TheoremMonitor
 from repro.obs.schema import KNOWN_EVENTS, parse_trace, validate_trace
 
 __all__ = ["build_report", "render_report", "main"]
-
-_WORKER_SPANS = ("worker.task", "worker.count")
 
 
 def build_report(records: list[dict]) -> dict:
@@ -95,7 +93,7 @@ def build_report(records: list[dict]) -> dict:
                 durations[name].append(dur)
                 if record.get("error"):
                     span_errors[name] += 1
-                if name in _WORKER_SPANS and "worker" in attrs:
+                if name == "worker.task" and "worker" in attrs:
                     row = workers[attrs["worker"]]
                     row["tasks"] += 1
                     row["total"] += dur

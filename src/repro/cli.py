@@ -151,21 +151,11 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes: sharded support counting for "
-        "--algorithm levelwise, work-stolen subtree tasks for "
-        "--algorithm eclat (results are bit-identical to serial "
-        "either way)",
+        help="worker processes for --algorithm eclat: work-stolen "
+        "subtree tasks over one shared-memory copy of the vertical "
+        "store (results are bit-identical to serial)",
     )
     _add_backend_flag(mine)
-    mine.add_argument(
-        "--memory",
-        choices=("auto", "shm", "pickle"),
-        default="auto",
-        help="worker transport for --workers > 1: 'shm' maps one "
-        "shared-memory copy of the vertical store into every worker "
-        "(zero-copy), 'pickle' ships the data per process, 'auto' "
-        "picks shm when available (results are identical either way)",
-    )
     _add_observability_flags(mine)
 
     transversals = subparsers.add_parser(
@@ -179,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     transversals.add_argument(
         "--method",
-        choices=("berge", "fk", "mmcs", "rs", "levelwise", "dfs", "brute"),
+        choices=("berge", "fk", "mmcs", "levelwise", "dfs", "brute"),
         default="berge",
     )
     transversals.add_argument(
@@ -187,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock deadline (berge/fk/mmcs/rs only; partial "
+        help="wall-clock deadline (berge/fk/mmcs only; partial "
         "family, exit 3)",
     )
     transversals.add_argument(
@@ -196,18 +186,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="largest intermediate transversal family allowed "
-        "(berge/fk/mmcs/rs only)",
+        "(berge/fk/mmcs only)",
     )
     transversals.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="N",
-        help="worker processes: chunk-parallel minimality filter for "
-        "--method berge, work-stolen depth-2 subtrees for "
-        "--method mmcs/rs (results are bit-identical to serial)",
+        help="worker processes for --method mmcs: work-stolen depth-2 "
+        "subtrees (results are bit-identical to serial)",
     )
-    _add_backend_flag(transversals)
     _add_observability_flags(transversals)
 
     serve = subparsers.add_parser(
@@ -311,24 +299,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_backend(backend: str) -> str:
-    """Reject unknown ``--backend`` names with a one-line message.
+def _read_database(path: str, backend: str = "auto"):
+    """Read a FIMI file with one-line contextual error messages.
 
-    Validated here — before any file I/O — so the error is about the
-    flag, not misattributed to the dataset (``main`` maps the
-    :class:`ValueError` to exit code 2).
+    ``--backend`` is validated first — before any file I/O — so the
+    error is about the flag, not misattributed to the dataset (``main``
+    maps the :class:`ValueError` to exit code 2).
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown --backend {backend!r}; expected one of "
             f"{', '.join(BACKENDS)}"
         )
-    return backend
-
-
-def _read_database(path: str, backend: str = "auto"):
-    """Read a FIMI file with one-line contextual error messages."""
-    _validate_backend(backend)
     try:
         return read_fimi(path, backend=backend)
     except OSError as error:
@@ -541,7 +523,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             resume=args.resume,
             tracer=obs.tracer,
             workers=args.workers,
-            memory=args.memory,
         )
     finally:
         obs.finalize()
@@ -583,10 +564,6 @@ def _parse_edges(text: str) -> list[frozenset[int]]:
 
 
 def _cmd_transversals(args: argparse.Namespace) -> int:
-    # The hypergraph engines carry no transaction database; the flag is
-    # still validated so scripted pipelines get the same one-line error
-    # + exit 2 contract on every subcommand.
-    _validate_backend(args.backend)
     edges = _parse_edges(args.edges)
     vertices = sorted(set().union(*edges))
     universe = Universe(vertices)

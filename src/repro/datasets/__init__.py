@@ -11,7 +11,7 @@ from repro.datasets.categorical import (
     encode_relation,
     generate_categorical_relation,
 )
-from repro.datasets.transactions import TransactionDatabase
+from repro.datasets.transactions import BACKENDS, TransactionDatabase
 from repro.datasets.baskets import ColumnarBuilder, read_baskets_csv
 from repro.datasets.fimi import read_fimi, read_fimi_stream, write_fimi
 from repro.datasets.synthetic import QuestParameters, generate_quest_database
@@ -28,6 +28,7 @@ from repro.datasets.sequences import EventSequence, generate_event_sequence
 __all__ = [
     "encode_relation",
     "generate_categorical_relation",
+    "BACKENDS",
     "TransactionDatabase",
     "ColumnarBuilder",
     "read_baskets_csv",

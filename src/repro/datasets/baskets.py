@@ -1,4 +1,4 @@
-"""Streamed basket ingestion into shard-ready columnar form.
+"""Streamed basket ingestion into columnar form.
 
 Real retail exports (the Instacart ``order_products`` CSVs are the
 canonical example) arrive as *pair* rows — ``order_id,product_id`` —
@@ -12,8 +12,8 @@ list and forgets the row.  ``to_database()`` hands the per-item index
 lists straight to
 :meth:`~repro.datasets.transactions.TransactionDatabase.from_columnar`,
 so the finished database is vertical-only (``_rows`` stays
-unmaterialized) and immediately shardable — memory is proportional to
-the *item occurrences*, never to ``n_rows × n_items``.
+unmaterialized) — memory is proportional to the *item occurrences*,
+never to ``n_rows × n_items``.
 
 :func:`read_baskets_csv` is the file-level wrapper: it streams a CSV of
 ``(order, item)`` pairs, groups consecutive rows with equal order ids

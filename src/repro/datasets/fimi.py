@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable
 
+from repro.datasets.baskets import ColumnarBuilder
 from repro.datasets.transactions import TransactionDatabase
 from repro.util.bitset import Universe, iter_bits
 
@@ -30,15 +31,6 @@ def write_fimi(database: TransactionDatabase, path: str | os.PathLike) -> None:
             handle.write("\n")
 
 
-def _scan_universe(path: str | os.PathLike) -> Universe:
-    """One streaming pass collecting the sorted set of item ids."""
-    items: set[int] = set()
-    with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
-            items.update(int(token) for token in line.split())
-    return Universe(sorted(items))
-
-
 def read_fimi(
     path: str | os.PathLike,
     universe: Universe | None = None,
@@ -47,56 +39,45 @@ def read_fimi(
 ) -> TransactionDatabase:
     """Read a FIMI ``.dat`` file into a :class:`TransactionDatabase`.
 
+    Each line feeds a :class:`~repro.datasets.baskets.ColumnarBuilder`
+    and the database is built with
+    :meth:`~repro.datasets.transactions.TransactionDatabase.from_columnar`:
+    the file is read once and the horizontal row list is *never*
+    materialized, in the builder or in the database.  Memory is
+    proportional to item occurrences, which is what makes million-row
+    files ingestible.
+
     Args:
         path: the file to read.
-        universe: optional pre-built integer universe; when omitted, a
-            first streaming pass collects the sorted set of item ids
-            seen in the file.
+        universe: optional pre-built integer universe; when omitted,
+            the universe is the sorted set of item ids seen in the file.
         backend: vertical backend for the built database.
 
     Blank lines become empty transactions (they still count toward the
-    total row count, matching FIMI tooling conventions).  Lines are
-    parsed one at a time — no intermediate list of token rows is ever
-    built; with a supplied ``universe`` the file is read exactly once.
+    total row count, matching FIMI tooling conventions).
+
+    Raises:
+        ValueError: a token is not an integer, an item lies outside
+            the supplied ``universe``, or an inferred item id is
+            negative.
     """
-    if universe is None:
-        universe = _scan_universe(path)
-
-    def masks(resolved: Universe):
-        with open(path, "r", encoding="ascii") as handle:
-            for line in handle:
-                yield resolved.to_mask(
-                    int(token) for token in line.split()
-                )
-
-    return TransactionDatabase(universe, masks(universe), backend=backend)
-
-
-def read_fimi_stream(
-    path: str | os.PathLike,
-    universe: Universe | None = None,
-    *,
-    backend: str = "auto",
-) -> TransactionDatabase:
-    """Stream a FIMI ``.dat`` file straight into columnar form.
-
-    Unlike :func:`read_fimi` — whose resulting database still stores the
-    horizontal mask list — this path feeds each line to a
-    :class:`~repro.datasets.baskets.ColumnarBuilder` and builds the
-    database with
-    :meth:`~repro.datasets.transactions.TransactionDatabase.from_columnar`:
-    the horizontal row list is *never* materialized, in the builder or
-    in the database.  Memory is proportional to item occurrences, which
-    is what makes million-row files ingestible.  Blank lines are empty
-    transactions, exactly as in :func:`read_fimi`.
-    """
-    from repro.datasets.baskets import ColumnarBuilder
-
     builder = ColumnarBuilder(universe, backend=backend)
     with open(path, "r", encoding="ascii") as handle:
         for line in handle:
             builder.add(int(token) for token in line.split())
-    return builder.to_database()
+    database = builder.to_database()
+    # The inferred universe is sorted, so one comparison covers every id.
+    items = database.universe.items
+    if universe is None and items and items[0] < 0:
+        raise ValueError(
+            f"item id {items[0]} is negative; FIMI item ids are "
+            "non-negative integers"
+        )
+    return database
+
+
+#: Alias of :func:`read_fimi`; existing callers import this name.
+read_fimi_stream = read_fimi
 
 
 def write_transactions(

@@ -18,21 +18,14 @@ Three representations are kept in sync:
   handful of vectorized calls instead of one Python loop per itemset.
 
 The numpy path is an exact accelerator: counts are bit-identical to the
-pure-int path, numpy is optional (``backend="int"`` or a missing numpy
-falls back transparently), and nothing about query accounting changes.
+pure-int path, numpy is optional (small batches or a missing numpy use
+the big-int kernel), and nothing about query accounting changes.
 
 The vertical column bitmaps double as Eclat's *tidsets*: the tidset of
-an itemset is the AND of its item columns (:meth:`tidset`), and its
-*diffset* relative to a prefix is the prefix rows that drop out when one
-more item is added (:meth:`diffset`) — the dEclat identity
-``supp(P∪{x}) = supp(P) − |d(P∪{x}|P)|``.  ``backend="tidset"`` and
-``backend="diffset"`` select pure big-int counting kernels phrased in
-those terms (``diffset`` counts via column complements); both are
-bit-identical to ``"int"`` and exist for the engine-equivalence tests
-and benchmarks.  The depth-first miner itself
-(:mod:`repro.mining.eclat`) memoizes covers per branch through
-:meth:`tidsets_view` / :attr:`full_tidset` rather than re-deriving them
-per query.
+an itemset is the AND of its item columns (:meth:`tidset`).  The
+depth-first miner (:mod:`repro.mining.eclat`) memoizes covers per
+branch through :meth:`tidsets_view` / :attr:`full_tidset` rather than
+re-deriving them per query.
 
 ``backend="roaring"`` swaps the big-int columns for compressed
 :class:`~repro.util.roaring.RoaringBitmap` covers (64K-row chunks in
@@ -40,10 +33,6 @@ array/bitmap/run containers) — the same vertical surface, bit-identical
 counts, but per-cover memory proportional to the *compressed* size
 instead of ``n/8`` bytes, which is what makes million-row vertical
 mining feasible (docs/API.md §18).
-
-Backend dispatch lives in one per-backend kernel table
-(``_BATCH_KERNELS``), so registering a new backend is one entry, not a
-chain of string comparisons per call site.
 """
 
 from __future__ import annotations
@@ -62,13 +51,10 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 # is used (correctness is identical either way).
 _HAS_VECTOR_POPCOUNT = _np is not None and hasattr(_np, "bitwise_count")
 
-# Backend names; the authoritative registry is the _BATCH_KERNELS
-# table after the class body (one entry per backend).
-_BACKENDS = ("auto", "numpy", "int", "tidset", "diffset", "roaring")
+#: The accepted ``backend=`` values (the CLI's ``--backend`` flag
+#: validates against this exact tuple).
+BACKENDS = ("auto", "roaring")
 
-#: Public name for the accepted ``backend=`` values (the CLI's
-#: ``--backend`` flag validates against this exact tuple).
-BACKENDS = _BACKENDS
 # Below these sizes the big-int kernel wins on dispatch overhead alone.
 _AUTO_MIN_ROWS = 128
 _AUTO_MIN_BATCH = 64
@@ -88,16 +74,12 @@ class TransactionDatabase:
     Args:
         universe: the item universe (column order).
         transaction_masks: one bitmask per row over ``universe``.
-        backend: vertical-counting backend — ``"auto"`` (default: numpy
-            for large batched workloads, big-int otherwise), ``"numpy"``
-            (force the chunked-bitmap path where possible), ``"int"``
-            (pure big-int, the seed behavior), ``"tidset"`` (big-int
-            tidset intersections, the Eclat view of ``"int"``),
-            ``"diffset"`` (count through column complements, the dEclat
-            identity), or ``"roaring"`` (compressed container bitmaps
-            for million-row covers).  All backends return bit-identical
-            counts; the knob exists for benchmarks, the equivalence
-            tests, and the memory/speed trade at scale.
+        backend: vertical-counting backend — ``"auto"`` (default:
+            big-int columns, counted with numpy for large batches and
+            with big-int ANDs otherwise) or ``"roaring"`` (compressed
+            container bitmaps for million-row covers).  Both return
+            bit-identical counts; the choice is the memory/speed trade
+            at scale.
 
     Rows may repeat (multiset semantics, as in market-basket data).
     """
@@ -109,9 +91,6 @@ class TransactionDatabase:
         "_columns",
         "_backend",
         "_matrix",
-        # weak-referenceable so ShmVerticalStore can detach the shared
-        # numpy views of issued databases without keeping them alive
-        "__weakref__",
     )
 
     def __init__(
@@ -121,9 +100,9 @@ class TransactionDatabase:
         *,
         backend: str = "auto",
     ):
-        if backend not in _BACKENDS:
+        if backend not in BACKENDS:
             raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
+                f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
         self.universe = universe
         rows = list(transaction_masks)
@@ -150,19 +129,17 @@ class TransactionDatabase:
     ) -> "TransactionDatabase":
         """Build directly from per-item column bitmaps (tidsets).
 
-        The vertical-first constructor used by the shared-memory store
-        (:class:`repro.parallel.shm.ShmVerticalStore`): a worker that
-        mapped the column bitmaps of a published database reconstructs
-        a counting-equivalent instance without ever materializing the
-        horizontal row list.  Rows are derived lazily (and only) when a
-        horizontal view is actually requested (``transaction_masks``,
-        ``project``, iteration); every counting path — ``support_count``,
-        ``support_counts``, tidsets, diffsets — works straight off the
-        columns.
+        The vertical-first constructor behind streamed ingestion and
+        service appends: the instance is built without ever
+        materializing the horizontal row list.  Rows are derived lazily
+        (and only) when a horizontal view is actually requested
+        (``transaction_masks``, ``project``, iteration); every counting
+        path — ``support_count``, ``support_counts``, tidsets — works
+        straight off the columns.
         """
-        if backend not in _BACKENDS:
+        if backend not in BACKENDS:
             raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
+                f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
         if len(columns) != len(universe):
             raise ValueError(
@@ -253,16 +230,16 @@ class TransactionDatabase:
         """Build from per-item row-index lists, skipping row bitmasks.
 
         The streamed-ingestion constructor: loaders that accumulate
-        ``item → sorted row indices`` (``read_fimi_stream``,
+        ``item → sorted row indices`` (``read_fimi``,
         ``read_baskets_csv``) hand the columnar form straight to the
         vertical store.  At a million rows this avoids ~10M big-int OR
         operations on 125 KB masks that building horizontal rows first
         would cost — the columns are assembled with byte-level bit sets
         (int backends) or container builders (``"roaring"``) instead.
         """
-        if backend not in _BACKENDS:
+        if backend not in BACKENDS:
             raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
+                f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
         if len(item_rows) != len(universe):
             raise ValueError(
@@ -351,39 +328,6 @@ class TransactionDatabase:
         """A copy of the horizontal representation (safe to mutate)."""
         return list(self._rows_view())
 
-    def shards(self, n_shards: int) -> list["TransactionDatabase"]:
-        """Split the rows into contiguous shard databases.
-
-        The shards partition the rows (balanced, deterministic, in row
-        order) over the *same* universe, so for every itemset mask the
-        shard support counts sum exactly to this database's count —
-        the invariant :mod:`repro.parallel` builds on.  At most
-        ``n_transactions`` non-empty shards are produced.
-        """
-        from repro.parallel.sharding import shard_bounds
-
-        if self._backend == "roaring":
-            # Slice the compressed columns directly: no horizontal
-            # materialization, interior containers shared outright.
-            return [
-                TransactionDatabase.from_vertical(
-                    self.universe,
-                    [col.sliced(start, stop) for col in self._columns],
-                    stop - start,
-                    backend="roaring",
-                )
-                for start, stop in shard_bounds(self._n_rows, n_shards)
-            ]
-        rows = self._rows_view()
-        return [
-            TransactionDatabase(
-                self.universe,
-                rows[start:stop],
-                backend=self._backend,
-            )
-            for start, stop in shard_bounds(self._n_rows, n_shards)
-        ]
-
     def _masks_view(self) -> list[int]:
         """The internal row list, zero-copy.
 
@@ -417,47 +361,38 @@ class TransactionDatabase:
                 return 0
         return popcount(accumulator)
 
-    def support_counts(
-        self,
-        itemset_masks: Iterable[int],
-        *,
-        backend: str | None = None,
-    ) -> list[int]:
+    def support_counts(self, itemset_masks: Iterable[int]) -> list[int]:
         """Support counts of a whole batch of itemsets in one pass.
 
         The batched form of :meth:`support_count`: semantically
         ``[self.support_count(m) for m in itemset_masks]``, bit for bit.
-        On the numpy backend the batch is grouped by itemset size and
-        each group is resolved with a vectorized AND-reduce plus
-        ``bitwise_count`` over the chunked vertical bitmaps, amortizing
-        all per-itemset Python dispatch — the level-at-a-time database
-        pass of practical Apriori implementations.
-
-        Args:
-            itemset_masks: the itemsets to count, any iterable of masks.
-            backend: optional per-call override of the instance backend.
+        On the ``"auto"`` backend a large batch over enough rows is
+        grouped by itemset size and each group is resolved with a
+        vectorized AND-reduce plus ``bitwise_count`` over the chunked
+        vertical bitmaps, amortizing all per-itemset Python dispatch —
+        the level-at-a-time database pass of practical Apriori
+        implementations.  Small batches, small databases and the
+        ``"roaring"`` backend run one AND-chain per mask.
         """
         masks = list(itemset_masks)
-        chosen = self._backend if backend is None else backend
-        kernel = _BATCH_KERNELS.get(chosen)
-        if kernel is None:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-            )
-        return kernel(self, masks)
+        if (
+            _HAS_VECTOR_POPCOUNT
+            and len(masks) >= _AUTO_MIN_BATCH
+            and self._n_rows >= _AUTO_MIN_ROWS
+            and self._backend != "roaring"
+        ):
+            return self._support_counts_numpy(masks)
+        count = self.support_count
+        return [count(mask) for mask in masks]
 
     def _vertical_matrix(self):
         """The chunked vertical bitmaps: ``(n_items, ⌈n/64⌉)`` uint64."""
         if self._matrix is None:
             n_chunks = (self._n_rows + 63) // 64
             n_bytes = n_chunks * 8
-            columns = self._columns
-            if self._backend == "roaring":
-                # Per-call backend="numpy" on a compressed database:
-                # decompress once, then count vectorized as usual.
-                columns = [column.to_int() for column in columns]
             packed = b"".join(
-                column.to_bytes(n_bytes, "little") for column in columns
+                column.to_bytes(n_bytes, "little")
+                for column in self._columns
             )
             self._matrix = _np.frombuffer(packed, dtype="<u8").reshape(
                 len(self._columns), n_chunks
@@ -628,27 +563,6 @@ class TransactionDatabase:
                 )
         return out.tolist()
 
-    def _support_count_diffset(self, itemset_mask: int) -> int:
-        """Support via complements: rows missing *some* item of the mask.
-
-        ``supp(X) = n − |⋃_{x∈X} (T \\ t(x))|`` — the dEclat phrasing of
-        the same count.  Bit-identical to :meth:`support_count`.
-        """
-        if itemset_mask == 0:
-            return self._n_rows
-        columns = self._columns
-        if self._backend == "roaring":
-            full = (1 << self._n_rows) - 1
-            missing = 0
-            for item_index in iter_bits(itemset_mask):
-                missing |= full & ~columns[item_index].to_int()
-            return self._n_rows - popcount(missing)
-        full = self.full_tidset
-        missing = 0
-        for item_index in iter_bits(itemset_mask):
-            missing |= full & ~columns[item_index]
-        return self._n_rows - popcount(missing)
-
     # -- tidsets (the Eclat vertical surface) --------------------------------
 
     @property
@@ -686,18 +600,6 @@ class TransactionDatabase:
         for item_index in bits:
             accumulator &= columns[item_index]
         return accumulator
-
-    def diffset(self, itemset_mask: int, item_index: int) -> int:
-        """Transactions of the itemset that *lack* ``item_index``.
-
-        ``d(X∪{x} | X) = t(X) \\ t(x)`` — the dEclat difference list;
-        ``supp(X∪{x}) = supp(X) − popcount(diffset(X, x))``.
-        """
-        if self._backend == "roaring":
-            return self.tidset(itemset_mask).andnot(
-                self._columns[item_index]
-            )
-        return self.tidset(itemset_mask) & ~self._columns[item_index]
 
     def frequency(self, itemset_mask: int) -> float:
         """Relative support in ``[0, 1]`` (0.0 for an empty database)."""
@@ -744,54 +646,3 @@ class TransactionDatabase:
             ))
         return TransactionDatabase(sub_universe, rows, backend=self._backend)
 
-
-# -- per-backend batch kernels ----------------------------------------------
-#
-# One entry per backend: ``backend name → batch counting kernel``.  This
-# table is the single registration point — `support_counts` dispatches
-# through it, and `_BACKENDS` (the validated name set) must match its
-# keys.  A new backend is one row here plus whatever representation
-# branches it needs, not a string-comparison chain per call site.
-
-
-def _batch_scalar(database: TransactionDatabase, masks: list[int]) -> list[int]:
-    """One AND-chain per mask over the instance's columns (int or
-    roaring — ``support_count`` is representation-agnostic)."""
-    count = database.support_count
-    return [count(mask) for mask in masks]
-
-
-def _batch_diffset(
-    database: TransactionDatabase, masks: list[int]
-) -> list[int]:
-    count = database._support_count_diffset
-    return [count(mask) for mask in masks]
-
-
-def _batch_numpy(database: TransactionDatabase, masks: list[int]) -> list[int]:
-    if not _HAS_VECTOR_POPCOUNT:
-        return _batch_scalar(database, masks)
-    return database._support_counts_numpy(masks)
-
-
-def _batch_auto(database: TransactionDatabase, masks: list[int]) -> list[int]:
-    if (
-        _HAS_VECTOR_POPCOUNT
-        and len(masks) >= _AUTO_MIN_BATCH
-        and database._n_rows >= _AUTO_MIN_ROWS
-        and database._backend != "roaring"
-    ):
-        return database._support_counts_numpy(masks)
-    return _batch_scalar(database, masks)
-
-
-_BATCH_KERNELS = {
-    "auto": _batch_auto,
-    "numpy": _batch_numpy,
-    "int": _batch_scalar,
-    "tidset": _batch_scalar,
-    "diffset": _batch_diffset,
-    "roaring": _batch_scalar,
-}
-
-assert set(_BATCH_KERNELS) == set(_BACKENDS)

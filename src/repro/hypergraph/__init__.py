@@ -17,9 +17,9 @@ Engines provided:
 * :mod:`repro.hypergraph.levelwise_transversal` — the paper's new special
   case (Corollary 15): input-polynomial transversals when every edge has
   at least ``n - k`` vertices with ``k = O(log n)``.
-* :mod:`repro.hypergraph.mmcs` — the MMCS/RS branch-and-bound
-  enumerators (arXiv:1805.01310), the practical engines at
-  data-profiling scale (PR 9).
+* :mod:`repro.hypergraph.mmcs` — the MMCS branch-and-bound
+  enumerator (arXiv:1805.01310), the practical engine at
+  data-profiling scale.
 * :mod:`repro.hypergraph.duality` — the oracle-free Gottlob–Malizia
   style duality *decision* procedure (arXiv:1212.1881), a fast path
   that skips Fredman–Khachiyan witness generation.
@@ -45,11 +45,7 @@ from repro.hypergraph.dfs_enumeration import (
     iter_minimal_transversals_dfs,
 )
 from repro.hypergraph.duality import DUALITY_METHODS, decide_duality
-from repro.hypergraph.mmcs import (
-    MMCS_VARIANTS,
-    mmcs_transversal_masks,
-    rs_transversal_masks,
-)
+from repro.hypergraph.mmcs import mmcs_transversal_masks
 from repro.hypergraph.enumeration import (
     brute_force_transversal_masks,
     iter_minimal_transversals,
@@ -79,9 +75,7 @@ __all__ = [
     "find_new_minimal_transversal",
     "DUALITY_METHODS",
     "decide_duality",
-    "MMCS_VARIANTS",
     "mmcs_transversal_masks",
-    "rs_transversal_masks",
     "brute_force_transversal_masks",
     "dfs_transversal_masks",
     "iter_minimal_transversals",

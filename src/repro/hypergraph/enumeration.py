@@ -5,9 +5,9 @@
 * ``"berge"`` — :mod:`repro.hypergraph.berge` multiplication (default);
 * ``"fk"`` — incremental enumeration driven by Fredman–Khachiyan duality
   witnesses (the paper's Corollary 22 engine);
-* ``"mmcs"`` / ``"rs"`` — the MMCS branch-and-bound enumerators of
-  :mod:`repro.hypergraph.mmcs` (arXiv:1805.01310), the engines that
-  dominate at data-profiling scale (see docs/API.md §17);
+* ``"mmcs"`` — the MMCS branch-and-bound enumerator of
+  :mod:`repro.hypergraph.mmcs` (arXiv:1805.01310), the engine that
+  dominates at data-profiling scale (see docs/API.md §17);
 * ``"levelwise"`` — the paper's Corollary 15 special case (efficient when
   every edge has at least ``n - k`` vertices for small ``k``);
 * ``"brute"`` — exhaustive scan of the powerset, for testing only.
@@ -29,12 +29,12 @@ from repro.hypergraph.dfs_enumeration import (
 from repro.hypergraph.fredman_khachiyan import find_new_minimal_transversal
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
 from repro.hypergraph.levelwise_transversal import levelwise_transversal_masks
-from repro.hypergraph.mmcs import mmcs_transversal_masks, rs_transversal_masks
+from repro.hypergraph.mmcs import mmcs_transversal_masks
 from repro.util.bitset import iter_bits, popcount
 
-_METHODS = ("berge", "fk", "mmcs", "rs", "levelwise", "dfs", "brute")
-_BUDGETED = ("berge", "fk", "mmcs", "rs")
-_PARALLEL = ("berge", "mmcs", "rs")
+_METHODS = ("berge", "fk", "mmcs", "levelwise", "dfs", "brute")
+_BUDGETED = ("berge", "fk", "mmcs")
+_PARALLEL = ("mmcs",)
 
 
 def minimize_transversal_mask(edge_masks: Sequence[int], transversal: int) -> int:
@@ -88,7 +88,7 @@ def iter_minimal_transversals(
     Other methods compute the full family first and then yield from it.
 
     A :class:`~repro.runtime.budget.Budget` is honored by the ``"fk"``,
-    ``"berge"``, ``"mmcs"``, and ``"rs"`` engines (checked per
+    ``"berge"``, and ``"mmcs"`` engines (checked per
     enumeration step / edge / search node); the reference baselines
     reject it.  A ``tracer`` is likewise forwarded to those engines
     (``fk.check`` spans per enumeration step, ``berge.run`` /
@@ -133,9 +133,8 @@ def minimal_transversals(
     """The complete family ``Tr(H)`` as a sorted list of masks.
 
     Args:
-        workers: worker processes — ``"berge"`` runs its chunk-parallel
-            minimality filter, ``"mmcs"``/``"rs"`` run the depth-2
-            subtree work-stealing driver; either way the output is
+        workers: worker processes for ``"mmcs"``, which runs the
+            depth-2 subtree work-stealing driver; the output is
             bit-identical to the serial engine.  ``None`` or ``<= 1``
             runs serially.
 
@@ -143,16 +142,16 @@ def minimal_transversals(
         BudgetExhausted: with a
             :class:`~repro.runtime.partial.PartialDualization` attached,
             when a supplied budget trips (``"berge"``: the transversals
-            of the processed edge prefix; ``"fk"``/``"mmcs"``/``"rs"``:
+            of the processed edge prefix; ``"fk"``/``"mmcs"``:
             the genuine minimal transversals enumerated so far).
         ValueError: when a budget is supplied with a reference baseline
             (``"levelwise"``, ``"dfs"``, ``"brute"``), which do not
             support cooperative checks, or when ``workers > 1`` is
-            combined with a method outside ``("berge", "mmcs", "rs")``.
+            combined with a method other than ``"mmcs"``.
     """
     if workers is not None and workers > 1 and method not in _PARALLEL:
         raise ValueError(f"workers are only supported by methods {_PARALLEL}")
-    if method in ("mmcs", "rs"):
+    if method == "mmcs":
         if workers is not None and workers > 1:
             from repro.parallel.mmcs import mmcs_transversals_parallel
 
@@ -161,24 +160,11 @@ def minimal_transversals(
                 workers,
                 budget=budget,
                 tracer=tracer,
-                variant=method,
             )
-        enumerate_masks = (
-            mmcs_transversal_masks if method == "mmcs" else rs_transversal_masks
-        )
-        return enumerate_masks(
+        return mmcs_transversal_masks(
             hypergraph.edge_masks, budget=budget, tracer=tracer
         )
     if method == "berge":
-        if workers is not None and workers > 1:
-            from repro.parallel.minimize import berge_transversals_parallel
-
-            return berge_transversals_parallel(
-                hypergraph.edge_masks,
-                workers,
-                budget=budget,
-                tracer=tracer,
-            )
         return berge_transversal_masks(
             hypergraph.edge_masks, budget=budget, tracer=tracer
         )

@@ -1,30 +1,22 @@
-"""MMCS / RS branch-and-bound minimal-hitting-set enumeration.
+"""MMCS branch-and-bound minimal-hitting-set enumeration.
 
 Berge multiplication and Fredman–Khachiyan are the paper's own
 dualization algorithms, but the engines that survived contact with
 data-profiling-scale hypergraphs are the branch-and-bound enumerators
 of Murakami & Uno, benchmarked at scale by Bläsius et al.,
 "Efficiently Enumerating Hitting Sets of Hypergraphs Arising in Data
-Profiling" (arXiv:1805.01310).  This module implements both:
+Profiling" (arXiv:1805.01310).  This module implements MMCS:
+depth-first search over partial hitting sets ``S`` with *incremental*
+critical-edge bookkeeping.  ``uncov`` is the set of edges not yet hit,
+and ``crit[u]`` the edges hit by ``u`` alone.  Adding a vertex updates
+both in time proportional to the vertex's edge list; the update is
+rolled back on backtrack, so a node costs far less than re-scanning the
+hypergraph.  A branch is cut the moment some ``u ∈ S`` loses its last
+critical edge — no extension of that branch can ever be minimal.
 
-* **MMCS** — depth-first search over partial hitting sets ``S`` with
-  *incremental* critical-edge bookkeeping: ``uncov`` is the set of
-  edges not yet hit, and ``crit[u]`` the edges hit by ``u`` alone.
-  Adding a vertex updates both in time proportional to the vertex's
-  edge list; the update is rolled back on backtrack, so a node costs
-  far less than re-scanning the hypergraph.  A branch is cut the
-  moment some ``u ∈ S`` loses its last critical edge — no extension of
-  that branch can ever be minimal.
-* **RS** — the same search tree with the RS-style minimality test:
-  criticality is *recomputed* from the covered edges at every node
-  instead of maintained incrementally.  Output-identical by
-  construction (the branch condition is the same predicate), it exists
-  to measure exactly what the incremental ``crit``/``uncov`` discipline
-  buys — the benchmark's MMCS-vs-RS column.
-
-Both enumerate each minimal transversal exactly once: a node picks an
-uncovered edge ``e`` minimizing ``|e ∩ cand|``, branches on those
-vertices, and removes the whole intersection from ``cand`` before
+The search enumerates each minimal transversal exactly once: a node
+picks an uncovered edge ``e`` minimizing ``|e ∩ cand|``, branches on
+those vertices, and removes the whole intersection from ``cand`` before
 branching — the vertex ``v`` branch re-admits ``v``'s *earlier*
 siblings (sets containing several of them are found under the last one
 chosen), while later siblings stay excluded.  Every output is minimal
@@ -46,13 +38,7 @@ from repro.hypergraph.hypergraph import minimize_family
 from repro.obs.tracer import as_tracer
 from repro.util.bitset import iter_bits, popcount
 
-__all__ = [
-    "mmcs_transversal_masks",
-    "rs_transversal_masks",
-    "MMCS_VARIANTS",
-]
-
-MMCS_VARIANTS = ("mmcs", "rs")
+__all__ = ["mmcs_transversal_masks"]
 
 
 def _vertex_edge_index(edges: Sequence[int]) -> dict[int, int]:
@@ -83,24 +69,6 @@ def _pick_edge(edges: Sequence[int], uncov: int, cand: int) -> int:
     return best_index
 
 
-def _rs_all_critical(
-    edges: Sequence[int], covered: int, members_mask: int
-) -> bool:
-    """RS minimality test: every member holds a covered critical edge.
-
-    Recomputes from scratch — ``O(|covered| · |S|)`` bit operations —
-    which is exactly the cost MMCS's incremental bookkeeping avoids.
-    """
-    remaining = members_mask
-    for position in iter_bits(covered):
-        hit = edges[position] & members_mask
-        if hit and hit & (hit - 1) == 0:  # exactly one member hits it
-            remaining &= ~hit
-            if remaining == 0:
-                return True
-    return remaining == 0
-
-
 class _SearchState:
     """Shared mutable state of one enumeration run."""
 
@@ -122,7 +90,6 @@ def _search(
     cand: int,
     uncov: int,
     crit: list[int],
-    variant: str,
     depth: int,
     max_depth: int | None = None,
     frontier: list[tuple[tuple[int, ...], int, int]] | None = None,
@@ -164,56 +131,36 @@ def _search(
     for vertex in iter_bits(branch):
         vertex_edges = by_vertex[vertex]
         newly_covered = uncov & vertex_edges
-        if variant == "mmcs":
-            # Update-and-rollback discipline: vertex v's criticals are
-            # the edges it just covered; every existing member loses
-            # the edges v also hits.  A member left critical-less cuts
-            # the branch (minimality is unrecoverable below it).
-            removed: list[int] = []
-            viable = True
-            for position, member in enumerate(members):
-                lost = crit[position] & vertex_edges
-                removed.append(lost)
-                crit[position] &= ~vertex_edges
-                if crit[position] == 0:
-                    viable = False
-            if viable:
-                members.append(vertex)
-                crit.append(newly_covered)
-                _search(
-                    state,
-                    members,
-                    members_mask | (1 << vertex),
-                    cand,
-                    uncov & ~vertex_edges,
-                    crit,
-                    variant,
-                    depth + 1,
-                    max_depth,
-                    frontier,
-                )
-                members.pop()
-                crit.pop()
-            for position, lost in enumerate(removed):
-                crit[position] |= lost
-        else:  # rs
-            new_mask = members_mask | (1 << vertex)
-            covered = ((1 << len(edges)) - 1) & ~(uncov & ~vertex_edges)
-            if _rs_all_critical(edges, covered, new_mask):
-                members.append(vertex)
-                _search(
-                    state,
-                    members,
-                    new_mask,
-                    cand,
-                    uncov & ~vertex_edges,
-                    crit,
-                    variant,
-                    depth + 1,
-                    max_depth,
-                    frontier,
-                )
-                members.pop()
+        # Update-and-rollback discipline: vertex v's criticals are the
+        # edges it just covered; every existing member loses the edges
+        # v also hits.  A member left critical-less cuts the branch
+        # (minimality is unrecoverable below it).
+        removed: list[int] = []
+        viable = True
+        for position, member in enumerate(members):
+            lost = crit[position] & vertex_edges
+            removed.append(lost)
+            crit[position] &= ~vertex_edges
+            if crit[position] == 0:
+                viable = False
+        if viable:
+            members.append(vertex)
+            crit.append(newly_covered)
+            _search(
+                state,
+                members,
+                members_mask | (1 << vertex),
+                cand,
+                uncov & ~vertex_edges,
+                crit,
+                depth + 1,
+                max_depth,
+                frontier,
+            )
+            members.pop()
+            crit.pop()
+        for position, lost in enumerate(removed):
+            crit[position] |= lost
         # Re-admit v for its *later* siblings: sets containing several
         # branch vertices are enumerated under the last one chosen.
         cand |= 1 << vertex
@@ -255,13 +202,12 @@ def _rebuild_crit(
 
 def _enumerate(
     edge_masks: Sequence[int],
-    variant: str,
     budget,
     tracer,
     *,
     max_depth: int | None = None,
 ):
-    """Core driver shared by both public entry points.
+    """Core driver shared by the serial and parallel entry points.
 
     Returns ``(found, nodes, frontier)``; ``frontier`` is non-empty
     only under ``max_depth`` (the parallel prefix walk).
@@ -284,9 +230,7 @@ def _enumerate(
     state = _SearchState(edges, by_vertex, budget, tracer)
     frontier: list[tuple[tuple[int, ...], int, int]] = []
     uncov_all = (1 << len(edges)) - 1
-    with tracer.span(
-        "mmcs.run", edges=len(edges), variant=variant
-    ) as run_span:
+    with tracer.span("mmcs.run", edges=len(edges)) as run_span:
         try:
             _search(
                 state,
@@ -295,7 +239,6 @@ def _enumerate(
                 full_cand,
                 uncov_all,
                 [],
-                variant,
                 0,
                 max_depth,
                 frontier,
@@ -325,7 +268,6 @@ def _enumerate(
                 nodes=state.nodes,
                 edges=len(edges),
                 n=full_cand.bit_length(),
-                variant=variant,
                 traced=True,
             )
     return state.found, state.nodes, frontier
@@ -362,21 +304,6 @@ def mmcs_transversal_masks(
             ``family`` is a genuine prefix of ``Tr(H)`` (every member
             is a true minimal transversal of the full family).
     """
-    found, _, _ = _enumerate(edge_masks, "mmcs", budget, tracer)
+    found, _, _ = _enumerate(edge_masks, budget, tracer)
     return sorted(found, key=lambda m: (popcount(m), m))
 
-
-def rs_transversal_masks(
-    edge_masks: Sequence[int], budget=None, tracer=None
-) -> list[int]:
-    """Minimal transversals via the RS-style variant.
-
-    Identical search tree and output to :func:`mmcs_transversal_masks`
-    — the branch condition is the same minimality predicate — but the
-    criticality test is *recomputed* from the covered edges at every
-    node instead of maintained incrementally.  Exists to price the
-    update-and-rollback discipline (the benchmark's MMCS-vs-RS column);
-    budget/tracer semantics are identical.
-    """
-    found, _, _ = _enumerate(edge_masks, "rs", budget, tracer)
-    return sorted(found, key=lambda m: (popcount(m), m))

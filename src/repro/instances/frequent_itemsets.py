@@ -93,7 +93,6 @@ def mine_frequent_itemsets(
     resume=None,
     tracer=None,
     workers: int | None = None,
-    memory: str = "auto",
 ) -> "Theory | PartialResult":
     """Mine the maximal frequent itemsets with a chosen algorithm.
 
@@ -128,16 +127,12 @@ def mine_frequent_itemsets(
             the chosen algorithm (the CLI's ``--trace`` / ``--metrics``
             path; see ``docs/API.md`` §11).  ``"randomized"`` does not
             take one.
-        workers: worker processes (``"levelwise"`` and ``"eclat"``; see
-            ``docs/API.md`` §12–13).  ``None`` or ``<= 1`` runs
-            serially; larger values fan each candidate level across
-            per-worker database shards (levelwise) or work-stolen
-            subtree tasks across pool workers (eclat), with
-            bit-identical results and query accounting either way.
-        memory: worker transport for parallel runs — ``"shm"``
-            (zero-copy shared vertical store), ``"pickle"``, or
-            ``"auto"`` (shm when available; the default).  Ignored
-            serially; results never depend on it (docs/API.md §14).
+        workers: worker processes (``"eclat"`` only; see
+            ``docs/API.md`` §13–14).  ``None`` or ``<= 1`` runs
+            serially; larger values fan work-stolen subtree tasks
+            across pool workers over a shared-memory copy of the
+            vertical store, with bit-identical results and query
+            accounting.
 
     Returns:
         A :class:`~repro.core.theory.Theory`, or a
@@ -165,27 +160,10 @@ def mine_frequent_itemsets(
             f"algorithm {algorithm!r} does not support resume; "
             "use levelwise or dualize_advance"
         )
-    if workers is not None and workers > 1:
-        if algorithm not in ("levelwise", "eclat"):
-            raise ValueError(
-                f"algorithm {algorithm!r} does not support workers; "
-                "use levelwise or eclat"
-            )
-        if algorithm == "levelwise":
-            from repro.parallel.levelwise import (
-                mine_frequent_itemsets_parallel,
-            )
-
-            return mine_frequent_itemsets_parallel(
-                database,
-                min_support,
-                workers=workers,
-                budget=budget,
-                resume=resume,
-                tracer=tracer,
-                memory=memory,
-            )
-        # eclat routes its own root-class sharding below.
+    if workers is not None and workers > 1 and algorithm != "eclat":
+        raise ValueError(
+            f"algorithm {algorithm!r} does not support workers; use eclat"
+        )
     predicate = FrequencyPredicate(database, min_support)
     universe = database.universe
 
@@ -196,7 +174,6 @@ def mine_frequent_itemsets(
             budget=budget,
             tracer=tracer,
             workers=workers,
-            memory=memory,
         )
         if isinstance(result, PartialResult):
             return result

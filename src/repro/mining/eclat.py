@@ -322,7 +322,6 @@ def eclat(
     on_exhaust: str = "return",
     tracer: "Tracer | None" = None,
     workers: int | None = None,
-    memory: str = "auto",
 ) -> "EclatResult | PartialResult":
     """Mine all frequent itemsets depth-first with memoized covers.
 
@@ -361,10 +360,6 @@ def eclat(
             :class:`~repro.parallel.pool.WorkerPool` with dynamic work
             stealing via :func:`repro.parallel.eclat.eclat_parallel`,
             with bit-identical output.
-        memory: worker transport for parallel runs — ``"shm"``
-            (zero-copy shared vertical store), ``"pickle"``, or
-            ``"auto"`` (shm when available).  Ignored serially; results
-            never depend on it.
 
     Returns:
         An :class:`EclatResult` whose theory and borders equal
@@ -393,7 +388,6 @@ def eclat(
             budget=budget,
             on_exhaust=on_exhaust,
             tracer=tracer,
-            memory=memory,
         )
     tracer = as_tracer(tracer)
     universe = database.universe

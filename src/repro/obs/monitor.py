@@ -34,7 +34,7 @@ Checks performed:
   ``dualize.done`` the Theorem 21 bound is tracked with the repo's
   stated slack (`EXPERIMENTS.md`, Conventions):
   ``|MTh|·(|Bd-| + rank·width) + |Bd-| + 1``.
-* **MMCS/RS enumeration** — on ``mmcs.done``: the ``mmcs.output``
+* **MMCS enumeration** — on ``mmcs.done``: the ``mmcs.output``
   events match the reported family size, the emitted family is an
   antichain (no output contains another — minimal hitting sets are
   incomparable by definition), and for fully traced serial runs
@@ -429,7 +429,6 @@ class TheoremMonitor(Tracer):
     def _on_mmcs_done(self, attrs: dict[str, Any]) -> None:
         family = int(attrs.get("family", 0))
         nodes = int(attrs.get("nodes", 0))
-        variant = attrs.get("variant", "mmcs")
 
         ok = len(self._mmcs_outputs) == family
         self._checks.append(
@@ -438,12 +437,12 @@ class TheoremMonitor(Tracer):
                 ok=ok,
                 measured=len(self._mmcs_outputs),
                 expected=family,
-                detail=f"{variant}: mmcs.output events vs reported family",
+                detail="mmcs: mmcs.output events vs reported family",
             )
         )
         if not ok:
             self._violations.append(
-                f"{variant}: trace carries {len(self._mmcs_outputs)} "
+                f"mmcs: trace carries {len(self._mmcs_outputs)} "
                 f"output events but the engine reported {family} — "
                 "transversals were dropped or duplicated"
             )
@@ -454,7 +453,7 @@ class TheoremMonitor(Tracer):
                 if mask & other == mask or mask & other == other:
                     antichain_ok = False
                     self._violations.append(
-                        f"{variant}: outputs {mask:#x} and {other:#x} are "
+                        f"mmcs: outputs {mask:#x} and {other:#x} are "
                         "comparable — the family is not an antichain, so "
                         "some output is not minimal"
                     )
@@ -466,7 +465,7 @@ class TheoremMonitor(Tracer):
                 name="mmcs_antichain",
                 ok=antichain_ok,
                 measured=len(outputs),
-                detail=f"{variant}: emitted family is an antichain",
+                detail="mmcs: emitted family is an antichain",
             )
         )
         if attrs.get("traced"):
@@ -477,13 +476,13 @@ class TheoremMonitor(Tracer):
                     ok=ok,
                     measured=self._mmcs_nodes,
                     expected=nodes,
-                    detail=f"{variant}: mmcs.node events vs reported "
+                    detail="mmcs: mmcs.node events vs reported "
                     "search nodes",
                 )
             )
             if not ok:
                 self._violations.append(
-                    f"{variant}: trace carries {self._mmcs_nodes} node "
+                    f"mmcs: trace carries {self._mmcs_nodes} node "
                     f"events but the engine reported {nodes}"
                 )
 

@@ -110,12 +110,12 @@ KNOWN_EVENTS: dict[str, tuple[str, tuple[str, ...]]] = {
     "fk.check": ("span_open", ("f_terms", "g_terms")),
     "fk.node": ("event", ("depth", "f_terms", "g_terms")),
     "fk.witness": ("event", ("kind",)),
-    "mmcs.run": ("span_open", ("edges", "variant")),
+    "mmcs.run": ("span_open", ("edges",)),
     "mmcs.node": ("event", ("depth", "uncov", "cand")),
     "mmcs.output": ("event", ("mask",)),
     "mmcs.done": (
         "event",
-        ("family", "nodes", "edges", "n", "variant", "traced"),
+        ("family", "nodes", "edges", "n", "traced"),
     ),
     "duality.check": ("span_open", ("f_terms", "g_terms", "method")),
     "duality.screen": ("event", ("screen",)),
@@ -126,14 +126,11 @@ KNOWN_EVENTS: dict[str, tuple[str, tuple[str, ...]]] = {
     "resilient.failure": ("event", ("mask", "kind")),
     # parallel execution (repro.parallel)
     "worker.pool": ("event", ("workers",)),
-    "worker.shards": ("event", ("shards", "rows")),
     "worker.batch": ("event", ("shard", "size")),
     "worker.crash": ("event", ("error",)),
     "worker.fallback": ("event", ("reason",)),
-    "worker.minimize": ("event", ("size", "chunks")),
     "worker.steal": ("event", ("seq", "pending")),
     "worker.task": ("span_open", ("position",)),
-    "worker.count": ("span_open", ("shard", "size")),
     # shared-memory vertical store (repro.parallel.shm)
     "shm.publish": ("event", ("segment", "bytes", "rows", "items")),
     "shm.attach": ("event", ("segment", "workers")),

@@ -1,88 +1,41 @@
-"""Multi-core sharded execution layer.
+"""Multi-core execution layer: one path, work stealing over shared memory.
 
-Three parallel kernels, all with a bit-identical-to-serial contract and
+Two parallel kernels, both with a bit-identical-to-serial contract and
 a serial fallback (``workers <= 1``, or a pool that died past its
 restart allowance):
 
-* :class:`~repro.parallel.sharding.ShardedSupportCounter` — per-worker
-  vertical-bitmap shards of a transaction database; a candidate level's
-  support counts are computed per shard and summed at the coordinator.
-* :func:`~repro.parallel.levelwise.levelwise_parallel` /
-  :func:`~repro.parallel.levelwise.mine_frequent_itemsets_parallel` —
-  Algorithm 9 with the sharded predicate under the standard
-  :class:`~repro.core.oracle.CountingOracle`; budgets, coordinator-side
-  checkpoints (resumable with a different worker count), and tracing
-  compose unchanged.
 * :func:`~repro.parallel.eclat.eclat_parallel` — the depth-first
   vertical miner with subtree tasks dynamically *work-stolen* across
   the pool (:class:`~repro.parallel.steal.StealScheduler`); each worker
   mines through the serial hot kernel and results fold in task-sequence
   order, so the merged result is the serial one bit for bit at every
   worker count and steal schedule.
-* :func:`~repro.parallel.minimize.minimize_masks_parallel` /
-  :func:`~repro.parallel.minimize.berge_transversals_parallel` —
-  chunked antichain reduction merged with
-  :func:`~repro.util.antichain.merge_antichains`, and the Berge engine
-  built on it.
-* :func:`~repro.parallel.mmcs.mmcs_transversals_parallel` — the MMCS/RS
+* :func:`~repro.parallel.mmcs.mmcs_transversals_parallel` — the MMCS
   hitting-set search tree split at depth 2 into work-stolen subtree
-  tasks, folding in traversal order (PR 9).
+  tasks, folding in traversal order.
 
-Transaction data reaches workers through the ``memory=`` switch:
-``"shm"`` publishes the vertical bitmaps once into a
-:class:`~repro.parallel.shm.ShmVerticalStore` (zero-copy — workers map
-the same pages), ``"pickle"`` ships them through the pool initializer,
-and ``"auto"`` picks shm when the platform has it.  Results never
-depend on the transport.
+Eclat's transaction data reaches workers through a
+:class:`~repro.parallel.shm.ShmVerticalStore`: the vertical bitmaps are
+published once into a shared-memory segment and every worker maps the
+same pages (zero-copy).
 
 See ``docs/API.md`` §12–14 for the determinism guarantees and
 worker-crash semantics.
 """
 
 from repro.parallel.eclat import eclat_parallel
-from repro.parallel.levelwise import (
-    levelwise_parallel,
-    mine_frequent_itemsets_parallel,
-)
-from repro.parallel.minimize import (
-    berge_transversals_parallel,
-    minimize_masks_parallel,
-)
 from repro.parallel.mmcs import mmcs_transversals_parallel
 from repro.parallel.pool import WorkerPool, WorkerPoolBroken, resolve_workers
-from repro.parallel.predicate import ShardedFrequencyPredicate
-from repro.parallel.sharding import (
-    ShardedSupportCounter,
-    aligned_shard_bounds,
-    shard_bounds,
-)
-from repro.parallel.shm import (
-    MEMORY_MODES,
-    ShmHandle,
-    ShmVerticalStore,
-    resolve_memory,
-    shm_available,
-)
+from repro.parallel.shm import ShmHandle, ShmVerticalStore
 from repro.parallel.steal import StealScheduler
 
 __all__ = [
     "WorkerPool",
     "WorkerPoolBroken",
     "resolve_workers",
-    "shard_bounds",
-    "aligned_shard_bounds",
-    "ShardedSupportCounter",
-    "ShardedFrequencyPredicate",
-    "MEMORY_MODES",
     "ShmHandle",
     "ShmVerticalStore",
     "StealScheduler",
-    "resolve_memory",
-    "shm_available",
     "eclat_parallel",
-    "levelwise_parallel",
-    "mine_frequent_itemsets_parallel",
-    "minimize_masks_parallel",
-    "berge_transversals_parallel",
     "mmcs_transversals_parallel",
 ]

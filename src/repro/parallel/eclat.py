@@ -7,13 +7,11 @@ subtree, many shallow ones) a wave runs at the speed of its slowest
 subtree.  This engine removes both the barrier and the per-worker
 pickled database copy:
 
-* **transport** — with ``memory="shm"`` the coordinator publishes the
-  column bitmaps once into a
-  :class:`~repro.parallel.shm.ShmVerticalStore`; the pool initializer
-  ships only the small segment handle, and each worker materializes its
-  big-int columns straight from the mapped pages (no pickle stream).
-  ``memory="pickle"`` keeps the PR 5 transport for platforms without
-  shared memory; ``"auto"`` picks shm when available.
+* **transport** — the coordinator publishes the column bitmaps once
+  into a :class:`~repro.parallel.shm.ShmVerticalStore`; the pool
+  initializer ships only the small segment handle, and each worker
+  materializes its columns straight from the mapped pages (no pickle
+  stream).
 * **scheduling** — tasks go through a
   :class:`~repro.parallel.steal.StealScheduler`: a coordinator-owned
   deque, idle workers steal from the tail the moment they finish, and
@@ -70,7 +68,7 @@ from repro.mining.eclat import (
 from repro.obs.context import TraceContext, active_collector
 from repro.obs.tracer import as_tracer
 from repro.parallel.pool import WorkerPool, WorkerPoolBroken, resolve_workers
-from repro.parallel.shm import ShmVerticalStore, resolve_memory
+from repro.parallel.shm import ShmHandle, ShmVerticalStore
 from repro.parallel.steal import StealScheduler
 from repro.runtime.partial import PartialResult, build_partial
 from repro.util.bitset import popcount
@@ -86,8 +84,7 @@ __all__ = ["eclat_parallel"]
 _SPLIT_TAIL = 4
 
 # Per-process worker state: set once by the pool initializer, read by
-# every _mine_task call in that process (same pattern as
-# repro.parallel.sharding).
+# every _mine_task call in that process.
 _WORKER_STATE: dict = {}
 
 
@@ -118,28 +115,19 @@ def _root_class(
     )
 
 
-def _init_steal_worker(spec: tuple) -> None:
-    """Build the per-process mining state from the transport spec.
+def _init_steal_worker(handle: ShmHandle, threshold: int) -> None:
+    """Build the per-process mining state from the published store.
 
-    ``("shm", handle, threshold)`` attaches the published segment and
-    reads the columns from the mapped pages (then unmaps — the big-int
-    kernel owns its columns from here); ``("pickle", columns, n_rows,
-    threshold)`` is the shipped-once fallback transport.
+    Attaches the segment and reads the columns from the mapped pages,
+    then unmaps — the kernel owns its columns from here.
     """
     _WORKER_STATE.clear()
-    if spec[0] == "shm":
-        handle, threshold = spec[1], spec[2]
-        store = ShmVerticalStore.attach(handle)
-        try:
-            columns = store.columns()
-        finally:
-            store.close()
-        n_rows = handle.n_rows
-    else:
-        columns = list(spec[1])
-        n_rows = spec[2]
-        threshold = spec[3]
-    members, is_diff = _root_class(columns, n_rows, threshold)
+    store = ShmVerticalStore.attach(handle)
+    try:
+        columns = store.columns()
+    finally:
+        store.close()
+    members, is_diff = _root_class(columns, handle.n_rows, threshold)
     _WORKER_STATE["members"] = members
     _WORKER_STATE["is_diff"] = is_diff
     _WORKER_STATE["threshold"] = threshold
@@ -253,7 +241,6 @@ def eclat_parallel(
     budget=None,
     on_exhaust: str = "return",
     tracer=None,
-    memory: str = "auto",
     steal_rng=None,
 ) -> "EclatResult | PartialResult":
     """Depth-first vertical mining, work-stolen across a worker pool.
@@ -271,8 +258,8 @@ def eclat_parallel(
         on_exhaust: ``"return"`` or ``"raise"``, as in the serial
             engine.
         tracer: optional tracer.  The coordinator emits the
-            ``eclat.run`` span, ``shm.publish``/``shm.attach`` when the
-            shared store is used, root-level ``eclat.node`` events, one
+            ``eclat.run`` span, ``shm.publish``/``shm.attach`` for the
+            shared store, root-level ``eclat.node`` events, one
             ``oracle.query`` event per evaluation (worker answers are
             re-emitted on fold — same masks and answers as serial,
             grouped per subtree), one ``worker.steal`` event per steal,
@@ -288,9 +275,6 @@ def eclat_parallel(
             :class:`~repro.obs.context.WorkerTraceCollector`), so one
             trace file holds the whole multi-process run and still
             certifies unchanged.
-        memory: ``"shm"`` (zero-copy shared segment), ``"pickle"``
-            (ship columns through the initializer, the PR 5 transport),
-            or ``"auto"`` (shm when available).
         steal_rng: test hook — a ``random.Random``-like object that
             turns tail steals into seeded random steals; results are
             independent of it by construction, which the determinism
@@ -316,7 +300,6 @@ def eclat_parallel(
         raise ValueError(
             f"on_exhaust must be 'return' or 'raise', got {on_exhaust!r}"
         )
-    mode = resolve_memory(memory)
     threshold = (
         database.absolute_support(min_support)
         if isinstance(min_support, float)
@@ -534,39 +517,33 @@ def eclat_parallel(
         phase["next_unfolded"] = seq + 1
 
     with tracer.span("eclat.run", n=n, threshold=threshold) as run_span:
-        if mode == "shm":
-            store = ShmVerticalStore.publish(database)
-            if tracer.enabled:
-                tracer.event(
-                    "shm.publish",
-                    segment=store.handle.name,
-                    bytes=store.handle.n_bytes,
-                    rows=n_rows,
-                    items=n,
-                )
-            spec = ("shm", store.handle, threshold)
-        else:
-            store = None
-            spec = ("pickle", tuple(columns), n_rows, threshold)
+        store = ShmVerticalStore.publish(database)
+        if tracer.enabled:
+            tracer.event(
+                "shm.publish",
+                segment=store.handle.name,
+                bytes=store.handle.n_bytes,
+                rows=n_rows,
+                items=n,
+            )
         pool = WorkerPool(
             workers,
             initializer=_init_steal_worker,
-            initargs=(spec,),
+            initargs=(store.handle, threshold),
             trace_context=(
                 TraceContext.capture(tracer) if tracer.enabled else None
             ),
             tracer=tracer,
         )
-        if store is not None:
-            # Pool lifetime == segment lifetime: close() runs this on
-            # every exit path (success, exception, interrupt).
-            pool.add_finalizer(store.unlink)
-            if tracer.enabled:
-                tracer.event(
-                    "shm.attach",
-                    segment=store.handle.name,
-                    workers=pool.workers,
-                )
+        # Pool lifetime == segment lifetime: close() runs this on every
+        # exit path (success, exception, interrupt).
+        pool.add_finalizer(store.unlink)
+        if tracer.enabled:
+            tracer.event(
+                "shm.attach",
+                segment=store.handle.name,
+                workers=pool.workers,
+            )
         try:
             # Coordinator: ∅ and the root class (all singletons), the
             # exact probes the serial engine issues first.

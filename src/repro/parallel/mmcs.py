@@ -1,4 +1,4 @@
-"""Work-stolen parallel MMCS/RS minimal-hitting-set enumeration.
+"""Work-stolen parallel MMCS minimal-hitting-set enumeration.
 
 The MMCS search tree fans out exactly like Eclat's prefix tree, so the
 parallel driver reuses the PR 6 seam: the coordinator walks the tree to
@@ -60,19 +60,16 @@ SPLIT_DEPTH = 2
 _WORKER_STATE: dict = {}
 
 
-def _init_mmcs_worker(spec: tuple) -> None:
-    edges, variant = spec
+def _init_mmcs_worker(edges: list[int]) -> None:
     _, by_vertex, _ = _prepare(edges)
     _WORKER_STATE.clear()
     _WORKER_STATE["edges"] = list(edges)
     _WORKER_STATE["by_vertex"] = by_vertex
-    _WORKER_STATE["variant"] = variant
 
 
 def _subtree(
     edges: Sequence[int],
     by_vertex: dict[int, int],
-    variant: str,
     members: tuple[int, ...],
     cand: int,
     uncov: int,
@@ -83,11 +80,7 @@ def _subtree(
     members_mask = 0
     for vertex in members_list:
         members_mask |= 1 << vertex
-    crit = (
-        _rebuild_crit(edges, by_vertex, members_list, uncov)
-        if variant == "mmcs"
-        else []
-    )
+    crit = _rebuild_crit(edges, by_vertex, members_list, uncov)
     _search(
         state,
         members_list,
@@ -95,7 +88,6 @@ def _subtree(
         cand,
         uncov,
         crit,
-        variant,
         SPLIT_DEPTH,
     )
     return state.found, state.nodes
@@ -106,7 +98,6 @@ def _mmcs_task(members: tuple[int, ...], cand: int, uncov: int):
     return _subtree(
         _WORKER_STATE["edges"],
         _WORKER_STATE["by_vertex"],
-        _WORKER_STATE["variant"],
         members,
         cand,
         uncov,
@@ -120,14 +111,13 @@ def mmcs_transversals_parallel(
     pool: WorkerPool | None = None,
     budget=None,
     tracer=None,
-    variant: str = "mmcs",
     steal_rng=None,
 ) -> list[int]:
-    """Minimal transversals via MMCS/RS with depth-2 subtree stealing.
+    """Minimal transversals via MMCS with depth-2 subtree stealing.
 
     Output is identical (same masks, same (cardinality, value) order)
-    to :func:`repro.hypergraph.mmcs.mmcs_transversal_masks` /
-    ``rs_transversal_masks`` at every worker count.
+    to :func:`repro.hypergraph.mmcs.mmcs_transversal_masks` at every
+    worker count.
 
     Args:
         edge_masks: the hypergraph's edges (minimized internally).
@@ -135,7 +125,7 @@ def mmcs_transversals_parallel(
             ``<= 1`` runs the serial kernel directly.
         pool: an existing :class:`~repro.parallel.pool.WorkerPool` to
             reuse (not closed here).  It must have been built with
-            :func:`_init_mmcs_worker` for the same edges and variant;
+            :func:`_init_mmcs_worker` for the same edges;
             passing a fresh hypergraph requires a fresh pool.
         budget: optional :class:`~repro.runtime.budget.Budget`; checked
             per prefix node and per folded subtree (the overshoot
@@ -147,13 +137,12 @@ def mmcs_transversals_parallel(
             (so their order matches the serial engine) and the closing
             ``mmcs.done`` carries the summed node count with
             ``traced=False`` (subtree interiors are not re-traced).
-        variant: ``"mmcs"`` (default) or ``"rs"``.
         steal_rng: adversarial steal schedule injection, forwarded to
             the :class:`~repro.parallel.steal.StealScheduler` (the
             determinism suite's lever).
     """
     if resolve_workers(workers if pool is None else pool.workers) <= 1:
-        found, _, _ = _enumerate(edge_masks, variant, budget, tracer)
+        found, _, _ = _enumerate(edge_masks, budget, tracer)
         return sorted(found, key=lambda m: (popcount(m), m))
     tracer = as_tracer(tracer)
     edges, by_vertex, full_cand = _prepare(edge_masks)
@@ -162,9 +151,7 @@ def mmcs_transversals_parallel(
     if budget is not None:
         budget.begin()
 
-    with tracer.span(
-        "mmcs.run", edges=len(edges), variant=variant
-    ) as run_span:
+    with tracer.span("mmcs.run", edges=len(edges)) as run_span:
         # Phase 1: depth-limited prefix walk on the coordinator.  The
         # frontier list is the task list; transversals completed above
         # the split depth land in ``state.found`` in discovery order.
@@ -178,7 +165,6 @@ def mmcs_transversals_parallel(
                 full_cand,
                 (1 << len(edges)) - 1,
                 [],
-                variant,
                 0,
                 SPLIT_DEPTH,
                 frontier,
@@ -195,7 +181,7 @@ def mmcs_transversals_parallel(
             pool = WorkerPool(
                 workers,
                 initializer=_init_mmcs_worker,
-                initargs=((list(edges), variant),),
+                initargs=(list(edges),),
                 tracer=tracer,
             )
         if tracer.enabled:
@@ -231,9 +217,7 @@ def mmcs_transversals_parallel(
                     members, cand, uncov = frontier[seq]
                     fold(
                         seq,
-                        _subtree(
-                            edges, by_vertex, variant, members, cand, uncov
-                        ),
+                        _subtree(edges, by_vertex, members, cand, uncov),
                     )
             except BudgetExhausted as exhausted:
                 raise _with_partial(
@@ -255,7 +239,6 @@ def mmcs_transversals_parallel(
                 nodes=nodes,
                 edges=len(edges),
                 n=full_cand.bit_length(),
-                variant=variant,
                 traced=False,
             )
         return sorted(found, key=lambda m: (popcount(m), m))

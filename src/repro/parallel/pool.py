@@ -91,8 +91,8 @@ class WorkerPool:
     Args:
         workers: process count; ``<= 1`` (or ``None``) means serial mode
             — no executor is created and :attr:`parallel` is ``False``.
-        initializer: optional per-process initializer (e.g. the shard
-            loader of :mod:`repro.parallel.sharding`); rerun on every
+        initializer: optional per-process initializer (e.g. the store
+            attach of :mod:`repro.parallel.eclat`); rerun on every
             restart, so a rebuilt pool is indistinguishable from the
             original.
         initargs: arguments for ``initializer``; must be picklable.

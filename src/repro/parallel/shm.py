@@ -1,26 +1,18 @@
 """Zero-copy shared-memory publication of the vertical store.
 
-PR 4/5 shipped transaction data to workers by *pickling* it into every
-process: the sharded counter's pool initializer serialized the full row
-list once per worker, and the parallel Eclat initializer did the same
-with the column bitmaps.  That copy is pure overhead — the vertical
+Shipping transaction data to workers by pickling it copies the column
+bitmaps into every process.  That copy is pure overhead — the vertical
 representation is immutable for the lifetime of a mining run, so every
 worker can map the *same* pages.
 
 :class:`ShmVerticalStore` does exactly that.  ``publish()`` packs the
 per-item column bitmaps of a
 :class:`~repro.datasets.transactions.TransactionDatabase` into one
-``multiprocessing.shared_memory`` segment using the same chunked layout
-as the database's numpy kernel (``n_items`` rows of ``⌈n/64⌉`` uint64
-chunks, little-endian), and hands out a small picklable
-:class:`ShmHandle`.  ``attach()`` in a worker maps the segment read-only
-(zero copy — the kernel shares the physical pages) and can rebuild
-
-* the big-int column bitmaps (``columns()``) for the Eclat kernels,
-* a counting-equivalent :class:`TransactionDatabase` for a 64-aligned
-  row range (``shard_database()``) whose numpy matrix is a *view* into
-  the shared pages — the sharded counter's vectorized kernel then runs
-  directly on shared memory.
+``multiprocessing.shared_memory`` segment (``n_items`` rows of
+``⌈n/64⌉`` little-endian uint64 chunks, or compressed roaring
+serializations) and hands out a small picklable :class:`ShmHandle`.
+``attach()`` in a worker maps the segment and ``columns()`` rebuilds
+the column bitmaps the Eclat kernels consume.
 
 Lifetime discipline — the part that keeps ``/dev/shm`` clean:
 
@@ -43,61 +35,13 @@ already gone attaches loudly (``FileNotFoundError``), never silently.
 from __future__ import annotations
 
 import atexit
-import weakref
 from dataclasses import dataclass
+from multiprocessing import shared_memory as _shared_memory
 
 from repro.datasets.transactions import TransactionDatabase
-from repro.util.bitset import Universe
 from repro.util.roaring import RoaringBitmap
 
-try:  # pragma: no cover - exercised indirectly via shm_available()
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - platforms without _posixshmem
-    _shared_memory = None
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None
-
-__all__ = [
-    "MEMORY_MODES",
-    "ShmHandle",
-    "ShmVerticalStore",
-    "resolve_memory",
-    "shm_available",
-]
-
-#: Accepted values for the ``memory=`` switch of the parallel engines.
-MEMORY_MODES = ("auto", "shm", "pickle")
-
-
-def shm_available() -> bool:
-    """True when the runtime can create shared-memory segments."""
-    return _shared_memory is not None
-
-
-def resolve_memory(memory: str) -> str:
-    """Normalize a ``memory=`` argument to ``"shm"`` or ``"pickle"``.
-
-    ``"auto"`` picks shared memory when the runtime supports it and
-    falls back to pickling otherwise; an explicit ``"shm"`` on a
-    runtime without shared memory fails loudly rather than silently
-    changing transport.
-    """
-    if memory not in MEMORY_MODES:
-        raise ValueError(
-            f"unknown memory mode {memory!r}; expected one of {MEMORY_MODES}"
-        )
-    if memory == "auto":
-        return "shm" if shm_available() else "pickle"
-    if memory == "shm" and not shm_available():
-        raise ValueError(
-            "memory='shm' requested but multiprocessing.shared_memory "
-            "is unavailable on this platform; use memory='auto' or "
-            "memory='pickle'"
-        )
-    return memory
+__all__ = ["ShmHandle", "ShmVerticalStore"]
 
 
 # Owner-side segments that have not been unlinked yet.  The atexit hook
@@ -131,8 +75,6 @@ class ShmHandle:
     name: str
     n_rows: int
     n_items: int
-    items: tuple
-    backend: str
     #: ``"chunked"`` — item-major uint64 chunks (the numpy layout);
     #: ``"roaring"`` — concatenated serialized containers, located by
     #: the ``offsets`` table (``offsets[i]..offsets[i+1]`` is column i).
@@ -160,7 +102,7 @@ class ShmVerticalStore:
     :meth:`unlink`; attachers at most :meth:`close`.
     """
 
-    __slots__ = ("handle", "_shm", "_owner", "_closed", "_unlinked", "_issued")
+    __slots__ = ("handle", "_shm", "_owner", "_closed", "_unlinked")
 
     def __init__(self, handle: ShmHandle, shm, owner: bool):
         self.handle = handle
@@ -168,12 +110,6 @@ class ShmVerticalStore:
         self._owner = owner
         self._closed = False
         self._unlinked = False
-        # Databases whose numpy matrix is a view into this segment.
-        # close() detaches them (they fall back to repacking from their
-        # own big-int columns) so the mapping can actually be released
-        # — a numpy view would otherwise pin the pages and make
-        # ``SharedMemory`` complain about exported pointers at exit.
-        self._issued: list = []
 
     # -- construction -------------------------------------------------------
 
@@ -181,8 +117,7 @@ class ShmVerticalStore:
     def publish(cls, database: TransactionDatabase) -> "ShmVerticalStore":
         """Export a database's vertical bitmaps into shared memory.
 
-        Int-backed databases use the ``"chunked"`` layout, matching
-        ``TransactionDatabase._vertical_matrix`` byte for byte:
+        Int-backed databases use the ``"chunked"`` layout:
         item-major, ``⌈n_rows/64⌉`` little-endian uint64 chunks per
         item.  A ``backend="roaring"`` database publishes its columns
         *compressed* — each column's container serialization is
@@ -190,13 +125,8 @@ class ShmVerticalStore:
         handle, so the segment stays small on sparse data instead of
         inflating to the dense chunked footprint.
         """
-        if _shared_memory is None:
-            raise RuntimeError(
-                "multiprocessing.shared_memory is unavailable; "
-                "use memory='pickle'"
-            )
         n_rows = database.n_transactions
-        items = tuple(database.universe.items)
+        n_items = database.n_items
         if database.backend == "roaring":
             blobs = [
                 column.serialize() for column in database.tidsets_view()
@@ -207,9 +137,7 @@ class ShmVerticalStore:
             handle_proto = ShmHandle(
                 name="",
                 n_rows=n_rows,
-                n_items=len(items),
-                items=items,
-                backend=database.backend,
+                n_items=n_items,
                 layout="roaring",
                 offsets=tuple(offsets),
             )
@@ -219,9 +147,7 @@ class ShmVerticalStore:
             handle = ShmHandle(
                 name=segment.name,
                 n_rows=n_rows,
-                n_items=len(items),
-                items=items,
-                backend=database.backend,
+                n_items=n_items,
                 layout="roaring",
                 offsets=tuple(offsets),
             )
@@ -232,9 +158,7 @@ class ShmVerticalStore:
             handle_proto = ShmHandle(
                 name="",
                 n_rows=n_rows,
-                n_items=len(items),
-                items=items,
-                backend=database.backend,
+                n_items=n_items,
             )
             segment = _shared_memory.SharedMemory(
                 create=True, size=handle_proto.n_bytes
@@ -242,9 +166,7 @@ class ShmVerticalStore:
             handle = ShmHandle(
                 name=segment.name,
                 n_rows=n_rows,
-                n_items=len(items),
-                items=items,
-                backend=database.backend,
+                n_items=n_items,
             )
             chunk_bytes = handle.n_chunks * 8
             buffer = segment.buf
@@ -260,11 +182,6 @@ class ShmVerticalStore:
     @classmethod
     def attach(cls, handle: ShmHandle) -> "ShmVerticalStore":
         """Map an already-published segment (worker side, zero copy)."""
-        if _shared_memory is None:
-            raise RuntimeError(
-                "multiprocessing.shared_memory is unavailable; "
-                "cannot attach"
-            )
         try:
             # Opt out of resource tracking where supported: the owner
             # registered the segment and is the one that unlinks it.
@@ -305,106 +222,14 @@ class ShmVerticalStore:
             for index in range(handle.n_items)
         ]
 
-    def matrix(self):
-        """The full chunked matrix as a numpy *view* of the segment.
-
-        ``None`` when numpy is unavailable or the segment holds the
-        compressed ``"roaring"`` layout (no dense pages to view).  The
-        view stays valid only while this store is open; callers must
-        keep the store alive for as long as they hold the array.
-        """
-        if _np is None or self.handle.layout == "roaring":
-            return None
-        handle = self.handle
-        return _np.frombuffer(
-            self._shm.buf,
-            dtype="<u8",
-            count=handle.n_items * handle.n_chunks,
-        ).reshape(handle.n_items, handle.n_chunks)
-
-    def database(self) -> TransactionDatabase:
-        """A counting-equivalent database over the whole row range."""
-        handle = self.handle
-        database = TransactionDatabase.from_vertical(
-            Universe(handle.items),
-            self.columns(),
-            handle.n_rows,
-            backend=handle.backend,
-        )
-        matrix = self.matrix()
-        if matrix is not None:
-            database._matrix = matrix
-            self._issued.append(weakref.ref(database))
-        return database
-
-    def shard_database(self, start: int, stop: int) -> TransactionDatabase:
-        """A database restricted to rows ``[start, stop)``, zero-copy.
-
-        ``start`` must be 64-aligned so the shard's rows map onto whole
-        uint64 chunks of the shared matrix — that is what lets the
-        shard's numpy matrix be a *slice view* of the shared pages
-        instead of a repack (see ``aligned_shard_bounds``).  The final
-        shard may end off-alignment; its trailing chunk bits are zero
-        in the published matrix by construction.
-        """
-        handle = self.handle
-        if start % 64 != 0:
-            raise ValueError(
-                f"shard start {start} is not 64-aligned; use "
-                "aligned_shard_bounds()"
-            )
-        if not 0 <= start <= stop <= handle.n_rows:
-            raise ValueError(
-                f"shard [{start}, {stop}) outside 0..{handle.n_rows}"
-            )
-        n_rows = stop - start
-        if self.handle.layout == "roaring":
-            columns = [
-                column.sliced(start, stop) for column in self.columns()
-            ]
-        else:
-            window = (1 << n_rows) - 1
-            columns = [
-                (column >> start) & window for column in self.columns()
-            ]
-        database = TransactionDatabase.from_vertical(
-            Universe(handle.items),
-            columns,
-            n_rows,
-            backend=handle.backend,
-        )
-        matrix = self.matrix()
-        if matrix is not None and n_rows:
-            lo = start // 64
-            hi = (stop + 63) // 64
-            database._matrix = matrix[:, lo:hi]
-            self._issued.append(weakref.ref(database))
-        return database
-
     # -- lifetime -----------------------------------------------------------
 
     def close(self) -> None:
-        """Unmap the segment (idempotent; attachers stop here).
-
-        Databases issued by this store first have their shared numpy
-        views detached (their column bitmaps are independent copies, so
-        counting stays correct — the matrix is just rebuilt privately
-        on next use).
-        """
+        """Unmap the segment (idempotent; attachers stop here)."""
         if self._closed:
             return
         self._closed = True
-        for reference in self._issued:
-            database = reference()
-            if database is not None:
-                database._matrix = None
-        self._issued.clear()
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - external live view
-            # A caller-held matrix() view keeps the mapping pinned; the
-            # pages are then released with the process instead.
-            pass
+        self._shm.close()
 
     def unlink(self) -> None:
         """Remove the segment from the system (owner side, idempotent)."""

@@ -64,6 +64,10 @@ __all__ = ["ServiceCore"]
 SNAPSHOT_NAME = "snapshot.json"
 WAL_NAME = "wal.jsonl"
 
+# Backend names older snapshots may carry.  All of them held big-int
+# columns with counts identical to "auto", so they load as "auto".
+_RETIRED_BACKENDS = frozenset({"numpy", "int", "tidset", "diffset"})
+
 
 def _state_payload(state: MaintainedTheory, seq: int, ledger: dict) -> dict:
     """The canonical JSON-ready description of the full service state."""
@@ -186,10 +190,13 @@ class ServiceCore:
         checkpoint.validate_for("service", universe)
         try:
             payload = checkpoint.state
+            backend = str(payload.get("backend", "auto"))
+            if backend in _RETIRED_BACKENDS:
+                backend = "auto"
             database = TransactionDatabase(
                 universe,
                 [int(r) for r in payload["rows"]],
-                backend=str(payload.get("backend", "auto")),
+                backend=backend,
             )
             state = MaintainedTheory(
                 database=database,

@@ -1,6 +1,6 @@
 """Zero-dependency roaring-style compressed bitmaps for vertical covers.
 
-The tidset/diffset backends phrase Eclat covers as arbitrary-precision
+The default backend phrases Eclat covers as arbitrary-precision
 integers: one bit per transaction.  At millions of rows a single dense
 cover costs ``n/8`` bytes (125 KB at 1M rows) *regardless of content*,
 and the depth-first miner memoizes one cover per live branch — the

@@ -141,6 +141,28 @@ class TestRobustInputs:
         assert err.count("\n") == 1
         assert "bad --edges" in err and "'a b'" in err
 
+    def test_negative_item_id(self, tmp_path, capsys):
+        path = tmp_path / "neg.dat"
+        path.write_text("1 2\n-3 4\n")
+        assert main(["mine", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "-3" in err and "negative" in err
+
+    def test_workers_rejected_for_levelwise(self, tmp_path, capsys):
+        path = str(tmp_path / "data.dat")
+        main(["generate", path, "--items", "8", "--transactions", "20",
+              "--seed", "3"])
+        capsys.readouterr()
+        assert (
+            main(["mine", path, "--algorithm", "levelwise",
+                  "--workers", "2"])
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "does not support workers" in err and "eclat" in err
+
     def test_budget_rejected_for_apriori(self, tmp_path, capsys):
         path = str(tmp_path / "data.dat")
         main(["generate", path, "--items", "8", "--transactions", "20",
@@ -314,9 +336,7 @@ class TestBackendFlag:
         capsys.readouterr()
         return path
 
-    @pytest.mark.parametrize(
-        "backend", ["auto", "numpy", "int", "tidset", "diffset", "roaring"]
-    )
+    @pytest.mark.parametrize("backend", ["auto", "roaring"])
     def test_every_backend_prints_identical_theory(
         self, dataset, capsys, backend
     ):
@@ -339,7 +359,7 @@ class TestBackendFlag:
         "argv",
         [
             ["mine", "{data}", "--backend", "bitpacked"],
-            ["transversals", "--edges", "0 1, 1 2",
+            ["mine", "{data}", "--algorithm", "eclat", "--workers", "2",
              "--backend", "bitpacked"],
             ["serve", "{data}", "--backend", "bitpacked"],
         ],
@@ -375,3 +395,15 @@ class TestParser:
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine", "data.dat", "--memory", "shm"],
+            ["transversals", "--edges", "0 1", "--backend", "auto"],
+            ["transversals", "--edges", "0 1", "--method", "rs"],
+        ],
+    )
+    def test_removed_options_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            main(argv)

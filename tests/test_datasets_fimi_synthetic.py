@@ -86,8 +86,6 @@ class TestFimiRoundTrip:
                     path.write_text(text[:-1])
             loaded = read_fimi(path, universe=universe)
             assert loaded.transaction_masks == database.transaction_masks
-            streamed = read_fimi_stream(path, universe=universe)
-            assert streamed.transaction_masks == database.transaction_masks
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -98,31 +96,45 @@ class TestFimiRoundTrip:
         ).filter(lambda baskets: any(baskets))
     )
     def test_stream_matches_read_without_universe(self, transactions):
+        """The streamed read infers the universe and rows that the
+        horizontal construction from the same baskets would."""
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "stream.dat"
             write_transactions(
                 [sorted(basket) for basket in transactions], path
             )
-            eager = read_fimi(path)
-            streamed = read_fimi_stream(path)
+            eager = TransactionDatabase.from_transactions(transactions)
+            streamed = read_fimi(path)
             assert streamed.universe.items == eager.universe.items
             assert streamed.transaction_masks == eager.transaction_masks
 
     def test_stream_stays_vertical(self, tmp_path):
         path = tmp_path / "vert.dat"
         path.write_text("1 2\n\n2 5\n")
-        database = read_fimi_stream(path)
+        database = read_fimi(path)
         assert database._rows is None
         assert database.n_transactions == 3
+        assert read_fimi_stream is read_fimi
 
-    @pytest.mark.parametrize("backend", ["tidset", "roaring"])
+    @pytest.mark.parametrize("backend", ["auto", "roaring"])
     def test_backend_flows_through_readers(self, backend, tmp_path):
         path = tmp_path / "be.dat"
         path.write_text("0 1\n1 2\n")
-        for reader in (read_fimi, read_fimi_stream):
-            database = reader(path, backend=backend)
-            assert database.backend == backend
-            assert database.n_transactions == 2
+        database = read_fimi(path, backend=backend)
+        assert database.backend == backend
+        assert database.n_transactions == 2
+
+    def test_negative_item_id_rejected(self, tmp_path):
+        path = tmp_path / "neg.dat"
+        path.write_text("1 2\n-3 4\n")
+        with pytest.raises(ValueError, match="item id -3 is negative"):
+            read_fimi(path)
+
+    def test_item_outside_supplied_universe_rejected(self, tmp_path):
+        path = tmp_path / "out.dat"
+        path.write_text("0 1\n1 9\n")
+        with pytest.raises(ValueError, match="9"):
+            read_fimi(path, universe=Universe(range(3)))
 
 
 class TestQuestParameters:

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.transactions import TransactionDatabase
+from repro.datasets.transactions import (
+    _HAS_VECTOR_POPCOUNT,
+    TransactionDatabase,
+)
 from repro.util.bitset import Universe
 
 
@@ -141,7 +144,7 @@ class TestDunders:
 
 
 class TestVerticalBackends:
-    """The tidset/diffset surface and six-way backend agreement."""
+    """The tidset surface and agreement of the counting kernels."""
 
     @pytest.fixture
     def database(self):
@@ -162,12 +165,14 @@ class TestVerticalBackends:
         universe = Universe(range(n_items))
         rows = [rng.randrange(1 << n_items) for _ in range(n_rows)]
         database = TransactionDatabase(universe, rows)
+        roaring = TransactionDatabase(universe, rows, backend="roaring")
         masks = [mask & ((1 << n_items) - 1) for mask in masks]
-        reference = database.support_counts(masks, backend="int")
-        for backend in ("auto", "numpy", "tidset", "diffset", "roaring"):
-            assert (
-                database.support_counts(masks, backend=backend) == reference
-            ), backend
+        reference = [database.support_count(mask) for mask in masks]
+        assert database.support_counts(masks) == reference
+        assert roaring.support_counts(masks) == reference
+        if _HAS_VECTOR_POPCOUNT and masks:
+            # auto's large-batch kernel, run on a batch of any size
+            assert database._support_counts_numpy(masks) == reference
 
     def test_full_tidset_covers_every_row(self, database):
         assert database.full_tidset == 0b11111
@@ -186,38 +191,17 @@ class TestVerticalBackends:
         for item_index, column in enumerate(columns):
             assert column == database.tidset(1 << item_index)
 
-    def test_diffset_identity(self, database):
-        """``supp(X∪{x}) = supp(X) − |d(X∪{x} | X)|`` (the dEclat law)."""
-        for mask in range(1 << database.n_items):
-            for item_index in range(database.n_items):
-                if mask >> item_index & 1:
-                    continue
-                child = mask | (1 << item_index)
-                diff = database.diffset(mask, item_index)
-                assert database.support_count(child) == (
-                    database.support_count(mask) - diff.bit_count()
-                )
-                assert diff == database.tidset(mask) & ~database.tidset(
-                    1 << item_index
-                )
-
-    def test_diffset_counting_kernel(self, database):
-        assert database._support_count_diffset(0) == database.n_transactions
-        for mask in range(1 << database.n_items):
-            assert database._support_count_diffset(mask) == (
-                database.support_count(mask)
-            )
-
     def test_unknown_backend_rejected(self, database):
         with pytest.raises(ValueError):
             TransactionDatabase(Universe("A"), [1], backend="columnar")
-        with pytest.raises(ValueError):
-            database.support_counts([0], backend="columnar")
+        for retired in ("numpy", "int", "tidset", "diffset"):
+            with pytest.raises(ValueError, match="'auto', 'roaring'"):
+                TransactionDatabase(Universe("A"), [1], backend=retired)
 
     def test_backend_property_reports_choice(self):
-        database = TransactionDatabase(Universe("A"), [1], backend="diffset")
-        assert database.backend == "diffset"
-        assert database.shards(2)[0].backend == "diffset"
+        database = TransactionDatabase(Universe("A"), [1], backend="roaring")
+        assert database.backend == "roaring"
+        assert TransactionDatabase(Universe("A"), [1]).backend == "auto"
 
 
 class TestRoaringBackend:
@@ -233,7 +217,7 @@ class TestRoaringBackend:
     def _pair(rows, n_items=5):
         universe = Universe(range(n_items))
         return (
-            TransactionDatabase(universe, rows, backend="tidset"),
+            TransactionDatabase(universe, rows),
             TransactionDatabase(universe, rows, backend="roaring"),
         )
 
@@ -257,8 +241,11 @@ class TestRoaringBackend:
             for item_index in range(n_items):
                 if mask >> item_index & 1:
                     continue
-                assert roaring.diffset(mask, item_index).to_int() == (
-                    reference.diffset(mask, item_index)
+                # Eclat's diffset: the prefix rows lacking one more item.
+                column = roaring.tidsets_view()[item_index]
+                assert roaring.tidset(mask).andnot(column).to_int() == (
+                    reference.tidset(mask)
+                    & ~reference.tidsets_view()[item_index]
                 )
 
     def test_columns_are_roaring_bitmaps(self):
@@ -267,25 +254,6 @@ class TestRoaringBackend:
         _, roaring = self._pair([0b101, 0b011, 0b110])
         for column in roaring.tidsets_view():
             assert isinstance(column, RoaringBitmap)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=20),
-        st.integers(min_value=1, max_value=5),
-        st.randoms(use_true_random=False),
-    )
-    def test_shards_slice_compressed_columns(self, n_rows, n_shards, rng):
-        rows = [rng.randrange(1 << 5) for _ in range(n_rows)]
-        reference, roaring = self._pair(rows)
-        ref_shards = reference.shards(n_shards)
-        roaring_shards = roaring.shards(n_shards)
-        assert len(ref_shards) == len(roaring_shards)
-        for ref_shard, roaring_shard in zip(ref_shards, roaring_shards):
-            assert roaring_shard.backend == "roaring"
-            assert roaring_shard.n_transactions == ref_shard.n_transactions
-            assert roaring_shard.transaction_masks == (
-                ref_shard.transaction_masks
-            )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -301,7 +269,7 @@ class TestRoaringBackend:
             [t for t, basket in enumerate(transactions) if item in basket]
             for item in range(8)
         ]
-        for backend in ("auto", "tidset", "roaring"):
+        for backend in ("auto", "roaring"):
             built = TransactionDatabase.from_columnar(
                 universe, item_rows, len(transactions), backend=backend
             )

@@ -1,10 +1,10 @@
-"""MMCS/RS enumerators, the GM duality decision, and their contracts.
+"""The MMCS enumerator, the GM duality decision, and their contracts.
 
-The PR 9 transversal core rests on four claims, each property-tested
-here against the established engines:
+The transversal core rests on four claims, each property-tested here
+against the established engines:
 
-* **output identity** — ``mmcs``/``rs`` return exactly the same sorted
-  family as Berge and FK on random simple hypergraphs, serially and
+* **output identity** — ``mmcs`` returns exactly the same sorted
+  family as Berge, FK and DFS on random simple hypergraphs, serially and
   through the depth-2 work-stealing driver at any worker count or
   steal schedule;
 * **budget honesty** — a tripped :class:`Budget` surfaces a
@@ -37,23 +37,13 @@ from repro.hypergraph.enumeration import (
 )
 from repro.hypergraph.fredman_khachiyan import check_duality
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
-from repro.hypergraph.mmcs import (
-    MMCS_VARIANTS,
-    mmcs_transversal_masks,
-    rs_transversal_masks,
-)
+from repro.hypergraph.mmcs import mmcs_transversal_masks
 from repro.obs import JsonlTraceWriter, MultiTracer, TheoremMonitor
 from repro.parallel.mmcs import mmcs_transversals_parallel
 from repro.runtime.budget import Budget
 from repro.util.bitset import Universe, popcount
 
 from tests.conftest import mask_families, simple_hypergraphs
-
-ENUMERATORS = {
-    "mmcs": mmcs_transversal_masks,
-    "rs": rs_transversal_masks,
-}
-
 
 def _canonical(masks) -> list[int]:
     return sorted(masks, key=lambda mask: (popcount(mask), mask))
@@ -62,16 +52,15 @@ def _canonical(masks) -> list[int]:
 class TestOutputIdentity:
     @settings(max_examples=250, deadline=None)
     @given(simple_hypergraphs())
-    def test_mmcs_and_rs_match_brute_force(self, hypergraph):
+    def test_mmcs_matches_brute_force(self, hypergraph):
         reference = sorted(
             brute_force_transversal_masks(
                 hypergraph.edge_masks, len(hypergraph.universe)
             )
         )
-        for variant, enumerate_masks in ENUMERATORS.items():
-            assert (
-                sorted(enumerate_masks(hypergraph.edge_masks)) == reference
-            ), variant
+        assert sorted(mmcs_transversal_masks(hypergraph.edge_masks)) == (
+            reference
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(simple_hypergraphs())
@@ -80,7 +69,7 @@ class TestOutputIdentity:
     ):
         families = {
             method: minimal_transversals(hypergraph, method=method)
-            for method in ("berge", "fk", "mmcs", "rs")
+            for method in ("berge", "fk", "mmcs", "dfs")
         }
         assert len({tuple(sorted(f)) for f in families.values()}) == 1
 
@@ -103,32 +92,27 @@ class TestOutputIdentity:
     @given(mask_families(max_vertices=7))
     def test_invariant_under_minimization(self, data):
         _, family = data
-        for enumerate_masks in ENUMERATORS.values():
-            assert enumerate_masks(family) == enumerate_masks(
-                minimize_family(family)
-            )
+        assert mmcs_transversal_masks(family) == mmcs_transversal_masks(
+            minimize_family(family)
+        )
 
     def test_degenerate_contracts(self):
-        for enumerate_masks in ENUMERATORS.values():
-            # Empty family: the empty set hits everything vacuously.
-            assert enumerate_masks([]) == [0]
-            # An empty edge can never be hit: no transversals.
-            assert enumerate_masks([0, 3]) == []
-            assert enumerate_masks([0]) == []
+        # Empty family: the empty set hits everything vacuously.
+        assert mmcs_transversal_masks([]) == [0]
+        # An empty edge can never be hit: no transversals.
+        assert mmcs_transversal_masks([0, 3]) == []
+        assert mmcs_transversal_masks([0]) == []
 
 
 class TestParallelDriver:
     @settings(max_examples=60, deadline=None)
-    @given(
-        hypergraph=simple_hypergraphs(),
-        variant=st.sampled_from(MMCS_VARIANTS),
-    )
+    @given(hypergraph=simple_hypergraphs())
     def test_workers_output_identical_to_serial(
-        self, worker_count, hypergraph, variant
+        self, worker_count, hypergraph
     ):
-        serial = ENUMERATORS[variant](hypergraph.edge_masks)
+        serial = mmcs_transversal_masks(hypergraph.edge_masks)
         parallel = mmcs_transversals_parallel(
-            hypergraph.edge_masks, workers=worker_count, variant=variant
+            hypergraph.edge_masks, workers=worker_count
         )
         assert parallel == serial
 
@@ -189,20 +173,16 @@ class TestBudgets:
         assert cut() == cut()
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        hypergraph=simple_hypergraphs(),
-        variant=st.sampled_from(MMCS_VARIANTS),
-    )
+    @given(hypergraph=simple_hypergraphs())
     def test_parallel_budget_partial_is_certified_subset(
-        self, worker_count, hypergraph, variant
+        self, worker_count, hypergraph
     ):
-        full = set(ENUMERATORS[variant](hypergraph.edge_masks))
+        full = set(mmcs_transversal_masks(hypergraph.edge_masks))
         monitor = TheoremMonitor()
         try:
             mmcs_transversals_parallel(
                 hypergraph.edge_masks,
                 workers=worker_count,
-                variant=variant,
                 budget=Budget(max_family=1),
                 tracer=monitor,
             )
@@ -214,11 +194,11 @@ class TestBudgets:
 
 
 class TestCertifiedTraces:
-    def _traced_records(self, edge_masks, variant="mmcs"):
+    def _traced_records(self, edge_masks):
         buffer = io.StringIO()
         monitor = TheoremMonitor()
         with JsonlTraceWriter(buffer) as writer:
-            family = ENUMERATORS[variant](
+            family = mmcs_transversal_masks(
                 edge_masks, tracer=MultiTracer(writer, monitor)
             )
         records = [
@@ -229,10 +209,10 @@ class TestCertifiedTraces:
         return family, monitor, records
 
     @settings(max_examples=60, deadline=None)
-    @given(simple_hypergraphs(), st.sampled_from(MMCS_VARIANTS))
-    def test_live_and_offline_certification(self, hypergraph, variant):
+    @given(simple_hypergraphs())
+    def test_live_and_offline_certification(self, hypergraph):
         family, monitor, records = self._traced_records(
-            hypergraph.edge_masks, variant
+            hypergraph.edge_masks
         )
         live = monitor.report()
         assert live.ok, live.violations

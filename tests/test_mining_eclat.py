@@ -342,7 +342,7 @@ def _roaring_pair(rng, n_items, n_rows):
     universe = Universe(range(n_items))
     rows = [rng.randrange(1 << n_items) for _ in range(n_rows)]
     return (
-        TransactionDatabase(universe, rows, backend="tidset"),
+        TransactionDatabase(universe, rows),
         TransactionDatabase(universe, rows, backend="roaring"),
     )
 
@@ -358,7 +358,7 @@ class _RecordingTracer(Tracer):
 
 
 class TestEclatRoaringBitIdentity:
-    """Eclat over compressed columns vs the big-int tidset backend.
+    """Eclat over compressed columns vs the default big-int backend.
 
     Everything the theorems speak about — theory, borders, supports,
     query and node accounting, trace events — must be bit-identical.
@@ -453,17 +453,14 @@ class TestEclatRoaringBitIdentity:
     def test_parallel_both_transports_identical(self, worker_count):
         universe = Universe(range(7))
         rows = [(i * 37) % 127 or 1 for i in range(1, 60)]
-        serial = eclat(TransactionDatabase(universe, rows, backend="tidset"), 5)
+        serial = eclat(TransactionDatabase(universe, rows), 5)
         roaring_db = TransactionDatabase(universe, rows, backend="roaring")
-        for memory in ("pickle", "shm"):
-            parallel = eclat_parallel(
-                roaring_db, 5, workers=worker_count, memory=memory
-            )
-            assert parallel.interesting == serial.interesting
-            assert parallel.maximal == serial.maximal
-            assert parallel.negative_border == serial.negative_border
-            assert parallel.supports == serial.supports
-            assert parallel.queries == serial.queries, memory
+        parallel = eclat_parallel(roaring_db, 5, workers=worker_count)
+        assert parallel.interesting == serial.interesting
+        assert parallel.maximal == serial.maximal
+        assert parallel.negative_border == serial.negative_border
+        assert parallel.supports == serial.supports
+        assert parallel.queries == serial.queries
 
     def test_entry_point_on_roaring_database(self, figure1_database):
         roaring_db = TransactionDatabase(

@@ -151,13 +151,11 @@ class TestParallelTracingTransparency:
         from repro.parallel.eclat import eclat_parallel
 
         database = self._database()
-        plain = eclat_parallel(
-            database, 10, workers=2, memory="pickle"
-        )
+        plain = eclat_parallel(database, 10, workers=2)
         sink = io.StringIO()
         writer = JsonlTraceWriter(sink)
         traced = eclat_parallel(
-            database, 10, workers=2, memory="pickle",
+            database, 10, workers=2,
             tracer=MultiTracer(writer, TheoremMonitor()),
         )
         assert traced.maximal == plain.maximal

@@ -1,10 +1,13 @@
-"""The parallel determinism suite.
+"""Worker-count routing through the public entry points.
 
-Pins the central contract of :mod:`repro.parallel`: a parallel run is
-**bit-identical** to a serial run — theory, positive border, negative
-border, per-level split, and Theorem 10/21 query accounting — across
-random databases, worker counts, mid-run budget exhaustion, and
-checkpoint/resume with a *changed* worker count.
+Two engines run in parallel: Eclat (work-stolen subtrees over a
+shared-memory vertical store) and MMCS (work-stolen depth-2 subtrees).
+Their bit-identity suites are ``test_parallel_steal.py`` and
+``test_hypergraph_mmcs.py``.  This module pins the routing: ``workers``
+reaches those engines through :func:`mine_frequent_itemsets` and
+:func:`minimal_transversals` with results identical to serial, and every
+other algorithm or method rejects ``workers > 1`` with an error naming
+the supported choice.
 
 CI runs this module twice, with ``--workers 2`` and ``--workers 4``
 (the pytest option; see ``tests/conftest.py``), on every supported
@@ -16,30 +19,12 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.oracle import CountingOracle
-from repro.datasets.synthetic import QuestParameters, generate_quest_database
 from repro.datasets.transactions import TransactionDatabase
-from repro.hypergraph.berge import berge_transversal_masks
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.enumeration import minimal_transversals
-from repro.instances.frequent_itemsets import (
-    FrequencyPredicate,
-    mine_frequent_itemsets,
-)
-from repro.mining.levelwise import levelwise
-from repro.obs.monitor import TheoremMonitor
-from repro.parallel import berge_transversals_parallel, levelwise_parallel
-from repro.runtime.budget import Budget
-from repro.runtime.partial import PartialResult
+from repro.instances.frequent_itemsets import mine_frequent_itemsets
 from repro.util.bitset import Universe
-
-# Keep hypothesis example counts low: every example spawns a process
-# pool, and the value is in the cross-product of structures, not in
-# example volume.
-EXAMPLES = 8
 
 
 def _random_database(
@@ -50,196 +35,17 @@ def _random_database(
     return TransactionDatabase(universe, rows)
 
 
-def _serial_reference(database, min_support):
-    predicate = FrequencyPredicate(database, min_support)
-    oracle = CountingOracle(predicate, name="frequency")
-    return levelwise(database.universe, oracle)
-
-
-def _assert_identical(serial, parallel):
-    assert parallel.interesting == serial.interesting
-    assert parallel.maximal == serial.maximal
-    assert parallel.negative_border == serial.negative_border
-    assert parallel.levels == serial.levels
-    assert parallel.candidates_per_level == serial.candidates_per_level
-    assert parallel.queries == serial.queries
-
-
-# -- whole-run equivalence ---------------------------------------------
-
-
-def test_quest_run_bit_identical(worker_count):
-    params = QuestParameters(
-        n_items=30,
-        n_transactions=600,
-        avg_transaction_length=8,
-        avg_pattern_length=3,
-    )
-    database = generate_quest_database(params, seed=42)
-    serial = _serial_reference(database, 0.05)
-    parallel = levelwise_parallel(database, 0.05, workers=worker_count)
-    _assert_identical(serial, parallel)
-
-
-def test_mine_frequent_itemsets_workers_route(worker_count):
-    params = QuestParameters(
-        n_items=20,
-        n_transactions=300,
-        avg_transaction_length=6,
-        avg_pattern_length=3,
-    )
-    database = generate_quest_database(params, seed=7)
-    serial = mine_frequent_itemsets(database, 0.1, algorithm="levelwise")
-    parallel = mine_frequent_itemsets(
-        database, 0.1, algorithm="levelwise", workers=worker_count
-    )
-    assert parallel.maximal == serial.maximal
-    assert parallel.negative_border == serial.negative_border
-    assert parallel.interesting == serial.interesting
-    assert parallel.queries == serial.queries
-    assert parallel.extra["levels"] == serial.extra["levels"]
-
-
-def test_workers_rejected_for_non_levelwise():
+def test_workers_rejected_for_non_eclat():
     database = _random_database(random.Random(0), 6, 20)
-    with pytest.raises(ValueError, match="does not support workers"):
+    for algorithm in ("apriori", "levelwise"):
+        with pytest.raises(ValueError, match="does not support workers"):
+            mine_frequent_itemsets(
+                database, 0.5, algorithm=algorithm, workers=2
+            )
+    with pytest.raises(ValueError, match="use eclat"):
         mine_frequent_itemsets(
-            database, 0.5, algorithm="apriori", workers=2
+            database, 0.5, algorithm="levelwise", workers=2
         )
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**30),
-    n_items=st.integers(min_value=1, max_value=10),
-    n_rows=st.integers(min_value=0, max_value=60),
-    threshold_rows=st.integers(min_value=0, max_value=20),
-)
-@settings(max_examples=EXAMPLES, deadline=None)
-def test_random_databases_bit_identical(
-    seed, n_items, n_rows, threshold_rows, worker_count
-):
-    rng = random.Random(seed)
-    database = _random_database(rng, n_items, n_rows)
-    serial = _serial_reference(database, threshold_rows)
-    parallel = levelwise_parallel(
-        database, threshold_rows, workers=worker_count
-    )
-    _assert_identical(serial, parallel)
-
-
-# -- budgets and checkpoint/resume -------------------------------------
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**30),
-    cut_fraction=st.floats(min_value=0.05, max_value=0.95),
-    resume_parallel=st.booleans(),
-)
-@settings(max_examples=EXAMPLES, deadline=None)
-def test_budget_cut_and_resume_changed_workers(
-    seed, cut_fraction, resume_parallel, worker_count
-):
-    """Interrupt a parallel run mid-level, resume with a different
-    worker count (including serially): the stitched run must equal an
-    uninterrupted serial run bit for bit, queries included."""
-    rng = random.Random(seed)
-    database = _random_database(rng, 8, 40)
-    full = _serial_reference(database, 4)
-    cut = max(1, int(full.queries * cut_fraction))
-    if cut >= full.queries:
-        cut = full.queries - 1
-    if cut < 1:
-        return  # degenerate universe: nothing to interrupt
-    partial = levelwise_parallel(
-        database, 4, workers=worker_count, budget=Budget(max_queries=cut)
-    )
-    assert isinstance(partial, PartialResult)
-    assert partial.queries == cut
-    resume_workers = worker_count if resume_parallel else 1
-    resumed = levelwise_parallel(
-        database, 4, workers=resume_workers, resume=partial.checkpoint
-    )
-    _assert_identical(full, resumed)
-
-
-def test_serial_checkpoint_resumes_parallel(worker_count):
-    """A checkpoint taken by a serial run resumes under workers=N."""
-    rng = random.Random(123)
-    database = _random_database(rng, 9, 50)
-    full = _serial_reference(database, 5)
-    partial = levelwise_parallel(
-        database,
-        5,
-        workers=1,
-        budget=Budget(max_queries=max(1, full.queries // 2)),
-    )
-    assert isinstance(partial, PartialResult)
-    resumed = levelwise_parallel(
-        database, 5, workers=worker_count, resume=partial.checkpoint
-    )
-    _assert_identical(full, resumed)
-
-
-def test_double_interruption_across_worker_counts(worker_count):
-    """Interrupt twice (parallel then serial), resume parallel."""
-    rng = random.Random(321)
-    database = _random_database(rng, 9, 50)
-    full = _serial_reference(database, 5)
-    if full.queries < 3:
-        pytest.skip("degenerate instance")
-    first = levelwise_parallel(
-        database,
-        5,
-        workers=worker_count,
-        budget=Budget(max_queries=full.queries // 3),
-    )
-    assert isinstance(first, PartialResult)
-    second = levelwise_parallel(
-        database,
-        5,
-        workers=1,
-        resume=first.checkpoint,
-        budget=Budget(max_queries=2 * full.queries // 3),
-    )
-    assert isinstance(second, PartialResult)
-    resumed = levelwise_parallel(
-        database, 5, workers=worker_count, resume=second.checkpoint
-    )
-    _assert_identical(full, resumed)
-
-
-# -- tracing and certification -----------------------------------------
-
-
-def test_monitor_certifies_parallel_trace(worker_count):
-    database = _random_database(random.Random(77), 10, 80)
-    monitor = TheoremMonitor()
-    parallel = levelwise_parallel(
-        database, 8, workers=worker_count, tracer=monitor
-    )
-    serial = _serial_reference(database, 8)
-    _assert_identical(serial, parallel)
-    report = monitor.report()
-    assert report.ok, report.summary()
-
-
-# -- parallel dualization ----------------------------------------------
-
-
-@given(family=st.data())
-@settings(max_examples=EXAMPLES, deadline=None)
-def test_parallel_berge_bit_identical(family, worker_count):
-    seed = family.draw(st.integers(min_value=0, max_value=2**20))
-    n = family.draw(st.integers(min_value=1, max_value=10))
-    n_edges = family.draw(st.integers(min_value=1, max_value=8))
-    rng = random.Random(seed)
-    edges = [rng.getrandbits(n) | 1 for _ in range(n_edges)]
-    serial = berge_transversal_masks(edges)
-    # tiny min_chunk so the parallel path actually engages
-    parallel = berge_transversals_parallel(
-        edges, worker_count, min_chunk=4
-    )
-    assert parallel == serial
 
 
 def test_minimal_transversals_workers(worker_count):
@@ -251,10 +57,12 @@ def test_minimal_transversals_workers(worker_count):
     ]
     universe = Universe(range(4))
     hypergraph = Hypergraph.from_sets(edges, universe)
-    serial = minimal_transversals(hypergraph, method="berge")
+    serial = minimal_transversals(hypergraph, method="mmcs")
     parallel = minimal_transversals(
-        hypergraph, method="berge", workers=worker_count
+        hypergraph, method="mmcs", workers=worker_count
     )
     assert parallel == serial
-    with pytest.raises(ValueError, match="only supported by methods"):
-        minimal_transversals(hypergraph, method="fk", workers=2)
+    assert parallel == minimal_transversals(hypergraph, method="berge")
+    for method in ("berge", "fk"):
+        with pytest.raises(ValueError, match=r"only supported by .*mmcs"):
+            minimal_transversals(hypergraph, method=method, workers=2)

@@ -1,14 +1,10 @@
-"""Acceptance test: 4-worker levelwise beats serial by ≥2× — and is
-bit-identical while doing so.
+"""Acceptance test: 8-worker work-stealing Eclat beats serial by ≥4× —
+and is bit-identical while doing so.
 
-The workload mirrors the ``make perf`` Apriori/levelwise scenario
-(Quest T10.I4): many transactions so that support counting dominates,
-which is exactly the work the sharded counter distributes.
-
-The speedup assertion needs real cores; on hosts with fewer than four
+The speedup assertion needs real cores; on hosts with fewer than eight
 available CPUs (e.g. single-core CI sandboxes or ``taskset``-restricted
 shells) it is skipped, while the bit-identical half still runs
-everywhere via ``test_parallel_determinism.py``.
+everywhere.
 """
 
 from __future__ import annotations
@@ -18,110 +14,10 @@ import time
 
 import pytest
 
-from repro.core.oracle import CountingOracle
-from repro.datasets.synthetic import QuestParameters, generate_quest_database
-from repro.instances.frequent_itemsets import FrequencyPredicate
-from repro.mining.levelwise import levelwise
-from repro.parallel import ShardedSupportCounter, levelwise_parallel
-
 try:
     _AVAILABLE_CPUS = len(os.sched_getaffinity(0))
 except AttributeError:  # pragma: no cover - non-Linux
     _AVAILABLE_CPUS = os.cpu_count() or 1
-
-WORKERS = 4
-MIN_SPEEDUP = 2.0
-
-#: The `make perf` levelwise scenario: Quest T10.I4, 10k rows.
-PERF_PARAMS = QuestParameters(
-    n_items=64,
-    n_transactions=10_000,
-    avg_transaction_length=10,
-    avg_pattern_length=4,
-)
-PERF_SEED = 9701
-PERF_MIN_FREQUENCY = 0.005
-
-
-def _serial_run(database, min_support):
-    predicate = FrequencyPredicate(database, min_support)
-    oracle = CountingOracle(predicate, name="frequency")
-    return levelwise(database.universe, oracle)
-
-
-@pytest.mark.skipif(
-    _AVAILABLE_CPUS < WORKERS,
-    reason=f"needs >= {WORKERS} available CPUs, have {_AVAILABLE_CPUS}",
-)
-def test_four_workers_at_least_twice_as_fast_as_serial():
-    database = generate_quest_database(PERF_PARAMS, seed=PERF_SEED)
-
-    # Warm pool outside the timed region: pool startup is a per-run
-    # constant, not per-query work, and the CLI/driver reuse one pool
-    # for the whole mining run anyway.
-    with ShardedSupportCounter(database, WORKERS) as counter:
-        assert counter.parallel
-        counter.support_counts([0])
-
-        best_parallel = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            parallel = levelwise_parallel(
-                database, PERF_MIN_FREQUENCY, counter=counter
-            )
-            best_parallel = min(
-                best_parallel, time.perf_counter() - start
-            )
-
-    best_serial = float("inf")
-    for _ in range(2):
-        start = time.perf_counter()
-        serial = _serial_run(database, PERF_MIN_FREQUENCY)
-        best_serial = min(best_serial, time.perf_counter() - start)
-
-    # Bit-identical first: a fast wrong answer is worthless.
-    assert parallel.interesting == serial.interesting
-    assert parallel.maximal == serial.maximal
-    assert parallel.negative_border == serial.negative_border
-    assert parallel.levels == serial.levels
-    assert parallel.queries == serial.queries
-
-    speedup = best_serial / best_parallel
-    assert speedup >= MIN_SPEEDUP, (
-        f"4-worker levelwise only {speedup:.2f}x faster than serial "
-        f"(serial {best_serial:.3f}s, parallel {best_parallel:.3f}s); "
-        f"acceptance floor is {MIN_SPEEDUP}x"
-    )
-
-
-def test_perf_workload_parallel_is_bit_identical_everywhere():
-    """The correctness half of the acceptance criterion, ungated.
-
-    Runs the same Quest T10.I4 workload (scaled down so it stays quick
-    on one core) through the real 4-worker path and asserts equality —
-    including Theorem 10 query accounting.
-    """
-    params = QuestParameters(
-        n_items=PERF_PARAMS.n_items,
-        n_transactions=1_000,
-        avg_transaction_length=PERF_PARAMS.avg_transaction_length,
-        avg_pattern_length=PERF_PARAMS.avg_pattern_length,
-    )
-    database = generate_quest_database(params, seed=PERF_SEED)
-    serial = _serial_run(database, PERF_MIN_FREQUENCY)
-    parallel = levelwise_parallel(
-        database, PERF_MIN_FREQUENCY, workers=WORKERS
-    )
-    assert parallel.interesting == serial.interesting
-    assert parallel.maximal == serial.maximal
-    assert parallel.negative_border == serial.negative_border
-    assert parallel.queries == serial.queries
-    assert serial.queries == len(serial.interesting) + len(
-        serial.negative_border
-    )
-
-
-# -- work-stealing Eclat acceptance (PR 6) ------------------------------
 
 STEAL_WORKERS = 8
 STEAL_MIN_SPEEDUP = 4.0
@@ -141,17 +37,15 @@ def test_eight_worker_steal_at_least_4x_on_skewed_workload():
 
     from repro.mining.eclat import eclat
     from repro.parallel.eclat import eclat_parallel
-    from repro.parallel.shm import shm_available
 
     database = skewed_database()
     threshold = SKEWED["threshold_rows"]
-    memory = "shm" if shm_available() else "pickle"
 
     best_parallel = float("inf")
     for _ in range(2):
         start = time.perf_counter()
         parallel = eclat_parallel(
-            database, threshold, workers=STEAL_WORKERS, memory=memory
+            database, threshold, workers=STEAL_WORKERS
         )
         best_parallel = min(best_parallel, time.perf_counter() - start)
 
@@ -180,15 +74,14 @@ def test_steal_workload_parallel_is_bit_identical_everywhere():
     """The correctness half of the steal acceptance criterion, ungated.
 
     A scaled-down skewed dense-block database through the real
-    8-worker stealing path, in both transports where available —
-    asserting every result field including Theorem 10/21 accounting.
+    8-worker stealing path — asserting every result field including
+    Theorem 10/21 accounting.
     """
     import random
 
     from repro.datasets.transactions import TransactionDatabase
     from repro.mining.eclat import eclat
     from repro.parallel.eclat import eclat_parallel
-    from repro.parallel.shm import shm_available
     from repro.util.bitset import Universe
 
     rng = random.Random(4242)
@@ -205,15 +98,11 @@ def test_steal_workload_parallel_is_bit_identical_everywhere():
         rows.append(row)
     database = TransactionDatabase(Universe(range(24)), rows)
     serial = eclat(database, 40)
-    modes = ["pickle"] + (["shm"] if shm_available() else [])
-    for memory in modes:
-        parallel = eclat_parallel(
-            database, 40, workers=STEAL_WORKERS, memory=memory
-        )
-        assert parallel.interesting == serial.interesting
-        assert parallel.maximal == serial.maximal
-        assert parallel.negative_border == serial.negative_border
-        assert parallel.supports == serial.supports
-        assert parallel.queries == serial.queries
-        assert parallel.nodes == serial.nodes
-        assert parallel.diffset_nodes == serial.diffset_nodes
+    parallel = eclat_parallel(database, 40, workers=STEAL_WORKERS)
+    assert parallel.interesting == serial.interesting
+    assert parallel.maximal == serial.maximal
+    assert parallel.negative_border == serial.negative_border
+    assert parallel.supports == serial.supports
+    assert parallel.queries == serial.queries
+    assert parallel.nodes == serial.nodes
+    assert parallel.diffset_nodes == serial.diffset_nodes

@@ -1,33 +1,20 @@
-"""Unit tests for the worker pool, sharding, and parallel minimization.
+"""Unit tests for the worker pool.
 
 The determinism-facing surface (parallel == serial on whole mining
-runs) lives in ``test_parallel_determinism.py``; this module exercises
-the machinery underneath: shard geometry, ordered dispatch, crash
-recovery with bounded restarts, the serial fallback, and the
-chunk-parallel antichain reduction.
+runs) lives in ``test_parallel_steal.py`` and
+``test_hypergraph_mmcs.py``; this module exercises the machinery
+underneath: ordered dispatch, crash recovery with bounded restarts,
+finalizers, and resource release on interrupt.
 """
 
 from __future__ import annotations
 
 import os
-import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.datasets.transactions import TransactionDatabase
 from repro.obs.tracer import Tracer
-from repro.parallel import (
-    ShardedSupportCounter,
-    WorkerPool,
-    WorkerPoolBroken,
-    minimize_masks_parallel,
-    resolve_workers,
-    shard_bounds,
-)
-from repro.util.antichain import minimize_masks
-from repro.util.bitset import Universe
+from repro.parallel import WorkerPool, WorkerPoolBroken, resolve_workers
 
 
 class RecordingTracer(Tracer):
@@ -64,7 +51,7 @@ def _crash_once(sentinel, value):
     return value
 
 
-# -- resolve_workers / shard_bounds -------------------------------------
+# -- resolve_workers ----------------------------------------------------
 
 
 def test_resolve_workers_normalization():
@@ -73,41 +60,6 @@ def test_resolve_workers_normalization():
     assert resolve_workers(-4) == 1
     assert resolve_workers(1) == 1
     assert resolve_workers(6) == 6
-
-
-@given(
-    n_rows=st.integers(min_value=0, max_value=200),
-    n_shards=st.integers(min_value=1, max_value=12),
-)
-@settings(max_examples=60, deadline=None)
-def test_shard_bounds_partition_rows(n_rows, n_shards):
-    bounds = shard_bounds(n_rows, n_shards)
-    if n_rows == 0:
-        assert bounds == []
-        return
-    assert bounds[0][0] == 0
-    assert bounds[-1][1] == n_rows
-    for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-        assert stop == start
-    sizes = [stop - start for start, stop in bounds]
-    assert all(size >= 1 for size in sizes)  # no empty shards
-    assert max(sizes) - min(sizes) <= 1  # balanced
-    assert len(bounds) == min(n_shards, n_rows)
-
-
-def test_database_shards_counts_sum_to_full():
-    rng = random.Random(5)
-    universe = Universe(range(12))
-    rows = [rng.getrandbits(12) for _ in range(97)]
-    database = TransactionDatabase(universe, rows)
-    shards = database.shards(4)
-    assert sum(s.n_transactions for s in shards) == 97
-    masks = [0, 1, 5, 0b111, 0xFFF, 1 << 11]
-    merged = [
-        sum(counts)
-        for counts in zip(*(s.support_counts(masks) for s in shards))
-    ]
-    assert merged == database.support_counts(masks)
 
 
 # -- WorkerPool ---------------------------------------------------------
@@ -155,115 +107,6 @@ def test_pool_breaks_permanently_when_restarts_exhausted(tmp_path):
         with pytest.raises(WorkerPoolBroken):
             pool.map_in_order(_crash_once, [(sentinel, 0)])
         assert not pool.parallel
-
-
-# -- ShardedSupportCounter ---------------------------------------------
-
-
-def _random_database(seed: int, n_items: int = 14, n_rows: int = 150):
-    rng = random.Random(seed)
-    universe = Universe(range(n_items))
-    rows = [rng.getrandbits(n_items) for _ in range(n_rows)]
-    return TransactionDatabase(universe, rows)
-
-
-def test_counter_matches_database_counts():
-    database = _random_database(1)
-    masks = [0, 1, 3, 0b10110, (1 << 14) - 1]
-    with ShardedSupportCounter(database, 3) as counter:
-        assert counter.parallel
-        assert counter.support_counts(masks) == database.support_counts(
-            masks
-        )
-        for mask in masks:
-            assert counter.support_count(mask) == database.support_count(
-                mask
-            )
-
-
-def test_counter_serial_when_workers_is_one():
-    database = _random_database(2)
-    with ShardedSupportCounter(database, 1) as counter:
-        assert not counter.parallel
-        assert counter.support_counts([1, 2]) == database.support_counts(
-            [1, 2]
-        )
-
-
-def test_counter_falls_back_to_serial_on_broken_pool():
-    database = _random_database(3)
-    tracer = RecordingTracer()
-    counter = ShardedSupportCounter(
-        database, 3, tracer=tracer, max_restarts=0
-    )
-    masks = [1, 5, 9, 0b1111]
-    expected = database.support_counts(masks)
-    assert counter.support_counts(masks) == expected
-    # Kill the executor out from under the counter: the next batch
-    # trips the dead pool, exhausts the zero restart allowance, and
-    # must degrade to the serial kernel with identical counts.
-    counter._pool._executor.shutdown(wait=True, cancel_futures=True)
-    assert counter.support_counts(masks) == expected
-    assert not counter.parallel
-    assert "worker.fallback" in tracer.names()
-    # and it stays serial (and correct) afterwards
-    assert counter.support_counts(masks) == expected
-    counter.close()
-
-
-def test_counter_emits_worker_events():
-    database = _random_database(4)
-    tracer = RecordingTracer()
-    with ShardedSupportCounter(database, 2, tracer=tracer) as counter:
-        counter.support_counts([1, 2, 3])
-    names = tracer.names()
-    assert {"worker.pool", "worker.shards", "worker.batch"} <= names
-    batches = [a for n, a in tracer.events if n == "worker.batch"]
-    assert {b["shard"] for b in batches} == {0, 1}
-    assert all(b["size"] == 3 for b in batches)
-
-
-# -- minimize_masks_parallel -------------------------------------------
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**20),
-    n_bits=st.integers(min_value=4, max_value=40),
-    n_masks=st.integers(min_value=0, max_value=400),
-)
-@settings(max_examples=25, deadline=None)
-def test_parallel_minimize_matches_serial(seed, n_bits, n_masks, pool2):
-    rng = random.Random(seed)
-    family = [rng.getrandbits(n_bits) | 1 for _ in range(n_masks)]
-    assert minimize_masks_parallel(
-        family, pool2, min_chunk=16
-    ) == minimize_masks(family)
-
-
-@pytest.fixture(scope="module")
-def pool2():
-    with WorkerPool(2) as pool:
-        yield pool
-
-
-def test_parallel_minimize_serial_pool_and_none():
-    family = [0b11, 0b1, 0b110]
-    assert minimize_masks_parallel(family, None) == minimize_masks(family)
-    serial_pool = WorkerPool(1)
-    assert minimize_masks_parallel(
-        family, serial_pool
-    ) == minimize_masks(family)
-
-
-def test_parallel_minimize_falls_back_on_broken_pool():
-    rng = random.Random(9)
-    family = [rng.getrandbits(24) | 1 for _ in range(300)]
-    pool = WorkerPool(2, max_restarts=0)
-    pool._executor.shutdown(wait=True, cancel_futures=True)
-    assert minimize_masks_parallel(
-        family, pool, min_chunk=16
-    ) == minimize_masks(family)
-    pool.close()
 
 
 # -- finalizers and resource release ------------------------------------
@@ -314,7 +157,6 @@ def test_interrupted_shm_run_releases_everything():
         import repro.parallel.eclat as eclat_module
         from repro.datasets.transactions import TransactionDatabase
         from repro.parallel.eclat import eclat_parallel
-        from repro.parallel.shm import shm_available
         from repro.runtime.partial import PartialResult
         from repro.util.bitset import Universe
 
@@ -331,12 +173,7 @@ def test_interrupted_shm_run_releases_everything():
             raise KeyboardInterrupt
 
         eclat_module.StealScheduler.run = interrupting_run
-        result = eclat_parallel(
-            database,
-            4,
-            workers=2,
-            memory="shm" if shm_available() else "pickle",
-        )
+        result = eclat_parallel(database, 4, workers=2)
         assert isinstance(result, PartialResult), type(result)
         print("INTERRUPT-OK")
         """

@@ -1,10 +1,8 @@
 """Tests for the zero-copy shared-memory vertical store.
 
-Covers the store's round-trip fidelity (columns, matrix, issued
-databases, 64-aligned shards), the lifetime discipline that keeps
-``/dev/shm`` clean (unlink on close, idempotence, the pool-finalizer
-path, budget-cut runs), the ``memory=`` mode resolution, and the
-equivalence of shm- and pickle-transported counting.
+Covers the store's round-trip fidelity (columns) and the lifetime
+discipline that keeps ``/dev/shm`` clean (unlink on close, idempotence,
+budget-cut runs).
 """
 
 from __future__ import annotations
@@ -15,24 +13,8 @@ import random
 import pytest
 
 from repro.datasets.transactions import TransactionDatabase
-from repro.mining.levelwise import levelwise
-from repro.parallel.levelwise import levelwise_parallel
-from repro.parallel.sharding import (
-    ShardedSupportCounter,
-    aligned_shard_bounds,
-    shard_bounds,
-)
-from repro.parallel.shm import (
-    MEMORY_MODES,
-    ShmVerticalStore,
-    resolve_memory,
-    shm_available,
-)
+from repro.parallel.shm import ShmVerticalStore
 from repro.util.bitset import Universe
-
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="multiprocessing.shared_memory unavailable"
-)
 
 
 def _random_database(rng, n_items=12, n_rows=200) -> TransactionDatabase:
@@ -61,54 +43,6 @@ def test_publish_attach_columns_round_trip():
             attached.close()
 
 
-def test_issued_database_counts_identically():
-    database = _random_database(random.Random(1))
-    rng = random.Random(2)
-    masks = [rng.getrandbits(12) for _ in range(64)]
-    with ShmVerticalStore.publish(database) as store:
-        issued = store.database()
-        assert issued.n_transactions == database.n_transactions
-        assert issued.support_counts(masks) == database.support_counts(
-            masks
-        )
-
-
-def test_issued_database_survives_store_close():
-    # close() detaches the shared numpy view; counting must still be
-    # correct afterwards (it rebuilds from the copied columns).
-    database = _random_database(random.Random(3))
-    rng = random.Random(4)
-    masks = [rng.getrandbits(12) for _ in range(32)]
-    store = ShmVerticalStore.publish(database)
-    issued = store.database()
-    store.unlink()
-    assert issued.support_counts(masks) == database.support_counts(masks)
-
-
-def test_shard_databases_partition_counts():
-    database = _random_database(random.Random(5), n_rows=300)
-    rng = random.Random(6)
-    masks = [rng.getrandbits(12) for _ in range(48)]
-    full = database.support_counts(masks)
-    with ShmVerticalStore.publish(database) as store:
-        bounds = aligned_shard_bounds(database.n_transactions, 3)
-        per_shard = [
-            store.shard_database(start, stop).support_counts(masks)
-            for start, stop in bounds
-        ]
-    summed = [sum(counts) for counts in zip(*per_shard)]
-    assert summed == full
-
-
-def test_shard_database_rejects_unaligned_start():
-    database = _random_database(random.Random(7), n_rows=100)
-    with ShmVerticalStore.publish(database) as store:
-        with pytest.raises(ValueError, match="64-aligned"):
-            store.shard_database(10, 50)
-        with pytest.raises(ValueError, match="outside"):
-            store.shard_database(64, 101)
-
-
 def test_attach_missing_segment_is_loud():
     database = _random_database(random.Random(8), n_rows=70)
     store = ShmVerticalStore.publish(database)
@@ -116,45 +50,6 @@ def test_attach_missing_segment_is_loud():
     store.unlink()
     with pytest.raises(FileNotFoundError):
         ShmVerticalStore.attach(handle)
-
-
-# -- aligned shard bounds ----------------------------------------------
-
-
-def test_aligned_shard_bounds_cover_and_align():
-    for n_rows in (0, 1, 63, 64, 65, 128, 300, 1000):
-        for n_shards in (1, 2, 3, 8):
-            bounds = aligned_shard_bounds(n_rows, n_shards)
-            if n_rows == 0:
-                assert bounds == []
-                continue
-            assert bounds[0][0] == 0
-            assert bounds[-1][1] == n_rows
-            for (a, b), (c, d) in zip(bounds, bounds[1:]):
-                assert b == c
-            for start, stop in bounds:
-                assert start % 64 == 0
-                assert start < stop
-
-
-def test_aligned_bounds_match_plain_bounds_on_chunks():
-    bounds = aligned_shard_bounds(640, 4)
-    plain = shard_bounds(10, 4)
-    assert bounds == [(lo * 64, hi * 64) for lo, hi in plain]
-
-
-# -- memory mode resolution --------------------------------------------
-
-
-def test_resolve_memory_modes():
-    assert resolve_memory("auto") in ("shm", "pickle")
-    assert resolve_memory("pickle") == "pickle"
-    if shm_available():
-        assert resolve_memory("auto") == "shm"
-        assert resolve_memory("shm") == "shm"
-    with pytest.raises(ValueError, match="unknown memory mode"):
-        resolve_memory("mmap")
-    assert set(MEMORY_MODES) == {"auto", "shm", "pickle"}
 
 
 # -- lifetime / leak discipline ----------------------------------------
@@ -170,20 +65,6 @@ def test_unlink_is_idempotent_and_removes_segment():
     assert _shm_entries() - before == set()
 
 
-def test_counter_close_unlinks_segment():
-    before = _shm_entries()
-    database = _random_database(random.Random(10), n_rows=250)
-    counter = ShardedSupportCounter(database, 2, memory="shm")
-    try:
-        masks = [3, 5, 9]
-        assert counter.support_counts(masks) == database.support_counts(
-            masks
-        )
-    finally:
-        counter.close()
-    assert _shm_entries() - before == set()
-
-
 def test_budget_cut_run_leaves_no_segment():
     from repro.parallel.eclat import eclat_parallel
     from repro.runtime.budget import Budget
@@ -195,37 +76,8 @@ def test_budget_cut_run_leaves_no_segment():
         database,
         5,
         workers=2,
-        memory="shm",
         budget=Budget(max_queries=12),
     )
     assert isinstance(partial, PartialResult)
     assert _shm_entries() - before == set()
 
-
-# -- transport equivalence ---------------------------------------------
-
-
-@pytest.mark.parametrize("memory", ["shm", "pickle"])
-def test_counter_counts_match_serial(memory):
-    database = _random_database(random.Random(12), n_rows=400)
-    rng = random.Random(13)
-    masks = [rng.getrandbits(12) for _ in range(100)]
-    with ShardedSupportCounter(database, 3, memory=memory) as counter:
-        assert counter.memory == memory
-        assert counter.support_counts(masks) == database.support_counts(
-            masks
-        )
-
-
-def test_levelwise_results_independent_of_transport():
-    database = _random_database(random.Random(14), n_rows=200)
-    serial = levelwise_parallel(database, 12, workers=1)
-    shm_run = levelwise_parallel(database, 12, workers=3, memory="shm")
-    pickle_run = levelwise_parallel(
-        database, 12, workers=3, memory="pickle"
-    )
-    for run in (shm_run, pickle_run):
-        assert run.maximal == serial.maximal
-        assert run.negative_border == serial.negative_border
-        assert run.interesting == serial.interesting
-        assert run.queries == serial.queries

@@ -3,14 +3,14 @@
 The stealing scheduler's contract is stronger than "same answer": the
 fold order — and with it every budget cut point, trace accounting, and
 partial-result frontier — must be **bit-identical to the serial
-engine** at every worker count, under every steal schedule, and over
-both worker transports.  This module drives that contract with
-hypothesis across random databases, thresholds, worker counts, seeded
-*adversarial* steal schedules (``steal_rng``), memory modes, and
-mid-run budget cuts; plus the crash-retry and serial-fallback paths.
+engine** at every worker count and under every steal schedule.  This
+module drives that contract with hypothesis across random databases,
+thresholds, worker counts, seeded *adversarial* steal schedules
+(``steal_rng``), and mid-run budget cuts; plus the crash-retry and
+serial-fallback paths.
 
 CI runs this module at ``--workers 2`` and ``--workers 4`` (the pytest
-option; see ``tests/conftest.py``) in both memory modes.
+option; see ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.mining.eclat import eclat
 from repro.obs.monitor import TheoremMonitor
 from repro.parallel.eclat import eclat_parallel
 from repro.parallel.pool import WorkerPool, WorkerPoolBroken
-from repro.parallel.shm import shm_available
 from repro.parallel.steal import StealScheduler
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult
@@ -37,8 +36,6 @@ from repro.util.bitset import Universe
 # Every example spawns a process pool; keep counts low — the value is
 # in the cross-product of structures, not example volume.
 EXAMPLES = 6
-
-MEMORY_MODES = ("shm", "pickle") if shm_available() else ("pickle",)
 
 
 def _random_database(
@@ -69,7 +66,6 @@ def test_steal_bit_identical_to_serial(data, worker_count):
     n_items = data.draw(st.integers(min_value=1, max_value=12))
     n_rows = data.draw(st.integers(min_value=1, max_value=120))
     threshold = data.draw(st.integers(min_value=1, max_value=12))
-    memory = data.draw(st.sampled_from(MEMORY_MODES))
     steal_seed = data.draw(st.none() | st.integers(0, 2**10))
     database = _random_database(random.Random(seed), n_items, n_rows)
     serial = eclat(database, threshold)
@@ -77,7 +73,6 @@ def test_steal_bit_identical_to_serial(data, worker_count):
         database,
         threshold,
         workers=worker_count,
-        memory=memory,
         steal_rng=(
             random.Random(steal_seed) if steal_seed is not None else None
         ),
@@ -88,20 +83,16 @@ def test_steal_bit_identical_to_serial(data, worker_count):
 def test_transports_and_schedules_agree(worker_count):
     database = _random_database(random.Random(99), 11, 150)
     serial = eclat(database, 6)
-    for memory in MEMORY_MODES:
-        for steal_seed in (None, 0, 17):
-            parallel = eclat_parallel(
-                database,
-                6,
-                workers=worker_count,
-                memory=memory,
-                steal_rng=(
-                    random.Random(steal_seed)
-                    if steal_seed is not None
-                    else None
-                ),
-            )
-            _assert_identical(serial, parallel)
+    for steal_seed in (None, 0, 17):
+        parallel = eclat_parallel(
+            database,
+            6,
+            workers=worker_count,
+            steal_rng=(
+                random.Random(steal_seed) if steal_seed is not None else None
+            ),
+        )
+        _assert_identical(serial, parallel)
 
 
 # -- budget cuts --------------------------------------------------------
@@ -117,34 +108,30 @@ def test_budget_cut_partials_identical_everywhere(data, worker_count):
         st.integers(min_value=1, max_value=max(1, full.queries - 1))
     )
     reference = None
-    for memory in MEMORY_MODES:
-        for steal_seed in (None, 3):
-            partial = eclat_parallel(
-                database,
-                4,
-                workers=worker_count,
-                memory=memory,
-                budget=Budget(max_queries=max_queries),
-                steal_rng=(
-                    random.Random(steal_seed)
-                    if steal_seed is not None
-                    else None
-                ),
-            )
-            assert isinstance(partial, PartialResult)
-            assert partial.reason == "queries"
-            assert partial.queries >= max_queries
-            certificate = partial.certificate()
-            assert certificate.ok, certificate
-            key = (
-                tuple(sorted(partial.history.items())),
-                tuple(sorted(partial.frontier)),
-                partial.queries,
-            )
-            if reference is None:
-                reference = key
-            else:
-                assert key == reference
+    for steal_seed in (None, 3):
+        partial = eclat_parallel(
+            database,
+            4,
+            workers=worker_count,
+            budget=Budget(max_queries=max_queries),
+            steal_rng=(
+                random.Random(steal_seed) if steal_seed is not None else None
+            ),
+        )
+        assert isinstance(partial, PartialResult)
+        assert partial.reason == "queries"
+        assert partial.queries >= max_queries
+        certificate = partial.certificate()
+        assert certificate.ok, certificate
+        key = (
+            tuple(sorted(partial.history.items())),
+            tuple(sorted(partial.frontier)),
+            partial.queries,
+        )
+        if reference is None:
+            reference = key
+        else:
+            assert key == reference
     # and independent of the worker count too
     other = eclat_parallel(
         database,
@@ -214,9 +201,8 @@ def test_steal_events_validate_against_schema(worker_count):
     assert validate_trace(records) == []
     names = [record["name"] for record in records]
     assert "worker.batch" in names
-    if shm_available():
-        assert "shm.publish" in names
-        assert "shm.attach" in names
+    assert "shm.publish" in names
+    assert "shm.attach" in names
 
 
 # -- crash tolerance ----------------------------------------------------

@@ -32,8 +32,9 @@ import pytest
 
 from repro.cli import main
 from repro.datasets.transactions import TransactionDatabase
+from repro.runtime.checkpoint import Checkpoint
 from repro.service import ServiceCore
-from repro.service.state import WAL_NAME
+from repro.service.state import SNAPSHOT_NAME, WAL_NAME, _state_payload
 from repro.util.bitset import Universe
 
 N_ITEMS = 5
@@ -184,6 +185,39 @@ class TestBadRequestsNeverPoisonTheLog:
         ) as core:
             assert core.seq == 1
             assert core.digest() == digest
+
+
+class TestRetiredBackendSnapshot:
+    """Snapshots written while ``numpy``/``int``/``tidset``/``diffset``
+    were backend names still recover: those backends held big-int
+    columns with ``auto``'s counts, so they load as ``auto``."""
+
+    @pytest.mark.parametrize("retired", ["numpy", "int", "tidset", "diffset"])
+    def test_snapshot_loads_as_auto(self, tmp_path, retired):
+        with ServiceCore(_database(), 2) as reference:
+            reference.append([7, 28])
+            payload = _state_payload(reference.state, reference.seq, {})
+            expected_digest = reference.digest()
+            expected = reference.state
+        assert payload["backend"] == "auto"
+        payload["backend"] = retired
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        Checkpoint(
+            algorithm="service",
+            universe_items=tuple(_database().universe.items),
+            state=payload,
+            accounting={"queries": payload["queries"]},
+        ).save(state_dir / SNAPSHOT_NAME)
+        with ServiceCore(
+            _database(), 2, state_dir=str(state_dir)
+        ) as core:
+            assert core.seq == 1
+            assert core.state.database.backend == "auto"
+            assert core.state.supports == expected.supports
+            assert core.state.maximal == expected.maximal
+            assert core.state.negative == expected.negative
+            assert core.digest() == expected_digest
 
 
 # -- subprocess SIGKILL harness -----------------------------------------

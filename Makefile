@@ -123,13 +123,17 @@ steal-smoke:
 # /health, /mine, /append (plus an idempotent replay) and /threshold
 # over real HTTP, verify the incrementally maintained theory equals
 # from-scratch eclat after every mutation, then SIGTERM and assert a
-# clean exit (benchmarks/serve_smoke.py does the driving).
+# clean exit (benchmarks/serve_smoke.py does the driving).  Runs once
+# per vertical backend (`--backend auto`, then `roaring`), each on a
+# fresh state directory.
 serve-smoke:
 	$(eval SERVE_DIR := $(shell mktemp -d /tmp/serve_smoke.XXXXXX))
 	$(PYTHON) -m repro generate $(SERVE_DIR)/smoke.dat \
 		--items 12 --transactions 120 --seed 7
 	$(PYTHON) -m benchmarks.serve_smoke $(SERVE_DIR)/smoke.dat \
-		--state-dir $(SERVE_DIR)/state
+		--state-dir $(SERVE_DIR)/state-auto --backend auto
+	$(PYTHON) -m benchmarks.serve_smoke $(SERVE_DIR)/smoke.dat \
+		--state-dir $(SERVE_DIR)/state-roaring --backend roaring
 	rm -rf $(SERVE_DIR)
 
 # Telemetry-plane smoke: boot a traced `repro serve` with rotation,

@@ -7,7 +7,10 @@ the whole advertised lifecycle over real HTTP: ``/health``,
 verifying after every mutation that the *incrementally maintained*
 theory is bit-identical to from-scratch :func:`~repro.mining.eclat.eclat`
 on the same rows.  Finishes with a ``SIGTERM`` and asserts a clean
-exit.  CI runs this as ``make serve-smoke``; it is also a quick local
+exit.  ``--backend`` (default ``auto``) is passed to ``repro serve``;
+the from-scratch reference always mines the default backend, so the
+served theory is also checked across backends.  CI runs this as
+``make serve-smoke``, once per backend; it is also a quick local
 check::
 
     PYTHONPATH=src python -m benchmarks.serve_smoke smoke.dat --state-dir /tmp/state
@@ -26,7 +29,7 @@ import sys
 import urllib.request
 
 from repro.datasets.fimi import read_fimi
-from repro.datasets.transactions import TransactionDatabase
+from repro.datasets.transactions import BACKENDS, TransactionDatabase
 from repro.mining.eclat import eclat
 
 MIN_SUPPORT = 3
@@ -73,6 +76,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("data", help="FIMI .dat file to serve")
     parser.add_argument("--state-dir", required=True)
+    parser.add_argument("--backend", choices=BACKENDS, default="auto")
     args = parser.parse_args(argv)
 
     process = subprocess.Popen(
@@ -80,6 +84,7 @@ def main(argv=None) -> int:
             sys.executable, "-m", "repro", "serve", args.data,
             "--min-support", str(MIN_SUPPORT),
             "--port", "0", "--state-dir", args.state_dir,
+            "--backend", args.backend,
         ],
         stdout=subprocess.PIPE,
         text=True,
@@ -93,7 +98,10 @@ def main(argv=None) -> int:
             .strip()
             .rsplit(":", 1)[1]
         )
-        print(f"serve-smoke: server up on port {port}")
+        print(
+            f"serve-smoke: server up on port {port} "
+            f"(backend {args.backend})"
+        )
 
         database = read_fimi(args.data)
         n_items = len(database.universe)

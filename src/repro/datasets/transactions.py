@@ -181,6 +181,43 @@ class TransactionDatabase:
         database._matrix = None
         return database
 
+    def appended(self, delta_masks: Iterable[int]) -> "TransactionDatabase":
+        """A new database with ``delta_masks`` appended as its last rows.
+
+        Columns are extended instead of re-transposing every row:
+        ``new_col = old_col | (delta_col << n_old)`` on ``"auto"``,
+        :meth:`~repro.util.roaring.RoaringBitmap.with_appended` on
+        ``"roaring"`` — O(items · delta).  When this database already
+        holds its row list, the result gets ``old rows + delta`` (a
+        pointer copy) and horizontal reads of it decode nothing;
+        otherwise the result is vertical-only, like this one.
+        """
+        delta = list(delta_masks)
+        full = self.universe.full_mask
+        for mask in delta:
+            if mask & ~full:
+                raise ValueError("appended transaction uses unknown items")
+        n_old = self._n_rows
+        delta_columns = self._build_columns(delta, len(self.universe))
+        if self._backend == "roaring":
+            columns = [
+                column.with_appended(
+                    n_old + row_index for row_index in iter_bits(bits)
+                )
+                for column, bits in zip(self._columns, delta_columns)
+            ]
+        else:
+            columns = [
+                column | (bits << n_old)
+                for column, bits in zip(self._columns, delta_columns)
+            ]
+        database = self.from_vertical(
+            self.universe, columns, n_old + len(delta), backend=self._backend
+        )
+        if self._rows is not None:
+            database._rows = self._rows + delta
+        return database
+
     def _rows_view(self) -> list[int]:
         """The horizontal row list, materialized from columns on demand.
 

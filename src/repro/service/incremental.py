@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import _maximal_from_supports, eclat
 from repro.obs.tracer import as_tracer
-from repro.util.bitset import iter_bits, popcount
+from repro.util.bitset import popcount
 from repro.util.prefix import parents_all_in
 
 __all__ = [
@@ -165,7 +165,9 @@ class MaintainedTheory:
         borders are computable with zero database work: ``Bd+`` is the
         maximal table entries still over the line, ``Bd-`` collects the
         minimal sets under it (old ``Bd-`` members and newly evicted
-        table entries whose parents all survive).
+        table entries whose parents all survive).  At the maintained
+        threshold itself nothing is evicted, so the answer is the
+        stored ``(maximal, negative)`` pair.
 
         Raises:
             ValueError: for a looser threshold — that needs a repair or
@@ -176,6 +178,8 @@ class MaintainedTheory:
                 f"threshold {threshold} is below the maintained "
                 f"{self.threshold}; the hot table cannot answer it"
             )
+        if threshold == self.threshold:
+            return self.maximal, self.negative
         frequent = {
             mask: supp
             for mask, supp in self.supports.items()
@@ -222,41 +226,11 @@ def mine_initial(
 def append_database(
     database: TransactionDatabase, delta_masks: list[int]
 ) -> TransactionDatabase:
-    """A new database with ``delta_masks`` appended, built vertically.
-
-    Columns are extended in place of re-transposing the whole horizontal
-    row list: ``new_col = old_col | (delta_col << n_old)``, then
-    :meth:`~repro.datasets.transactions.TransactionDatabase.from_vertical`
-    — O(items · delta) instead of O(items · rows).
+    """A new database with ``delta_masks`` appended: O(items · delta)
+    column extension, carrying the row list when ``database`` holds one
+    (:meth:`~repro.datasets.transactions.TransactionDatabase.appended`).
     """
-    universe = database.universe
-    for mask in delta_masks:
-        if mask & ~universe.full_mask:
-            raise ValueError("appended transaction uses unknown items")
-    n_old = database.n_transactions
-    delta_columns = [0] * len(universe)
-    for row_index, row in enumerate(delta_masks):
-        row_bit = 1 << row_index
-        for item_index in iter_bits(row):
-            delta_columns[item_index] |= row_bit
-    if database.backend == "roaring":
-        columns = [
-            column.with_appended(
-                n_old + row_index for row_index in iter_bits(delta)
-            )
-            for column, delta in zip(database.tidsets_view(), delta_columns)
-        ]
-    else:
-        columns = [
-            column | (delta << n_old)
-            for column, delta in zip(database.tidsets_view(), delta_columns)
-        ]
-    return TransactionDatabase.from_vertical(
-        universe,
-        columns,
-        n_old + len(delta_masks),
-        backend=database.backend,
-    )
+    return database.appended(delta_masks)
 
 
 class _RepairBudgetExceeded(Exception):

@@ -348,13 +348,18 @@ class ServiceCore:
     ) -> tuple[int, RepairStats | None, str]:
         """Durably append transactions and repair the borders.
 
-        Returns ``(seq, stats, digest)``; ``stats`` is ``None`` when
-        ``op_id`` was already applied (idempotent replay — state
-        untouched).  ``digest`` is :meth:`digest` of the state at
-        ``seq``, computed before the mutation lock is released, so it
-        can be paired with ``seq`` even under concurrent writers.
-        ``tracer`` overrides the core tracer for this one mutation's
-        records (the HTTP layer's request-scoped collector).
+        Returns ``(seq, stats, digest)``.  For a new operation ``seq``
+        is its sequence number and ``digest`` is :meth:`digest` of the
+        state at ``seq``, computed before the mutation lock is
+        released, so the pair holds even under concurrent writers.
+        When ``op_id`` was already applied (idempotent replay — state
+        untouched), ``stats`` is ``None``, ``seq`` is the sequence
+        number the op was first applied at, and ``digest`` describes
+        the *current* state, which may be later than ``seq``: a client
+        re-sending its whole history after a crash ends holding the
+        digest of the state it converged on.  ``tracer`` overrides the
+        core tracer for this one mutation's records (the HTTP layer's
+        request-scoped collector).
         """
         return self._mutate(
             "append", {"rows": [int(r) for r in rows]}, op_id, tracer

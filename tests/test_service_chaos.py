@@ -31,6 +31,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main
+from repro.datasets import BACKENDS
 from repro.datasets.transactions import TransactionDatabase
 from repro.runtime.checkpoint import Checkpoint
 from repro.service import ServiceCore
@@ -40,10 +41,11 @@ from repro.util.bitset import Universe
 N_ITEMS = 5
 
 
-def _database():
+def _database(backend: str = "auto"):
     return TransactionDatabase(
         Universe([f"i{k}" for k in range(N_ITEMS)]),
         [7, 21, 3, 28, 7, 19],
+        backend=backend,
     )
 
 
@@ -122,6 +124,88 @@ class TestInProcessCrashSimulation:
         first = _reference_digest(tmp_path / "a", batches)
         second = _reference_digest(tmp_path / "b", batches)
         assert first == second
+
+
+class TestDigestContract:
+    """What :meth:`ServiceCore.digest` hashes, and what a mutation
+    returns with it.  Clients keep digests across restarts, so the
+    hashed content and its order are part of the wire contract."""
+
+    # Digests of the fixed history below, recorded when the state
+    # payload's content and order were defined.  A failure here means
+    # digests that clients already hold no longer match: change the
+    # payload only on purpose, never as a side effect.
+    PINNED = {
+        "auto": (
+            "043a555366becc4872cf4d1e46865841d68f3503ebe93728be4cc6ee45d3b6a5"
+        ),
+        "roaring": (
+            "7e04f6a442d777ec0c170338c121ce386941fb388781fe22de726a8a74e88c06"
+        ),
+    }
+
+    @pytest.mark.parametrize("layout", ["rows", "vertical"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_digest_of_fixed_history_is_pinned(
+        self, tmp_path, backend, layout
+    ):
+        """Two appends, a threshold move and one compaction, from a
+        seed database built from rows or from columns alone."""
+        database = _database(backend)
+        if layout == "vertical":
+            database = TransactionDatabase.from_vertical(
+                database.universe,
+                database.tidsets_view(),
+                database.n_transactions,
+                backend=backend,
+            )
+        state_dir = str(tmp_path / "state")
+        with ServiceCore(
+            database, 2, state_dir=state_dir, compact_every=3
+        ) as core:
+            core.append([31, 6], op_id="pin-1")
+            core.set_threshold(3, op_id="pin-2")
+            core.append([12, 25, 7], op_id="pin-3")
+            assert core.metrics()["wal_pending"] == 0  # compacted
+            assert core.digest() == self.PINNED[backend]
+        with ServiceCore(database, 2, state_dir=state_dir) as core:
+            assert core.seq == 3
+            assert core.digest() == self.PINNED[backend]
+
+    def test_duplicate_op_returns_original_seq_and_current_digest(self):
+        """A re-sent op answers with the seq it was first applied at
+        and the digest of the state *now*, so a client re-sending a
+        whole history after a crash ends holding the final digest."""
+        with ServiceCore(_database(), 2) as core:
+            seq_a, _, digest_a = core.append([31, 6], op_id="A")
+            seq_b, _, digest_b = core.append([12], op_id="B")
+            seq, stats, digest = core.append([31, 6], op_id="A")
+            assert (seq_a, seq_b, core.seq) == (1, 2, 2)
+            assert seq == seq_a
+            assert stats is None
+            assert digest == core.digest() == digest_b
+            assert digest != digest_a
+
+    def test_roaring_state_survives_compaction_and_reopen(self, tmp_path):
+        batches = _batches(random.Random(5), 7)
+        state_dir = str(tmp_path / "state")
+        with ServiceCore(
+            _database("roaring"), 2, state_dir=state_dir, compact_every=2
+        ) as core:
+            for op_id, rows in batches:
+                core.append(rows, op_id=op_id)
+            assert core.metrics()["wal_pending"] == 1  # 3 compactions
+            digest = core.digest()
+        with ServiceCore(
+            _database("roaring"), 2, state_dir=state_dir
+        ) as core:
+            assert core.state.database.backend == "roaring"
+            assert core.seq == len(batches)
+            assert core.digest() == digest
+        with ServiceCore(_database("roaring"), 2) as memory:
+            for op_id, rows in batches:
+                memory.append(rows, op_id=op_id)
+            assert memory.digest() == digest
 
 
 class TestBadRequestsNeverPoisonTheLog:

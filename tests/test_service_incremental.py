@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import BACKENDS
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import eclat
 from repro.service.incremental import (
@@ -35,6 +36,12 @@ def _assert_matches_scratch(state):
     assert state.maximal == scratch.maximal
     assert state.negative == scratch.negative_border
     assert state.supports == scratch.supports
+    # A hot read at the maintained threshold answers from the stored
+    # borders; they must be the exact borders, whatever path built them.
+    assert state.theory_at(state.threshold) == (
+        scratch.maximal,
+        scratch.negative_border,
+    )
     # Canonical iteration order regardless of the path that built it.
     assert list(state.supports) == sorted(
         state.supports, key=lambda m: (popcount(m), m)
@@ -68,19 +75,22 @@ class TestEquivalenceWithScratchMining:
     @settings(max_examples=120, deadline=None)
     def test_update_history_matches_remining(self, scenario):
         n_items, rows, threshold, steps, limit = scenario
-        database = TransactionDatabase(_universe(n_items), rows)
-        state = mine_initial(database, threshold)
-        _assert_matches_scratch(state)
-        for kind, payload in steps:
-            if kind == "append":
-                state, stats = apply_append(
-                    state, payload, repair_limit=limit
-                )
-            else:
-                state, stats = apply_threshold(
-                    state, payload, repair_limit=limit
-                )
+        for backend in BACKENDS:
+            database = TransactionDatabase(
+                _universe(n_items), rows, backend=backend
+            )
+            state = mine_initial(database, threshold)
             _assert_matches_scratch(state)
+            for kind, payload in steps:
+                if kind == "append":
+                    state, stats = apply_append(
+                        state, payload, repair_limit=limit
+                    )
+                else:
+                    state, stats = apply_threshold(
+                        state, payload, repair_limit=limit
+                    )
+                _assert_matches_scratch(state)
 
     @given(
         st.integers(2, 5),
@@ -99,19 +109,26 @@ class TestEquivalenceWithScratchMining:
         mask_limit = (1 << n_items) - 1
         rows = [r & mask_limit for r in rows]
         delta = [d & mask_limit for d in delta]
-        database = TransactionDatabase(_universe(n_items), rows)
-        base = mine_initial(database, threshold)
-        whole, _ = apply_append(base, delta)
-        cut = min(split, len(delta))
-        first, _ = apply_append(base, delta[:cut])
-        second, _ = apply_append(first, delta[cut:])
-        assert whole.supports == second.supports
-        assert whole.maximal == second.maximal
-        assert whole.negative == second.negative
-        assert (
-            whole.database.transaction_masks
-            == second.database.transaction_masks
-        )
+        for backend in BACKENDS:
+            database = TransactionDatabase(
+                _universe(n_items), rows, backend=backend
+            )
+            base = mine_initial(database, threshold)
+            whole, _ = apply_append(base, delta)
+            cut = min(split, len(delta))
+            first, _ = apply_append(base, delta[:cut])
+            second, _ = apply_append(first, delta[cut:])
+            assert whole.supports == second.supports
+            assert whole.maximal == second.maximal
+            assert whole.negative == second.negative
+            assert (
+                whole.database.transaction_masks
+                == second.database.transaction_masks
+            )
+            assert (
+                whole.database.tidsets_view()
+                == second.database.tidsets_view()
+            )
 
     def test_accounting_is_deterministic(self):
         def run():
@@ -233,15 +250,84 @@ class TestAppendDatabase:
         universe = _universe(5)
         old = [7, 21, 3]
         delta = [31, 8, 0]
-        appended = append_database(
-            TransactionDatabase(universe, old), delta
-        )
-        rebuilt = TransactionDatabase(universe, old + delta)
-        assert appended.transaction_masks == rebuilt.transaction_masks
-        assert appended.tidsets_view() == rebuilt.tidsets_view()
-        assert appended.n_transactions == 6
+        for backend in BACKENDS:
+            appended = append_database(
+                TransactionDatabase(universe, old, backend=backend), delta
+            )
+            rebuilt = TransactionDatabase(
+                universe, old + delta, backend=backend
+            )
+            assert appended.backend == backend
+            assert appended.transaction_masks == rebuilt.transaction_masks
+            assert appended.tidsets_view() == rebuilt.tidsets_view()
+            assert appended.n_transactions == 6
 
     def test_foreign_items_are_rejected(self):
         database = TransactionDatabase(_universe(3), [3])
         with pytest.raises(ValueError, match="unknown items"):
             append_database(database, [8])
+
+
+class TestRowListCarriedThroughAppends:
+    """An append hands the old row list plus the delta to the new
+    database instead of leaving it to be decoded from the extended
+    columns.  Every service write reads all rows (``digest()``, and
+    compaction), so a decode there costs O(items · rows) per write."""
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        """Row counts of every column-to-row decode (a ``_rows_view``
+        call on a database that holds no row list)."""
+        calls = []
+        original = TransactionDatabase._rows_view
+
+        def spy(database):
+            if database._rows is None:
+                calls.append(database.n_transactions)
+            return original(database)
+
+        monkeypatch.setattr(TransactionDatabase, "_rows_view", spy)
+        return calls
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_appends_carry_rows_without_decoding(self, backend, decodes):
+        rows = [7, 21, 3, 28, 7, 19]
+        database = TransactionDatabase(_universe(5), rows, backend=backend)
+        state = mine_initial(database, 2)
+        expected = list(rows)
+        history = (([31, 6], None, 3), ([12], 0, 2), ([25, 7, 0], None, 4))
+        for batch, limit, threshold in history:
+            state, _ = apply_append(state, batch, repair_limit=limit)
+            expected += batch
+            assert state.database._rows == expected
+            state, _ = apply_threshold(state, threshold)
+            assert state.database._rows == expected
+        assert state.remines == 1
+        assert decodes == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_vertical_only_database_decodes_once(self, backend, decodes):
+        base = TransactionDatabase(
+            _universe(5), [7, 21, 3, 28], backend=backend
+        )
+        vertical = TransactionDatabase.from_vertical(
+            base.universe,
+            base.tidsets_view(),
+            base.n_transactions,
+            backend=backend,
+        )
+        state = mine_initial(vertical, 2)
+        state, _ = apply_append(state, [31, 6])
+        assert state.database._rows is None
+        assert state.database.transaction_masks == [7, 21, 3, 28, 31, 6]
+        assert decodes == [6]
+        for batch in ([12], [25, 7]):
+            state, _ = apply_append(state, batch)
+            assert state.database._rows is not None
+        assert state.database.transaction_masks == [
+            7, 21, 3, 28, 31, 6, 12, 25, 7,
+        ]
+        assert state.database.tidsets_view() == TransactionDatabase(
+            base.universe, state.database.transaction_masks, backend=backend
+        ).tidsets_view()
+        assert decodes == [6]

@@ -184,9 +184,12 @@ scale-smoke:
 	rm -rf $(SCALE_DIR)
 
 # Layer-ledger smoke: every workload of the end-to-end benchmark on
-# tiny inputs, correctness gates included (seconds, not minutes).
+# tiny inputs, correctness gates included (seconds, not minutes).  The
+# traced pass also runs the counting-tracer passes through MMCS and
+# 2-worker Eclat that yield hypergraph.nodes and parallel.steals.
 ledger-smoke:
 	$(PYTHON) -m benchmarks.ledger --smoke
+	$(PYTHON) -m benchmarks.ledger --smoke --trace 1
 
 lint:
 	ruff check src tests benchmarks

@@ -105,7 +105,7 @@ def eclat_waves(
     negative = [
         mask for mask in rejected if parents_all_in(mask, frequent_set)
     ]
-    maximal = _maximal_from_supports(supports, n)
+    maximal = _maximal_from_supports(supports)
     return (
         tuple(sorted(supports, key=lambda m: (popcount(m), m))),
         tuple(sorted(maximal, key=lambda m: (popcount(m), m))),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 
 from repro.hypergraph.hypergraph import maximize_family, minimize_family
-from repro.util.bitset import Universe, popcount
+from repro.util.bitset import Universe, rank_sorted
 
 
 class MonotoneDNF:
@@ -189,7 +189,7 @@ def maximal_false_points(
     false_points = [
         mask for mask in range(1 << n_variables) if not function(mask)
     ]
-    return sorted(maximize_family(false_points), key=lambda m: (popcount(m), m))
+    return rank_sorted(maximize_family(false_points))
 
 
 def is_monotone(function: Callable[[int], bool], n_variables: int) -> bool:

@@ -23,7 +23,7 @@ from repro.hypergraph.berge import berge_transversal_masks
 from repro.hypergraph.enumeration import minimal_transversals
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.util.antichain import maximize_masks
-from repro.util.bitset import Universe, iter_submasks, popcount
+from repro.util.bitset import Universe, iter_submasks, rank_sorted
 
 
 def downward_closure(masks: Iterable[int]) -> list[int]:
@@ -36,7 +36,7 @@ def downward_closure(masks: Iterable[int]) -> list[int]:
     for mask in masks:
         for sub in iter_submasks(mask):
             closed.add(sub)
-    return sorted(closed, key=lambda m: (popcount(m), m))
+    return rank_sorted(closed)
 
 
 def positive_border(masks: Iterable[int]) -> list[int]:
@@ -50,7 +50,7 @@ def positive_border(masks: Iterable[int]) -> list[int]:
     :class:`~repro.util.antichain.MaximalFamilyTracker` instead of
     re-reducing on every insertion.
     """
-    return sorted(maximize_masks(masks), key=lambda m: (popcount(m), m))
+    return rank_sorted(maximize_masks(masks))
 
 
 def negative_border_from_positive(
@@ -96,7 +96,7 @@ def negative_border_brute_force(
             continue
         if _all_parents_in(mask, theory):
             border_masks.append(mask)
-    return sorted(border_masks, key=lambda m: (popcount(m), m))
+    return rank_sorted(border_masks)
 
 
 def _all_parents_in(mask: int, theory: set[int]) -> bool:

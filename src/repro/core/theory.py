@@ -13,7 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.borders import negative_border_brute_force, positive_border
-from repro.util.bitset import Universe, popcount
+from repro.util.bitset import Universe, popcount, rank_sorted
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,6 @@ def compute_theory_brute_force(
         universe=universe,
         maximal=tuple(maximal),
         negative_border=tuple(negative),
-        interesting=tuple(
-            sorted(interesting, key=lambda m: (popcount(m), m))
-        ),
+        interesting=tuple(rank_sorted(interesting)),
         queries=universe.full_mask + 1,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.hypergraph.berge import berge_transversal_masks
 from repro.hypergraph.hypergraph import maximize_family
-from repro.util.bitset import Universe, mask_of_indices, popcount
+from repro.util.bitset import Universe, mask_of_indices, popcount, rank_sorted
 from repro.util.rng import make_rng
 
 
@@ -36,12 +36,7 @@ class PlantedTheory:
     def __post_init__(self) -> None:
         # Sort ascending by (cardinality, value) — the order every miner
         # reports — so ground-truth comparisons are plain equality.
-        normalized = tuple(
-            sorted(
-                maximize_family(self.maximal_masks),
-                key=lambda m: (popcount(m), m),
-            )
-        )
+        normalized = tuple(rank_sorted(maximize_family(self.maximal_masks)))
         object.__setattr__(self, "maximal_masks", normalized)
 
     @classmethod
@@ -66,7 +61,7 @@ class PlantedTheory:
                 if sub == 0:
                     break
                 sub = (sub - 1) & maximal
-        return sorted(seen, key=lambda m: (popcount(m), m))
+        return rank_sorted(seen)
 
     def theory_size(self) -> int:
         """``|Th|`` — size of the downward closure (via explicit walk)."""

@@ -14,7 +14,7 @@ import random
 from collections.abc import Hashable, Iterable, Sequence
 
 from repro.hypergraph.hypergraph import maximize_family
-from repro.util.bitset import Universe, iter_bits, popcount
+from repro.util.bitset import Universe, iter_bits, popcount, rank_sorted
 from repro.util.rng import make_rng
 
 
@@ -84,7 +84,7 @@ class Relation:
                     if row_i[column] == row_j[column]:
                         mask |= 1 << column
                 agree_sets.add(mask)
-        return sorted(agree_sets, key=lambda m: (popcount(m), m))
+        return rank_sorted(agree_sets)
 
     def maximal_agree_set_masks(self) -> list[int]:
         """The inclusion-maximal agree sets (the ``max`` sets of [16])."""

@@ -32,7 +32,7 @@ from repro.core.errors import BudgetExhausted
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
 from repro.obs.tracer import as_tracer
 from repro.util.antichain import AntichainIndex
-from repro.util.bitset import iter_bits, popcount
+from repro.util.bitset import iter_bits, rank_sorted
 
 
 def _multiply_into(index: AntichainIndex, edge: int, budget=None) -> None:
@@ -54,9 +54,7 @@ def _multiply_into(index: AntichainIndex, edge: int, budget=None) -> None:
     extended = {t | bit for t in non_hitters for bit in bits}
     # Equal-cardinality extensions cannot subsume each other, so each
     # level is screened against the index and registered wholesale.
-    for _, level in groupby(
-        sorted(extended, key=lambda m: (popcount(m), m)), key=int.bit_count
-    ):
+    for _, level in groupby(rank_sorted(extended), key=int.bit_count):
         survivors = [cand for cand in level if not index.covers(cand)]
         for cand in survivors:
             index.add_unchecked(cand)

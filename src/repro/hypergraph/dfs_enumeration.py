@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
-from repro.util.bitset import iter_bits
+from repro.util.bitset import iter_bits, rank_sorted
 
 
 def iter_minimal_transversals_dfs(
@@ -83,9 +83,4 @@ def dfs_transversal_masks_iter(edge_masks: Sequence[int]) -> Iterator[int]:
 
 def dfs_transversal_masks(edge_masks: Sequence[int]) -> list[int]:
     """The complete family via DFS, sorted like the other engines."""
-    from repro.util.bitset import popcount
-
-    return sorted(
-        dfs_transversal_masks_iter(edge_masks),
-        key=lambda mask: (popcount(mask), mask),
-    )
+    return rank_sorted(dfs_transversal_masks_iter(edge_masks))

@@ -30,7 +30,7 @@ from repro.hypergraph.fredman_khachiyan import find_new_minimal_transversal
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
 from repro.hypergraph.levelwise_transversal import levelwise_transversal_masks
 from repro.hypergraph.mmcs import mmcs_transversal_masks
-from repro.util.bitset import iter_bits, popcount
+from repro.util.bitset import iter_bits, rank_sorted
 
 _METHODS = ("berge", "fk", "mmcs", "levelwise", "dfs", "brute")
 _BUDGETED = ("berge", "fk", "mmcs")
@@ -74,7 +74,7 @@ def brute_force_transversal_masks(
         for mask in range(1 << n_vertices)
         if all(mask & edge for edge in edges)
     ]
-    return sorted(minimize_family(transversals), key=lambda m: (popcount(m), m))
+    return rank_sorted(minimize_family(transversals))
 
 
 def iter_minimal_transversals(
@@ -183,14 +183,12 @@ def minimal_transversals(
                 str(exhausted),
                 partial=PartialDualization(
                     reason=exhausted.reason,
-                    family=tuple(
-                        sorted(found, key=lambda m: (popcount(m), m))
-                    ),
+                    family=tuple(rank_sorted(found)),
                     processed_edges=tuple(hypergraph.edge_masks),
                     remaining_edges=(),
                 ),
             ) from exhausted
-        return sorted(found, key=lambda m: (popcount(m), m))
+        return rank_sorted(found)
     if budget is not None:
         raise ValueError(f"budgets are only supported by {_BUDGETED}")
     if method == "levelwise":

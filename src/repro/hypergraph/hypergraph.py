@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.util.antichain import maximize_masks, minimize_masks
-from repro.util.bitset import Universe, iter_bits, popcount
+from repro.util.bitset import Universe, iter_bits, popcount, rank_sorted
 
 
 class NonSimpleHypergraphError(ValueError):
@@ -72,7 +72,7 @@ class Hypergraph:
         validate: bool = True,
     ):
         self.universe = universe
-        masks = sorted(set(edges), key=lambda m: (popcount(m), m))
+        masks = rank_sorted(set(edges))
         if validate:
             for mask in masks:
                 if mask == 0:

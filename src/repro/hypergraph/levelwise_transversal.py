@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from repro.hypergraph.hypergraph import minimize_family
-from repro.util.bitset import popcount
+from repro.util.bitset import rank_sorted
 
 
 def levelwise_transversal_masks(
@@ -69,7 +69,7 @@ def levelwise_transversal_masks(
         current_level = _next_candidates(
             interesting_current, set(interesting_current), n_vertices
         )
-    return sorted(transversal_border, key=lambda m: (popcount(m), m))
+    return rank_sorted(transversal_border)
 
 
 def _next_candidates(

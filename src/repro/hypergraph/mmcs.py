@@ -9,10 +9,11 @@ Profiling" (arXiv:1805.01310).  This module implements MMCS:
 depth-first search over partial hitting sets ``S`` with *incremental*
 critical-edge bookkeeping.  ``uncov`` is the set of edges not yet hit,
 and ``crit[u]`` the edges hit by ``u`` alone.  Adding a vertex updates
-both in time proportional to the vertex's edge list; the update is
-rolled back on backtrack, so a node costs far less than re-scanning the
-hypergraph.  A branch is cut the moment some ``u ∈ S`` loses its last
-critical edge — no extension of that branch can ever be minimal.
+both with one big-int operation per member; a snapshot of ``crit``
+taken at the node restores it on backtrack, so a node costs far less
+than re-scanning the hypergraph.  A branch is cut the moment some
+``u ∈ S`` loses its last critical edge — no extension of that branch
+can ever be minimal.
 
 The search enumerates each minimal transversal exactly once: a node
 picks an uncovered edge ``e`` minimizing ``|e ∩ cand|``, branches on
@@ -36,7 +37,7 @@ from collections.abc import Sequence
 from repro.core.errors import BudgetExhausted
 from repro.hypergraph.hypergraph import minimize_family
 from repro.obs.tracer import as_tracer
-from repro.util.bitset import iter_bits, popcount
+from repro.util.bitset import iter_bits, popcount, rank_sorted
 
 __all__ = ["mmcs_transversal_masks"]
 
@@ -49,24 +50,6 @@ def _vertex_edge_index(edges: Sequence[int]) -> dict[int, int]:
         for vertex in iter_bits(edge):
             index[vertex] = index.get(vertex, 0) | bit
     return index
-
-
-def _pick_edge(edges: Sequence[int], uncov: int, cand: int) -> int:
-    """The uncovered edge index minimizing ``|e ∩ cand|`` (MMCS rule).
-
-    Ties break toward the lowest edge index, which keeps the traversal
-    — and therefore the output *discovery* order, node count, and any
-    partial family — deterministic.
-    """
-    best_index = -1
-    best_size = None
-    for position in iter_bits(uncov):
-        size = popcount(edges[position] & cand)
-        if best_size is None or size < best_size:
-            best_index, best_size = position, size
-            if size == 0:
-                break
-    return best_index
 
 
 class _SearchState:
@@ -121,37 +104,56 @@ def _search(
     if max_depth is not None and depth >= max_depth:
         frontier.append((tuple(members), cand, uncov))
         return
+    # The MMCS rule: branch on the uncovered edge minimizing
+    # |e ∩ cand|, ties toward the lowest edge index — which keeps the
+    # traversal, and so the discovery order, node count and any partial
+    # family, deterministic.
     edges = state.edges
-    by_vertex = state.by_vertex
-    choice = edges[_pick_edge(edges, uncov, cand)]
-    branch = cand & choice
+    best = 0
+    best_size = -1
+    rest = uncov
+    while rest:
+        low = rest & -rest
+        position = low.bit_length() - 1
+        size = (edges[position] & cand).bit_count()
+        if best_size < 0 or size < best_size:
+            best, best_size = position, size
+            if size == 0:
+                break
+        rest ^= low
+    branch = cand & edges[best]
     if branch == 0:
         return  # dead end: the chosen edge can never be hit
+    by_vertex = state.by_vertex
     cand &= ~branch
-    for vertex in iter_bits(branch):
+    # Adding vertex v takes v's edges from every member's criticals; a
+    # member left with none cuts the branch (minimality is
+    # unrecoverable below it), so the update stops there.  One snapshot
+    # restores every member after each branch vertex.
+    saved = crit[:]
+    rest = branch
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        vertex = low.bit_length() - 1
         vertex_edges = by_vertex[vertex]
-        newly_covered = uncov & vertex_edges
-        # Update-and-rollback discipline: vertex v's criticals are the
-        # edges it just covered; every existing member loses the edges
-        # v also hits.  A member left critical-less cuts the branch
-        # (minimality is unrecoverable below it).
-        removed: list[int] = []
+        keep = ~vertex_edges
         viable = True
-        for position, member in enumerate(members):
-            lost = crit[position] & vertex_edges
-            removed.append(lost)
-            crit[position] &= ~vertex_edges
-            if crit[position] == 0:
+        for position in range(len(crit)):
+            left = crit[position] & keep
+            if not left:
                 viable = False
+                break
+            crit[position] = left
         if viable:
             members.append(vertex)
-            crit.append(newly_covered)
+            crit.append(uncov & vertex_edges)
             _search(
                 state,
                 members,
-                members_mask | (1 << vertex),
+                members_mask | low,
                 cand,
-                uncov & ~vertex_edges,
+                uncov & keep,
                 crit,
                 depth + 1,
                 max_depth,
@@ -159,11 +161,10 @@ def _search(
             )
             members.pop()
             crit.pop()
-        for position, lost in enumerate(removed):
-            crit[position] |= lost
+        crit[:] = saved
         # Re-admit v for its *later* siblings: sets containing several
         # branch vertices are enumerated under the last one chosen.
-        cand |= 1 << vertex
+        cand |= low
 
 
 def _prepare(edge_masks: Sequence[int]):
@@ -253,9 +254,7 @@ def _enumerate(
                 str(exhausted),
                 partial=PartialDualization(
                     reason=exhausted.reason,
-                    family=tuple(
-                        sorted(state.found, key=lambda m: (popcount(m), m))
-                    ),
+                    family=tuple(rank_sorted(state.found)),
                     processed_edges=tuple(edges),
                     remaining_edges=(),
                 ),
@@ -305,5 +304,5 @@ def mmcs_transversal_masks(
             is a true minimal transversal of the full family).
     """
     found, _, _ = _enumerate(edge_masks, budget, tracer)
-    return sorted(found, key=lambda m: (popcount(m), m))
+    return rank_sorted(found)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.datasets.relations import Relation
 from repro.mining.dualize_advance import dualize_and_advance
-from repro.util.bitset import Universe, iter_bits, popcount
+from repro.util.bitset import Universe, iter_bits, popcount, rank_sorted
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def armstrong_relation(
     width = len(universe)
     rows: list[tuple[int, ...]] = [tuple(0 for _ in range(width))]
     for row_number, witness in enumerate(
-        sorted(witnesses, key=lambda m: (popcount(m), m)), start=1
+        rank_sorted(witnesses), start=1
     ):
         row = [
             0 if witness >> column & 1 else row_number * width + column + 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.datasets.transactions import TransactionDatabase
 from repro.obs.tracer import Tracer, as_tracer
 from repro.hypergraph.hypergraph import maximize_family
-from repro.util.bitset import Universe, popcount
+from repro.util.bitset import Universe, popcount, rank_sorted
 from repro.util.prefix import prefix_join_candidates
 
 
@@ -51,7 +51,7 @@ class AprioriResult:
 
     def frequent_masks(self) -> list[int]:
         """All frequent masks, smallest first."""
-        return sorted(self.supports, key=lambda m: (popcount(m), m))
+        return rank_sorted(self.supports)
 
     def n_frequent(self) -> int:
         """``|Th|`` including the empty set."""
@@ -178,10 +178,8 @@ def apriori(
         return AprioriResult(
             universe=universe,
             supports=supports,
-            maximal=tuple(sorted(maximal, key=lambda m: (popcount(m), m))),
-            negative_border=tuple(
-                sorted(negative_border, key=lambda m: (popcount(m), m))
-            ),
+            maximal=tuple(rank_sorted(maximal)),
+            negative_border=tuple(rank_sorted(negative_border)),
             min_support=threshold,
             database_passes=passes,
             candidate_counts=tuple(candidate_counts),

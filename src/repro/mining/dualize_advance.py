@@ -62,7 +62,7 @@ from repro.mining.maximalize import greedy_maximalize
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.partial import PartialResult, build_partial
-from repro.util.bitset import Universe, popcount
+from repro.util.bitset import Universe, popcount, rank_sorted
 
 _ENGINES = ("fk", "berge", "mmcs")
 
@@ -640,14 +640,10 @@ def dualize_and_advance(
                             transversal_family_size=family_size,
                         )
                     )
-                    negative_border = sorted(
-                        probed, key=lambda m: (popcount(m), m)
-                    )
+                    negative_border = rank_sorted(probed)
                     result = DualizeAdvanceResult(
                         universe=universe,
-                        maximal=tuple(
-                            sorted(current_maximal, key=lambda m: (popcount(m), m))
-                        ),
+                        maximal=tuple(rank_sorted(current_maximal)),
                         negative_border=tuple(negative_border),
                         queries=charged(),
                         iterations=tuple(iterations),

@@ -68,7 +68,7 @@ from repro.datasets.transactions import TransactionDatabase
 from repro.obs.tracer import Tracer, as_tracer
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult, build_partial
-from repro.util.bitset import Universe, popcount
+from repro.util.bitset import Universe, popcount, rank_sorted
 from repro.util.prefix import parents_all_in
 
 __all__ = ["EclatResult", "eclat"]
@@ -290,7 +290,7 @@ def _mine_subtree(
     return nodes, diffset_nodes
 
 
-def _maximal_from_supports(supports: dict[int, int], n: int) -> list[int]:
+def _maximal_from_supports(supports: dict[int, int]) -> list[int]:
     """Extract the positive border from a complete support closure.
 
     ``supports`` holds *every* frequent itemset, so monotonicity reduces
@@ -571,11 +571,6 @@ def eclat(
                         threshold, supports, rejected,
                     )
                     queries += len(supports) - 1 + len(rejected)
-                    for mask in supports:
-                        if mask:
-                            history[mask] = True
-                    for mask in rejected:
-                        history[mask] = False
                 else:
                     members, is_diff = expand_node(
                         0, False, n_rows, full_cover, root_exts
@@ -620,14 +615,10 @@ def eclat(
                 return finish_partial("interrupt", run_span, complete=False)
             return finish_partial("interrupt", run_span)
 
-        frequent_set = set(supports)
         negative = [
-            mask for mask in rejected if parents_all_in(mask, frequent_set)
+            mask for mask in rejected if parents_all_in(mask, supports)
         ]
-        maximal = _maximal_from_supports(supports, n)
-        sorted_maximal = tuple(
-            sorted(maximal, key=lambda m: (popcount(m), m))
-        )
+        sorted_maximal = tuple(rank_sorted(_maximal_from_supports(supports)))
         if tracer.enabled:
             rank = max((popcount(m) for m in sorted_maximal), default=0)
             run_span.note(outcome="complete", queries=queries)
@@ -644,13 +635,9 @@ def eclat(
             )
         return EclatResult(
             universe=universe,
-            interesting=tuple(
-                sorted(supports, key=lambda m: (popcount(m), m))
-            ),
+            interesting=tuple(rank_sorted(supports)),
             maximal=sorted_maximal,
-            negative_border=tuple(
-                sorted(negative, key=lambda m: (popcount(m), m))
-            ),
+            negative_border=tuple(rank_sorted(negative)),
             queries=queries,
             min_support=threshold,
             supports=supports,

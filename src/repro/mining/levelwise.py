@@ -39,7 +39,7 @@ from repro.obs.tracer import Tracer, as_tracer
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.partial import PartialResult, build_partial
-from repro.util.bitset import Universe, popcount
+from repro.util.bitset import Universe, popcount, rank_sorted
 from repro.util.prefix import prefix_join_candidates
 
 #: Chunk size for deadline-only budgets: small enough that a wall-clock
@@ -359,13 +359,9 @@ def levelwise(
             )
         return LevelwiseResult(
             universe=universe,
-            interesting=tuple(
-                sorted(interesting_all, key=lambda m: (popcount(m), m))
-            ),
-            maximal=tuple(sorted(maximal, key=lambda m: (popcount(m), m))),
-            negative_border=tuple(
-                sorted(negative_border, key=lambda m: (popcount(m), m))
-            ),
+            interesting=tuple(rank_sorted(interesting_all)),
+            maximal=tuple(rank_sorted(maximal)),
+            negative_border=tuple(rank_sorted(negative_border)),
             queries=queries,
             levels=tuple(levels),
             candidates_per_level=tuple(candidates_per_level),

@@ -29,7 +29,7 @@ from repro.datasets.transactions import TransactionDatabase
 from repro.mining.maximalize import maximal_set_tracker
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult, build_partial
-from repro.util.bitset import Universe, popcount
+from repro.util.bitset import Universe, rank_sorted
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def maxminer_maxth(
             )
         return MaxMinerResult(
             universe=universe,
-            maximal=tuple(sorted(maximal, key=lambda m: (popcount(m), m))),
+            maximal=tuple(rank_sorted(maximal)),
             queries=queries,
             nodes_expanded=stats["nodes"],
             lookahead_hits=stats["lookaheads"],

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.core.oracle import CountingOracle
 from repro.hypergraph.fredman_khachiyan import find_new_minimal_transversal
 from repro.mining.maximalize import greedy_maximalize
-from repro.util.bitset import Universe, popcount
+from repro.util.bitset import Universe, rank_sorted
 from repro.util.rng import make_rng
 
 
@@ -150,8 +150,8 @@ def randomized_maxth(
 
     return RandomizedMaxThResult(
         universe=universe,
-        maximal=tuple(sorted(maximal, key=lambda m: (popcount(m), m))),
-        negative_border=tuple(sorted(border, key=lambda m: (popcount(m), m))),
+        maximal=tuple(rank_sorted(maximal)),
+        negative_border=tuple(rank_sorted(border)),
         queries=oracle.distinct_queries - start_queries,
         sampled=sampled,
         advanced=advanced,

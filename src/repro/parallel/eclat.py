@@ -71,7 +71,7 @@ from repro.parallel.pool import WorkerPool, WorkerPoolBroken, resolve_workers
 from repro.parallel.shm import ShmHandle, ShmVerticalStore
 from repro.parallel.steal import StealScheduler
 from repro.runtime.partial import PartialResult, build_partial
-from repro.util.bitset import popcount
+from repro.util.bitset import popcount, rank_sorted
 from repro.util.prefix import parents_all_in
 
 __all__ = ["eclat_parallel"]
@@ -141,7 +141,7 @@ def _mine_payload(
     expansions: dict,
     position: int,
     split_index: int | None,
-) -> tuple[dict[int, int], list[int], int, int, float]:
+) -> tuple[dict[int, int], list[int], int, int, float, list[int]]:
     """Mine one task subtree — the pure kernel both sides share.
 
     ``split_index=None`` mines the whole subtree under root member
@@ -149,7 +149,9 @@ def _mine_payload(
     ``split_index``-th child.  Child classes of split roots are derived
     once per process and memoized in ``expansions`` (their evaluations
     are charged coordinator-side; recomputation here is pure).
-    Returns ``(supports, rejected, nodes, diffset_nodes, seconds)``.
+    Returns ``(supports, rejected, nodes, diffset_nodes, seconds,
+    maximal)``, where ``maximal`` holds the task's sets with no
+    one-item extension among its own supports — its Bd+ candidates.
     """
     t0 = time.perf_counter()
     bit, supp, cover = members[position]
@@ -192,13 +194,15 @@ def _mine_payload(
             supports,
             rejected,
         )
-    return supports, rejected, nodes, diffset_nodes, time.perf_counter() - t0
+    maximal = _maximal_from_supports(supports)
+    seconds = time.perf_counter() - t0
+    return supports, rejected, nodes, diffset_nodes, seconds, maximal
 
 
 def _mine_task(position: int, split_index: int | None):
     """Worker entry point: mine one task from the initializer state.
 
-    Returns the :func:`_mine_payload` 5-tuple extended with the drained
+    Returns the :func:`_mine_payload` 6-tuple extended with the drained
     trace-record batch (empty when the run is untraced).  The worker
     wraps its work in a ``worker.task`` span on the process's buffering
     collector — it never emits ``oracle.query`` events itself; those
@@ -315,7 +319,11 @@ def eclat_parallel(
 
     supports: dict[int, int] = {}
     rejected: list[int] = []
-    history: dict[int, bool] = {}
+    # Bd+ bookkeeping: the candidates (coordinator-evaluated frequent
+    # sets plus each task's local maxima) and every set known to have
+    # a frequent one-item extension.
+    candidates: list[int] = []
+    marked: set[int] = set()
     queries = 0
     nodes = 0
     diffset_nodes = 0
@@ -399,6 +407,9 @@ def eclat_parallel(
                     bit_p = members[position][0]
                     for later_bit, _, _ in members[position + 1 :]:
                         frontier.append(bit_p | later_bit)
+        # Every evaluated mask sits in exactly one of the two.
+        history = dict.fromkeys(supports, True)
+        history.update(dict.fromkeys(rejected, False))
         return build_partial(
             universe,
             "eclat",
@@ -424,11 +435,19 @@ def eclat_parallel(
         return partial
 
     def record(mask: int, answer: bool, supp: int) -> None:
+        # Coordinator-side evaluations (∅, the singletons, split-root
+        # pairs): each frequent one is a Bd+ candidate and marks all of
+        # its parents.
         nonlocal queries
         queries += 1
-        history[mask] = answer
         if answer:
             supports[mask] = supp
+            candidates.append(mask)
+            remaining = mask
+            while remaining:
+                low = remaining & -remaining
+                marked.add(mask ^ low)
+                remaining ^= low
         else:
             rejected.append(mask)
         if tracer.enabled:
@@ -468,26 +487,38 @@ def eclat_parallel(
         phase["charge"] = None
         charged.add(position)
 
-    def merge(result) -> None:
+    def merge(seq: int, result) -> None:
         nonlocal queries, nodes, diffset_nodes
         sub_supports, sub_rejected, sub_nodes, sub_diff = result[:4]
-        for mask, supp in sub_supports.items():
-            supports[mask] = supp
-            history[mask] = True
-            if tracer.enabled:
+        supports.update(sub_supports)
+        rejected.extend(sub_rejected)
+        if tracer.enabled:
+            for mask in sub_supports:
                 tracer.event(
                     "oracle.query", mask=mask, answer=True, charged=True
                 )
-        for mask in sub_rejected:
-            history[mask] = False
-            if tracer.enabled:
+            for mask in sub_rejected:
                 tracer.event(
                     "oracle.query", mask=mask, answer=False, charged=True
                 )
-        rejected.extend(sub_rejected)
         queries += len(sub_supports) + len(sub_rejected)
         nodes += sub_nodes
         diffset_nodes += sub_diff
+        if sub_supports:
+            # A frequent X ∪ {i} outside X's task differs from X in one
+            # of its own task's prefix bits, so those are the only
+            # parents a task's sets can have in another task.  The
+            # prefix itself (coordinator-evaluated) is a parent too.
+            position, split_index = tasks[seq]
+            prefix_bits = [members[position][0]]
+            if split_index is not None:
+                prefix_bits.append(split_child_bits[position][split_index])
+            prefix = 0
+            for bit in prefix_bits:
+                prefix |= bit
+                marked.update([mask ^ bit for mask in sub_supports])
+            marked.add(prefix)
+            candidates.extend(result[5])
 
     # pre_charges maps a task sequence number to the split roots whose
     # charge belongs immediately before that fold; assigned during task
@@ -502,11 +533,11 @@ def eclat_parallel(
         # Stitch the worker's buffered trace records at the fold point:
         # folds happen strictly in sequence order, so the stitched
         # record order is deterministic at every worker count.  (The
-        # serial fallback path folds bare 5-tuples — nothing to stitch.)
-        records = result[5] if len(result) > 5 else ()
+        # serial fallback path folds bare 6-tuples — nothing to stitch.)
+        records = result[6] if len(result) > 6 else ()
         if tracer.enabled and records:
             tracer.stitch(records)
-        merge(result)
+        merge(seq, result)
         if tracer.enabled:
             tracer.event(
                 "worker.batch",
@@ -550,7 +581,7 @@ def eclat_parallel(
             if budget is not None:
                 budget.check(queries=0)
             record(0, n_rows >= threshold, n_rows)
-            if not history[0]:
+            if 0 not in supports:
                 if tracer.enabled:
                     run_span.note(outcome="complete", queries=queries)
                     tracer.event(
@@ -678,13 +709,11 @@ def eclat_parallel(
         finally:
             pool.close()
 
-        frequent_set = set(supports)
         negative = [
-            mask for mask in rejected if parents_all_in(mask, frequent_set)
+            mask for mask in rejected if parents_all_in(mask, supports)
         ]
-        maximal = _maximal_from_supports(supports, n)
         sorted_maximal = tuple(
-            sorted(maximal, key=lambda m: (popcount(m), m))
+            rank_sorted(mask for mask in candidates if mask not in marked)
         )
         if tracer.enabled:
             rank = max((popcount(m) for m in sorted_maximal), default=0)
@@ -702,13 +731,9 @@ def eclat_parallel(
             )
         return EclatResult(
             universe=universe,
-            interesting=tuple(
-                sorted(supports, key=lambda m: (popcount(m), m))
-            ),
+            interesting=tuple(rank_sorted(supports)),
             maximal=sorted_maximal,
-            negative_border=tuple(
-                sorted(negative, key=lambda m: (popcount(m), m))
-            ),
+            negative_border=tuple(rank_sorted(negative)),
             queries=queries,
             min_support=threshold,
             supports=supports,

@@ -39,11 +39,12 @@ from repro.hypergraph.mmcs import (
     _prepare,
     _rebuild_crit,
     _search,
+    _vertex_edge_index,
 )
 from repro.obs.tracer import as_tracer
 from repro.parallel.pool import WorkerPool, WorkerPoolBroken, resolve_workers
 from repro.parallel.steal import StealScheduler
-from repro.util.bitset import popcount
+from repro.util.bitset import rank_sorted
 
 __all__ = ["mmcs_transversals_parallel", "SPLIT_DEPTH"]
 
@@ -61,10 +62,11 @@ _WORKER_STATE: dict = {}
 
 
 def _init_mmcs_worker(edges: list[int]) -> None:
-    _, by_vertex, _ = _prepare(edges)
+    # The coordinator ships edges it has already minimized, so the
+    # worker only indexes them.
     _WORKER_STATE.clear()
-    _WORKER_STATE["edges"] = list(edges)
-    _WORKER_STATE["by_vertex"] = by_vertex
+    _WORKER_STATE["edges"] = edges
+    _WORKER_STATE["by_vertex"] = _vertex_edge_index(edges)
 
 
 def _subtree(
@@ -108,7 +110,6 @@ def mmcs_transversals_parallel(
     edge_masks: Sequence[int],
     workers: int | None = None,
     *,
-    pool: WorkerPool | None = None,
     budget=None,
     tracer=None,
     steal_rng=None,
@@ -121,12 +122,8 @@ def mmcs_transversals_parallel(
 
     Args:
         edge_masks: the hypergraph's edges (minimized internally).
-        workers: pool size when no ``pool`` is supplied; ``None`` or
-            ``<= 1`` runs the serial kernel directly.
-        pool: an existing :class:`~repro.parallel.pool.WorkerPool` to
-            reuse (not closed here).  It must have been built with
-            :func:`_init_mmcs_worker` for the same edges;
-            passing a fresh hypergraph requires a fresh pool.
+        workers: pool size; ``None`` or ``<= 1`` runs the serial
+            kernel directly.
         budget: optional :class:`~repro.runtime.budget.Budget`; checked
             per prefix node and per folded subtree (the overshoot
             unit).  Exhaustion carries the genuine-prefix partial of
@@ -141,9 +138,9 @@ def mmcs_transversals_parallel(
             the :class:`~repro.parallel.steal.StealScheduler` (the
             determinism suite's lever).
     """
-    if resolve_workers(workers if pool is None else pool.workers) <= 1:
+    if resolve_workers(workers) <= 1:
         found, _, _ = _enumerate(edge_masks, budget, tracer)
-        return sorted(found, key=lambda m: (popcount(m), m))
+        return rank_sorted(found)
     tracer = as_tracer(tracer)
     edges, by_vertex, full_cand = _prepare(edge_masks)
     if by_vertex is None:
@@ -176,14 +173,12 @@ def mmcs_transversals_parallel(
         found = list(state.found)
         nodes = state.nodes
 
-        own_pool = pool is None
-        if own_pool:
-            pool = WorkerPool(
-                workers,
-                initializer=_init_mmcs_worker,
-                initargs=(list(edges),),
-                tracer=tracer,
-            )
+        pool = WorkerPool(
+            workers,
+            initializer=_init_mmcs_worker,
+            initargs=(list(edges),),
+            tracer=tracer,
+        )
         if tracer.enabled:
             tracer.event("worker.pool", workers=pool.workers)
 
@@ -228,8 +223,7 @@ def mmcs_transversals_parallel(
                 exhausted, found, edges, tracer, run_span
             ) from exhausted
         finally:
-            if own_pool:
-                pool.close()
+            pool.close()
 
         if tracer.enabled:
             run_span.note(family_out=len(found), nodes=nodes)
@@ -241,7 +235,7 @@ def mmcs_transversals_parallel(
                 n=full_cand.bit_length(),
                 traced=False,
             )
-        return sorted(found, key=lambda m: (popcount(m), m))
+        return rank_sorted(found)
 
 
 def _with_partial(
@@ -257,7 +251,7 @@ def _with_partial(
         str(exhausted),
         partial=PartialDualization(
             reason=exhausted.reason,
-            family=tuple(sorted(found, key=lambda m: (popcount(m), m))),
+            family=tuple(rank_sorted(found)),
             processed_edges=tuple(edges),
             remaining_edges=(),
         ),

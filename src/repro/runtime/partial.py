@@ -36,13 +36,9 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.util.antichain import MaximalFamilyTracker, maximize_masks, minimize_masks
-from repro.util.bitset import Universe, popcount
+from repro.util.bitset import Universe, rank_sorted
 
 __all__ = ["PartialResult", "Certificate", "PartialDualization", "build_partial"]
-
-
-def _sorted_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(masks), key=lambda m: (popcount(m), m)))
 
 
 @dataclass(frozen=True)
@@ -182,10 +178,14 @@ class PartialResult:
                 violations.append(
                     f"Bd+ member {mask:#x} lacks a True answer in history"
                 )
-        recomputed = _sorted_masks(
-            maximize_masks(list(self.interesting) + list(self.positive_border))
+        recomputed = rank_sorted(
+            set(
+                maximize_masks(
+                    list(self.interesting) + list(self.positive_border)
+                )
+            )
         )
-        if recomputed != _sorted_masks(self.positive_border):
+        if recomputed != rank_sorted(set(self.positive_border)):
             violations.append(
                 "positive_border is not the maximal antichain of the "
                 "confirmed interesting family"
@@ -359,10 +359,10 @@ def build_partial(
         universe=universe,
         algorithm=algorithm,
         reason=reason,
-        interesting=_sorted_masks(interesting),
-        positive_border=_sorted_masks(positive),
-        negative=_sorted_masks(verified_negative),
-        frontier=_sorted_masks(frontier),
+        interesting=tuple(rank_sorted(set(interesting))),
+        positive_border=tuple(rank_sorted(set(positive))),
+        negative=tuple(rank_sorted(set(verified_negative))),
+        frontier=tuple(rank_sorted(set(frontier))),
         frontier_kind=frontier_kind,
         frontier_complete=frontier_complete,
         queries=queries,

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import _maximal_from_supports, eclat
 from repro.obs.tracer import as_tracer
-from repro.util.bitset import popcount
+from repro.util.bitset import rank_sorted
 from repro.util.prefix import parents_all_in
 
 __all__ = [
@@ -63,10 +63,6 @@ __all__ = [
 ]
 
 
-def _sorted_masks(masks) -> tuple[int, ...]:
-    return tuple(sorted(masks, key=lambda m: (popcount(m), m)))
-
-
 def _canonical_supports(supports: dict[int, int]) -> dict[int, int]:
     """Support table in (cardinality, value) order — one canonical
     insertion order regardless of which path (initial mine, repair,
@@ -74,7 +70,7 @@ def _canonical_supports(supports: dict[int, int]) -> dict[int, int]:
     can never leak into later results."""
     return {
         mask: supports[mask]
-        for mask in sorted(supports, key=lambda m: (popcount(m), m))
+        for mask in rank_sorted(supports)
     }
 
 
@@ -193,8 +189,8 @@ class MaintainedTheory:
             if parents_all_in(mask, frequent_set)
         ]
         return (
-            _sorted_masks(_maximal_from_supports(frequent, 0)),
-            _sorted_masks(negative),
+            tuple(rank_sorted(_maximal_from_supports(frequent))),
+            tuple(rank_sorted(negative)),
         )
 
 
@@ -337,10 +333,12 @@ def _repair(
                 infrequent.add(candidate)
 
     frequent_set = set(frequent)
-    negative = _sorted_masks(
-        mask for mask in infrequent if parents_all_in(mask, frequent_set)
+    negative = tuple(
+        rank_sorted(
+            mask for mask in infrequent if parents_all_in(mask, frequent_set)
+        )
     )
-    maximal = _sorted_masks(_maximal_from_supports(frequent, n_items))
+    maximal = tuple(rank_sorted(_maximal_from_supports(frequent)))
     stats = RepairStats(
         evaluated=evaluated,
         support_updates=support_updates,

@@ -19,6 +19,7 @@ from repro.util.bitset import (
     lowest_bit,
     mask_of_indices,
     popcount,
+    rank_sorted,
 )
 from repro.util.prefix import parents_all_in, prefix_join_candidates
 from repro.util.combinatorics import (
@@ -43,6 +44,7 @@ __all__ = [
     "lowest_bit",
     "mask_of_indices",
     "popcount",
+    "rank_sorted",
     "parents_all_in",
     "prefix_join_candidates",
     "binomial",

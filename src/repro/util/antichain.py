@@ -37,11 +37,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from repro.util.bitset import rank_sorted
+
 _WORD = 0xFFFFFFFFFFFFFFFF
-
-
-def _min_sort_key(mask: int) -> tuple[int, int]:
-    return (mask.bit_count(), mask)
 
 
 def _max_sort_key(mask: int) -> tuple[int, int]:
@@ -121,7 +119,7 @@ class AntichainIndex:
 
     def sorted_masks(self) -> list[int]:
         """The stored antichain sorted by (cardinality, value)."""
-        return sorted(self, key=_min_sort_key)
+        return rank_sorted(self)
 
     # -- queries -----------------------------------------------------------
 
@@ -291,7 +289,7 @@ def minimize_masks(masks: Iterable[int]) -> list[int]:
     Sets within one level are never compared (equal cardinality + distinct
     ⇒ incomparable), which is what collapses the Example 19 worst case.
     """
-    unique = sorted(set(masks), key=_min_sort_key)
+    unique = rank_sorted(set(masks))
     if not unique:
         return []
     if unique[0] == 0:
@@ -401,7 +399,7 @@ def merge_antichains(a: list[int], b: list[int]) -> list[int]:
     :func:`minimize_masks`.
     """
     if not a or not b:
-        return sorted(a or b, key=_min_sort_key)
+        return rank_sorted(a or b)
     if len(a) * len(b) <= _NAIVE_MERGE_CUTOFF:
         keep_a = [
             mask
@@ -415,12 +413,12 @@ def merge_antichains(a: list[int], b: list[int]) -> list[int]:
                 other & mask == other and other != mask for other in a
             )
         ]
-        return sorted(keep_a + keep_b, key=_min_sort_key)
+        return rank_sorted(keep_a + keep_b)
     index_a = AntichainIndex(a, assume_antichain=True)
     index_b = AntichainIndex(b, assume_antichain=True)
     keep_a = [mask for mask in a if not index_b.covers(mask)]
     keep_b = [mask for mask in b if not index_a.covers(mask, proper=True)]
-    return sorted(keep_a + keep_b, key=_min_sort_key)
+    return rank_sorted(keep_a + keep_b)
 
 
 class MaximalFamilyTracker:
@@ -489,4 +487,4 @@ class MaximalFamilyTracker:
 
     def masks(self) -> list[int]:
         """The tracked maximal family sorted by (cardinality, value)."""
-        return sorted(self, key=_min_sort_key)
+        return rank_sorted(self)

@@ -24,6 +24,18 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def rank_sorted(masks: Iterable[int]) -> list[int]:
+    """``masks`` in the canonical (cardinality, value) order.
+
+    Equal to ``sorted(masks, key=lambda m: (popcount(m), m))``, duplicates
+    kept.  Both passes sort on C-level keys — by value, then stably by
+    ``int.bit_count`` — so no Python function runs per element.
+    """
+    ordered = sorted(masks)
+    ordered.sort(key=int.bit_count)
+    return ordered
+
+
 def lowest_bit(mask: int) -> int:
     """Index of the least significant set bit of a non-zero ``mask``.
 

@@ -27,12 +27,12 @@ its rejected sets down to the true negative border.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 
 __all__ = ["parents_all_in", "prefix_join_candidates"]
 
 
-def parents_all_in(mask: int, family: set[int]) -> bool:
+def parents_all_in(mask: int, family: Container[int]) -> bool:
     """True when every immediate generalization of ``mask`` is in ``family``.
 
     The immediate generalizations of a rank-``l`` mask are its ``l``

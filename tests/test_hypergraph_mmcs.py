@@ -20,6 +20,7 @@ against the established engines:
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import random
@@ -29,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import BudgetExhausted
+from repro.datasets.relations import Relation
 from repro.hypergraph.berge import berge_transversal_masks
 from repro.hypergraph.duality import DUALITY_METHODS, decide_duality
 from repro.hypergraph.enumeration import (
@@ -37,7 +39,7 @@ from repro.hypergraph.enumeration import (
 )
 from repro.hypergraph.fredman_khachiyan import check_duality
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
-from repro.hypergraph.mmcs import mmcs_transversal_masks
+from repro.hypergraph.mmcs import _enumerate, mmcs_transversal_masks
 from repro.obs import JsonlTraceWriter, MultiTracer, TheoremMonitor
 from repro.parallel.mmcs import mmcs_transversals_parallel
 from repro.runtime.budget import Budget
@@ -47,6 +49,21 @@ from tests.conftest import mask_families, simple_hypergraphs
 
 def _canonical(masks) -> list[int]:
     return sorted(masks, key=lambda mask: (popcount(mask), mask))
+
+
+def _digest(masks) -> str:
+    return hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest()
+
+
+def _fd_key_edges() -> list[int]:
+    """Agree-set complements of a fixed 30-row, 14-attribute relation
+    over 3 values: its minimal keys are the minimal transversals (the
+    data-profiling shape MMCS is kept for)."""
+    rng = random.Random(1)
+    rows = [tuple(rng.randrange(3) for _ in range(14)) for _ in range(30)]
+    relation = Relation(range(14), rows)
+    full = relation.universe.full_mask
+    return [full & ~mask for mask in relation.maximal_agree_set_masks()]
 
 
 class TestOutputIdentity:
@@ -134,6 +151,59 @@ class TestParallelDriver:
         assert mmcs_transversals_parallel(
             edges, workers=1
         ) == mmcs_transversal_masks(edges)
+
+
+class TestPinnedSearch:
+    """The traversal itself, not only its sorted output.
+
+    Node count, discovery order and budget partials on one FD-shaped
+    hypergraph are literals recorded from the rollback-list kernel, so
+    a change to edge choice, branch order or pruning fails here even
+    when the sorted family stays the same.
+    """
+
+    def test_node_count_and_discovery_order(self):
+        edges = _fd_key_edges()
+        assert len(edges) == 119
+        found, nodes, frontier = _enumerate(edges, None, None)
+        assert nodes == 1050
+        assert frontier == []
+        assert len(found) == 579
+        assert found[:8] == [9747, 1559, 1685, 9749, 5269, 5777, 12309, 12435]
+        assert _digest(found) == (
+            "d1062cbdd618bf753e2cd47273b674eadb40d9e42f5203869ebdc49beffb7799"
+        )
+
+    @pytest.mark.parametrize(
+        "max_family, size, family",
+        [
+            (1, 2, (1559, 9747)),
+            (3, 4, (1559, 1685, 9747, 9749)),
+            (
+                10,
+                11,
+                "7d6122908aa7a6949a731e3dc1e828c6"
+                "0028a7f12822a42422444cd34d61e4b4",
+            ),
+            (
+                100,
+                101,
+                "16cdbf4e5f630ed0509fdf72b242fe4a"
+                "4efd3405765d5cd532e41c3ba5cd1059",
+            ),
+        ],
+    )
+    def test_budget_partial_family(self, max_family, size, family):
+        with pytest.raises(BudgetExhausted) as caught:
+            mmcs_transversal_masks(
+                _fd_key_edges(), budget=Budget(max_family=max_family)
+            )
+        partial = caught.value.partial.family
+        assert len(partial) == size
+        if isinstance(family, tuple):
+            assert partial == family
+        else:
+            assert _digest(partial) == family
 
 
 class TestBudgets:

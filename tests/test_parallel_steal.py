@@ -26,7 +26,12 @@ from hypothesis import strategies as st
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import eclat
 from repro.obs.monitor import TheoremMonitor
-from repro.parallel.eclat import eclat_parallel
+from repro.parallel.eclat import (
+    _SPLIT_TAIL,
+    _mine_payload,
+    _root_class,
+    eclat_parallel,
+)
 from repro.parallel.pool import WorkerPool, WorkerPoolBroken
 from repro.parallel.steal import StealScheduler
 from repro.runtime.budget import Budget
@@ -93,6 +98,31 @@ def test_transports_and_schedules_agree(worker_count):
             ),
         )
         _assert_identical(serial, parallel)
+
+
+def test_task_local_maxima_dominated_across_tasks(worker_count):
+    # Items 0..5 are all frequent: roots 0 and 1 have tails of 5 and 4
+    # and are split into depth-2 tasks, roots 2..4 ship whole.
+    # {2,3,4} is maximal within root 2's task but lies under {1,2,3,4}
+    # from split task (1, 2); {3,4} is maximal within root 3's task but
+    # lies under sets of two other tasks.  Bd+ must still match serial.
+    universe = Universe(range(6))
+    rows = [0b011110] * 2 + [0b100001] * 2 + [0b000011] * 2
+    database = TransactionDatabase(universe, rows)
+    members, is_diff = _root_class(database.tidsets_view(), len(rows), 2)
+    assert len(members) == 6 and len(members) - 2 >= _SPLIT_TAIL
+    assert len(members) - 3 < _SPLIT_TAIL
+    local = {
+        position: _mine_payload(members, is_diff, 2, {}, position, None)[5]
+        for position in (2, 3)
+    }
+    assert 0b011100 in local[2] and 0b011000 in local[3]
+
+    serial = eclat(database, 2)
+    assert 0b011100 not in serial.maximal
+    assert 0b011000 not in serial.maximal
+    parallel = eclat_parallel(database, 2, workers=worker_count)
+    _assert_identical(serial, parallel)
 
 
 # -- budget cuts --------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.util.bitset import (
     mask_of_indices,
     masks_from_sets,
     popcount,
+    rank_sorted,
     sets_from_masks,
 )
 
@@ -32,6 +33,29 @@ class TestPopcount:
     @given(st.integers(min_value=0, max_value=2**64))
     def test_matches_bin_count(self, mask):
         assert popcount(mask) == bin(mask).count("1")
+
+
+class TestRankSorted:
+    def test_cardinality_then_value(self):
+        assert rank_sorted([0b110, 0b1, 0, 0b11, 0b100]) == [
+            0, 0b1, 0b100, 0b11, 0b110
+        ]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(min_value=0, max_value=2**8),
+                st.integers(min_value=2**64, max_value=2**130),
+            )
+        ).map(lambda masks: masks + masks[: len(masks) // 2])
+    )
+    def test_equals_the_lambda_key_form(self, masks):
+        # Duplicates, zero and masks wider than one machine word.
+        assert rank_sorted(masks) == sorted(
+            masks, key=lambda m: (popcount(m), m)
+        )
+        assert rank_sorted(iter(masks)) == rank_sorted(masks)
 
 
 class TestLowestBit:

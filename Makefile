@@ -72,7 +72,9 @@ par-smoke:
 
 # Depth-first engine smoke: a traced eclat mine with live metrics, the
 # --engine shorthand with stolen workers (must print the same theory),
-# then schema-validate + profile the trace offline.
+# then schema-validate + profile the trace offline.  The budget-cut leg
+# stops a serial and a 2-worker mine at 50 queries: each must exit 3
+# (partial) with a valid certificate.
 eclat-smoke:
 	$(eval ECLAT_DIR := $(shell mktemp -d /tmp/eclat_smoke.XXXXXX))
 	$(PYTHON) -m repro generate $(ECLAT_DIR)/smoke.dat \
@@ -81,6 +83,13 @@ eclat-smoke:
 		--algorithm eclat --trace $(ECLAT_DIR)/smoke.jsonl --metrics
 	$(PYTHON) -m repro mine $(ECLAT_DIR)/smoke.dat --min-support 0.2 \
 		--engine eclat --workers 2
+	$(PYTHON) -m repro mine $(ECLAT_DIR)/smoke.dat --min-support 0.2 \
+		--algorithm eclat --budget-queries 50 > $(ECLAT_DIR)/cut.txt; \
+		test $$? -eq 3 && grep "certificate: valid" $(ECLAT_DIR)/cut.txt
+	$(PYTHON) -m repro mine $(ECLAT_DIR)/smoke.dat --min-support 0.2 \
+		--algorithm eclat --workers 2 --budget-queries 50 \
+		> $(ECLAT_DIR)/cut.txt; \
+		test $$? -eq 3 && grep "certificate: valid" $(ECLAT_DIR)/cut.txt
 	$(PYTHON) -m benchmarks.trace_report $(ECLAT_DIR)/smoke.jsonl --validate
 	rm -rf $(ECLAT_DIR)
 

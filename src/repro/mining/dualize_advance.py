@@ -55,7 +55,6 @@ from repro.core.errors import BudgetExhausted, CheckpointError
 from repro.core.oracle import CountingOracle
 from repro.obs.tracer import Tracer, as_tracer
 from repro.hypergraph.berge import berge_step
-from repro.hypergraph.duality import decide_duality
 from repro.hypergraph.fredman_khachiyan import find_new_minimal_transversal
 from repro.hypergraph.mmcs import mmcs_transversal_masks
 from repro.mining.maximalize import greedy_maximalize
@@ -141,15 +140,6 @@ class _IncrementalDualizer:
 
     ``iterate()`` yields ``(transversal, is_fresh)``; stale survivors
     were already probed (and memoized) in earlier iterations.
-
-    ``duality_screen`` (FK engine only) consults the oracle-free
-    :func:`~repro.hypergraph.duality.decide_duality` decision before
-    each witness search: the final "family complete" verdict then
-    costs a decision instead of a decision-plus-witness recursion, and
-    the screens resolve most intermediate "not done yet" checks at the
-    root.  It makes no oracle queries, so border results and query
-    accounting are bit-identical with the screen on or off — which is
-    why it is not part of the checkpoint configuration key.
     """
 
     def __init__(
@@ -158,13 +148,11 @@ class _IncrementalDualizer:
         engine: str,
         budget: Budget | None = None,
         tracer: "Tracer | None" = None,
-        duality_screen: bool = False,
     ):
         self.universe = universe
         self.engine = engine
         self.budget = budget
         self.tracer = tracer
-        self.duality_screen = duality_screen
         self.complements: list[int] = []
         self._berge_family: list[int] | None = None
         self._fk_known: list[int] = []
@@ -212,14 +200,6 @@ class _IncrementalDualizer:
         for survivor in self._fk_known:
             yield (survivor, False)
         while True:
-            if self.duality_screen and decide_duality(
-                self.complements,
-                self._fk_known,
-                full,
-                budget=self.budget,
-                tracer=self.tracer,
-            ):
-                return
             transversal = find_new_minimal_transversal(
                 self.complements,
                 self._fk_known,
@@ -260,7 +240,6 @@ def dualize_and_advance(
     resume: "Checkpoint | str | None" = None,
     on_exhaust: str = "return",
     tracer: "Tracer | None" = None,
-    duality_screen: bool = False,
 ) -> "DualizeAdvanceResult | PartialResult":
     """Run Algorithm 16.
 
@@ -303,12 +282,6 @@ def dualize_and_advance(
             :class:`~repro.obs.monitor.TheoremMonitor` certifies against
             Theorem 21 and bracket monotonicity.  Per-query events come
             from the underlying :class:`~repro.core.oracle.CountingOracle`.
-        duality_screen: FK engine only — consult the oracle-free
-            :func:`~repro.hypergraph.duality.decide_duality` decision
-            procedure before each witness search.  A pure fast path:
-            borders, query counts, and checkpoints are bit-identical
-            with it on or off (it never touches the oracle), so
-            checkpoints taken either way interoperate.
 
     Returns:
         :class:`DualizeAdvanceResult` with ``MTh``, ``Bd-(MTh)``, the
@@ -372,7 +345,6 @@ def dualize_and_advance(
                 engine,
                 budget=budget,
                 tracer=tracer,
-                duality_screen=duality_screen,
             )
             dualizer.complements = list(state["complements"])
             dualizer._dead = state["dead"]
@@ -401,7 +373,6 @@ def dualize_and_advance(
             engine,
             budget=budget,
             tracer=tracer,
-            duality_screen=duality_screen,
         )
 
     probed_set = set(probed)
@@ -594,7 +565,6 @@ def dualize_and_advance(
                         engine,
                         budget=budget,
                         tracer=tracer,
-                        duality_screen=duality_screen,
                     )
                     folded = 0
                 while folded < len(current_maximal):

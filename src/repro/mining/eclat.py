@@ -46,14 +46,26 @@ the Theorem 2 floor and the Corollary 13 ceiling (with one extra for the
 ``∅`` probe) — which :class:`~repro.obs.monitor.TheoremMonitor` checks
 on every traced run via the ``eclat.done`` event.
 
-Budgets are cooperative at evaluation granularity: the query limit is
-checked before every support computation, so a budgeted run stops at
-exactly its limit and returns a certified
-:class:`~repro.runtime.partial.PartialResult` whose ``Bd+`` prefix and
-verified ``Bd-`` prefix are genuine, with a *complete* lower frontier
+**One evaluation path.**  Every node is evaluated by one of the two hot
+kernels (:func:`_expand`, :func:`_expand_roaring` — the only places the
+tid/diff switch rule lives) inside the one traversal,
+:func:`_mine_subtree`.  A run with no budget and no tracer lets the
+kernels write straight into its answer tables.  A budgeted or traced
+run, and the parallel coordinator (:mod:`repro.parallel.eclat`), charge
+each node instead (:class:`_Run`): the ``eclat.node`` event, the family
+check, the kernel into a node-local dict, then the node's answers
+replayed in extension order — per answer a query/deadline check, the
+count, the ``oracle.query`` event and the record.  The budget thus sees
+one check per evaluation: a budgeted run stops at exactly its query
+limit, and a deadline overshoots by at most one node, whose kernel call
+runs before its checks.
+
+A cut — a budget or ``KeyboardInterrupt``, traced or not — returns a
+certified :class:`~repro.runtime.partial.PartialResult` whose ``Bd+``
+prefix and verified ``Bd-`` prefix are genuine, with a *complete* lower
+frontier rebuilt from the DFS stack and the answers recorded so far
 (every undecided itemset extends a frontier element).  ``workers=N``
-ships root equivalence classes to a
-:class:`~repro.parallel.pool.WorkerPool`
+ships subtree tasks to a :class:`~repro.parallel.pool.WorkerPool`
 (:func:`repro.parallel.eclat.eclat_parallel`) with bit-identical
 results.
 """
@@ -61,6 +73,7 @@ results.
 from __future__ import annotations
 
 import time
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from repro.core.errors import BudgetExhausted
@@ -247,26 +260,43 @@ def _mine_subtree(
     threshold: int,
     supports: dict[int, int],
     rejected: list[int],
+    stack: list[list] | None = None,
+    charge=None,
 ) -> tuple[int, int]:
-    """DFS one whole equivalence-class subtree (budget/trace-free).
+    """DFS one whole equivalence-class subtree — the one traversal.
 
-    The shared hot path: the serial engine runs the entire tree through
-    it when no budget and no tracer are attached (``prefix=0`` with the
-    full-database cover makes the root class an ordinary node), and each
-    :mod:`repro.parallel.eclat` worker runs one root subtree through it.
-    Returns ``(nodes, diffset_nodes)``; supports/rejected accumulate in
-    the caller's containers in deterministic DFS order.
+    Every Eclat node goes through here: the serial engine runs the
+    entire tree through it (``prefix=0`` with the full-database cover
+    makes the root class an ordinary node), and each
+    :mod:`repro.parallel.eclat` worker runs one task subtree.  Returns
+    ``(nodes, diffset_nodes)``; answers accumulate in the caller's
+    ``supports``/``rejected`` in deterministic DFS order.
+
+    ``stack`` is an optional caller-owned list that receives the DFS
+    frames ``[prefix, is_diff, members, next member index]``, so a
+    caller interrupted mid-tree can rebuild its frontier from it.
+    ``charge`` is an optional ``charge(prefix, is_diff, parent_supp,
+    parent_cover, exts)`` that evaluates a node in place of the kernel
+    (:meth:`_Run.charge`); without it the kernel writes straight into
+    ``supports``/``rejected``.
     """
     nodes = 1
     diffset_nodes = 1 if is_diff else 0
     expand = _expand_for(parent_cover)
-    members, is_diff = expand(
-        prefix, is_diff, parent_supp, parent_cover, exts,
-        threshold, supports, rejected,
-    )
+    if charge is None:
+        members, is_diff = expand(
+            prefix, is_diff, parent_supp, parent_cover, exts,
+            threshold, supports, rejected,
+        )
+    else:
+        members, is_diff = charge(
+            prefix, is_diff, parent_supp, parent_cover, exts
+        )
     if len(members) < 2:
         return nodes, diffset_nodes
-    stack = [[prefix, is_diff, members, 0]]
+    if stack is None:
+        stack = []
+    stack.append([prefix, is_diff, members, 0])
     while stack:
         frame = stack[-1]
         index = frame[3]
@@ -281,16 +311,22 @@ def _mine_subtree(
         nodes += 1
         if frame[1]:
             diffset_nodes += 1
-        child_members, child_diff = expand(
-            child_prefix, frame[1], supp, cover,
-            frame_members[index + 1 :], threshold, supports, rejected,
-        )
+        if charge is None:
+            child_members, child_diff = expand(
+                child_prefix, frame[1], supp, cover,
+                frame_members[index + 1 :], threshold, supports, rejected,
+            )
+        else:
+            child_members, child_diff = charge(
+                child_prefix, frame[1], supp, cover,
+                frame_members[index + 1 :],
+            )
         if len(child_members) > 1:
             stack.append([child_prefix, child_diff, child_members, 0])
     return nodes, diffset_nodes
 
 
-def _maximal_from_supports(supports: dict[int, int]) -> list[int]:
+def _maximal_from_supports(supports: Collection[int]) -> list[int]:
     """Extract the positive border from a complete support closure.
 
     ``supports`` holds *every* frequent itemset, so monotonicity reduces
@@ -314,6 +350,231 @@ def _maximal_from_supports(supports: dict[int, int]) -> list[int]:
     return [mask for mask in supports if mask not in non_maximal]
 
 
+def _node_frontier(prefix: int, exts, supports: dict[int, int]) -> list[int]:
+    """A node's extensions plus the pairs of its confirmed ones.
+
+    ``exts`` are the node's extension tuples (bit first).  Every
+    undecided mask of the node's subtree contains an extension not yet
+    answered, or at least two confirmed extensions: a mask with a
+    rejected extension is decided ``False``, and a confirmed extension
+    alone is decided ``True``.  :func:`~repro.runtime.partial.build_partial`
+    drops the decided masks, so the list may include answered ones.
+    """
+    masks = [prefix | ext[0] for ext in exts]
+    confirmed = [mask for mask in masks if mask in supports]
+    masks += [
+        first | second
+        for index, first in enumerate(confirmed)
+        for second in confirmed[index + 1 :]
+    ]
+    return masks
+
+
+def _frontier(root_exts, stack: list, supports: dict[int, int]) -> list[int]:
+    """The lower frontier of a cut run, complete at any cut.
+
+    ``stack`` holds DFS frames ``(prefix, is_diff, members, next
+    index)``.  Every undecided mask lies under the root class, or under
+    a frame member at or after the frame's next index − 1 (the subtrees
+    of the members before it are done), and a node's frontier covers
+    its subtree.  The member at next index − 1 is the node in flight in
+    the top frame; in a lower frame it is the node of the frame above,
+    whose frontier only repeats masks that are decided or listed.
+    """
+    if 0 not in supports:
+        return [0]
+    masks = _node_frontier(0, root_exts, supports)
+    for prefix, _, members, index in stack:
+        for position in range(max(index - 1, 0), len(members) - 1):
+            masks += _node_frontier(
+                prefix | members[position][0], members[position + 1 :],
+                supports,
+            )
+    return masks
+
+
+class _Run:
+    """One Eclat run's policy and answers, shared by both engines.
+
+    Validates the arguments, then holds the budget, the tracer and the
+    answers charged so far: ``supports`` (frequent mask → support) and
+    ``rejected`` (infrequent masks in charge order).  Every evaluated
+    mask sits in exactly one of the two, so they are the run's whole
+    oracle history and their sizes sum to the query count.  A run ends
+    in :meth:`partial` (a certified cut) or :meth:`complete`.
+    """
+
+    def __init__(
+        self,
+        database: TransactionDatabase,
+        min_support: int | float,
+        budget: "Budget | None",
+        on_exhaust: str,
+        tracer: "Tracer | None",
+    ):
+        if on_exhaust not in ("return", "raise"):
+            raise ValueError(
+                f"on_exhaust must be 'return' or 'raise', got {on_exhaust!r}"
+            )
+        threshold = (
+            database.absolute_support(min_support)
+            if isinstance(min_support, float)
+            else min_support
+        )
+        if threshold < 0:
+            raise ValueError("min_support must be non-negative")
+        self.universe = database.universe
+        self.threshold = threshold
+        self.budget = budget
+        self.on_exhaust = on_exhaust
+        self.tracer = as_tracer(tracer)
+        self.supports: dict[int, int] = {}
+        self.rejected: list[int] = []
+        self.t0 = time.monotonic()
+        if budget is not None:
+            budget.begin()
+
+    @property
+    def queries(self) -> int:
+        return len(self.supports) + len(self.rejected)
+
+    def charge(
+        self, prefix: int, is_diff: bool, parent_supp: int, parent_cover, exts
+    ) -> tuple[list, bool]:
+        """Evaluate one node of a budgeted or traced run and charge it.
+
+        The ``charge`` step of :func:`_mine_subtree`: :meth:`open` the
+        node, run the matching kernel into a node-local dict, then
+        :meth:`replay` its answers.  The kernel call precedes the
+        per-answer checks, so a deadline overshoots by at most this one
+        node (``len(exts)`` cover operations).
+        """
+        self.open(prefix, is_diff, len(exts))
+        answers: dict[int, int] = {}
+        node = _expand_for(parent_cover)(
+            prefix, is_diff, parent_supp, parent_cover, exts,
+            self.threshold, answers, [],
+        )
+        self.replay(prefix, exts, answers)
+        return node
+
+    def open(self, prefix: int, is_diff: bool, tail: int) -> None:
+        """Enter a node: its ``eclat.node`` event, then the family check."""
+        if self.tracer.enabled:
+            self.tracer.event(
+                "eclat.node",
+                prefix=prefix,
+                tail=tail,
+                kind="diff" if is_diff else "tid",
+            )
+        if self.budget is not None:
+            self.budget.check(queries=self.queries, family=tail)
+
+    def replay(self, prefix: int, exts, answers: dict[int, int]) -> None:
+        """Charge a node's answers in extension order.
+
+        ``answers`` maps each frequent ``prefix | bit`` to its support;
+        an extension missing from it was rejected.  Per extension: a
+        budget check, the count, the ``oracle.query`` event, then the
+        record in ``supports`` or ``rejected``.
+        """
+        budget = self.budget
+        tracer = self.tracer
+        supports = self.supports
+        rejected = self.rejected
+        queries = len(supports) + len(rejected)
+        for ext in exts:
+            if budget is not None:
+                budget.check(queries=queries)
+            mask = prefix | ext[0]
+            supp = answers.get(mask)
+            queries += 1
+            if tracer.enabled:
+                tracer.event(
+                    "oracle.query",
+                    mask=mask,
+                    answer=supp is not None,
+                    charged=True,
+                )
+            if supp is None:
+                rejected.append(mask)
+            else:
+                supports[mask] = supp
+
+    def probe_empty(self, n_rows: int) -> bool:
+        """Charge ``∅`` first, like every other engine; ``True`` if frequent.
+
+        ``∅`` is the one extension of a node with prefix ``∅``.
+        """
+        self.replay(
+            0, ((0,),), {0: n_rows} if n_rows >= self.threshold else {}
+        )
+        return 0 in self.supports
+
+    def partial(
+        self, reason: str, root_exts, stack: list, run_span
+    ) -> PartialResult:
+        """End a cut run: the certified partial, returned or raised.
+
+        Its frontier comes from the root class's extensions and the DFS
+        frames (:func:`_frontier`).
+        """
+        history = dict.fromkeys(self.supports, True)
+        history.update(dict.fromkeys(self.rejected, False))
+        queries = len(history)
+        partial = build_partial(
+            self.universe,
+            "eclat",
+            reason,
+            history,
+            frontier=_frontier(root_exts, stack, self.supports),
+            queries=queries,
+            total_calls=queries,
+            evaluations=queries,
+            elapsed=time.monotonic() - self.t0,
+        )
+        if self.tracer.enabled:
+            run_span.note(outcome="partial", reason=reason)
+        if self.on_exhaust == "raise":
+            raise BudgetExhausted(reason, partial=partial)
+        return partial
+
+    def complete(
+        self, maximal, nodes: int, diffset_nodes: int, run_span
+    ) -> EclatResult:
+        """End a complete run: Bd- filter, sorting and ``eclat.done``."""
+        supports = self.supports
+        queries = self.queries
+        negative = [
+            mask for mask in self.rejected if parents_all_in(mask, supports)
+        ]
+        sorted_maximal = tuple(rank_sorted(maximal))
+        if self.tracer.enabled:
+            run_span.note(outcome="complete", queries=queries)
+            self.tracer.event(
+                "eclat.done",
+                queries=queries,
+                theory=len(supports),
+                negative=len(negative),
+                maximal=len(sorted_maximal),
+                rank=popcount(sorted_maximal[-1]) if sorted_maximal else 0,
+                n=len(self.universe),
+                nodes=nodes,
+                diffset_nodes=diffset_nodes,
+            )
+        return EclatResult(
+            universe=self.universe,
+            interesting=tuple(rank_sorted(supports)),
+            maximal=sorted_maximal,
+            negative_border=tuple(rank_sorted(negative)),
+            queries=queries,
+            min_support=self.threshold,
+            supports=supports,
+            nodes=nodes,
+            diffset_nodes=diffset_nodes,
+        )
+
+
 def eclat(
     database: TransactionDatabase,
     min_support: int | float,
@@ -332,17 +593,17 @@ def eclat(
         min_support: absolute row count (``int``) or relative frequency
             in ``(0, 1]`` (``float``), converted with ceiling semantics.
         budget: optional cooperative
-            :class:`~repro.runtime.budget.Budget`, checked before every
-            support evaluation (queries/timeout) and at node entry
-            (family = the candidate tail length), so the query limit is
-            hit exactly.  On exhaustion the
-            :class:`~repro.runtime.partial.PartialResult` carries a
-            *complete* ``"lower"`` frontier: the unevaluated extensions
-            of the interrupted node, the pairwise specializations of its
-            confirmed members, and the pairwise specializations of every
-            stack frame's unexpanded members — every undecided itemset
-            extends one of them.  No checkpoint (like MaxMiner, the tree
-            is cheap to replay; resume by re-running).
+            :class:`~repro.runtime.budget.Budget`, checked at node entry
+            (family = the candidate tail length) and before charging
+            each answer (queries/timeout), so the query limit is hit
+            exactly; a deadline overshoots by at most one node.  On
+            exhaustion the :class:`~repro.runtime.partial.PartialResult`
+            carries a *complete* ``"lower"`` frontier: the extensions of
+            the node in flight, the pairs of its confirmed ones, and the
+            pairs of every stack frame's unexpanded members — every
+            undecided itemset extends one of them.  No checkpoint (like
+            MaxMiner, the tree is cheap to replay; resume by
+            re-running).
         on_exhaust: ``"return"`` (default) returns the partial result;
             ``"raise"`` raises
             :class:`~repro.core.errors.BudgetExhausted` with it
@@ -365,282 +626,48 @@ def eclat(
         An :class:`EclatResult` whose theory and borders equal
         :func:`~repro.mining.levelwise.levelwise`'s and whose support
         table equals :func:`~repro.mining.apriori.apriori`'s, or a
-        certified :class:`~repro.runtime.partial.PartialResult`.
+        certified :class:`~repro.runtime.partial.PartialResult` — also
+        on ``KeyboardInterrupt``, with the same complete frontier.
     """
-    if on_exhaust not in ("return", "raise"):
-        raise ValueError(
-            f"on_exhaust must be 'return' or 'raise', got {on_exhaust!r}"
-        )
-    threshold = (
-        database.absolute_support(min_support)
-        if isinstance(min_support, float)
-        else min_support
-    )
-    if threshold < 0:
-        raise ValueError("min_support must be non-negative")
+    run = _Run(database, min_support, budget, on_exhaust, tracer)
     if workers is not None and workers > 1:
         from repro.parallel.eclat import eclat_parallel
 
         return eclat_parallel(
             database,
-            threshold,
+            run.threshold,
             workers=workers,
             budget=budget,
             on_exhaust=on_exhaust,
             tracer=tracer,
         )
-    tracer = as_tracer(tracer)
-    universe = database.universe
-    n = len(universe)
+    tracer = run.tracer
+    supports = run.supports
     n_rows = database.n_transactions
-    columns = database.tidsets_view()
-    full_cover = database.full_tidset
-
-    supports: dict[int, int] = {}
-    rejected: list[int] = []
-    history: dict[int, bool] = {}
-    queries = 0
-    nodes = 0
-    diffset_nodes = 0
-    # The node currently being evaluated, for frontier construction:
-    # [prefix, confirmed members, candidate exts, next ext index].
-    # ∅ itself is modeled as prefix 0 with the single "extension" bit 0.
-    pending: list = [0, [], ((0, 0, 0),), 0]
-    # DFS stack of [prefix, is_diff, members, next member index].
+    root_exts = [
+        (1 << item, 0, column)
+        for item, column in enumerate(database.tidsets_view())
+    ]
+    # DFS frames [prefix, is_diff, members, next member index], owned
+    # here so that a cut can rebuild its frontier from them.
     stack: list[list] = []
-    hot_path = False
-    run_t0 = time.monotonic()
-    if budget is not None:
-        budget.begin()
+    nodes = diffset_nodes = 0
 
-    def make_partial(reason: str, complete: bool = True) -> PartialResult:
-        # Lower frontier, complete by construction: any undecided mask
-        # either extends a not-yet-evaluated extension of the pending
-        # node, lies in a future subtree of the pending node (hence
-        # extends a pairwise specialization of its confirmed members),
-        # or lies in a future subtree of some stack frame (hence extends
-        # a pairwise specialization of that frame's unexpanded members);
-        # everything else is decided by the history under monotonicity.
-        frontier: list[int] = []
-        p_prefix, p_members, p_exts, p_index = pending
-        for position in range(p_index, len(p_exts)):
-            frontier.append(p_prefix | p_exts[position][0])
-        bits = [member[0] for member in p_members]
-        for a in range(len(bits)):
-            for b in range(a + 1, len(bits)):
-                frontier.append(p_prefix | bits[a] | bits[b])
-        for f_prefix, _, f_members, f_index in stack:
-            f_bits = [member[0] for member in f_members]
-            for a in range(f_index, len(f_bits)):
-                for b in range(a + 1, len(f_bits)):
-                    frontier.append(f_prefix | f_bits[a] | f_bits[b])
-        return build_partial(
-            universe,
-            "eclat",
-            reason,
-            history,
-            interesting=list(supports),
-            negative_candidates=rejected,
-            frontier=frontier,
-            frontier_kind="lower",
-            frontier_complete=complete,
-            queries=queries,
-            total_calls=queries,
-            evaluations=queries,
-            elapsed=time.monotonic() - run_t0,
-        )
-
-    def expand_node(
-        prefix: int,
-        is_diff: bool,
-        parent_supp: int,
-        parent_cover: int,
-        exts: list[tuple[int, int, int]],
-    ) -> tuple[list[tuple[int, int, int]], bool]:
-        """Instrumented twin of :func:`_expand` (budget + trace).
-
-        Handles both cover representations: big ints and compressed
-        :class:`RoaringBitmap` covers, applying each one's switch rule
-        (row counts vs container bytes) exactly as the hot kernels do.
-        """
-        nonlocal queries, nodes, diffset_nodes
-        is_roaring = type(parent_cover) is not int
-        members: list[tuple[int, int, int]] = []
-        pending[0] = prefix
-        pending[1] = members
-        pending[2] = exts
-        pending[3] = 0
-        nodes += 1
-        if is_diff:
-            diffset_nodes += 1
-        if tracer.enabled:
-            tracer.event(
-                "eclat.node",
-                prefix=prefix,
-                tail=len(exts),
-                kind="diff" if is_diff else "tid",
-            )
-        if budget is not None:
-            budget.check(queries=queries, family=len(exts))
-        tid_total = 0
-        diff_total = 0
-        for position, (bit, _, cover) in enumerate(exts):
-            if budget is not None:
-                budget.check(queries=queries)
-            if is_diff:
-                if is_roaring:
-                    child_cover = cover.andnot(parent_cover)
-                else:
-                    child_cover = cover & ~parent_cover
-                supp = parent_supp - popcount(child_cover)
-            else:
-                child_cover = parent_cover & cover
-                supp = popcount(child_cover)
-            mask = prefix | bit
-            answer = supp >= threshold
-            queries += 1
-            history[mask] = answer
-            if tracer.enabled:
-                tracer.event(
-                    "oracle.query", mask=mask, answer=answer, charged=True
-                )
-            if answer:
-                supports[mask] = supp
-                members.append((bit, supp, child_cover))
-                if is_roaring:
-                    tid_total += child_cover.byte_size()
-                    diff_total += _DIFF_BYTES_PER_ROW * (parent_supp - supp)
-                else:
-                    tid_total += supp
-                    diff_total += parent_supp - supp
-            else:
-                rejected.append(mask)
-            pending[3] = position + 1
-        if not is_diff and diff_total < tid_total and len(members) > 1:
-            if is_roaring:
-                members = [
-                    (bit, supp, parent_cover.andnot(cover))
-                    for bit, supp, cover in members
-                ]
-            else:
-                members = [
-                    (bit, supp, parent_cover & ~cover)
-                    for bit, supp, cover in members
-                ]
-            is_diff = True
-        return members, is_diff
-
-    def finish_partial(
-        reason: str, run_span, complete: bool = True
-    ) -> PartialResult:
-        partial = make_partial(reason, complete)
-        if tracer.enabled:
-            run_span.note(outcome="partial", reason=reason)
-        if on_exhaust == "raise":
-            raise BudgetExhausted(reason, partial=partial)
-        return partial
-
-    with tracer.span("eclat.run", n=n, threshold=threshold) as run_span:
+    with tracer.span(
+        "eclat.run", n=len(root_exts), threshold=run.threshold
+    ) as run_span:
         try:
-            # ∅ first, like every other engine (one query; if even the
-            # empty set is infrequent the theory is empty).
-            if budget is not None:
-                budget.check(queries=0)
-            empty_answer = n_rows >= threshold
-            queries = 1
-            history[0] = empty_answer
-            pending[3] = 1
-            if tracer.enabled:
-                tracer.event(
-                    "oracle.query", mask=0, answer=empty_answer, charged=True
+            if run.probe_empty(n_rows):
+                nodes, diffset_nodes = _mine_subtree(
+                    0, False, n_rows, database.full_tidset, root_exts,
+                    run.threshold, supports, run.rejected, stack,
+                    run.charge if budget is not None or tracer.enabled
+                    else None,
                 )
-            if not empty_answer:
-                rejected.append(0)
-            else:
-                supports[0] = n_rows
-                root_exts = [
-                    (1 << item, 0, columns[item]) for item in range(n)
-                ]
-                if budget is None and not tracer.enabled:
-                    # Whole tree through the shared hot kernel: the root
-                    # class is an ordinary tidset node whose parent is ∅
-                    # (cover = every row, so "& column" is the column).
-                    hot_path = True
-                    nodes, diffset_nodes = _mine_subtree(
-                        0, False, n_rows, full_cover, root_exts,
-                        threshold, supports, rejected,
-                    )
-                    queries += len(supports) - 1 + len(rejected)
-                else:
-                    members, is_diff = expand_node(
-                        0, False, n_rows, full_cover, root_exts
-                    )
-                    if len(members) > 1:
-                        stack.append([0, is_diff, members, 0])
-                    while stack:
-                        frame = stack[-1]
-                        index = frame[3]
-                        frame_members = frame[2]
-                        if index >= len(frame_members) - 1:
-                            stack.pop()
-                            continue
-                        frame[3] = index + 1
-                        bit, supp, cover = frame_members[index]
-                        child_prefix = frame[0] | bit
-                        child_members, child_diff = expand_node(
-                            child_prefix,
-                            frame[1],
-                            supp,
-                            cover,
-                            frame_members[index + 1 :],
-                        )
-                        if len(child_members) > 1:
-                            stack.append(
-                                [child_prefix, child_diff, child_members, 0]
-                            )
         except BudgetExhausted as exhausted:
-            return finish_partial(exhausted.reason, run_span)
+            return run.partial(exhausted.reason, root_exts, stack, run_span)
         except KeyboardInterrupt:
-            if hot_path:
-                # The hot kernel keeps its DFS state internal, so the
-                # bracket is still certifiable (everything answered so
-                # far is recorded) but the open frontier is not
-                # materializable — flagged via frontier_complete=False.
-                for mask in supports:
-                    if mask:
-                        history[mask] = True
-                for mask in rejected:
-                    history[mask] = False
-                queries = len(history)
-                return finish_partial("interrupt", run_span, complete=False)
-            return finish_partial("interrupt", run_span)
-
-        negative = [
-            mask for mask in rejected if parents_all_in(mask, supports)
-        ]
-        sorted_maximal = tuple(rank_sorted(_maximal_from_supports(supports)))
-        if tracer.enabled:
-            rank = max((popcount(m) for m in sorted_maximal), default=0)
-            run_span.note(outcome="complete", queries=queries)
-            tracer.event(
-                "eclat.done",
-                queries=queries,
-                theory=len(supports),
-                negative=len(negative),
-                maximal=len(sorted_maximal),
-                rank=rank,
-                n=n,
-                nodes=nodes,
-                diffset_nodes=diffset_nodes,
-            )
-        return EclatResult(
-            universe=universe,
-            interesting=tuple(rank_sorted(supports)),
-            maximal=sorted_maximal,
-            negative_border=tuple(rank_sorted(negative)),
-            queries=queries,
-            min_support=threshold,
-            supports=supports,
-            nodes=nodes,
-            diffset_nodes=diffset_nodes,
+            return run.partial("interrupt", root_exts, stack, run_span)
+        return run.complete(
+            _maximal_from_supports(supports), nodes, diffset_nodes, run_span
         )

@@ -154,9 +154,6 @@ KNOWN_EVENTS: dict[str, tuple[str, tuple[str, ...]]] = {
     "service.mine": ("span_open", ("threshold",)),
     "service.wal": ("span_open", ("kind",)),
     "service.apply": ("span_open", ("kind",)),
-    # pool supervision (repro.service.admission)
-    "supervisor.restart": ("event", ("attempt", "delay")),
-    "supervisor.degraded": ("event", ("crashes",)),
 }
 
 

@@ -25,23 +25,25 @@ functions of the database and threshold alone — never of the worker
 count or the steal schedule.  Workers compute pure functions of their
 payloads; every side effect (support recording, query charging, budget
 checks, trace events) happens coordinator-side in fold order.  The
-depth-2 evaluations of a split root are *computed* during task
-building (workers need the task list immediately) but *charged* at the
-root's serial DFS position in the fold stream, so theory, Bd+, Bd-,
-supports, node counts, and Theorem 10/21 query accounting are
+coordinator evaluates its own nodes — the root class and the depth-2
+node of each split root — with the same kernel call the workers make,
+into a node-local dict, and charges them by replaying the answers in
+extension order through the serial engine's charge step
+(:class:`repro.mining.eclat._Run`).  A split root is *computed* during
+task building (workers need the task list immediately) but *charged*
+at the root's serial DFS position in the fold stream, so theory, Bd+,
+Bd-, supports, node counts, and Theorem 10/21 query accounting are
 bit-identical to the serial engine at every worker count — and a
 mid-run budget cut lands between the same two fold steps everywhere,
 making budgeted :class:`~repro.runtime.partial.PartialResult`s
-deterministic too (the wave-free replacement for PR 5's wave-granular
-budgets; one task subtree is now the overshoot unit).
+deterministic too (one task subtree is the overshoot unit).
 
-The partial's lower frontier stays *complete* at any cut: remaining
-singletons (and pairwise masks of confirmed ones) during the root
-class; during a split-root charge its unreplayed pair masks plus
-pairwise specializations of its confirmed members; pairwise root masks
-for every untouched subtree; and for a charged split root the pairwise
-specializations of its child prefixes per unfolded task.  Every
-undecided mask extends one of these (monotonicity decides the rest).
+The partial's lower frontier stays *complete* at any cut, a Ctrl-C
+included.  Tasks fold whole, so it needs no progress state: it is the
+node frontier (extensions plus pairs of the confirmed ones) of the root
+class and of every root member, rebuilt from the answers recorded so
+far.  Every undecided mask extends one of these (monotonicity decides
+the rest).
 
 Crash tolerance is the scheduler's: a dying pool reclaims in-flight
 tasks and retries on a rebuilt pool through the bounded restart
@@ -64,15 +66,13 @@ from repro.mining.eclat import (
     _expand_for,
     _maximal_from_supports,
     _mine_subtree,
+    _Run,
 )
 from repro.obs.context import TraceContext, active_collector
-from repro.obs.tracer import as_tracer
 from repro.parallel.pool import WorkerPool, WorkerPoolBroken, resolve_workers
 from repro.parallel.shm import ShmHandle, ShmVerticalStore
 from repro.parallel.steal import StealScheduler
-from repro.runtime.partial import PartialResult, build_partial
-from repro.util.bitset import popcount, rank_sorted
-from repro.util.prefix import parents_all_in
+from repro.runtime.partial import PartialResult
 
 __all__ = ["eclat_parallel"]
 
@@ -89,7 +89,7 @@ _WORKER_STATE: dict = {}
 
 
 def _root_class(
-    columns: list, n_rows: int, threshold: int
+    columns: list, n_rows: int, threshold: int, answers: dict | None = None
 ) -> tuple[list[tuple[int, int, int]], bool]:
     """The root equivalence class, exactly as the serial engine forms it.
 
@@ -99,7 +99,9 @@ def _root_class(
     representation: row counts for big ints, container bytes for
     roaring covers), this delegates to the same expand kernel the
     serial engine runs on its root node — so coordinator and every
-    worker agree with serial bit for bit on both backends.
+    worker agree with serial bit for bit on both backends.  ``answers``
+    optionally receives the frequent singletons' supports, which the
+    coordinator replays to charge the root class.
     """
     if columns and type(columns[0]) is not int:
         from repro.util.roaring import RoaringBitmap
@@ -111,7 +113,8 @@ def _root_class(
         (1 << item, 0, column) for item, column in enumerate(columns)
     ]
     return _expand_for(full_cover)(
-        0, False, n_rows, full_cover, root_exts, threshold, {}, []
+        0, False, n_rows, full_cover, root_exts, threshold,
+        {} if answers is None else answers, [],
     )
 
 
@@ -255,10 +258,10 @@ def eclat_parallel(
         workers: worker processes; ``None`` or ``<= 1`` delegates to the
             serial :func:`repro.mining.eclat.eclat`.
         budget: optional :class:`~repro.runtime.budget.Budget`, charged
-            coordinator-side in fold order — before every coordinator
-            evaluation and before every task fold, so cut points are
-            identical at every worker count (one task subtree is the
-            overshoot unit).
+            coordinator-side in fold order — before every answer the
+            coordinator charges and before every task fold, so cut
+            points are identical at every worker count (one task
+            subtree is the overshoot unit).
         on_exhaust: ``"return"`` or ``"raise"``, as in the serial
             engine.
         tracer: optional tracer.  The coordinator emits the
@@ -286,9 +289,9 @@ def eclat_parallel(
 
     Returns:
         The same :class:`~repro.mining.eclat.EclatResult` (or certified
-        :class:`~repro.runtime.partial.PartialResult`) the serial
-        engine produces — identical theory, borders, supports, node
-        counts, and accounting.
+        :class:`~repro.runtime.partial.PartialResult`, also on
+        ``KeyboardInterrupt``) the serial engine produces — identical
+        theory, borders, supports, node counts, and accounting.
     """
     if resolve_workers(workers) <= 1:
         from repro.mining.eclat import eclat
@@ -300,198 +303,54 @@ def eclat_parallel(
             on_exhaust=on_exhaust,
             tracer=tracer,
         )
-    if on_exhaust not in ("return", "raise"):
-        raise ValueError(
-            f"on_exhaust must be 'return' or 'raise', got {on_exhaust!r}"
-        )
-    threshold = (
-        database.absolute_support(min_support)
-        if isinstance(min_support, float)
-        else min_support
-    )
-    if threshold < 0:
-        raise ValueError("min_support must be non-negative")
-    tracer = as_tracer(tracer)
-    universe = database.universe
-    n = len(universe)
+    run = _Run(database, min_support, budget, on_exhaust, tracer)
+    tracer = run.tracer
+    threshold = run.threshold
+    supports = run.supports
+    rejected = run.rejected
+    n = len(database.universe)
     n_rows = database.n_transactions
     columns = database.tidsets_view()
+    singletons = [(1 << item,) for item in range(n)]
 
-    supports: dict[int, int] = {}
-    rejected: list[int] = []
-    # Bd+ bookkeeping: the candidates (coordinator-evaluated frequent
-    # sets plus each task's local maxima) and every set known to have
-    # a frequent one-item extension.
+    # Bd+ bookkeeping: each task's local maxima (the coordinator's own
+    # join at the end), and every set known to have a frequent one-item
+    # extension.
     candidates: list[int] = []
     marked: set[int] = set()
-    queries = 0
-    nodes = 0
-    diffset_nodes = 0
-    run_t0 = time.monotonic()
-    if budget is not None:
-        budget.begin()
-
+    nodes = diffset_nodes = 0
+    # The root class, once charged.  Tasks fold whole, so at a cut the
+    # coordinator's DFS state is this one frame at next index 0.
     members: list[tuple[int, int, int]] = []
     root_is_diff = False
     tasks: list[tuple[int, int | None]] = []
-    charges: dict[int, tuple[list[tuple[int, bool, int]], int]] = {}
-    split_child_bits: dict[int, list[int]] = {}
-    charged: set[int] = set()
-    # Cut-point state for frontier construction: which stage the fold
-    # stream is in, how far the singleton scan got, the confirmed
-    # frequent singletons, the in-progress charge replay (position,
-    # next index), and the first unfolded task sequence number.
-    phase: dict = {
-        "stage": "root",
-        "next_item": 0,
-        "confirmed": [],
-        "charge": None,
-        "next_unfolded": 0,
-    }
+    # Split roots: position -> (the depth-2 node's answers, its members'
+    # bits), computed at task building and charged at the root's DFS
+    # slot in the fold stream.
+    splits: dict[int, tuple[dict[int, int], list[int]]] = {}
+    # Task sequence number -> the split roots charged just before its
+    # fold.
+    pre_charges: dict[int, list[int]] = {}
 
-    def make_partial(reason: str) -> PartialResult:
-        frontier: list[int] = []
-        if phase["stage"] == "root":
-            # Nothing decided yet: ∅ alone covers everything.
-            frontier.append(0)
-        elif phase["stage"] == "singletons":
-            # Unevaluated singletons cover every mask containing them;
-            # a mask of decided singletons is either decided False or
-            # extends a pair of confirmed ones.
-            for item in range(phase["next_item"], n):
-                frontier.append(1 << item)
-            bits = phase["confirmed"]
-            for a in range(len(bits)):
-                for b in range(a + 1, len(bits)):
-                    frontier.append(bits[a] | bits[b])
-        else:
-            progress = phase["charge"]
-            if progress is not None:
-                # Mid-charge on one split root: its unreplayed pair
-                # masks, plus pairwise specializations of the members
-                # confirmed so far (their subtrees are all unfolded).
-                position, index = progress
-                replay, _ = charges[position]
-                for mask, _, _ in replay[index:]:
-                    frontier.append(mask)
-                confirmed = [
-                    mask for mask, answer, _ in replay[:index] if answer
-                ]
-                for a in range(len(confirmed)):
-                    for b in range(a + 1, len(confirmed)):
-                        frontier.append(confirmed[a] | confirmed[b])
-            unfolded: dict[int, list[int]] = {}
-            for seq in range(phase["next_unfolded"], len(tasks)):
-                position, split_index = tasks[seq]
-                unfolded.setdefault(position, []).append(split_index)
-            for position in range(max(0, len(members) - 1)):
-                if progress is not None and position == progress[0]:
-                    continue  # handled above
-                if position in charged:
-                    # Pairs are decided; each unfolded depth-2 task is
-                    # covered by the pairwise specializations of its
-                    # child prefixes.
-                    prefixes = [
-                        members[position][0] | child
-                        for child in split_child_bits[position]
-                    ]
-                    for split_index in unfolded.get(position, ()):
-                        for later in range(split_index + 1, len(prefixes)):
-                            frontier.append(
-                                prefixes[split_index] | prefixes[later]
-                            )
-                elif position in charges or position in unfolded:
-                    # Untouched subtree (uncharged split root, or
-                    # unfolded whole-root task): every mask under it
-                    # extends a pair of root members.
-                    bit_p = members[position][0]
-                    for later_bit, _, _ in members[position + 1 :]:
-                        frontier.append(bit_p | later_bit)
-        # Every evaluated mask sits in exactly one of the two.
-        history = dict.fromkeys(supports, True)
-        history.update(dict.fromkeys(rejected, False))
-        return build_partial(
-            universe,
-            "eclat",
-            reason,
-            history,
-            interesting=list(supports),
-            negative_candidates=rejected,
-            frontier=frontier,
-            frontier_kind="lower",
-            frontier_complete=True,
-            queries=queries,
-            total_calls=queries,
-            evaluations=queries,
-            elapsed=time.monotonic() - run_t0,
-        )
-
-    def finish_partial(reason: str, run_span) -> PartialResult:
-        partial = make_partial(reason)
-        if tracer.enabled:
-            run_span.note(outcome="partial", reason=reason)
-        if on_exhaust == "raise":
-            raise BudgetExhausted(reason, partial=partial)
-        return partial
-
-    def record(mask: int, answer: bool, supp: int) -> None:
-        # Coordinator-side evaluations (∅, the singletons, split-root
-        # pairs): each frequent one is a Bd+ candidate and marks all of
-        # its parents.
-        nonlocal queries
-        queries += 1
-        if answer:
-            supports[mask] = supp
-            candidates.append(mask)
-            remaining = mask
-            while remaining:
-                low = remaining & -remaining
-                marked.add(mask ^ low)
-                remaining ^= low
-        else:
-            rejected.append(mask)
-        if tracer.enabled:
-            tracer.event(
-                "oracle.query", mask=mask, answer=answer, charged=True
-            )
-
-    def charge_expansion(position: int) -> None:
-        """Charge a split root's depth-2 evaluations at its DFS slot.
-
-        Replays the precomputed pair answers in extension order with
-        the exact budget checks the serial engine performs at this
-        node, and counts the node — so query totals, node totals, and
-        cut points match serial.
-        """
+    def charge_split(position: int) -> None:
+        """Charge a split root's depth-2 node at its serial DFS slot."""
         nonlocal nodes, diffset_nodes
-        replay, tail_len = charges[position]
         nodes += 1
         if root_is_diff:
             diffset_nodes += 1
-        if tracer.enabled:
-            tracer.event(
-                "eclat.node",
-                prefix=members[position][0],
-                tail=tail_len,
-                kind="diff" if root_is_diff else "tid",
-            )
-        if budget is not None:
-            budget.check(queries=queries, family=tail_len)
-        progress = [position, 0]
-        phase["charge"] = progress
-        for index, (mask, answer, supp) in enumerate(replay):
-            if budget is not None:
-                budget.check(queries=queries)
-            record(mask, answer, supp)
-            progress[1] = index + 1
-        phase["charge"] = None
-        charged.add(position)
+        bit = members[position][0]
+        tail = members[position + 1 :]
+        run.open(bit, root_is_diff, len(tail))
+        run.replay(bit, tail, splits[position][0])
 
     def merge(seq: int, result) -> None:
-        nonlocal queries, nodes, diffset_nodes
+        nonlocal nodes, diffset_nodes
         sub_supports, sub_rejected, sub_nodes, sub_diff = result[:4]
-        supports.update(sub_supports)
+        # Rejections first: a Ctrl-C between the two lines leaves the
+        # task's frequent sets undecided, so its root member's node
+        # frontier still covers the whole task.
         rejected.extend(sub_rejected)
+        supports.update(sub_supports)
         if tracer.enabled:
             for mask in sub_supports:
                 tracer.event(
@@ -501,7 +360,6 @@ def eclat_parallel(
                 tracer.event(
                     "oracle.query", mask=mask, answer=False, charged=True
                 )
-        queries += len(sub_supports) + len(sub_rejected)
         nodes += sub_nodes
         diffset_nodes += sub_diff
         if sub_supports:
@@ -512,7 +370,7 @@ def eclat_parallel(
             position, split_index = tasks[seq]
             prefix_bits = [members[position][0]]
             if split_index is not None:
-                prefix_bits.append(split_child_bits[position][split_index])
+                prefix_bits.append(splits[position][1][split_index])
             prefix = 0
             for bit in prefix_bits:
                 prefix |= bit
@@ -520,16 +378,11 @@ def eclat_parallel(
             marked.add(prefix)
             candidates.extend(result[5])
 
-    # pre_charges maps a task sequence number to the split roots whose
-    # charge belongs immediately before that fold; assigned during task
-    # building below.
-    pre_charges: dict[int, list[int]] = {}
-
     def fold(seq: int, result) -> None:
         for position in pre_charges.get(seq, ()):
-            charge_expansion(position)
+            charge_split(position)
         if budget is not None:
-            budget.check(queries=queries, family=len(members))
+            budget.check(queries=run.queries, family=len(members))
         # Stitch the worker's buffered trace records at the fold point:
         # folds happen strictly in sequence order, so the stitched
         # record order is deterministic at every worker count.  (The
@@ -545,7 +398,6 @@ def eclat_parallel(
                 size=len(result[0]) + len(result[1]),
                 seconds=round(result[4], 6),
             )
-        phase["next_unfolded"] = seq + 1
 
     with tracer.span("eclat.run", n=n, threshold=threshold) as run_span:
         store = ShmVerticalStore.publish(database)
@@ -576,96 +428,49 @@ def eclat_parallel(
                 workers=pool.workers,
             )
         try:
-            # Coordinator: ∅ and the root class (all singletons), the
-            # exact probes the serial engine issues first.
-            if budget is not None:
-                budget.check(queries=0)
-            record(0, n_rows >= threshold, n_rows)
-            if 0 not in supports:
-                if tracer.enabled:
-                    run_span.note(outcome="complete", queries=queries)
-                    tracer.event(
-                        "eclat.done",
-                        queries=queries,
-                        theory=0,
-                        negative=1,
-                        maximal=0,
-                        rank=0,
-                        n=n,
-                        nodes=0,
-                        diffset_nodes=0,
-                    )
-                return EclatResult(
-                    universe=universe,
-                    interesting=(),
-                    maximal=(),
-                    negative_border=(0,),
-                    queries=queries,
-                    min_support=threshold,
-                    supports=supports,
-                )
-            phase["stage"] = "singletons"
+            if not run.probe_empty(n_rows):
+                return run.complete((), 0, 0, run_span)
+            # The root class, charged like a split root: one kernel call
+            # (the one every worker makes) into a node-local dict, then
+            # its answers in item order.  ``members`` is set only after
+            # the replay, since a cut reads it as the charged root.
             nodes = 1
-            if tracer.enabled:
-                tracer.event("eclat.node", prefix=0, tail=n, kind="tid")
-            if budget is not None:
-                budget.check(queries=queries, family=n)
-            for item in range(n):
-                if budget is not None:
-                    budget.check(queries=queries)
-                supp = popcount(columns[item])
-                record(1 << item, supp >= threshold, supp)
-                phase["next_item"] = item + 1
-                if supp >= threshold:
-                    phase["confirmed"].append(1 << item)
-            members, root_is_diff = _root_class(columns, n_rows, threshold)
+            run.open(0, False, n)
+            answers: dict[int, int] = {}
+            root = _root_class(columns, n_rows, threshold, answers)
+            run.replay(0, singletons, answers)
+            members, root_is_diff = root
 
             # Build the task list: one task per short root subtree, one
             # per depth-2 subtree of long roots.  Split expansions are
             # computed here (pure — tasks must exist before dispatch)
             # and queued for charging at their fold-order slot.
             pending_charge: list[int] = []
-            for position in range(max(0, len(members) - 1)):
+            for position in range(len(members) - 1):
                 bit, supp, cover = members[position]
                 tail = members[position + 1 :]
                 if len(tail) < _SPLIT_TAIL:
-                    seq = len(tasks)
-                    if pending_charge:
-                        pre_charges[seq] = pending_charge
-                        pending_charge = []
-                    tasks.append((position, None))
-                    continue
-                scratch_supports: dict[int, int] = {}
-                child_members, _ = _expand_for(cover)(
-                    bit,
-                    root_is_diff,
-                    supp,
-                    cover,
-                    tail,
-                    threshold,
-                    scratch_supports,
-                    [],
-                )
-                replay = []
-                for ext_bit, _, _ in tail:
-                    mask = bit | ext_bit
-                    child_supp = scratch_supports.get(mask)
-                    replay.append(
-                        (mask, child_supp is not None, child_supp or 0)
+                    position_tasks = [(position, None)]
+                else:
+                    answers = {}
+                    child_members, _ = _expand_for(cover)(
+                        bit, root_is_diff, supp, cover, tail, threshold,
+                        answers, [],
                     )
-                charges[position] = (replay, len(tail))
-                split_child_bits[position] = [
-                    member[0] for member in child_members
-                ]
-                pending_charge.append(position)
-                for split_index in range(len(child_members) - 1):
-                    seq = len(tasks)
+                    splits[position] = (
+                        answers,
+                        [member[0] for member in child_members],
+                    )
+                    pending_charge.append(position)
+                    position_tasks = [
+                        (position, split_index)
+                        for split_index in range(len(child_members) - 1)
+                    ]
+                for task in position_tasks:
                     if pending_charge:
-                        pre_charges[seq] = pending_charge
+                        pre_charges[len(tasks)] = pending_charge
                         pending_charge = []
-                    tasks.append((position, split_index))
-            tail_charges = pending_charge
-            phase["stage"] = "tree"
+                    tasks.append(task)
 
             if tasks:
                 scheduler = StealScheduler(
@@ -687,7 +492,7 @@ def eclat_parallel(
                     # Finish the remaining sequence numbers on the
                     # coordinator, folding through the same path.
                     local_expansions: dict = {}
-                    for seq in range(phase["next_unfolded"], len(tasks)):
+                    for seq in range(scheduler.next_fold, len(tasks)):
                         position, split_index = tasks[seq]
                         fold(
                             seq,
@@ -700,43 +505,36 @@ def eclat_parallel(
                                 split_index,
                             ),
                         )
-            for position in tail_charges:
-                charge_expansion(position)
+            for position in pending_charge:
+                charge_split(position)
         except BudgetExhausted as exhausted:
-            return finish_partial(exhausted.reason, run_span)
+            return run.partial(
+                exhausted.reason,
+                singletons,
+                [(0, root_is_diff, members, 0)],
+                run_span,
+            )
         except KeyboardInterrupt:
-            return finish_partial("interrupt", run_span)
+            return run.partial(
+                "interrupt",
+                singletons,
+                [(0, root_is_diff, members, 0)],
+                run_span,
+            )
         finally:
             pool.close()
 
-        negative = [
-            mask for mask in rejected if parents_all_in(mask, supports)
-        ]
-        sorted_maximal = tuple(
-            rank_sorted(mask for mask in candidates if mask not in marked)
-        )
-        if tracer.enabled:
-            rank = max((popcount(m) for m in sorted_maximal), default=0)
-            run_span.note(outcome="complete", queries=queries)
-            tracer.event(
-                "eclat.done",
-                queries=queries,
-                theory=len(supports),
-                negative=len(negative),
-                maximal=len(sorted_maximal),
-                rank=rank,
-                n=n,
-                nodes=nodes,
-                diffset_nodes=diffset_nodes,
-            )
-        return EclatResult(
-            universe=universe,
-            interesting=tuple(rank_sorted(supports)),
-            maximal=sorted_maximal,
-            negative_border=tuple(rank_sorted(negative)),
-            queries=queries,
-            min_support=threshold,
-            supports=supports,
-            nodes=nodes,
-            diffset_nodes=diffset_nodes,
+        # The sets the coordinator charged (∅, the root members and the
+        # split roots' children) have at most two items, so none of
+        # them extends a task's set; among themselves, their own
+        # maximal ones are the candidates.
+        own = [0] + [member[0] for member in members]
+        for position, (_, child_bits) in splits.items():
+            own += [members[position][0] | bit for bit in child_bits]
+        candidates.extend(_maximal_from_supports(own))
+        return run.complete(
+            [mask for mask in candidates if mask not in marked],
+            nodes,
+            diffset_nodes,
+            run_span,
         )

@@ -110,13 +110,6 @@ class WorkerPool:
         tracer: optional :class:`~repro.obs.tracer.Tracer`; emits a
             ``worker.pool`` event per (re)spawn and a ``worker.crash``
             event per pool failure.
-        on_crash: optional supervision hook, called on every pool death
-            as ``on_crash(error, fatal)`` — ``fatal`` is ``True`` when
-            the restart allowance is spent and the pool goes
-            permanently broken.  A hook exception never masks the
-            recovery path (it is swallowed after a ``worker.crash``
-            trace note); external supervisors use this to count crashes
-            and decide when to degrade to serial.
     """
 
     __slots__ = (
@@ -128,7 +121,6 @@ class WorkerPool:
         "_broken",
         "_tracer",
         "_finalizers",
-        "_on_crash",
     )
 
     def __init__(
@@ -140,7 +132,6 @@ class WorkerPool:
         max_restarts: int = 1,
         trace_context=None,
         tracer=None,
-        on_crash: Callable[[BaseException | None, bool], None] | None = None,
     ):
         from repro.obs.tracer import as_tracer
 
@@ -158,7 +149,6 @@ class WorkerPool:
         self._broken = False
         self._tracer = as_tracer(tracer)
         self._finalizers: list[Callable[[], None]] = []
-        self._on_crash = on_crash
         if self.workers > 1:
             self._spawn()
 
@@ -212,17 +202,6 @@ class WorkerPool:
                 error=type(error).__name__ if error else "restart",
                 fatal=fatal,
             )
-        if self._on_crash is not None:
-            try:
-                self._on_crash(error, fatal)
-            except Exception:
-                # Supervision is observational; a buggy hook must not
-                # turn a recoverable crash into an unrecoverable one.
-                if self._tracer.enabled:
-                    self._tracer.event(
-                        "worker.crash", error="on_crash_hook_failed",
-                        fatal=fatal,
-                    )
         if fatal:
             self._broken = True
             raise WorkerPoolBroken(str(error) or "pool broken") from error

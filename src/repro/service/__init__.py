@@ -21,15 +21,13 @@ robustness substrate that makes such a server trustworthy:
   idempotent operation ids, recovery, compaction).
 * :mod:`repro.service.admission` — graceful degradation: per-request
   deadlines on the shared :class:`~repro.runtime.budget.Budget`, a
-  bounded admission queue with 503 + ``Retry-After`` load shedding, and
-  a supervisor that restarts crashed worker pools with capped
-  exponential backoff before degrading to serial.
+  bounded admission queue with 503 + ``Retry-After`` load shedding.
 * :mod:`repro.service.server` — the zero-dependency HTTP front end
   (stdlib ``http.server`` + threads): ``/mine``, ``/borders``,
   ``/member``, ``/append``, ``/threshold``, ``/health``, ``/metrics``.
 """
 
-from repro.service.admission import AdmissionController, Saturated, Supervisor
+from repro.service.admission import AdmissionController, Saturated
 from repro.service.incremental import (
     MaintainedTheory,
     RepairStats,
@@ -49,7 +47,6 @@ __all__ = [
     "RepairStats",
     "Saturated",
     "ServiceCore",
-    "Supervisor",
     "WALError",
     "WriteAheadLog",
     "append_database",

@@ -1,4 +1,4 @@
-"""Graceful degradation: admission control, deadlines, supervision.
+"""Graceful degradation: admission control and deadlines.
 
 A long-lived miner must stay *predictable* under overload — the
 degradation ladder, in order of preference:
@@ -13,23 +13,16 @@ degradation ladder, in order of preference:
    request is refused immediately with :class:`Saturated` (HTTP 503 +
    ``Retry-After``), which costs the server nothing and tells the
    client exactly when to come back.
-3. **Degrade** — when parallel workers keep crashing, the
-   :class:`Supervisor` restarts them with capped exponential backoff
-   and, after the restart allowance is spent, pins execution to the
-   serial path: slower, but structurally incapable of worker crashes.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
-from typing import Any
 
 from repro.core.errors import ReproError
 from repro.obs.tracer import as_tracer
-from repro.parallel.pool import WorkerPoolBroken
 
-__all__ = ["AdmissionController", "Saturated", "Supervisor"]
+__all__ = ["AdmissionController", "Saturated"]
 
 
 class Saturated(ReproError):
@@ -181,93 +174,3 @@ class AdmissionController:
                 "max_concurrent": self._max_concurrent,
                 "max_queued": self._max_queued,
             }
-
-
-class Supervisor:
-    """Retry crashed parallel work with capped backoff, then go serial.
-
-    The parallel engines already rebuild their worker pools per call
-    and tolerate ``max_restarts`` crashes *within* a call; the
-    supervisor sits one level up and handles the calls that still die
-    (:class:`~repro.parallel.pool.WorkerPoolBroken`): each crash is
-    retried after a capped exponential backoff, and once ``attempts``
-    are exhausted the supervisor *degrades* — it runs the caller's
-    serial fallback and stays serial (``degraded=True``) until
-    :meth:`reset`, because a machine that keeps killing workers (OOM,
-    cgroup pressure) will keep doing so and serial progress beats a
-    crash loop.
-
-    Args:
-        attempts: parallel tries per task before degrading.
-        base_delay: first backoff delay (seconds).
-        factor: backoff multiplier per retry.
-        max_delay: backoff cap.
-        sleep: injectable sleep (tests pass a recorder).
-        tracer: optional tracer (``supervisor.restart`` /
-            ``supervisor.degraded`` events).
-    """
-
-    def __init__(
-        self,
-        *,
-        attempts: int = 3,
-        base_delay: float = 0.05,
-        factor: float = 2.0,
-        max_delay: float = 2.0,
-        sleep: Callable[[float], None] | None = None,
-        tracer=None,
-    ):
-        if attempts < 1:
-            raise ValueError("attempts must be positive")
-        self._attempts = attempts
-        self._base_delay = base_delay
-        self._factor = factor
-        self._max_delay = max_delay
-        self._sleep = sleep if sleep is not None else __import__("time").sleep
-        self._tracer = as_tracer(tracer)
-        self._lock = threading.Lock()
-        self.degraded = False
-        self.crashes = 0
-
-    def run(
-        self,
-        parallel_task: Callable[[], Any],
-        serial_fallback: Callable[[], Any],
-    ) -> Any:
-        """Run ``parallel_task``, surviving worker-pool crashes.
-
-        Returns its result, or — after the restart allowance is spent,
-        or when already degraded — ``serial_fallback()``'s.  Exceptions
-        other than :class:`~repro.parallel.pool.WorkerPoolBroken`
-        propagate: only infrastructure failures trigger the ladder,
-        never application errors.
-        """
-        if self.degraded:
-            return serial_fallback()
-        delay = self._base_delay
-        for attempt in range(self._attempts):
-            try:
-                return parallel_task()
-            except WorkerPoolBroken:
-                with self._lock:
-                    self.crashes += 1
-                if attempt + 1 >= self._attempts:
-                    break
-                if self._tracer.enabled:
-                    self._tracer.event(
-                        "supervisor.restart",
-                        attempt=attempt + 1,
-                        delay=delay,
-                    )
-                self._sleep(delay)
-                delay = min(delay * self._factor, self._max_delay)
-        with self._lock:
-            self.degraded = True
-        if self._tracer.enabled:
-            self._tracer.event("supervisor.degraded", crashes=self.crashes)
-        return serial_fallback()
-
-    def reset(self) -> None:
-        """Forgive past crashes and re-enable the parallel path."""
-        with self._lock:
-            self.degraded = False

@@ -199,7 +199,6 @@ def mine_initial(
     min_support: int | float,
     *,
     tracer=None,
-    workers: int | None = None,
 ) -> MaintainedTheory:
     """Mine the full theory once (depth-first vertical engine) and wrap
     it as the service's maintained state."""
@@ -208,7 +207,7 @@ def mine_initial(
         if isinstance(min_support, float)
         else int(min_support)
     )
-    result = eclat(database, threshold, tracer=tracer, workers=workers)
+    result = eclat(database, threshold, tracer=tracer)
     return MaintainedTheory(
         database=database,
         threshold=threshold,

@@ -9,6 +9,8 @@ sharding composing without changing any of it.
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,25 @@ def _random_database(rng, n_items, n_rows):
     universe = Universe(range(n_items))
     rows = [rng.randrange(1 << n_items) for _ in range(n_rows)]
     return TransactionDatabase(universe, rows)
+
+
+def _assert_frontier_covers_undecided(partial, n_items):
+    """Every mask the history leaves undecided extends a frontier mask.
+
+    Under monotonicity a mask is decided when it contains a mask
+    answered False or lies inside a mask answered True; every other
+    mask of the lattice must specialize some lower-frontier element.
+    """
+    answered = partial.history.items()
+    for mask in range(1 << n_items):
+        if any(
+            (h & ~mask == 0) if not answer else (mask & ~h == 0)
+            for h, answer in answered
+        ):
+            continue
+        assert any(
+            front & ~mask == 0 for front in partial.frontier
+        ), (partial.reason, mask)
 
 
 @pytest.fixture
@@ -193,20 +214,7 @@ class TestEclatBudgets:
             )
             assert isinstance(partial, PartialResult)
             assert partial.frontier_complete
-            history = set(partial.history)
-            frontier = partial.frontier
-            for mask in range(1 << 6):
-                if mask in history:
-                    continue
-                decided = any(
-                    (mask & ~h) == 0 and not answer
-                    for h, answer in partial.history.items()
-                )
-                if decided:
-                    continue  # implied infrequent by monotonicity
-                assert any(
-                    front & ~mask == 0 for front in frontier
-                ), (limit, mask)
+            _assert_frontier_covers_undecided(partial, 6)
             # Sanity: the frontier claim is about *this* database too.
             assert decided_true  # non-trivial workload
 
@@ -250,6 +258,91 @@ class TestEclatTracing:
         assert isinstance(partial, PartialResult)
         report = monitor.report()
         assert report.ok, report.summary()
+
+
+class _InterruptingTracer(Tracer):
+    """Raise ``KeyboardInterrupt`` at the ``k``-th event named ``name``."""
+
+    def __init__(self, name, k):
+        self.name = name
+        self.remaining = k
+
+    def event(self, name, **attrs):
+        if name == self.name:
+            self.remaining -= 1
+            if self.remaining == 0:
+                raise KeyboardInterrupt
+
+
+class TestEclatInterrupts:
+    """A Ctrl-C anywhere in a run yields a certified partial whose lower
+    frontier covers every undecided mask: inside the hot kernel, at any
+    traced event of a serial run, and at any coordinator event of a
+    2-worker run."""
+
+    N_ITEMS = 6
+    ROWS = [i % 63 or 1 for i in range(1, 40)]
+    THRESHOLD = 4
+
+    @pytest.fixture(params=["auto", "roaring"])
+    def database(self, request):
+        return TransactionDatabase(
+            Universe(range(self.N_ITEMS)), self.ROWS, backend=request.param
+        )
+
+    def _assert_certified_interrupt(self, result):
+        assert isinstance(result, PartialResult)
+        assert result.reason == "interrupt"
+        assert result.frontier_complete
+        assert result.certificate().ok
+        _assert_frontier_covers_undecided(result, self.N_ITEMS)
+
+    def test_hot_path_kernel_interrupt(self, database, monkeypatch):
+        # The package re-exports the function under the module's name.
+        module = importlib.import_module("repro.mining.eclat")
+        nodes = eclat(database, self.THRESHOLD).nodes
+        kernels = {
+            name: getattr(module, name)
+            for name in ("_expand", "_expand_roaring")
+        }
+        for k in range(1, nodes + 1):
+            for j in range(3):
+                calls = [0]
+
+                def cutting(kernel, k=k, j=j, calls=calls):
+                    # The k-th node answers j extensions, then Ctrl-C.
+                    def cut(prefix, is_diff, supp, cover, exts, *rest):
+                        calls[0] += 1
+                        if calls[0] == k:
+                            kernel(prefix, is_diff, supp, cover, exts[:j], *rest)
+                            raise KeyboardInterrupt
+                        return kernel(prefix, is_diff, supp, cover, exts, *rest)
+
+                    return cut
+
+                for name, kernel in kernels.items():
+                    monkeypatch.setattr(module, name, cutting(kernel))
+                self._assert_certified_interrupt(
+                    eclat(database, self.THRESHOLD)
+                )
+                assert calls[0] == k
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_traced_interrupt(self, database, workers):
+        recorder = _RecordingTracer()
+        eclat(database, self.THRESHOLD, tracer=recorder, workers=workers)
+        for name in ("oracle.query", "eclat.node"):
+            count = sum(1 for event, _ in recorder.events if event == name)
+            assert count > 1
+            for k in range(1, count + 1):
+                self._assert_certified_interrupt(
+                    eclat(
+                        database,
+                        self.THRESHOLD,
+                        tracer=_InterruptingTracer(name, k),
+                        workers=workers,
+                    )
+                )
 
 
 class TestEclatParallel:

@@ -1,18 +1,13 @@
 """Graceful degradation and the HTTP surface of the mining service.
 
-Three layers, bottom up: the :class:`AdmissionController` (bounded
-queue, immediate shedding), the :class:`Supervisor` (capped-backoff
-restarts of crashed worker pools, sticky degradation to serial, and the
-:class:`~repro.parallel.pool.WorkerPool` ``on_crash`` hook it hangs
-off), and the stdlib HTTP server end to end — including the 503 +
-``Retry-After`` and certified-206 contracts from the issue's
-acceptance criteria.
+Two layers, bottom up: the :class:`AdmissionController` (bounded
+queue, immediate shedding) and the stdlib HTTP server end to end —
+including the 503 + ``Retry-After`` and certified-206 contracts.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import urllib.error
 import urllib.request
@@ -21,13 +16,11 @@ import pytest
 
 from repro.datasets.transactions import TransactionDatabase
 from repro.obs.tracer import Tracer
-from repro.parallel import WorkerPool, WorkerPoolBroken
 from repro.service import (
     AdmissionController,
     MiningServer,
     Saturated,
     ServiceCore,
-    Supervisor,
 )
 from repro.util.bitset import Universe
 
@@ -122,162 +115,6 @@ class TestAdmissionController:
             AdmissionController(0)
         with pytest.raises(ValueError):
             AdmissionController(1, max_queued=-1)
-
-
-# -- Supervisor ---------------------------------------------------------
-
-
-class _Flaky:
-    """Raises WorkerPoolBroken ``failures`` times, then succeeds."""
-
-    def __init__(self, failures: int):
-        self.failures = failures
-        self.calls = 0
-
-    def __call__(self):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise WorkerPoolBroken("pool died")
-        return "parallel"
-
-
-class TestSupervisor:
-    def test_success_needs_no_backoff(self):
-        sleeps = []
-        supervisor = Supervisor(attempts=3, sleep=sleeps.append)
-        assert supervisor.run(_Flaky(0), lambda: "serial") == "parallel"
-        assert sleeps == []
-        assert not supervisor.degraded
-
-    def test_retries_with_capped_exponential_backoff(self):
-        sleeps = []
-        supervisor = Supervisor(
-            attempts=4,
-            base_delay=0.1,
-            factor=2.0,
-            max_delay=0.25,
-            sleep=sleeps.append,
-        )
-        flaky = _Flaky(3)
-        assert supervisor.run(flaky, lambda: "serial") == "parallel"
-        assert sleeps == [0.1, 0.2, 0.25]
-        assert flaky.calls == 4
-        assert supervisor.crashes == 3
-        assert not supervisor.degraded
-
-    def test_degrades_to_serial_when_attempts_exhausted(self):
-        tracer = RecordingTracer()
-        supervisor = Supervisor(
-            attempts=2, sleep=lambda _: None, tracer=tracer
-        )
-        always_broken = _Flaky(99)
-        assert supervisor.run(always_broken, lambda: "serial") == "serial"
-        assert supervisor.degraded
-        assert always_broken.calls == 2
-        assert "supervisor.degraded" in tracer.names()
-        # Sticky: the parallel path is not even attempted any more.
-        assert supervisor.run(always_broken, lambda: "serial") == "serial"
-        assert always_broken.calls == 2
-
-    def test_reset_reenables_parallel_path(self):
-        supervisor = Supervisor(attempts=1, sleep=lambda _: None)
-        supervisor.run(_Flaky(99), lambda: "serial")
-        assert supervisor.degraded
-        supervisor.reset()
-        assert supervisor.run(_Flaky(0), lambda: "serial") == "parallel"
-
-    def test_application_errors_propagate_undegraded(self):
-        supervisor = Supervisor(attempts=3, sleep=lambda _: None)
-
-        def buggy():
-            raise ValueError("application bug")
-
-        with pytest.raises(ValueError, match="application bug"):
-            supervisor.run(buggy, lambda: "serial")
-        assert not supervisor.degraded
-        assert supervisor.crashes == 0
-
-
-# -- WorkerPool on_crash hook -------------------------------------------
-
-
-def _crash_once(sentinel, value):
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w"):
-            pass
-        os._exit(3)
-    return value
-
-
-def _always_crash(value):
-    os._exit(3)
-
-
-class TestPoolCrashHook:
-    def test_hook_sees_nonfatal_then_recovery(self, tmp_path):
-        crashes = []
-        with WorkerPool(
-            2,
-            max_restarts=1,
-            on_crash=lambda err, fatal: crashes.append(fatal),
-        ) as pool:
-            sentinel = str(tmp_path / "once")
-            results = pool.map_in_order(
-                _crash_once, [(sentinel, i) for i in range(4)]
-            )
-        assert results == list(range(4))
-        assert crashes == [False]
-
-    def test_hook_sees_fatal_crash(self, tmp_path):
-        crashes = []
-        with WorkerPool(
-            2,
-            max_restarts=0,
-            on_crash=lambda err, fatal: crashes.append(fatal),
-        ) as pool:
-            with pytest.raises(WorkerPoolBroken):
-                pool.map_in_order(
-                    _crash_once, [(str(tmp_path / "fatal"), 0)]
-                )
-        assert crashes == [True]
-
-    def test_hook_exception_never_masks_recovery(self, tmp_path):
-        tracer = RecordingTracer()
-
-        def bad_hook(err, fatal):
-            raise RuntimeError("hook bug")
-
-        with WorkerPool(
-            2, max_restarts=0, on_crash=bad_hook, tracer=tracer
-        ) as pool:
-            with pytest.raises(WorkerPoolBroken):
-                pool.map_in_order(
-                    _crash_once, [(str(tmp_path / "mask"), 0)]
-                )
-        errors = [
-            attrs
-            for name, attrs in tracer.events
-            if name == "worker.crash" and "error" in attrs
-        ]
-        assert any(
-            a["error"] == "on_crash_hook_failed" for a in errors
-        )
-
-    def test_supervisor_counts_crashes_via_hook(self):
-        supervisor = Supervisor(attempts=2, sleep=lambda _: None)
-        hook_fatals = []
-
-        def parallel_task():
-            with WorkerPool(
-                2,
-                max_restarts=0,
-                on_crash=lambda err, fatal: hook_fatals.append(fatal),
-            ) as pool:
-                return pool.map_in_order(_always_crash, [(0,)])
-
-        assert supervisor.run(parallel_task, lambda: "serial") == "serial"
-        assert supervisor.degraded
-        assert hook_fatals == [True, True]
 
 
 # -- HTTP end to end ----------------------------------------------------

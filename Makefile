@@ -70,19 +70,21 @@ par-smoke:
 	$(PYTHON) -m benchmarks.trace_report $(PAR_DIR)/smoke.jsonl --validate
 	rm -rf $(PAR_DIR)
 
-# Depth-first engine smoke: a traced eclat mine with live metrics, the
-# --engine shorthand with stolen workers (must print the same theory),
-# then schema-validate + profile the trace offline.  The budget-cut leg
-# stops a serial and a 2-worker mine at 50 queries: each must exit 3
-# (partial) with a valid certificate.
+# Depth-first engine smoke: a traced eclat mine with live metrics, then
+# the same mine with stolen workers, whose stdout must match the serial
+# leg's byte for byte (cmp), then schema-validate + profile the trace.
+# The budget-cut leg stops a serial and a 2-worker mine at 50 queries:
+# each must exit 3 (partial) with a valid certificate.
 eclat-smoke:
 	$(eval ECLAT_DIR := $(shell mktemp -d /tmp/eclat_smoke.XXXXXX))
 	$(PYTHON) -m repro generate $(ECLAT_DIR)/smoke.dat \
 		--items 20 --transactions 200 --seed 7
 	$(PYTHON) -m repro mine $(ECLAT_DIR)/smoke.dat --min-support 0.2 \
-		--algorithm eclat --trace $(ECLAT_DIR)/smoke.jsonl --metrics
+		--algorithm eclat --trace $(ECLAT_DIR)/smoke.jsonl --metrics \
+		> $(ECLAT_DIR)/serial.txt
 	$(PYTHON) -m repro mine $(ECLAT_DIR)/smoke.dat --min-support 0.2 \
-		--engine eclat --workers 2
+		--algorithm eclat --workers 2 > $(ECLAT_DIR)/workers.txt
+	cmp $(ECLAT_DIR)/serial.txt $(ECLAT_DIR)/workers.txt
 	$(PYTHON) -m repro mine $(ECLAT_DIR)/smoke.dat --min-support 0.2 \
 		--algorithm eclat --budget-queries 50 > $(ECLAT_DIR)/cut.txt; \
 		test $$? -eq 3 && grep "certificate: valid" $(ECLAT_DIR)/cut.txt

@@ -40,7 +40,7 @@ def main() -> None:
     print()
 
     print("Mining 2-frequent itemsets with each algorithm:")
-    for algorithm in ("apriori", "levelwise", "dualize_advance", "randomized"):
+    for algorithm in ("apriori", "levelwise", "eclat", "dualize_advance"):
         theory = mine_frequent_itemsets(
             database, 2, algorithm=algorithm, seed=0
         )

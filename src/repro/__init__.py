@@ -8,8 +8,8 @@ The library implements the paper's framework end to end:
   query-optimal verification of Corollary 4.
 * **Algorithms** (:mod:`repro.mining`): the levelwise algorithm
   (Algorithm 9, with the Apriori specialization) and Dualize and Advance
-  (Algorithm 16, with Berge or Fredman–Khachiyan transversal engines),
-  plus the randomized variant of [11] and every quantitative bound.
+  (Algorithm 16, with Berge or Fredman–Khachiyan transversal engines
+  and the shuffled advance of [11]), plus every quantitative bound.
 * **Hypergraph dualization** (:mod:`repro.hypergraph`): Berge
   multiplication, the Fredman–Khachiyan duality test with witness-driven
   incremental enumeration, and the paper's new polynomial special case
@@ -69,7 +69,6 @@ from repro.mining import (
     association_rules_from_supports,
     dualize_and_advance,
     levelwise,
-    randomized_maxth,
 )
 from repro.util import Universe
 
@@ -105,7 +104,6 @@ __all__ = [
     "association_rules_from_supports",
     "dualize_and_advance",
     "levelwise",
-    "randomized_maxth",
     "Universe",
     "__version__",
 ]

@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "levelwise",
             "eclat",
             "dualize_advance",
-            "randomized",
             "maxminer",
         ),
         default="apriori",
@@ -103,12 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--engine",
-        choices=("berge", "fk", "mmcs", "eclat"),
+        choices=("berge", "fk", "mmcs"),
         default="berge",
         help="transversal engine for --algorithm dualize_advance "
         "('mmcs' materializes the family with the MMCS branch-and-bound "
-        "enumerator); 'eclat' instead selects the depth-first vertical "
-        "miner (shorthand for --algorithm eclat)",
+        "enumerator)",
     )
     mine.add_argument(
         "--budget-queries",
@@ -169,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     transversals.add_argument(
         "--method",
-        choices=("berge", "fk", "mmcs", "levelwise", "dfs", "brute"),
+        choices=("berge", "fk", "mmcs", "levelwise", "brute"),
         default="berge",
     )
     transversals.add_argument(
@@ -507,8 +505,6 @@ def _resolve_min_support(value: float) -> int | float:
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     database = _read_database(args.input, args.backend)
-    if args.engine == "eclat" and args.algorithm in ("apriori", "eclat"):
-        args.algorithm = "eclat"
     threshold = _resolve_min_support(args.min_support)
     budget = _build_budget(args)
     obs = _build_tracer(args)

@@ -39,17 +39,10 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 
+import numpy as _np
+
 from repro.util.bitset import Universe, iter_bits, popcount
 from repro.util.roaring import RoaringBitmap
-
-try:  # numpy is a declared dependency, but the int path is self-sufficient
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-# np.bitwise_count arrived in numpy 2.0; without it the pure-int kernel
-# is used (correctness is identical either way).
-_HAS_VECTOR_POPCOUNT = _np is not None and hasattr(_np, "bitwise_count")
 
 #: The accepted ``backend=`` values (the CLI's ``--backend`` flag
 #: validates against this exact tuple).
@@ -62,10 +55,10 @@ _AUTO_MIN_BATCH = 64
 # working set stays cache-resident (larger blocks thrash measurably).
 _BATCH_BLOCK = 2048
 
-if _np is not None:  # scalar constants reused by the vectorized kernel
-    _U0 = _np.uint64(0)
-    _U1 = _np.uint64(1)
-    _U6 = _np.uint64(6)
+# scalar constants reused by the vectorized kernel
+_U0 = _np.uint64(0)
+_U1 = _np.uint64(1)
+_U6 = _np.uint64(6)
 
 
 class TransactionDatabase:
@@ -413,8 +406,7 @@ class TransactionDatabase:
         """
         masks = list(itemset_masks)
         if (
-            _HAS_VECTOR_POPCOUNT
-            and len(masks) >= _AUTO_MIN_BATCH
+            len(masks) >= _AUTO_MIN_BATCH
             and self._n_rows >= _AUTO_MIN_ROWS
             and self._backend != "roaring"
         ):

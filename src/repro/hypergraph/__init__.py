@@ -20,9 +20,6 @@ Engines provided:
 * :mod:`repro.hypergraph.mmcs` — the MMCS branch-and-bound
   enumerator (arXiv:1805.01310), the practical engine at
   data-profiling scale.
-* :mod:`repro.hypergraph.duality` — the oracle-free Gottlob–Malizia
-  style duality *decision* procedure (arXiv:1212.1881), a fast path
-  that skips Fredman–Khachiyan witness generation.
 """
 
 from repro.hypergraph.certification import (
@@ -40,11 +37,6 @@ from repro.hypergraph.fredman_khachiyan import (
     check_duality,
     find_new_minimal_transversal,
 )
-from repro.hypergraph.dfs_enumeration import (
-    dfs_transversal_masks,
-    iter_minimal_transversals_dfs,
-)
-from repro.hypergraph.duality import DUALITY_METHODS, decide_duality
 from repro.hypergraph.mmcs import mmcs_transversal_masks
 from repro.hypergraph.enumeration import (
     brute_force_transversal_masks,
@@ -73,13 +65,9 @@ __all__ = [
     "DualityWitness",
     "check_duality",
     "find_new_minimal_transversal",
-    "DUALITY_METHODS",
-    "decide_duality",
     "mmcs_transversal_masks",
     "brute_force_transversal_masks",
-    "dfs_transversal_masks",
     "iter_minimal_transversals",
-    "iter_minimal_transversals_dfs",
     "minimal_transversals",
     "minimize_transversal_mask",
     "levelwise_transversal_masks",

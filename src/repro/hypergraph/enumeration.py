@@ -22,17 +22,13 @@ from collections.abc import Iterator, Sequence
 
 from repro.core.errors import BudgetExhausted
 from repro.hypergraph.berge import berge_transversal_masks
-from repro.hypergraph.dfs_enumeration import (
-    dfs_transversal_masks,
-    dfs_transversal_masks_iter,
-)
 from repro.hypergraph.fredman_khachiyan import find_new_minimal_transversal
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
 from repro.hypergraph.levelwise_transversal import levelwise_transversal_masks
 from repro.hypergraph.mmcs import mmcs_transversal_masks
 from repro.util.bitset import iter_bits, rank_sorted
 
-_METHODS = ("berge", "fk", "mmcs", "levelwise", "dfs", "brute")
+_METHODS = ("berge", "fk", "mmcs", "levelwise", "brute")
 _BUDGETED = ("berge", "fk", "mmcs")
 _PARALLEL = ("mmcs",)
 
@@ -111,10 +107,6 @@ def iter_minimal_transversals(
                 return
             found.append(nxt)
             yield nxt
-    elif method == "dfs":
-        if budget is not None:
-            raise ValueError(f"budgets are only supported by {_BUDGETED}")
-        yield from dfs_transversal_masks_iter(hypergraph.edge_masks)
     elif method in _METHODS:
         yield from minimal_transversals(
             hypergraph, method=method, budget=budget, tracer=tracer
@@ -145,7 +137,7 @@ def minimal_transversals(
             of the processed edge prefix; ``"fk"``/``"mmcs"``:
             the genuine minimal transversals enumerated so far).
         ValueError: when a budget is supplied with a reference baseline
-            (``"levelwise"``, ``"dfs"``, ``"brute"``), which do not
+            (``"levelwise"``, ``"brute"``), which do not
             support cooperative checks, or when ``workers > 1`` is
             combined with a method other than ``"mmcs"``.
     """
@@ -195,8 +187,6 @@ def minimal_transversals(
         return levelwise_transversal_masks(
             hypergraph.edge_masks, len(hypergraph.universe)
         )
-    if method == "dfs":
-        return dfs_transversal_masks(hypergraph.edge_masks)
     if method == "brute":
         return brute_force_transversal_masks(
             hypergraph.edge_masks, len(hypergraph.universe)

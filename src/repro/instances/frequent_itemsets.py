@@ -19,7 +19,6 @@ from repro.mining.dualize_advance import dualize_and_advance
 from repro.mining.eclat import eclat
 from repro.mining.levelwise import levelwise
 from repro.mining.maxminer import maxminer
-from repro.mining.randomized import randomized_maxth
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult
 
@@ -28,7 +27,6 @@ _ALGORITHMS = (
     "levelwise",
     "eclat",
     "dualize_advance",
-    "randomized",
     "maxminer",
 )
 
@@ -103,30 +101,26 @@ def mine_frequent_itemsets(
             Algorithm 9 on the frequency oracle), ``"eclat"`` (the
             depth-first vertical miner with memoized tidset/diffset
             covers — same theory and borders as levelwise, fastest end
-            to end), ``"dualize_advance"`` (Algorithm 16),
-            ``"randomized"`` ([11]), or ``"maxminer"`` (the lookahead
-            maximal-set baseline).
-        seed: RNG seed for the randomized variants.
+            to end), ``"dualize_advance"`` (Algorithm 16), or
+            ``"maxminer"`` (the lookahead maximal-set baseline).
+        seed: RNG seed for ``"dualize_advance"``'s shuffled greedy
+            advance, the randomized variant of [11].
         engine: transversal engine for ``"dualize_advance"``.  Defaults
             to ``"berge"``, which amortizes best on basket data; pass
             ``"fk"`` for the incremental Corollary 22 engine (the right
             choice when intermediate transversal families blow up,
             cf. Example 19) or ``"mmcs"`` for the MMCS branch-and-bound
-            enumerator (docs/API.md §17).  ``engine="eclat"`` is a
-            shorthand that
-            selects ``algorithm="eclat"`` (the CLI's ``--engine eclat``).
+            enumerator (docs/API.md §17).
         budget: optional :class:`~repro.runtime.budget.Budget`;
-            supported by ``"levelwise"``, ``"eclat"``,
-            ``"dualize_advance"``, and ``"maxminer"`` (the oracle-driven
-            algorithms with cooperative checkpoints).  ``"apriori"`` and
-            ``"randomized"`` reject it.
+            supported by ``"eclat"``, ``"levelwise"``,
+            ``"dualize_advance"`` and ``"maxminer"`` (the algorithms
+            with cooperative checkpoints).  ``"apriori"`` rejects it.
         resume: optional :class:`~repro.runtime.checkpoint.Checkpoint`
             (or path/JSON) from an earlier budgeted ``"levelwise"`` or
             ``"dualize_advance"`` run on the same universe.
         tracer: optional :class:`~repro.obs.tracer.Tracer`, forwarded to
             the chosen algorithm (the CLI's ``--trace`` / ``--metrics``
-            path; see ``docs/API.md`` §11).  ``"randomized"`` does not
-            take one.
+            path; see ``docs/API.md`` §11).
         workers: worker processes (``"eclat"`` only; see
             ``docs/API.md`` §13–14).  ``None`` or ``<= 1`` runs
             serially; larger values fan work-stolen subtree tasks
@@ -142,18 +136,14 @@ def mine_frequent_itemsets(
         ``extra["supports"]``, and Dualize and Advance stores its
         iteration trace under ``extra["iterations"]``.
     """
-    if engine == "eclat" and algorithm in ("apriori", "eclat"):
-        # --engine eclat selects the depth-first miner without needing a
-        # separate --algorithm flag (apriori is the untouched default).
-        algorithm = "eclat"
     if algorithm not in _ALGORITHMS:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of {_ALGORITHMS}"
         )
-    if budget is not None and algorithm in ("apriori", "randomized"):
+    if budget is not None and algorithm == "apriori":
         raise ValueError(
             f"algorithm {algorithm!r} does not support budgets; "
-            "use levelwise, dualize_advance, or maxminer"
+            "use eclat, levelwise, dualize_advance or maxminer"
         )
     if resume is not None and algorithm not in ("levelwise", "dualize_advance"):
         raise ValueError(
@@ -263,17 +253,3 @@ def mine_frequent_itemsets(
                 "lookahead_hits": result.lookahead_hits,
             },
         )
-    oracle = CountingOracle(predicate, name="frequency")
-    result = randomized_maxth(universe, oracle, seed=seed)
-    return Theory(
-        universe=universe,
-        maximal=result.maximal,
-        negative_border=result.negative_border,
-        interesting=None,
-        queries=result.queries,
-        extra={
-            "sampled": result.sampled,
-            "advanced": result.advanced,
-            "dualizations": result.dualizations,
-        },
-    )

@@ -9,10 +9,8 @@
   (Eclat/dEclat): equivalence-class enumeration with memoized
   tidset/diffset covers, same theory and borders as levelwise.
 * :mod:`repro.mining.dualize_advance` — Algorithm 16, engine-parametric
-  over the transversal enumerator (Berge or Fredman–Khachiyan).
-* :mod:`repro.mining.randomized` — the randomized MaxTh discovery of
-  Gunopulos–Mannila–Saluja ([11]), random maximal sets plus a
-  transversal-based completeness check.
+  over the transversal enumerator (Berge, Fredman–Khachiyan or MMCS);
+  ``shuffle=seed`` gives the randomized advance of [11].
 * :mod:`repro.mining.bounds` — closed forms of every quantitative bound
   (Theorems 10/12/21, Corollaries 13/14/22) so experiments can assert
   measured-vs-proven.
@@ -33,7 +31,6 @@ from repro.mining.dualize_advance import (
 )
 from repro.mining.maximalize import greedy_maximalize
 from repro.mining.maxminer import MaxMinerResult, maxminer, maxminer_maxth
-from repro.mining.randomized import random_maximal_set, randomized_maxth
 from repro.mining.bounds import (
     corollary13_frequent_sets_bound,
     corollary14_negative_border_bound,
@@ -62,8 +59,6 @@ __all__ = [
     "MaxMinerResult",
     "maxminer",
     "maxminer_maxth",
-    "random_maximal_set",
-    "randomized_maxth",
     "corollary13_frequent_sets_bound",
     "corollary14_negative_border_bound",
     "theorem10_exact_query_count",

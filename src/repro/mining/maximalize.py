@@ -1,6 +1,6 @@
 """Greedy extension of an interesting set to a maximal one (Step 9).
 
-Both Dualize and Advance and the randomized miner share this routine:
+Dualize and Advance, shuffled or not, calls this routine:
 given an interesting ``X``, add one attribute at a time, keeping those
 that preserve interestingness.  A single left-to-right pass suffices on
 the subset lattice: if adding ``v`` failed against an intermediate set it
@@ -55,7 +55,7 @@ def maximal_set_tracker(
     """A live ``Bd+`` tracker over this universe's subset lattice.
 
     Search-style miners that discover interesting sets out of order
-    (MaxMiner's lookahead hits, randomized greedy passes) use this to
+    (MaxMiner's lookahead hits) use this to
     maintain the maximal family incrementally — ``add`` subsumes, and
     ``dominates`` answers "is this set under an already-known maximal
     set?" without the quadratic rescan the seed code performed.

@@ -117,9 +117,6 @@ KNOWN_EVENTS: dict[str, tuple[str, tuple[str, ...]]] = {
         "event",
         ("family", "nodes", "edges", "n", "traced"),
     ),
-    "duality.check": ("span_open", ("f_terms", "g_terms", "method")),
-    "duality.screen": ("event", ("screen",)),
-    "duality.node": ("event", ("depth", "f_terms", "g_terms")),
     # resilience (repro.runtime.resilient)
     "resilient.retry": ("event", ("mask", "attempt", "delay")),
     "resilient.vote": ("event", ("mask", "vote", "answer")),

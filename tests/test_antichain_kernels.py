@@ -22,10 +22,7 @@ from hypothesis import strategies as st
 
 from benchmarks.perf_kernels import reference_maximize, reference_minimize
 from repro.core.oracle import CountingOracle
-from repro.datasets.transactions import (
-    _HAS_VECTOR_POPCOUNT,
-    TransactionDatabase,
-)
+from repro.datasets.transactions import TransactionDatabase
 from repro.mining.apriori import apriori
 from repro.util.antichain import (
     AntichainIndex,
@@ -88,7 +85,7 @@ def test_support_counts_backends_agree(case):
     database, queries = case
     expected = [database.support_count(mask) for mask in queries]
     assert database.support_counts(queries) == expected
-    if _HAS_VECTOR_POPCOUNT and queries:
+    if queries:
         # auto's large-batch kernel, run on a batch of any size
         assert database._support_counts_numpy(queries) == expected
 

@@ -51,7 +51,7 @@ class TestGenerateAndMine:
         assert "algorithm=apriori" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "algorithm", ["levelwise", "dualize_advance", "randomized", "eclat"]
+        "algorithm", ["levelwise", "dualize_advance", "eclat"]
     )
     def test_other_algorithms(self, tmp_path, capsys, algorithm):
         path = str(tmp_path / "data.dat")
@@ -102,7 +102,7 @@ class TestTransversalsCommand:
         assert "2 minimal transversals" in output
         assert "0 3" in output and "2 3" in output
 
-    @pytest.mark.parametrize("method", ["berge", "fk", "levelwise", "dfs"])
+    @pytest.mark.parametrize("method", ["berge", "fk", "levelwise"])
     def test_all_methods(self, capsys, method):
         assert (
             main(
@@ -173,7 +173,9 @@ class TestRobustInputs:
                   "--budget-queries", "5"])
             == 2
         )
-        assert "does not support budgets" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "does not support budgets" in err
+        assert "use eclat, levelwise, dualize_advance or maxminer" in err
 
     def test_malformed_checkpoint(self, tmp_path, capsys):
         data = str(tmp_path / "data.dat")
@@ -300,14 +302,6 @@ class TestEclatCli:
             apriori_out
         )
 
-    def test_engine_shorthand_selects_eclat(self, dataset, capsys):
-        assert (
-            main(["mine", dataset, "--min-support", "0.3",
-                  "--engine", "eclat"])
-            == 0
-        )
-        assert "algorithm=eclat" in capsys.readouterr().out
-
     def test_workers_compose(self, dataset, capsys):
         base = ["mine", dataset, "--min-support", "0.3",
                 "--algorithm", "eclat", "--show", "5"]
@@ -402,8 +396,12 @@ class TestParser:
             ["mine", "data.dat", "--memory", "shm"],
             ["transversals", "--edges", "0 1", "--backend", "auto"],
             ["transversals", "--edges", "0 1", "--method", "rs"],
+            ["transversals", "--edges", "0 1", "--method", "dfs"],
+            ["mine", "data.dat", "--algorithm", "randomized"],
+            ["mine", "data.dat", "--engine", "eclat"],
         ],
     )
     def test_removed_options_are_rejected(self, argv):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as caught:
             main(argv)
+        assert caught.value.code == 2

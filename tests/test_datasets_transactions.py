@@ -6,10 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.transactions import (
-    _HAS_VECTOR_POPCOUNT,
-    TransactionDatabase,
-)
+from repro.datasets.transactions import TransactionDatabase
 from repro.util.bitset import Universe
 
 
@@ -170,7 +167,7 @@ class TestVerticalBackends:
         reference = [database.support_count(mask) for mask in masks]
         assert database.support_counts(masks) == reference
         assert roaring.support_counts(masks) == reference
-        if _HAS_VECTOR_POPCOUNT and masks:
+        if masks:
             # auto's large-batch kernel, run on a batch of any size
             assert database._support_counts_numpy(masks) == reference
 

@@ -150,14 +150,12 @@ class TestMinersOnAdversarialShapes:
         # Bd- here is the transversal family of the matching: 2^{n/2}.
         assert len(advance.negative_border) == 2 ** (n // 2)
 
-    def test_randomized_seeds_agree_on_tricky_shape(self):
+    def test_shuffled_advance_seeds_agree_on_tricky_shape(self):
         planted = random_planted_theory(8, 4, min_size=3, max_size=6, seed=99)
         reference = None
-        from repro.mining.randomized import randomized_maxth
-
         for seed in range(10):
-            result = randomized_maxth(
-                planted.universe, planted.is_interesting, seed=seed
+            result = dualize_and_advance(
+                planted.universe, planted.is_interesting, shuffle=seed
             )
             if reference is None:
                 reference = (result.maximal, result.negative_border)

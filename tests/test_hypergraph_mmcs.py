@@ -1,21 +1,19 @@
-"""The MMCS enumerator, the GM duality decision, and their contracts.
+"""The MMCS enumerator and its contracts.
 
-The transversal core rests on four claims, each property-tested here
+The transversal core rests on three claims, each property-tested here
 against the established engines:
 
 * **output identity** — ``mmcs`` returns exactly the same sorted
-  family as Berge, FK and DFS on random simple hypergraphs, serially and
-  through the depth-2 work-stealing driver at any worker count or
-  steal schedule;
+  family as Berge, FK and levelwise on random simple hypergraphs,
+  serially and through the depth-2 work-stealing driver at any worker
+  count or steal schedule;
 * **budget honesty** — a tripped :class:`Budget` surfaces a
   :class:`PartialDualization` whose family is a genuine subset of
   ``Tr(H)``, deterministically;
 * **certified traces** — every traced run passes the
   :class:`TheoremMonitor` checks (``mmcs_outputs``, ``mmcs_antichain``,
   ``mmcs_nodes``), offline replay included, and a tampered trace is
-  flagged;
-* **duality decision** — ``decide_duality(method="gm")`` agrees with
-  the witness-producing FK test on duals and on perturbed non-duals.
+  flagged.
 """
 
 from __future__ import annotations
@@ -32,12 +30,10 @@ from hypothesis import strategies as st
 from repro.core.errors import BudgetExhausted
 from repro.datasets.relations import Relation
 from repro.hypergraph.berge import berge_transversal_masks
-from repro.hypergraph.duality import DUALITY_METHODS, decide_duality
 from repro.hypergraph.enumeration import (
     brute_force_transversal_masks,
     minimal_transversals,
 )
-from repro.hypergraph.fredman_khachiyan import check_duality
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
 from repro.hypergraph.mmcs import _enumerate, mmcs_transversal_masks
 from repro.obs import JsonlTraceWriter, MultiTracer, TheoremMonitor
@@ -86,9 +82,16 @@ class TestOutputIdentity:
     ):
         families = {
             method: minimal_transversals(hypergraph, method=method)
-            for method in ("berge", "fk", "mmcs", "dfs")
+            for method in ("berge", "fk", "mmcs", "levelwise")
         }
         assert len({tuple(sorted(f)) for f in families.values()}) == 1
+
+    def test_removed_dfs_method_is_rejected(self):
+        hypergraph = Hypergraph.from_sets([{0, 1}, {1, 2}], Universe(range(3)))
+        with pytest.raises(ValueError, match="expected one of") as caught:
+            minimal_transversals(hypergraph, method="dfs")
+        for method in ("berge", "fk", "mmcs", "levelwise", "brute"):
+            assert repr(method) in str(caught.value)
 
     @settings(max_examples=150, deadline=None)
     @given(simple_hypergraphs())
@@ -337,78 +340,3 @@ class TestCertifiedTraces:
         ]
         report = TheoremMonitor.from_trace(corrupted).report()
         assert not report.certified("mmcs_antichain")
-
-
-class TestDecideDuality:
-    @settings(max_examples=150, deadline=None)
-    @given(simple_hypergraphs(max_vertices=6))
-    def test_gm_accepts_true_duals(self, hypergraph):
-        n = len(hypergraph.universe)
-        f_terms = list(hypergraph.edge_masks)
-        g_terms = brute_force_transversal_masks(f_terms, n)
-        full = (1 << n) - 1
-        assert decide_duality(f_terms, g_terms, full, method="gm")
-        assert check_duality(f_terms, g_terms, full) is None
-
-    @settings(max_examples=150, deadline=None)
-    @given(simple_hypergraphs(max_vertices=6), st.randoms(use_true_random=False))
-    def test_gm_agrees_with_fk_on_perturbed_pairs(self, hypergraph, rng):
-        n = len(hypergraph.universe)
-        full = (1 << n) - 1
-        f_terms = list(hypergraph.edge_masks)
-        g_terms = list(brute_force_transversal_masks(f_terms, n))
-        perturbation = rng.choice(("drop", "add", "flip"))
-        if perturbation == "drop" and g_terms:
-            g_terms.pop(rng.randrange(len(g_terms)))
-        elif perturbation == "add":
-            g_terms = minimize_family(
-                [*g_terms, rng.randrange(1, full + 1)]
-            )
-        else:
-            g_terms = [
-                term ^ (1 << rng.randrange(n)) for term in g_terms
-            ]
-            g_terms = minimize_family([t for t in g_terms if t])
-        fk_verdict = check_duality(f_terms, g_terms, full) is None
-        assert (
-            decide_duality(f_terms, g_terms, full, method="gm")
-            == fk_verdict
-        )
-
-    def test_non_dual_witness_cases(self):
-        full = 0b111
-        triangle = [0b011, 0b110, 0b101]
-        tr = [0b011, 0b101, 0b110]  # Tr(triangle) == triangle edges
-        assert decide_duality(triangle, tr, full)
-        # Missing member: "both false" somewhere.
-        assert not decide_duality(triangle, tr[:-1], full)
-        # Disjoint extra member: "both true" somewhere.
-        assert not decide_duality(triangle, [*tr, 0b1], full)
-        # Wrong variable set after projection.
-        assert not decide_duality([0b01], [0b11], 0b11)
-
-    def test_methods_and_validation(self):
-        assert DUALITY_METHODS == ("gm", "fk")
-        full = 0b11
-        for method in DUALITY_METHODS:
-            assert decide_duality([0b01, 0b10], [0b11], full, method=method)
-        with pytest.raises(ValueError):
-            decide_duality([0b01], [0b01], full, method="nope")
-        with pytest.raises(ValueError):
-            decide_duality([0b101], [0b01], 0b11)  # term outside variables
-
-    def test_budgeted_decision_raises_cleanly(self):
-        n = 10
-        universe = Universe(range(n))
-        edges = [
-            0b11 << shift for shift in range(0, n, 2)
-        ]
-        hypergraph = Hypergraph(universe, edges, validate=False)
-        g_terms = brute_force_transversal_masks(edges, n)
-        with pytest.raises(BudgetExhausted):
-            decide_duality(
-                list(hypergraph.edge_masks),
-                g_terms,
-                (1 << n) - 1,
-                budget=Budget(max_family=2),
-            )

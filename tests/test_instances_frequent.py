@@ -21,8 +21,8 @@ ALGORITHMS = (
     "apriori",
     "levelwise",
     "dualize_advance",
-    "randomized",
     "maxminer",
+    "eclat",
 )
 
 
@@ -76,8 +76,13 @@ class TestMineFrequentItemsets:
         assert "iterations" in theory.extra
 
     def test_unknown_algorithm(self, figure1_database):
-        with pytest.raises(ValueError):
-            mine_frequent_itemsets(figure1_database, 2, algorithm="magic")
+        for algorithm in ("magic", "randomized"):
+            with pytest.raises(ValueError, match="expected one of") as caught:
+                mine_frequent_itemsets(
+                    figure1_database, 2, algorithm=algorithm
+                )
+            for name in ALGORITHMS:
+                assert repr(name) in str(caught.value)
 
     @settings(max_examples=30, deadline=None)
     @given(

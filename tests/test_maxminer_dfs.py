@@ -1,4 +1,4 @@
-"""Tests for the MaxMiner baseline and the DFS transversal engine."""
+"""Tests for the MaxMiner baseline."""
 
 from __future__ import annotations
 
@@ -7,58 +7,11 @@ from hypothesis import given, settings
 
 from repro.core.theory import compute_theory_brute_force
 from repro.datasets.transactions import TransactionDatabase
-from repro.hypergraph.dfs_enumeration import (
-    dfs_transversal_masks,
-    dfs_transversal_masks_iter,
-    iter_minimal_transversals_dfs,
-)
-from repro.hypergraph.enumeration import brute_force_transversal_masks
-from repro.hypergraph.generators import matching_hypergraph
 from repro.mining.levelwise import levelwise
 from repro.mining.maxminer import maxminer, maxminer_maxth
 from repro.util.bitset import Universe
 
-from tests.conftest import labels, planted_theories, simple_hypergraphs
-
-
-class TestDfsEngine:
-    def test_empty_family(self):
-        assert list(dfs_transversal_masks_iter([])) == [0]
-
-    def test_empty_edge(self):
-        assert list(dfs_transversal_masks_iter([0, 0b1])) == []
-
-    def test_example8(self):
-        universe = Universe("ABCD")
-        edges = [universe.to_mask({"D"}), universe.to_mask({"A", "C"})]
-        assert labels(universe, dfs_transversal_masks(edges)) == ["AD", "CD"]
-
-    def test_matching_family(self):
-        hypergraph = matching_hypergraph(10)
-        results = list(iter_minimal_transversals_dfs(hypergraph))
-        assert len(results) == 32
-        assert len(set(results)) == 32
-
-    def test_lazy_iteration(self):
-        hypergraph = matching_hypergraph(12)
-        iterator = iter_minimal_transversals_dfs(hypergraph)
-        first = next(iterator)
-        assert hypergraph.is_minimal_transversal(first)
-
-    @settings(max_examples=200, deadline=None)
-    @given(simple_hypergraphs(max_vertices=7))
-    def test_matches_brute_force(self, hypergraph):
-        assert sorted(dfs_transversal_masks(hypergraph.edge_masks)) == sorted(
-            brute_force_transversal_masks(
-                hypergraph.edge_masks, len(hypergraph.universe)
-            )
-        )
-
-    @settings(max_examples=100, deadline=None)
-    @given(simple_hypergraphs(max_vertices=7))
-    def test_no_duplicates_streamed(self, hypergraph):
-        seen = list(dfs_transversal_masks_iter(hypergraph.edge_masks))
-        assert len(seen) == len(set(seen))
+from tests.conftest import labels, planted_theories
 
 
 class TestMaxMiner:

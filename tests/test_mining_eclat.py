@@ -408,12 +408,6 @@ class TestEclatEntryPoint:
         assert "supports" in theory.extra
         assert "nodes" in theory.extra
 
-    def test_engine_shorthand(self, figure1_database):
-        theory = mine_frequent_itemsets(
-            figure1_database, 2, engine="eclat"
-        )
-        assert "diffset_nodes" in theory.extra
-
     def test_workers_routed(self, figure1_database):
         theory = mine_frequent_itemsets(
             figure1_database, 2, algorithm="eclat", workers=2

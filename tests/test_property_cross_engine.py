@@ -21,7 +21,6 @@ from repro.hypergraph.enumeration import (
 from repro.hypergraph.hypergraph import minimize_family
 from repro.mining.dualize_advance import dualize_and_advance
 from repro.mining.levelwise import levelwise
-from repro.mining.randomized import randomized_maxth
 from repro.util.bitset import popcount
 
 from tests.conftest import mask_families, planted_theories, simple_hypergraphs
@@ -89,9 +88,6 @@ class TestMinersAgree:
                 engine="berge",
                 shuffle=seed,
             ),
-            randomized_maxth(
-                planted.universe, planted.is_interesting, seed=seed
-            ),
         ]
         for result in miners:
             assert tuple(result.maximal) == ground.maximal
@@ -152,8 +148,8 @@ class TestQueryEconomy:
     def test_theorem2_adversary_every_miner_queries_the_border(self, planted):
         """Theorem 2, executed: an adversary could flip any unqueried
         border sentence without breaking monotonicity, so every correct
-        miner's history must contain all of Bd+ ∪ Bd-.  Checked for all
-        four MaxTh algorithms."""
+        miner's history must contain all of Bd+ ∪ Bd-.  Checked for
+        levelwise, D&A (plain and shuffled) and MaxMiner."""
         from repro.core.oracle import CountingOracle
         from repro.mining.maxminer import maxminer_maxth
 
@@ -165,8 +161,8 @@ class TestQueryEconomy:
         runs = [
             lambda oracle: levelwise(planted.universe, oracle),
             lambda oracle: dualize_and_advance(planted.universe, oracle),
-            lambda oracle: randomized_maxth(
-                planted.universe, oracle, seed=17
+            lambda oracle: dualize_and_advance(
+                planted.universe, oracle, engine="berge", shuffle=17
             ),
             lambda oracle: maxminer_maxth(planted.universe, oracle),
         ]

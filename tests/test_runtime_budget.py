@@ -297,7 +297,7 @@ class TestDualizationPartials:
         hypergraph = Hypergraph.from_sets(
             [{0, 1}, {1, 2}], Universe(range(3))
         )
-        for method in ("levelwise", "dfs", "brute"):
+        for method in ("levelwise", "brute"):
             with pytest.raises(ValueError):
                 minimal_transversals(
                     hypergraph, method=method, budget=Budget(max_queries=1)

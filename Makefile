@@ -56,8 +56,9 @@ trace-smoke:
 	rm -rf $(SMOKE_DIR)
 
 # Multi-core smoke: a mine end-to-end through the CLI with --workers 2
-# (work-stolen eclat + traced worker events), plus the parallel
-# transversal path, then schema-validate the trace.
+# (eclat subtree tasks folded in submission order + traced worker
+# events), plus the parallel transversal path, then schema-validate the
+# trace.
 par-smoke:
 	$(eval PAR_DIR := $(shell mktemp -d /tmp/par_smoke.XXXXXX))
 	$(PYTHON) -m repro generate $(PAR_DIR)/smoke.dat \
@@ -71,7 +72,7 @@ par-smoke:
 	rm -rf $(PAR_DIR)
 
 # Depth-first engine smoke: a traced eclat mine with live metrics, then
-# the same mine with stolen workers, whose stdout must match the serial
+# the same mine with 2 workers, whose stdout must match the serial
 # leg's byte for byte (cmp), then schema-validate + profile the trace.
 # The budget-cut leg stops a serial and a 2-worker mine at 50 queries:
 # each must exit 3 (partial) with a valid certificate.
@@ -97,7 +98,7 @@ eclat-smoke:
 
 # Transversal-core smoke: a dualize-and-advance mine through the MMCS
 # engine, the transversal CLI over --method mmcs (traced), the same
-# family through the depth-2 work-stealing driver at --workers 2
+# family from depth-2 subtree tasks at --workers 2
 # (bit-identical by construction), then offline schema validation of
 # the mmcs trace (the theorem-monitor verdict prints via --metrics).
 mmcs-smoke:
@@ -114,9 +115,10 @@ mmcs-smoke:
 	$(PYTHON) -m benchmarks.trace_report $(MMCS_DIR)/mmcs.jsonl --validate
 	rm -rf $(MMCS_DIR)
 
-# Work-stealing + shared-memory smoke: the steal determinism suite at
-# 2 workers, a traced CLI mine over the shared-memory store
-# schema-validated offline, and the /dev/shm leak sweep.
+# Ordered-dispatch + shared-memory smoke: the parallel Eclat
+# determinism suite (tests/test_parallel_steal.py) at 2 workers, a
+# traced CLI mine over the shared-memory store schema-validated
+# offline, and the /dev/shm leak sweep.
 steal-smoke:
 	$(eval STEAL_DIR := $(shell mktemp -d /tmp/steal_smoke.XXXXXX))
 	$(PYTHON) -m pytest -x -q --workers 2 tests/test_parallel_steal.py \
@@ -197,7 +199,9 @@ scale-smoke:
 # Layer-ledger smoke: every workload of the end-to-end benchmark on
 # tiny inputs, correctness gates included (seconds, not minutes).  The
 # traced pass also runs the counting-tracer passes through MMCS and
-# 2-worker Eclat that yield hypergraph.nodes and parallel.steals.
+# 2-worker Eclat that yield hypergraph.nodes and the parallel counts
+# (parallel.steals counts worker.steal events, which no engine emits,
+# so it reads 0).
 ledger-smoke:
 	$(PYTHON) -m benchmarks.ledger --smoke
 	$(PYTHON) -m benchmarks.ledger --smoke --trace 1

@@ -1,18 +1,22 @@
 """Work-stealing parallel Eclat benchmark suite (``BENCH_PR6.json``).
 
-Times the shipped steal-scheduled, shared-memory
-:func:`repro.parallel.eclat.eclat_parallel` against (a) the serial
-engine and (b) the frozen PR 5 wave scheduler
+Times the shipped shared-memory
+:func:`repro.parallel.eclat.eclat_parallel` — every subtree task
+submitted up front and folded in submission order — against (a) the
+serial engine and (b) the frozen wave scheduler
 (:mod:`benchmarks.wave_reference`) on two workload families:
 
 * **skewed** — a synthetic basket family with a block of dense,
   correlated items in front of a sparse noise tail.  The dense block
   concentrates almost the entire search tree under the first few root
   members: exactly the shape where whole-root waves stall on their
-  deepest subtree while stolen depth-2 splits keep every worker busy.
+  deepest subtree while queued depth-2 splits keep every worker busy.
 * **uniform** — Quest T10.I4 (the ``make perf`` counting workload),
-  where subtrees are balanced and stealing must at least not lose to
-  waves.
+  where subtrees are balanced and the ordered dispatch must at least
+  not lose to waves.
+
+The suite's name, row names and targets keep their original ``steal``
+spelling, so committed baselines stay comparable.
 
 Every timed pair asserts identical output (theory, borders, supports)
 before a number is recorded.  **Honest CPU gating:** speedup *targets*

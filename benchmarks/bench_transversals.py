@@ -18,7 +18,7 @@ where the crossover actually happens:
 * **small random hypergraphs** — the largest instance where *full* FK
   enumeration is affordable, making FK's one-duality-test-per-member
   pricing visible.
-* **MMCS serial vs 2 workers** — the depth-2 work-stealing driver;
+* **MMCS serial vs 2 workers** — depth-2 subtree tasks;
   CPU-gated like every parallel target (a 1-CPU sandbox records the
   number but cannot certify a speedup).
 

@@ -2,7 +2,7 @@
 
 Snapshots ``/dev/shm`` (or the platform's shared-memory mount), drives
 the shm-backed engines through every lifecycle the tentpole promises to
-clean up after — a full work-stealing run, a mid-run budget cut, and
+clean up after — a full parallel run, a mid-run budget cut, and
 an engine-level exception — then snapshots again.  Any new entry is a leak and the script exits 1, printing the
 offending names.  CI runs this after the determinism suite
 (``make steal-smoke``); it is also a quick local smoke::
@@ -41,7 +41,7 @@ def _database(seed: int, n_items: int = 14, n_rows: int = 400):
 def exercise() -> None:
     database = _database(7)
 
-    # 1. full work-stealing run over the shm store
+    # 1. full parallel run over the shm store
     full = eclat_parallel(database, 40, workers=2)
     serial = eclat(database, 40)
     assert full.interesting == serial.interesting, "full-run mismatch"

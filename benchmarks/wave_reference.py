@@ -2,8 +2,8 @@
 
 The shipped :func:`repro.parallel.eclat.eclat_parallel` replaced static
 dispatch waves (batches of ``workers`` whole root subtrees behind a
-barrier, the database pickled into every worker) with dynamic work
-stealing over a shared-memory store.  This module preserves the *old*
+barrier, the database pickled into every worker) with split subtree
+tasks over a shared-memory store.  This module preserves the *old*
 scheduling and transport — whole-root tasks, ``map_in_order`` waves,
 columns shipped through the pool initializer — on top of the shipped
 mining kernels, so ``bench_steal`` can time exactly the scheduling and

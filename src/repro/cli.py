@@ -93,7 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         default="apriori",
     )
-    mine.add_argument("--seed", type=int, default=0)
+    mine.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="seed for --algorithm dualize_advance's shuffled advance "
+        "(default: the deterministic advance)",
+    )
     mine.add_argument(
         "--show",
         type=int,
@@ -149,9 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for --algorithm eclat: work-stolen "
-        "subtree tasks over one shared-memory copy of the vertical "
-        "store (results are bit-identical to serial)",
+        help="worker processes for --algorithm eclat: subtree tasks "
+        "over one shared-memory copy of the vertical store (results "
+        "are bit-identical to serial)",
     )
     _add_backend_flag(mine)
     _add_observability_flags(mine)
@@ -191,8 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for --method mmcs: work-stolen depth-2 "
-        "subtrees (results are bit-identical to serial)",
+        help="worker processes for --method mmcs: depth-2 subtree "
+        "tasks (results are bit-identical to serial)",
     )
     _add_observability_flags(transversals)
 

@@ -25,7 +25,7 @@ from repro.hypergraph.berge import berge_transversal_masks
 from repro.hypergraph.fredman_khachiyan import find_new_minimal_transversal
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
 from repro.hypergraph.levelwise_transversal import levelwise_transversal_masks
-from repro.hypergraph.mmcs import mmcs_transversal_masks
+from repro.hypergraph.mmcs import _with_prefix_partial, mmcs_transversal_masks
 from repro.util.bitset import iter_bits, rank_sorted
 
 _METHODS = ("berge", "fk", "mmcs", "levelwise", "brute")
@@ -125,9 +125,9 @@ def minimal_transversals(
     """The complete family ``Tr(H)`` as a sorted list of masks.
 
     Args:
-        workers: worker processes for ``"mmcs"``, which runs the
-            depth-2 subtree work-stealing driver; the output is
-            bit-identical to the serial engine.  ``None`` or ``<= 1``
+        workers: worker processes for ``"mmcs"``, which runs
+            depth-2 subtree tasks; the output is bit-identical to the
+            serial engine.  ``None`` or ``<= 1``
             runs serially.
 
     Raises:
@@ -168,17 +168,8 @@ def minimal_transversals(
             ):
                 found.append(mask)
         except BudgetExhausted as exhausted:
-            from repro.runtime.partial import PartialDualization
-
-            raise BudgetExhausted(
-                exhausted.reason,
-                str(exhausted),
-                partial=PartialDualization(
-                    reason=exhausted.reason,
-                    family=tuple(rank_sorted(found)),
-                    processed_edges=tuple(hypergraph.edge_masks),
-                    remaining_edges=(),
-                ),
+            raise _with_prefix_partial(
+                exhausted, found, hypergraph.edge_masks
             ) from exhausted
         return rank_sorted(found)
     if budget is not None:

@@ -201,35 +201,49 @@ def _rebuild_crit(
     return crit
 
 
+def _with_prefix_partial(
+    exhausted: BudgetExhausted, found: Sequence[int], edges: Sequence[int]
+) -> BudgetExhausted:
+    """``exhausted`` again, carrying the genuine-prefix partial family.
+
+    FK-style semantics: every member of ``found`` is a true minimal
+    transversal of the *full* edge family (all ``edges`` processed, none
+    remaining); the enumeration is merely incomplete.
+    """
+    from repro.runtime.partial import PartialDualization
+
+    return BudgetExhausted(
+        exhausted.reason,
+        str(exhausted),
+        partial=PartialDualization(
+            reason=exhausted.reason,
+            family=tuple(rank_sorted(found)),
+            processed_edges=tuple(edges),
+            remaining_edges=(),
+        ),
+    )
+
+
 def _enumerate(
     edge_masks: Sequence[int],
     budget,
     tracer,
-    *,
-    max_depth: int | None = None,
 ):
-    """Core driver shared by the serial and parallel entry points.
-
-    Returns ``(found, nodes, frontier)``; ``frontier`` is non-empty
-    only under ``max_depth`` (the parallel prefix walk).
+    """The serial search; returns ``(found, nodes)``.
 
     Raises:
-        BudgetExhausted: with a
+        BudgetExhausted: with the genuine-prefix
             :class:`~repro.runtime.partial.PartialDualization` attached
-            whose ``family`` is the genuine ``Tr(H)`` prefix discovered
-            so far (FK-style semantics: every member is a true minimal
-            transversal of the *full* edge family, the enumeration is
-            merely incomplete).
+            (:func:`_with_prefix_partial`).
     """
     tracer = as_tracer(tracer)
     edges, by_vertex, full_cand = _prepare(edge_masks)
     if by_vertex is None:
         degenerate = [0] if not edges else []
-        return degenerate, 0, []
+        return degenerate, 0
     if budget is not None:
         budget.begin()
     state = _SearchState(edges, by_vertex, budget, tracer)
-    frontier: list[tuple[tuple[int, ...], int, int]] = []
     uncov_all = (1 << len(edges)) - 1
     with tracer.span("mmcs.run", edges=len(edges)) as run_span:
         try:
@@ -241,25 +255,14 @@ def _enumerate(
                 uncov_all,
                 [],
                 0,
-                max_depth,
-                frontier,
             )
         except BudgetExhausted as exhausted:
-            from repro.runtime.partial import PartialDualization
-
             if tracer.enabled:
                 run_span.note(outcome="partial", reason=exhausted.reason)
-            raise BudgetExhausted(
-                exhausted.reason,
-                str(exhausted),
-                partial=PartialDualization(
-                    reason=exhausted.reason,
-                    family=tuple(rank_sorted(state.found)),
-                    processed_edges=tuple(edges),
-                    remaining_edges=(),
-                ),
+            raise _with_prefix_partial(
+                exhausted, state.found, edges
             ) from exhausted
-        if tracer.enabled and max_depth is None:
+        if tracer.enabled:
             run_span.note(family_out=len(state.found), nodes=state.nodes)
             tracer.event(
                 "mmcs.done",
@@ -269,7 +272,7 @@ def _enumerate(
                 n=full_cand.bit_length(),
                 traced=True,
             )
-    return state.found, state.nodes, frontier
+    return state.found, state.nodes
 
 
 def mmcs_transversal_masks(
@@ -303,6 +306,6 @@ def mmcs_transversal_masks(
             ``family`` is a genuine prefix of ``Tr(H)`` (every member
             is a true minimal transversal of the full family).
     """
-    found, _, _ = _enumerate(edge_masks, budget, tracer)
+    found, _ = _enumerate(edge_masks, budget, tracer)
     return rank_sorted(found)
 

@@ -123,10 +123,9 @@ def mine_frequent_itemsets(
             path; see ``docs/API.md`` §11).
         workers: worker processes (``"eclat"`` only; see
             ``docs/API.md`` §13–14).  ``None`` or ``<= 1`` runs
-            serially; larger values fan work-stolen subtree tasks
-            across pool workers over a shared-memory copy of the
-            vertical store, with bit-identical results and query
-            accounting.
+            serially; larger values fan subtree tasks across pool
+            workers over a shared-memory copy of the vertical store,
+            with bit-identical results and query accounting.
 
     Returns:
         A :class:`~repro.core.theory.Theory`, or a

@@ -618,8 +618,8 @@ def eclat(
             never changes the result (property-tested).
         workers: ``None`` or ``<= 1`` runs serially; larger values fan
             subtree tasks across a
-            :class:`~repro.parallel.pool.WorkerPool` with dynamic work
-            stealing via :func:`repro.parallel.eclat.eclat_parallel`,
+            :class:`~repro.parallel.pool.WorkerPool` in submission
+            order via :func:`repro.parallel.eclat.eclat_parallel`,
             with bit-identical output.
 
     Returns:

@@ -126,7 +126,6 @@ KNOWN_EVENTS: dict[str, tuple[str, tuple[str, ...]]] = {
     "worker.batch": ("event", ("shard", "size")),
     "worker.crash": ("event", ("error",)),
     "worker.fallback": ("event", ("reason",)),
-    "worker.steal": ("event", ("seq", "pending")),
     "worker.task": ("span_open", ("position",)),
     # shared-memory vertical store (repro.parallel.shm)
     "shm.publish": ("event", ("segment", "bytes", "rows", "items")),

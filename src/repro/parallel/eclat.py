@@ -1,4 +1,4 @@
-"""Work-stealing parallel Eclat over a shared-memory vertical store.
+"""Parallel Eclat over a shared-memory vertical store.
 
 PR 5 sharded the Rymon tree at its first level and dispatched root
 subtrees in deterministic *waves* — a barrier per ``workers`` subtrees.
@@ -12,17 +12,18 @@ pickled database copy:
   initializer ships only the small segment handle, and each worker
   materializes its columns straight from the mapped pages (no pickle
   stream).
-* **scheduling** — tasks go through a
-  :class:`~repro.parallel.steal.StealScheduler`: a coordinator-owned
-  deque, idle workers steal from the tail the moment they finish, and
-  results fold strictly by task sequence number.  Large root classes
-  are *split* one level down (every depth-2 subtree of a root whose
-  tail has at least ``_SPLIT_TAIL`` members becomes its own task), so
-  even a single dominant root subtree spreads across all workers.
+* **dispatch** — every task is submitted up front through
+  :meth:`~repro.parallel.pool.WorkerPool.map_in_order`, so an idle
+  worker takes the next queued task the moment it finishes, and
+  results fold strictly by task sequence number as each one is ready.
+  Large root classes are *split* one level down (every depth-2 subtree
+  of a root whose tail has at least ``_SPLIT_TAIL`` members becomes its
+  own task), so even a single dominant root subtree spreads across all
+  workers.
 
 **Determinism.**  The task list, the split rule, and the fold order are
 functions of the database and threshold alone — never of the worker
-count or the steal schedule.  Workers compute pure functions of their
+count or the completion order.  Workers compute pure functions of their
 payloads; every side effect (support recording, query charging, budget
 checks, trace events) happens coordinator-side in fold order.  The
 coordinator evaluates its own nodes — the root class and the depth-2
@@ -45,10 +46,10 @@ class and of every root member, rebuilt from the answers recorded so
 far.  Every undecided mask extends one of these (monotonicity decides
 the rest).
 
-Crash tolerance is the scheduler's: a dying pool reclaims in-flight
-tasks and retries on a rebuilt pool through the bounded restart
-allowance; past it the coordinator mines the remaining sequence
-numbers itself (``worker.fallback``), still folding in order.  The
+Crash tolerance is the pool's: a dying pool resubmits the tasks not yet
+folded to a rebuilt pool through the bounded restart allowance; past it
+the coordinator mines the remaining sequence numbers itself
+(``worker.fallback``), still folding in order.  The
 shared-memory segment is tied to the pool as a finalizer — pool close
 (normal, exception, or interrupt) unlinks it, with an ``atexit`` hook
 as the last line of defence against leaked ``/dev/shm`` entries.
@@ -71,7 +72,6 @@ from repro.mining.eclat import (
 from repro.obs.context import TraceContext, active_collector
 from repro.parallel.pool import WorkerPool, WorkerPoolBroken, resolve_workers
 from repro.parallel.shm import ShmHandle, ShmVerticalStore
-from repro.parallel.steal import StealScheduler
 from repro.runtime.partial import PartialResult
 
 __all__ = ["eclat_parallel"]
@@ -248,9 +248,8 @@ def eclat_parallel(
     budget=None,
     on_exhaust: str = "return",
     tracer=None,
-    steal_rng=None,
 ) -> "EclatResult | PartialResult":
-    """Depth-first vertical mining, work-stolen across a worker pool.
+    """Depth-first vertical mining, fanned out across a worker pool.
 
     Args:
         database: the transaction database.
@@ -269,9 +268,8 @@ def eclat_parallel(
             shared store, root-level ``eclat.node`` events, one
             ``oracle.query`` event per evaluation (worker answers are
             re-emitted on fold — same masks and answers as serial,
-            grouped per subtree), one ``worker.steal`` event per steal,
-            one ``worker.batch`` event per folded task, and the
-            ``eclat.done`` accounting that
+            grouped per subtree), one ``worker.batch`` event per folded
+            task, and the ``eclat.done`` accounting that
             :class:`~repro.obs.monitor.TheoremMonitor` certifies.
             Workers never emit ``oracle.query`` records (that would
             double-charge the accounting); instead each task runs under
@@ -282,10 +280,6 @@ def eclat_parallel(
             :class:`~repro.obs.context.WorkerTraceCollector`), so one
             trace file holds the whole multi-process run and still
             certifies unchanged.
-        steal_rng: test hook — a ``random.Random``-like object that
-            turns tail steals into seeded random steals; results are
-            independent of it by construction, which the determinism
-            suite asserts.
 
     Returns:
         The same :class:`~repro.mining.eclat.EclatResult` (or certified
@@ -473,17 +467,11 @@ def eclat_parallel(
                     tasks.append(task)
 
             if tasks:
-                scheduler = StealScheduler(
-                    pool,
-                    _mine_task,
-                    tasks,
-                    tracer=tracer,
-                    steal_rng=steal_rng,
-                )
+                folded = 0
                 try:
-                    if not pool.parallel:
-                        raise WorkerPoolBroken("pool is not available")
-                    scheduler.run(fold)
+                    for result in pool.map_in_order(_mine_task, tasks):
+                        fold(folded, result)
+                        folded += 1
                 except WorkerPoolBroken:
                     if tracer.enabled:
                         tracer.event(
@@ -492,7 +480,7 @@ def eclat_parallel(
                     # Finish the remaining sequence numbers on the
                     # coordinator, folding through the same path.
                     local_expansions: dict = {}
-                    for seq in range(scheduler.next_fold, len(tasks)):
+                    for seq in range(folded, len(tasks)):
                         position, split_index = tasks[seq]
                         fold(
                             seq,

@@ -1,21 +1,20 @@
-"""Work-stolen parallel MMCS minimal-hitting-set enumeration.
+"""Parallel MMCS minimal-hitting-set enumeration.
 
 The MMCS search tree fans out exactly like Eclat's prefix tree, so the
-parallel driver reuses the PR 6 seam: the coordinator walks the tree to
+parallel engine uses the same seam: the coordinator walks the tree to
 a fixed *split depth*, collecting the depth-limited frontier nodes as
 tasks **in serial traversal order** — the task's index is its sequence
-number — then runs them through the
-:class:`~repro.parallel.steal.StealScheduler` on a
-:class:`~repro.parallel.pool.WorkerPool`.  Each worker rebuilds the
-node's ``crit`` state from its ``(members, cand, uncov)`` snapshot
-(cheaper to recompute once per subtree than to ship) and enumerates the
-subtree with the serial kernel.
+number — then runs them through
+:meth:`~repro.parallel.pool.WorkerPool.map_in_order`.  Each worker
+rebuilds the node's ``crit`` state from its ``(members, cand, uncov)``
+snapshot (cheaper to recompute once per subtree than to ship) and
+enumerates the subtree with the serial kernel.
 
 Determinism contract, same as every parallel engine here: results fold
 strictly in sequence order, the fold order equals the serial discovery
 order, and the final family is sorted by (cardinality, value) — so the
 output is bit-identical to the serial engine at every worker count and
-under every steal schedule (property-tested).
+under every completion order (property-tested).
 
 Budget semantics: the coordinator checks the budget during the prefix
 walk (per node) and at every fold (per completed subtree), so one
@@ -40,17 +39,17 @@ from repro.hypergraph.mmcs import (
     _rebuild_crit,
     _search,
     _vertex_edge_index,
+    _with_prefix_partial,
 )
 from repro.obs.tracer import as_tracer
 from repro.parallel.pool import WorkerPool, WorkerPoolBroken, resolve_workers
-from repro.parallel.steal import StealScheduler
 from repro.util.bitset import rank_sorted
 
 __all__ = ["mmcs_transversals_parallel", "SPLIT_DEPTH"]
 
 #: Depth of the coordinator's prefix walk.  Two levels of branching on
 #: data-profiling-shaped hypergraphs yields tens-to-hundreds of subtree
-#: tasks — enough spread for stealing to balance skew, few enough that
+#: tasks — enough spread for the pool to balance skew, few enough that
 #: snapshot shipping stays negligible.  A constant (never derived from
 #: the worker count) so the task list, sequence numbers, and therefore
 #: every fold-order effect are identical at every worker count.
@@ -112,9 +111,8 @@ def mmcs_transversals_parallel(
     *,
     budget=None,
     tracer=None,
-    steal_rng=None,
 ) -> list[int]:
-    """Minimal transversals via MMCS with depth-2 subtree stealing.
+    """Minimal transversals via MMCS with depth-2 subtree tasks.
 
     Output is identical (same masks, same (cardinality, value) order)
     to :func:`repro.hypergraph.mmcs.mmcs_transversal_masks` at every
@@ -129,17 +127,14 @@ def mmcs_transversals_parallel(
             unit).  Exhaustion carries the genuine-prefix partial of
             all subtrees folded so far.
         tracer: optional tracer — the serial ``mmcs.run`` span plus
-            ``worker.pool`` / ``worker.steal`` / ``worker.fallback``
-            events; ``mmcs.output`` events are emitted at fold points
-            (so their order matches the serial engine) and the closing
+            ``worker.pool`` / ``worker.fallback`` events;
+            ``mmcs.output`` events are emitted at fold points (so their
+            order matches the serial engine) and the closing
             ``mmcs.done`` carries the summed node count with
             ``traced=False`` (subtree interiors are not re-traced).
-        steal_rng: adversarial steal schedule injection, forwarded to
-            the :class:`~repro.parallel.steal.StealScheduler` (the
-            determinism suite's lever).
     """
     if resolve_workers(workers) <= 1:
-        found, _, _ = _enumerate(edge_masks, budget, tracer)
+        found, _ = _enumerate(edge_masks, budget, tracer)
         return rank_sorted(found)
     tracer = as_tracer(tracer)
     edges, by_vertex, full_cand = _prepare(edge_masks)
@@ -151,9 +146,22 @@ def mmcs_transversals_parallel(
     with tracer.span("mmcs.run", edges=len(edges)) as run_span:
         # Phase 1: depth-limited prefix walk on the coordinator.  The
         # frontier list is the task list; transversals completed above
-        # the split depth land in ``state.found`` in discovery order.
+        # the split depth land in ``found`` in discovery order.
         state = _SearchState(edges, by_vertex, budget, tracer)
+        found = state.found
         frontier: list[tuple[tuple[int, ...], int, int]] = []
+
+        def fold(result) -> None:
+            nonlocal nodes
+            subtree_found, subtree_nodes = result
+            nodes += subtree_nodes
+            if budget is not None:
+                budget.check(family=len(found))
+            found.extend(subtree_found)
+            if tracer.enabled:
+                for mask in subtree_found:
+                    tracer.event("mmcs.output", mask=mask)
+
         try:
             _search(
                 state,
@@ -166,64 +174,31 @@ def mmcs_transversals_parallel(
                 SPLIT_DEPTH,
                 frontier,
             )
+            nodes = state.nodes
+            with WorkerPool(
+                workers,
+                initializer=_init_mmcs_worker,
+                initargs=(list(edges),),
+                tracer=tracer,
+            ) as pool:
+                folded = 0
+                try:
+                    for result in pool.map_in_order(_mmcs_task, frontier):
+                        fold(result)
+                        folded += 1
+                except WorkerPoolBroken as error:
+                    # Finish the unfolded tail serially; the fold order
+                    # (and so the output) is unchanged because
+                    # ``folded`` marks exactly the first sequence number
+                    # whose result never landed.
+                    if tracer.enabled:
+                        tracer.event("worker.fallback", reason=str(error))
+                    for members, cand, uncov in frontier[folded:]:
+                        fold(_subtree(edges, by_vertex, members, cand, uncov))
         except BudgetExhausted as exhausted:
-            raise _with_partial(
-                exhausted, state.found, edges, tracer, run_span
-            ) from exhausted
-        found = list(state.found)
-        nodes = state.nodes
-
-        pool = WorkerPool(
-            workers,
-            initializer=_init_mmcs_worker,
-            initargs=(list(edges),),
-            tracer=tracer,
-        )
-        if tracer.enabled:
-            tracer.event("worker.pool", workers=pool.workers)
-
-        def fold(seq: int, result) -> None:
-            nonlocal nodes
-            subtree_found, subtree_nodes = result
-            nodes += subtree_nodes
-            if budget is not None:
-                budget.check(family=len(found))
-            found.extend(subtree_found)
             if tracer.enabled:
-                for mask in subtree_found:
-                    tracer.event("mmcs.output", mask=mask)
-
-        scheduler = StealScheduler(
-            pool, _mmcs_task, frontier, tracer=tracer, steal_rng=steal_rng
-        )
-        try:
-            if pool.parallel:
-                scheduler.run(fold)
-            else:
-                raise WorkerPoolBroken("pool is serial or already broken")
-        except WorkerPoolBroken as error:
-            # Finish the unfolded tail serially; the fold order (and so
-            # the output) is unchanged because next_fold marks exactly
-            # the first sequence number whose result never landed.
-            if tracer.enabled:
-                tracer.event("worker.fallback", reason=str(error))
-            try:
-                for seq in range(scheduler.next_fold, len(frontier)):
-                    members, cand, uncov = frontier[seq]
-                    fold(
-                        seq,
-                        _subtree(edges, by_vertex, members, cand, uncov),
-                    )
-            except BudgetExhausted as exhausted:
-                raise _with_partial(
-                    exhausted, found, edges, tracer, run_span
-                ) from exhausted
-        except BudgetExhausted as exhausted:
-            raise _with_partial(
-                exhausted, found, edges, tracer, run_span
-            ) from exhausted
-        finally:
-            pool.close()
+                run_span.note(outcome="partial", reason=exhausted.reason)
+            raise _with_prefix_partial(exhausted, found, edges) from exhausted
 
         if tracer.enabled:
             run_span.note(family_out=len(found), nodes=nodes)
@@ -236,23 +211,3 @@ def mmcs_transversals_parallel(
                 traced=False,
             )
         return rank_sorted(found)
-
-
-def _with_partial(
-    exhausted: BudgetExhausted, found, edges, tracer, run_span
-) -> BudgetExhausted:
-    """Re-raise helper: attach the genuine-prefix partial family."""
-    from repro.runtime.partial import PartialDualization
-
-    if tracer.enabled:
-        run_span.note(outcome="partial", reason=exhausted.reason)
-    return BudgetExhausted(
-        exhausted.reason,
-        str(exhausted),
-        partial=PartialDualization(
-            reason=exhausted.reason,
-            family=tuple(rank_sorted(found)),
-            processed_edges=tuple(edges),
-            remaining_edges=(),
-        ),
-    )

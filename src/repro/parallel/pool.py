@@ -8,20 +8,19 @@ behaviours every parallel engine here relies on:
   :attr:`parallel` is then ``False`` and callers run their own serial
   path.  Every parallel entry point in this package therefore degrades
   to the exact serial algorithm with zero overhead.
-* **deterministic batch dispatch** — :meth:`map_in_order` submits a
-  whole task list and gathers results in *submission* order, never in
-  completion order, so merged results do not depend on OS scheduling.
+* **ordered dispatch** — :meth:`map_in_order` submits a whole task
+  list and yields results in *submission* order, never in completion
+  order, so a fold over them does not depend on OS scheduling.
 * **bounded crash recovery** — when the pool dies mid-batch (a worker
-  was OOM-killed, segfaulted, or the executor broke), the whole batch
-  is retried on a freshly spawned pool at most ``max_restarts`` times,
-  mirroring the bounded-retry semantics of
+  was OOM-killed, segfaulted, or the executor broke), the tasks not yet
+  yielded are resubmitted to a freshly spawned pool, at most
+  ``max_restarts`` times, mirroring the bounded-retry semantics of
   :class:`~repro.runtime.resilient.ResilientOracle`.  Once restarts are
   exhausted the pool marks itself broken and raises
   :class:`WorkerPoolBroken`; callers fall back to their serial path,
-  so a dying pool degrades a run, never corrupts it.  Retrying whole
-  batches is safe because every task shipped through this pool is a
-  pure function of its arguments (support counting, antichain
-  reduction) — re-execution cannot change an answer.
+  so a dying pool degrades a run, never corrupts it.  Re-running a task
+  is safe because every task shipped through this pool is a pure
+  function of its arguments — re-execution cannot change an answer.
 
 The ``fork`` start method is preferred on platforms that offer it (the
 pool is spawned before any numpy threads exist, and fork makes pool
@@ -32,7 +31,8 @@ default is used.
 from __future__ import annotations
 
 import multiprocessing
-from collections.abc import Callable, Sequence
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -188,8 +188,7 @@ class WorkerPool:
     def restart(self, error: BaseException | None = None) -> None:
         """Tear the pool down and respawn it, consuming one restart.
 
-        The shared recovery path of :meth:`map_in_order`,
-        :meth:`submit`, and the work-stealing scheduler: emits a
+        The recovery path of :meth:`map_in_order`: emits a
         ``worker.crash`` event, and once the restart allowance is spent
         marks the pool permanently broken and raises
         :class:`WorkerPoolBroken` so callers take their serial path.
@@ -212,13 +211,10 @@ class WorkerPool:
         """Submit one task to the live executor (no implicit recovery).
 
         Returns a :class:`concurrent.futures.Future`.  Unlike
-        :meth:`map_in_order` this performs *no* retry or restart of its
-        own: a submission that trips over a broken executor raises that
-        executor's :class:`BrokenProcessPool`/``RuntimeError`` for the
-        caller to fold into its own recovery — the stealing scheduler
-        funnels every failure sign (dead future *or* failed submit)
-        through a single :meth:`restart` per pool death, so one crash
-        never consumes two restarts.
+        :meth:`map_in_order` this performs *no* retry or restart: a
+        submission that trips over a broken executor raises that
+        executor's :class:`BrokenProcessPool`, and a dead future raises
+        it from ``result()``, for the caller to handle.
 
         Raises:
             WorkerPoolBroken: in serial mode or permanently broken.
@@ -229,38 +225,51 @@ class WorkerPool:
 
     def map_in_order(
         self, fn: Callable, task_args: Sequence[tuple]
-    ) -> list:
-        """Run ``fn(*args)`` for every argument tuple, results in order.
+    ) -> Iterator:
+        """Run ``fn(*args)`` for every argument tuple, yielding in order.
 
-        The full batch is submitted up front and gathered in submission
-        order.  Exceptions raised *by* ``fn`` propagate unchanged (they
-        are deterministic and retrying cannot help); a *pool* failure —
-        :class:`BrokenProcessPool` or a dead executor — triggers a
-        rebuild and one whole-batch retry per remaining restart.  Any
-        other interruption (``KeyboardInterrupt``, a budget signal)
-        cancels the not-yet-running remainder of the batch before
-        propagating, so an abandoned batch cannot wedge the executor's
-        queue or strand worker processes past :meth:`close`.
+        Every task is submitted up front; results are yielded strictly
+        in submission order as each one is ready, and each future is
+        dropped once read.  Exceptions raised *by* ``fn`` propagate
+        unchanged (they are deterministic and retrying cannot help); a
+        *pool* death — :class:`BrokenProcessPool` — triggers a rebuild
+        and a resubmission of the tasks not yet yielded, once per
+        remaining restart.  When the caller stops early (an exception
+        in its loop, or closing the iterator) the tasks that have not
+        started are cancelled, so an abandoned batch cannot wedge the
+        executor's queue or strand worker processes past :meth:`close`.
 
         Raises:
-            WorkerPoolBroken: in serial mode, or when the restart
-                allowance is exhausted.
+            WorkerPoolBroken: at the call, in serial mode or when the
+                pool is already broken; during iteration, when the
+                restart allowance is exhausted.
         """
         if not self.parallel:
             raise WorkerPoolBroken("pool is serial or permanently broken")
-        while True:
-            futures: list = []
-            try:
-                futures = [
-                    self._executor.submit(fn, *args) for args in task_args
-                ]
-                return [future.result() for future in futures]
-            except (BrokenProcessPool, RuntimeError) as error:
-                self.restart(error)
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
+        return self._ordered(fn, task_args)
+
+    def _ordered(self, fn: Callable, task_args: Sequence[tuple]):
+        futures: deque = deque()
+        yielded = 0
+        try:
+            while yielded < len(task_args):
+                try:
+                    if not futures:
+                        futures.extend(
+                            self._executor.submit(fn, *args)
+                            for args in task_args[yielded:]
+                        )
+                    result = futures[0].result()
+                except BrokenProcessPool as error:
+                    futures.clear()
+                    self.restart(error)
+                    continue
+                futures.popleft()
+                yielded += 1
+                yield result
+        finally:
+            for future in futures:
+                future.cancel()
 
     def close(self) -> None:
         """Shut the executor down and run finalizers (idempotent).

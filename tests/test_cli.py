@@ -90,6 +90,31 @@ class TestGenerateAndMine:
         assert main([command, path, "--min-support", "2.5"]) == 2
         assert "--min-support 2.5" in capsys.readouterr().err
 
+    def test_seed_selects_the_shuffled_advance(self, tmp_path, capsys):
+        """Without --seed, dualize_advance runs the library default (the
+        deterministic advance); --seed 0 runs the seed-0 shuffle."""
+        from repro.datasets.fimi import read_fimi
+        from repro.instances.frequent_itemsets import mine_frequent_itemsets
+
+        path = str(tmp_path / "data.dat")
+        main(["generate", path, "--items", "20", "--transactions", "300",
+              "--avg-length", "4", "--seed", "7"])
+        capsys.readouterr()
+        database = read_fimi(path)
+        default, seeded = (
+            mine_frequent_itemsets(
+                database, 0.2, algorithm="dualize_advance", seed=seed
+            ).queries
+            for seed in (None, 0)
+        )
+        assert default != seeded
+        args = ["mine", path, "--min-support", "0.2",
+                "--algorithm", "dualize_advance"]
+        assert main(args) == 0
+        assert f"queries = {default}" in capsys.readouterr().out
+        assert main(args + ["--seed", "0"]) == 0
+        assert f"queries = {seeded}" in capsys.readouterr().out
+
 
 class TestTransversalsCommand:
     def test_example8(self, capsys):

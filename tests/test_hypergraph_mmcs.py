@@ -5,8 +5,8 @@ against the established engines:
 
 * **output identity** — ``mmcs`` returns exactly the same sorted
   family as Berge, FK and levelwise on random simple hypergraphs,
-  serially and through the depth-2 work-stealing driver at any worker
-  count or steal schedule;
+  serially and through depth-2 subtree tasks at any worker
+  count;
 * **budget honesty** — a tripped :class:`Budget` surfaces a
   :class:`PartialDualization` whose family is a genuine subset of
   ``Tr(H)``, deterministically;
@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from repro.hypergraph.enumeration import (
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
 from repro.hypergraph.mmcs import _enumerate, mmcs_transversal_masks
 from repro.obs import JsonlTraceWriter, MultiTracer, TheoremMonitor
+from repro.obs.tracer import Tracer
 from repro.parallel.mmcs import mmcs_transversals_parallel
 from repro.runtime.budget import Budget
 from repro.util.bitset import Universe, popcount
@@ -136,18 +138,25 @@ class TestParallelDriver:
         )
         assert parallel == serial
 
-    @settings(max_examples=25, deadline=None)
-    @given(hypergraph=simple_hypergraphs(), seed=st.integers(0, 2**16))
-    def test_adversarial_steal_schedules_are_bit_identical(
-        self, worker_count, hypergraph, seed
-    ):
-        serial = mmcs_transversal_masks(hypergraph.edge_masks)
-        stolen = mmcs_transversals_parallel(
-            hypergraph.edge_masks,
-            workers=worker_count,
-            steal_rng=random.Random(seed),
+    def test_one_worker_pool_event_per_run(self, worker_count):
+        # The pool emits ``worker.pool`` once per (re)spawn; the engine
+        # adds none of its own.
+        class _Counter(Tracer):
+            def __init__(self):
+                self.counts: Counter = Counter()
+
+            def event(self, name, **attrs):
+                self.counts[name] += 1
+
+        counter = _Counter()
+        hypergraph = Hypergraph(
+            Universe(range(4)), [0b0011, 0b0110, 0b1100, 0b1001]
         )
-        assert stolen == serial
+        family = minimal_transversals(
+            hypergraph, method="mmcs", workers=worker_count, tracer=counter
+        )
+        assert family == mmcs_transversal_masks(hypergraph.edge_masks)
+        assert counter.counts["worker.pool"] == 1
 
     def test_workers_one_is_the_serial_path(self):
         edges = [0b011, 0b110, 0b101]
@@ -168,9 +177,8 @@ class TestPinnedSearch:
     def test_node_count_and_discovery_order(self):
         edges = _fd_key_edges()
         assert len(edges) == 119
-        found, nodes, frontier = _enumerate(edges, None, None)
+        found, nodes = _enumerate(edges, None, None)
         assert nodes == 1050
-        assert frontier == []
         assert len(found) == 579
         assert found[:8] == [9747, 1559, 1685, 9749, 5269, 5777, 12309, 12435]
         assert _digest(found) == (

@@ -1,7 +1,7 @@
 """Worker-count routing through the public entry points.
 
-Two engines run in parallel: Eclat (work-stolen subtrees over a
-shared-memory vertical store) and MMCS (work-stolen depth-2 subtrees).
+Two engines run in parallel: Eclat (subtree tasks over a shared-memory
+vertical store) and MMCS (depth-2 subtree tasks).
 Their bit-identity suites are ``test_parallel_steal.py`` and
 ``test_hypergraph_mmcs.py``.  This module pins the routing: ``workers``
 reaches those engines through :func:`mine_frequent_itemsets` and

@@ -9,7 +9,9 @@ finalizers, and resource release on interrupt.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -38,17 +40,44 @@ def _boom(x):
     raise ValueError(f"boom {x}")
 
 
+def _raise_runtime(kind, x):
+    raise kind(f"task {x}")
+
+
+def _sleep_then_return(delay_ms, value):
+    time.sleep(delay_ms / 1000)
+    return value
+
+
 def _crash_once(sentinel, value):
     """Kill the worker process the first time, succeed after.
 
     The sentinel file marks that the crash already happened, so the
-    whole-batch retry on the rebuilt pool completes.
+    resubmission on the rebuilt pool completes.
     """
     if not os.path.exists(sentinel):
         with open(sentinel, "w"):
             pass
         os._exit(3)
     return value
+
+
+def _crash_after_yield(directory, index, crash_at):
+    """Count this execution in a per-task marker file; the first run of
+    task ``crash_at`` waits until the caller has consumed its
+    predecessor's result, then kills the worker."""
+    with open(os.path.join(directory, f"ran-{index}"), "a") as marker:
+        marker.write("x")
+    crashed = os.path.join(directory, "crashed")
+    if index == crash_at and not os.path.exists(crashed):
+        consumed = os.path.join(directory, f"yielded-{index - 1}")
+        deadline = time.monotonic() + 10
+        while not os.path.exists(consumed) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        with open(crashed, "w"):
+            pass
+        os._exit(3)
+    return index
 
 
 # -- resolve_workers ----------------------------------------------------
@@ -75,29 +104,78 @@ def test_pool_serial_mode_has_no_processes():
 
 def test_pool_map_preserves_submission_order():
     with WorkerPool(2) as pool:
-        results = pool.map_in_order(_square, [(i,) for i in range(20)])
+        results = list(
+            pool.map_in_order(_square, [(i,) for i in range(20)])
+        )
     assert results == [i * i for i in range(20)]
+
+
+def test_pool_map_orders_results_against_reversed_completion():
+    # Task i sleeps (n - i) ms, so later tasks tend to finish first.
+    n = 8
+    with WorkerPool(2) as pool:
+        results = list(
+            pool.map_in_order(
+                _sleep_then_return, [(n - i, i) for i in range(n)]
+            )
+        )
+    assert results == list(range(n))
+
+
+def test_pool_map_of_no_tasks_is_empty():
+    with WorkerPool(2) as pool:
+        assert list(pool.map_in_order(_square, [])) == []
 
 
 def test_pool_task_exceptions_propagate_unwrapped():
     with WorkerPool(2) as pool:
         with pytest.raises(ValueError, match="boom 3"):
-            pool.map_in_order(_boom, [(3,)])
+            list(pool.map_in_order(_boom, [(3,)]))
         # a task error does not break the pool
         assert pool.parallel
-        assert pool.map_in_order(_square, [(4,)]) == [16]
+        assert list(pool.map_in_order(_square, [(4,)])) == [16]
+
+
+@pytest.mark.parametrize("kind", [RuntimeError, RecursionError])
+def test_pool_task_runtime_errors_are_not_pool_deaths(kind):
+    tracer = RecordingTracer()
+    with WorkerPool(2, tracer=tracer) as pool:
+        with pytest.raises(kind, match="task 1") as caught:
+            list(pool.map_in_order(_raise_runtime, [(kind, 1), (kind, 2)]))
+        assert type(caught.value) is kind
+        assert pool.parallel
+        assert list(pool.map_in_order(_square, [(4,)])) == [16]
+    assert "worker.crash" not in tracer.names()
 
 
 def test_pool_restarts_after_worker_crash(tmp_path):
     sentinel = str(tmp_path / "crashed")
     tracer = RecordingTracer()
     with WorkerPool(2, max_restarts=1, tracer=tracer) as pool:
-        results = pool.map_in_order(
-            _crash_once, [(sentinel, i) for i in range(6)]
+        results = list(
+            pool.map_in_order(_crash_once, [(sentinel, i) for i in range(6)])
         )
         assert results == list(range(6))
         assert pool.parallel
     assert "worker.crash" in tracer.names()
+
+
+def test_pool_crash_resubmits_only_unyielded_tasks(tmp_path):
+    crash_at, n = 3, 8
+    results = []
+    with WorkerPool(2, max_restarts=1) as pool:
+        for result in pool.map_in_order(
+            _crash_after_yield,
+            [(str(tmp_path), i, crash_at) for i in range(n)],
+        ):
+            results.append(result)
+            (tmp_path / f"yielded-{result}").touch()
+    assert results == list(range(n))
+    runs = [len((tmp_path / f"ran-{i}").read_text()) for i in range(n)]
+    # tasks yielded before the crash ran once; the crashed one twice
+    assert runs[:crash_at] == [1] * crash_at
+    assert runs[crash_at] == 2
+    assert min(runs) >= 1
 
 
 def test_pool_breaks_permanently_when_restarts_exhausted(tmp_path):
@@ -105,8 +183,23 @@ def test_pool_breaks_permanently_when_restarts_exhausted(tmp_path):
 
     with WorkerPool(2, max_restarts=0) as pool:
         with pytest.raises(WorkerPoolBroken):
-            pool.map_in_order(_crash_once, [(sentinel, 0)])
+            list(pool.map_in_order(_crash_once, [(sentinel, 0)]))
         assert not pool.parallel
+
+
+def test_pool_survives_an_exception_in_the_callers_loop():
+    before = set(multiprocessing.active_children())
+    pool = WorkerPool(2)
+    try:
+        with pytest.raises(KeyError):
+            for _ in pool.map_in_order(_square, [(i,) for i in range(20)]):
+                raise KeyError("caller stops early")
+        assert list(pool.map_in_order(_square, [(5,)])) == [25]
+        children = set(multiprocessing.active_children()) - before
+        assert children
+    finally:
+        pool.close()
+    assert not any(child.is_alive() for child in children)
 
 
 # -- finalizers and resource release ------------------------------------
@@ -166,13 +259,11 @@ def test_interrupted_shm_run_releases_everything():
             universe, [rng.getrandbits(12) for _ in range(150)]
         )
 
-        # interrupt the engine mid-schedule: the first fold raises
-        original = eclat_module.StealScheduler.run
-
-        def interrupting_run(self, fold):
+        # interrupt the engine as it starts dispatching its tasks
+        def interrupting_map(self, fn, task_args):
             raise KeyboardInterrupt
 
-        eclat_module.StealScheduler.run = interrupting_run
+        eclat_module.WorkerPool.map_in_order = interrupting_map
         result = eclat_parallel(database, 4, workers=2)
         assert isinstance(result, PartialResult), type(result)
         print("INTERRUPT-OK")

@@ -1,13 +1,13 @@
-"""Determinism suite for the work-stealing parallel Eclat.
+"""Determinism suite for the parallel Eclat.
 
-The stealing scheduler's contract is stronger than "same answer": the
-fold order — and with it every budget cut point, trace accounting, and
+The ordered fold's contract is stronger than "same answer": the fold
+order — and with it every budget cut point, trace accounting, and
 partial-result frontier — must be **bit-identical to the serial
-engine** at every worker count and under every steal schedule.  This
+engine** at every worker count and under every completion order.  This
 module drives that contract with hypothesis across random databases,
-thresholds, worker counts, seeded *adversarial* steal schedules
-(``steal_rng``), and mid-run budget cuts; plus the crash-retry and
-serial-fallback paths.
+thresholds, worker counts, and mid-run budget cuts; plus the
+serial-fallback path.  The pool's own ordering and crash-retry
+behaviour is unit-tested in ``test_parallel_pool.py``.
 
 CI runs this module at ``--workers 2`` and ``--workers 4`` (the pytest
 option; see ``tests/conftest.py``).
@@ -15,11 +15,8 @@ option; see ``tests/conftest.py``).
 
 from __future__ import annotations
 
-import os
 import random
-import tempfile
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +30,6 @@ from repro.parallel.eclat import (
     eclat_parallel,
 )
 from repro.parallel.pool import WorkerPool, WorkerPoolBroken
-from repro.parallel.steal import StealScheduler
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult
 from repro.util.bitset import Universe
@@ -71,33 +67,17 @@ def test_steal_bit_identical_to_serial(data, worker_count):
     n_items = data.draw(st.integers(min_value=1, max_value=12))
     n_rows = data.draw(st.integers(min_value=1, max_value=120))
     threshold = data.draw(st.integers(min_value=1, max_value=12))
-    steal_seed = data.draw(st.none() | st.integers(0, 2**10))
     database = _random_database(random.Random(seed), n_items, n_rows)
     serial = eclat(database, threshold)
-    parallel = eclat_parallel(
-        database,
-        threshold,
-        workers=worker_count,
-        steal_rng=(
-            random.Random(steal_seed) if steal_seed is not None else None
-        ),
-    )
+    parallel = eclat_parallel(database, threshold, workers=worker_count)
     _assert_identical(serial, parallel)
 
 
 def test_transports_and_schedules_agree(worker_count):
     database = _random_database(random.Random(99), 11, 150)
     serial = eclat(database, 6)
-    for steal_seed in (None, 0, 17):
-        parallel = eclat_parallel(
-            database,
-            6,
-            workers=worker_count,
-            steal_rng=(
-                random.Random(steal_seed) if steal_seed is not None else None
-            ),
-        )
-        _assert_identical(serial, parallel)
+    parallel = eclat_parallel(database, 6, workers=worker_count)
+    _assert_identical(serial, parallel)
 
 
 def test_task_local_maxima_dominated_across_tasks(worker_count):
@@ -137,32 +117,23 @@ def test_budget_cut_partials_identical_everywhere(data, worker_count):
     max_queries = data.draw(
         st.integers(min_value=1, max_value=max(1, full.queries - 1))
     )
-    reference = None
-    for steal_seed in (None, 3):
-        partial = eclat_parallel(
-            database,
-            4,
-            workers=worker_count,
-            budget=Budget(max_queries=max_queries),
-            steal_rng=(
-                random.Random(steal_seed) if steal_seed is not None else None
-            ),
-        )
-        assert isinstance(partial, PartialResult)
-        assert partial.reason == "queries"
-        assert partial.queries >= max_queries
-        certificate = partial.certificate()
-        assert certificate.ok, certificate
-        key = (
-            tuple(sorted(partial.history.items())),
-            tuple(sorted(partial.frontier)),
-            partial.queries,
-        )
-        if reference is None:
-            reference = key
-        else:
-            assert key == reference
-    # and independent of the worker count too
+    partial = eclat_parallel(
+        database,
+        4,
+        workers=worker_count,
+        budget=Budget(max_queries=max_queries),
+    )
+    assert isinstance(partial, PartialResult)
+    assert partial.reason == "queries"
+    assert partial.queries >= max_queries
+    certificate = partial.certificate()
+    assert certificate.ok, certificate
+    reference = (
+        tuple(sorted(partial.history.items())),
+        tuple(sorted(partial.frontier)),
+        partial.queries,
+    )
+    # independent of the worker count
     other = eclat_parallel(
         database,
         4,
@@ -203,7 +174,6 @@ def test_monitor_certifies_stolen_trace(worker_count):
         5,
         workers=worker_count,
         tracer=monitor,
-        steal_rng=random.Random(8),
     )
     serial = eclat(database, 5)
     _assert_identical(serial, parallel)
@@ -238,69 +208,13 @@ def test_steal_events_validate_against_schema(worker_count):
 # -- crash tolerance ----------------------------------------------------
 
 
-def _square(value: int) -> int:
-    return value * value
-
-
-def _crash_once(sentinel: str, value: int) -> int:
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w") as marker:
-            marker.write("crashed")
-        os._exit(3)
-    return value * value
-
-
-def test_scheduler_retries_after_worker_crash_mid_steal():
-    with tempfile.TemporaryDirectory() as tmp:
-        sentinel = os.path.join(tmp, "crash-marker")
-        with WorkerPool(2) as pool:
-            payloads = [(sentinel, value) for value in range(8)]
-            scheduler = StealScheduler(pool, _crash_once, payloads)
-            folded: list[tuple[int, int]] = []
-            count = scheduler.run(
-                lambda seq, result: folded.append((seq, result))
-            )
-        assert count == len(payloads)
-        # in order, every task exactly once, correct values
-        assert folded == [(seq, seq * seq) for seq in range(8)]
-        assert os.path.exists(sentinel)
-
-
-def test_scheduler_broken_past_allowance_raises():
-    with tempfile.TemporaryDirectory() as tmp:
-        # two distinct sentinels: the retry crashes again, exhausting
-        # the single-restart allowance
-        def payloads_for(run: int):
-            return [
-                (os.path.join(tmp, f"marker-{run}-{value}"), value)
-                for value in range(4)
-            ]
-
-        class _AlwaysCrash:
-            pass
-
-        with WorkerPool(2, max_restarts=0) as pool:
-            scheduler = StealScheduler(
-                pool, _crash_once, payloads_for(0)
-            )
-            with pytest.raises(WorkerPoolBroken):
-                scheduler.run(lambda seq, result: None)
-            assert not pool.parallel
-
-
 def test_eclat_serial_fallback_on_broken_pool(monkeypatch, worker_count):
-    # Force the scheduler to report a dead pool: the engine must finish
-    # on the coordinator with a bit-identical result.
-    import repro.parallel.eclat as eclat_module
+    # Force the pool to report itself dead: the engine must finish on
+    # the coordinator with a bit-identical result.
+    def _broken_map(self, fn, task_args):
+        raise WorkerPoolBroken("injected")
 
-    class _BrokenScheduler:
-        def __init__(self, *args, **kwargs):
-            self.next_fold = 0
-
-        def run(self, fold):
-            raise WorkerPoolBroken("injected")
-
-    monkeypatch.setattr(eclat_module, "StealScheduler", _BrokenScheduler)
+    monkeypatch.setattr(WorkerPool, "map_in_order", _broken_map)
     database = _random_database(random.Random(55), 10, 90)
     serial = eclat(database, 5)
 
@@ -324,31 +238,3 @@ def test_eclat_serial_fallback_on_broken_pool(monkeypatch, worker_count):
     )
     _assert_identical(serial, parallel)
     assert "worker.fallback" in tracer.events
-
-
-# -- scheduler unit behaviour ------------------------------------------
-
-
-def test_scheduler_empty_payloads_is_noop():
-    with WorkerPool(2) as pool:
-        scheduler = StealScheduler(pool, _square, [])
-        assert scheduler.run(lambda seq, result: None) == 0
-
-
-def test_scheduler_requires_parallel_pool():
-    pool = WorkerPool(1)
-    scheduler = StealScheduler(pool, _square, [(1,), (2,)])
-    with pytest.raises(WorkerPoolBroken):
-        scheduler.run(lambda seq, result: None)
-
-
-def test_scheduler_folds_in_sequence_order(worker_count):
-    with WorkerPool(worker_count) as pool:
-        payloads = [(value,) for value in range(20)]
-        folded: list[int] = []
-        scheduler = StealScheduler(
-            pool, _square, payloads, steal_rng=random.Random(5)
-        )
-        count = scheduler.run(lambda seq, result: folded.append(seq))
-        assert count == 20
-    assert folded == list(range(20))

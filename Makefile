@@ -75,7 +75,9 @@ par-smoke:
 # the same mine with 2 workers, whose stdout must match the serial
 # leg's byte for byte (cmp), then schema-validate + profile the trace.
 # The budget-cut leg stops a serial and a 2-worker mine at 50 queries:
-# each must exit 3 (partial) with a valid certificate.
+# each must exit 3 (partial) with a valid certificate.  The block leg
+# repeats the loop on 80,000 rows, above the crossover from which the
+# block-cover kernel mines (docs/API.md §13).
 eclat-smoke:
 	$(eval ECLAT_DIR := $(shell mktemp -d /tmp/eclat_smoke.XXXXXX))
 	$(PYTHON) -m repro generate $(ECLAT_DIR)/smoke.dat \
@@ -94,6 +96,18 @@ eclat-smoke:
 		> $(ECLAT_DIR)/cut.txt; \
 		test $$? -eq 3 && grep "certificate: valid" $(ECLAT_DIR)/cut.txt
 	$(PYTHON) -m benchmarks.trace_report $(ECLAT_DIR)/smoke.jsonl --validate
+	$(PYTHON) -m repro generate $(ECLAT_DIR)/block.dat \
+		--items 100 --transactions 80000 --seed 7
+	$(PYTHON) -m repro mine $(ECLAT_DIR)/block.dat --min-support 0.02 \
+		--algorithm eclat --trace $(ECLAT_DIR)/block.jsonl --metrics \
+		> $(ECLAT_DIR)/block_serial.txt
+	$(PYTHON) -m repro mine $(ECLAT_DIR)/block.dat --min-support 0.02 \
+		--algorithm eclat --workers 2 > $(ECLAT_DIR)/block_workers.txt
+	cmp $(ECLAT_DIR)/block_serial.txt $(ECLAT_DIR)/block_workers.txt
+	$(PYTHON) -m repro mine $(ECLAT_DIR)/block.dat --min-support 0.02 \
+		--algorithm eclat --budget-queries 500 > $(ECLAT_DIR)/cut.txt; \
+		test $$? -eq 3 && grep "certificate: valid" $(ECLAT_DIR)/cut.txt
+	$(PYTHON) -m benchmarks.trace_report $(ECLAT_DIR)/block.jsonl --validate
 	rm -rf $(ECLAT_DIR)
 
 # Transversal-core smoke: a dualize-and-advance mine through the MMCS

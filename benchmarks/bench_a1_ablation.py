@@ -4,7 +4,9 @@ Three knobs, each isolated with everything else fixed:
 
 1. **Incremental dualizer** (one Berge-step / FK warm start per new
    maximal set) vs the literal per-iteration recomputation of
-   Algorithm 16 — identical query bills, very different wall clock.
+   Algorithm 16 — on the Berge engine measured here, identical query
+   bills and very different wall clock (FK's rebuilt family comes in
+   another order, so its bill may differ; see ``dualize_and_advance``).
 2. **FK branching rule**: the max-frequency choice of the FK analysis vs
    naive lowest-index branching — both exact, different recursion shapes.
 3. **Oracle memoization**: the paper's cost model counts distinct
@@ -56,7 +58,7 @@ class TestIncrementalDualizerAblation:
             f"incremental dualizer: {fast_seconds * 1000:8.2f}ms vs "
             f"naive recomputation {slow_seconds * 1000:8.2f}ms "
             f"({slow_seconds / max(fast_seconds, 1e-9):5.1f}× slower), "
-            f"queries identical ({fast.queries})",
+            f"queries identical on berge ({fast.queries})",
         )
 
     def test_incremental_benchmark(self, benchmark):

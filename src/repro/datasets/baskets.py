@@ -28,6 +28,8 @@ import os
 from array import array
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.datasets.transactions import TransactionDatabase
 from repro.util.bitset import Universe
 
@@ -59,10 +61,11 @@ class ColumnarBuilder:
         self._dynamic = universe is None
         # One unsigned-64 index array per item slot; rows arrive in
         # ascending order so each array is sorted by construction.
-        self._columns: list[array] = [
+        self._columns: list[array] | None = [
             array("Q") for _ in range(len(self._slots))
         ]
         self._n_rows = 0
+        self._database: TransactionDatabase | None = None
 
     @property
     def n_rows(self) -> int:
@@ -74,50 +77,106 @@ class ColumnarBuilder:
         """Distinct items seen (or the fixed universe size)."""
         return len(self._slots)
 
+    def _open_columns(self) -> list[array]:
+        """The row arrays, while the database is not yet built."""
+        if self._columns is None:
+            raise ValueError("the database of this builder is already built")
+        return self._columns
+
+    def _slot(self, item) -> int:
+        """The column slot of ``item``, opened on first sight."""
+        slot = self._slots.get(item)
+        if slot is None:
+            if not self._dynamic:
+                raise ValueError(
+                    f"item {item!r} is outside the fixed universe"
+                )
+            slot = len(self._slots)
+            self._slots[item] = slot
+            self._columns.append(array("Q"))
+        return slot
+
     def add(self, items: Iterable) -> int:
         """Append one transaction; returns its row index.
 
         Duplicate items within one transaction collapse to a single
         membership (baskets are sets).
         """
+        columns = self._open_columns()
         row_index = self._n_rows
         seen: set[int] = set()
         for item in items:
-            slot = self._slots.get(item)
-            if slot is None:
-                if not self._dynamic:
-                    raise ValueError(
-                        f"item {item!r} is outside the fixed universe"
-                    )
-                slot = len(self._slots)
-                self._slots[item] = slot
-                self._columns.append(array("Q"))
+            slot = self._slot(item)
             if slot not in seen:
                 seen.add(slot)
-                self._columns[slot].append(row_index)
+                columns[slot].append(row_index)
         self._n_rows += 1
         return row_index
+
+    def add_pairs(self, rows, items, n_rows: int) -> None:
+        """Append ``n_rows`` transactions given as ``(row, item)`` pairs.
+
+        The bulk form of :meth:`add`: ``rows`` and ``items`` are equal
+        length ``int64`` arrays, ``rows`` non-decreasing offsets in
+        ``[0, n_rows)`` from the first new row.  The pairs are grouped
+        by item with one stable sort, so each item's rows stay
+        ascending; a pair repeated within a row counts once, and rows
+        without pairs are empty transactions.
+        """
+        columns = self._open_columns()
+        keys = items
+        if len(items) and int(items.max()) - int(items.min()) < 1 << 16:
+            # numpy's stable sort of 16-bit keys is a radix sort.
+            keys = (items - items.min()).astype(np.uint16)
+        order = np.argsort(keys, kind="stable")
+        items = items[order]
+        rows = rows[order]
+        rows += self._n_rows
+        new_item = np.ones(len(items), dtype=bool)
+        new_item[1:] = items[1:] != items[:-1]
+        fresh = new_item.copy()
+        fresh[1:] |= rows[1:] != rows[:-1]
+        starts = np.flatnonzero(new_item[fresh]).tolist()
+        items = items[fresh]
+        # Row indices are non-negative: their int64 bytes are the
+        # columns' unsigned ones.
+        row_bytes = memoryview(rows[fresh]).cast("B")
+        for item, start, end in zip(
+            items[starts].tolist(), starts, [*starts[1:], len(items)]
+        ):
+            columns[self._slot(item)].frombytes(row_bytes[8 * start : 8 * end])
+        self._n_rows += n_rows
 
     def to_database(self) -> TransactionDatabase:
         """Build the vertical database from the accumulated columns.
 
         A dynamically discovered universe is sorted first and the
         columns permuted to match, so two ingests of the same baskets
-        in different arrival orders build equal databases.
+        in different arrival orders build equal databases.  Each row
+        array is released as soon as its column is built, so the build
+        never holds every row array and every column at once.  That
+        finishes the builder: later calls return the same database,
+        and adding transactions raises.
         """
-        if self._dynamic:
-            ordered = sorted(self._slots)
-            universe = Universe(ordered)
-            item_rows = [self._columns[self._slots[item]] for item in ordered]
-        else:
-            universe = self._universe
-            item_rows = self._columns
-        return TransactionDatabase.from_columnar(
-            universe,
-            item_rows,
-            self._n_rows,
-            backend=self._backend,
-        )
+        if self._database is None:
+            if self._dynamic:
+                ordered = sorted(self._slots)
+                universe = Universe(ordered)
+                slots = [self._slots[item] for item in ordered]
+            else:
+                universe = self._universe
+                slots = range(len(self._slots))
+            columns, self._columns = self._columns, None
+
+            def released():
+                for slot in slots:
+                    rows, columns[slot] = columns[slot], None
+                    yield rows
+
+            self._database = TransactionDatabase.from_columnar(
+                universe, released(), self._n_rows, backend=self._backend
+            )
+        return self._database
 
 
 def _resolve_field(name_or_index, header: list[str] | None, what: str) -> int:

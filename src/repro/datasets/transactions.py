@@ -23,8 +23,8 @@ the big-int kernel), and nothing about query accounting changes.
 
 The vertical column bitmaps double as Eclat's *tidsets*: the tidset of
 an itemset is the AND of its item columns (:meth:`tidset`).  The
-depth-first miner (:mod:`repro.mining.eclat`) memoizes covers per
-branch through :meth:`tidsets_view` / :attr:`full_tidset` rather than
+depth-first miner (:mod:`repro.mining.eclat`) seeds its root class
+from :meth:`tidsets_view` and memoizes covers per branch rather than
 re-deriving them per query.
 
 ``backend="roaring"`` swaps the big-int columns for compressed
@@ -37,6 +37,7 @@ mining feasible (docs/API.md §18).
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Hashable, Iterable, Sequence
 
 import numpy as _np
@@ -59,6 +60,28 @@ _BATCH_BLOCK = 2048
 _U0 = _np.uint64(0)
 _U1 = _np.uint64(1)
 _U6 = _np.uint64(6)
+
+
+def _column_from_rows(rows: Iterable[int], n_rows: int) -> int:
+    """The big-int column of one item's row indices.
+
+    The bits are set in a ``uint64`` word array with numpy, then read
+    into one int with a single ``int.from_bytes``.
+    """
+    indices = (
+        _np.asarray(rows)
+        if isinstance(rows, array)
+        else _np.fromiter(rows, dtype=_np.int64)
+    )
+    if len(indices) and not (indices.min() >= 0 and indices.max() < n_rows):
+        raise ValueError("column uses rows outside the database")
+    words = _np.zeros((n_rows + 63) // 64, dtype="<u8")
+    _np.bitwise_or.at(
+        words,
+        indices >> 6,
+        _np.left_shift(_U1, (indices & 63).astype(_np.uint64)),
+    )
+    return int.from_bytes(words.tobytes(), "little")
 
 
 class TransactionDatabase:
@@ -252,7 +275,7 @@ class TransactionDatabase:
     def from_columnar(
         cls,
         universe: Universe,
-        item_rows: Sequence[Iterable[int]],
+        item_rows: Iterable[Iterable[int]],
         n_rows: int,
         *,
         backend: str = "auto",
@@ -264,34 +287,27 @@ class TransactionDatabase:
         ``read_baskets_csv``) hand the columnar form straight to the
         vertical store.  At a million rows this avoids ~10M big-int OR
         operations on 125 KB masks that building horizontal rows first
-        would cost — the columns are assembled with byte-level bit sets
-        (int backends) or container builders (``"roaring"``) instead.
+        would cost — the columns are assembled with numpy bit sets and
+        one ``int.from_bytes`` per item (``"auto"``) or container
+        builders (``"roaring"``) instead.  ``item_rows`` is consumed
+        once, in universe order, so a caller can release each list as
+        its column is built.
         """
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if len(item_rows) != len(universe):
-            raise ValueError(
-                f"expected {len(universe)} item row lists, "
-                f"got {len(item_rows)}"
             )
         if backend == "roaring":
             columns: list = [
                 RoaringBitmap.from_indices(rows) for rows in item_rows
             ]
         else:
-            n_bytes = (n_rows + 7) // 8
-            columns = []
-            for rows in item_rows:
-                packed = bytearray(n_bytes)
-                for row_index in rows:
-                    if not 0 <= row_index < n_rows:
-                        raise ValueError(
-                            "column uses rows outside the database"
-                        )
-                    packed[row_index >> 3] |= 1 << (row_index & 7)
-                columns.append(int.from_bytes(packed, "little"))
+            columns = [_column_from_rows(rows, n_rows) for rows in item_rows]
+        if len(columns) != len(universe):
+            raise ValueError(
+                f"expected {len(universe)} item row lists, "
+                f"got {len(columns)}"
+            )
         return cls.from_vertical(
             universe, columns, n_rows, backend=backend
         )

@@ -258,8 +258,13 @@ def dualize_and_advance(
         incremental: keep the transversal family across iterations
             (default).  ``False`` rebuilds it from scratch every
             iteration — the literal reading of Algorithm 16's Step 4,
-            kept for the ablation benchmark; query counts are identical,
-            only time differs.
+            kept for the ablation benchmark.  ``MTh`` and ``Bd-`` are
+            the same either way.  Under ``"berge"`` and ``"mmcs"`` the
+            rebuild folds the same edges in the same order, so the query
+            count is identical too and only time differs.  Under
+            ``"fk"`` the rebuilt family comes in discovery order rather
+            than survivors first, so a different counterexample may be
+            probed first and the query count may differ.
         budget: optional cooperative
             :class:`~repro.runtime.budget.Budget`, checked before every
             border probe and before every greedy maximalization (the

@@ -27,6 +27,15 @@ heuristic only picks a representation — masks, supports, evaluation
 order, and hence theory/borders/accounting stay bit-identical to the
 int backends (property-tested).
 
+On the ``"auto"`` backend from :data:`_BLOCK_MIN_ROWS` rows up, a class
+keeps its covers as the rows of one ``uint64`` block
+(:func:`_expand_block`): a node ANDs the slice of its extensions with
+its own cover and counts every row with one ``np.bitwise_count`` sum,
+where the big-int kernel pays one ``int.bit_count`` per extension.
+Below the crossover the per-call numpy cost outweighs that, and the
+big-int kernel runs.  Block covers count rows and switch by the same
+row rule, so even ``diffset_nodes`` match the big-int run.
+
 The levelwise engine re-derives every support from raw column bitmaps
 (an ``|X|``-way AND per candidate); here each support reuses the
 parent's intersection, which is where the end-to-end speedup measured in
@@ -46,19 +55,24 @@ the Theorem 2 floor and the Corollary 13 ceiling (with one extra for the
 ``∅`` probe) — which :class:`~repro.obs.monitor.TheoremMonitor` checks
 on every traced run via the ``eclat.done`` event.
 
-**One evaluation path.**  Every node is evaluated by one of the two hot
-kernels (:func:`_expand`, :func:`_expand_roaring` — the only places the
-tid/diff switch rule lives) inside the one traversal,
-:func:`_mine_subtree`.  A run with no budget and no tracer lets the
-kernels write straight into its answer tables.  A budgeted or traced
-run, and the parallel coordinator (:mod:`repro.parallel.eclat`), charge
-each node instead (:class:`_Run`): the ``eclat.node`` event, the family
-check, the kernel into a node-local dict, then the node's answers
-replayed in extension order — per answer a query/deadline check, the
-count, the ``oracle.query`` event and the record.  The budget thus sees
-one check per evaluation: a budgeted run stops at exactly its query
-limit, and a deadline overshoots by at most one node, whose kernel call
-runs before its checks.
+**One evaluation path.**  Every node is evaluated by one of the three
+hot kernels (:func:`_expand`, :func:`_expand_roaring`,
+:func:`_expand_block` — the only places the tid/diff switch rule lives)
+inside the one traversal, :func:`_mine_subtree`.  The kernel follows
+from the type of the node's cover (:func:`_expand_for`), and every
+cover descends from the root's (:func:`_root_cover`), so the serial
+engine, :class:`_Run`, the parallel coordinator, its workers and its
+serial fallback all pick the same one.  A run with no budget and no
+tracer lets the kernels write straight into its answer tables.  A
+budgeted or traced run, and the parallel coordinator
+(:mod:`repro.parallel.eclat`), charge each node instead
+(:class:`_Run`): the ``eclat.node`` event, the family check, the kernel
+into a node-local dict, then the node's answers replayed in extension
+order — per answer a query/deadline check, the count, the
+``oracle.query`` event and the record.  The budget thus sees one check
+per evaluation: a budgeted run stops at exactly its query limit, and a
+deadline overshoots by at most one node, whose kernel call runs before
+its checks.
 
 A cut — a budget or ``KeyboardInterrupt``, traced or not — returns a
 certified :class:`~repro.runtime.partial.PartialResult` whose ``Bd+``
@@ -76,6 +90,8 @@ import time
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.errors import BudgetExhausted
 from repro.datasets.transactions import TransactionDatabase
 from repro.obs.tracer import Tracer, as_tracer
@@ -83,6 +99,7 @@ from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult, build_partial
 from repro.util.bitset import Universe, popcount, rank_sorted
 from repro.util.prefix import parents_all_in
+from repro.util.roaring import RoaringBitmap
 
 __all__ = ["EclatResult", "eclat"]
 
@@ -246,9 +263,125 @@ def _expand_roaring(
     return members, False
 
 
+#: Rows from which an ``"auto"`` database is mined over block covers
+#: (:func:`_expand_block`) instead of big ints.  Set at or above the
+#: crossover of the shape that gains least from blocks (the few-member
+#: classes of a dense skewed input, measured in docs/API.md §13), so
+#: every shape above it gains.
+_BLOCK_MIN_ROWS = 1 << 16
+
+#: Bytes of AND result one :func:`_expand_block` chunk may hold; the
+#: rows per chunk follow from the cover width.
+_BLOCK_SCRATCH_BYTES = 1 << 18
+
+
+def _expand_block(
+    prefix: int,
+    is_diff: bool,
+    parent_supp: int,
+    parent_cover: tuple,
+    exts: list,
+    threshold: int,
+    supports: dict[int, int],
+    rejected: list[int],
+) -> tuple[list, bool]:
+    """:func:`_expand` over block covers (hot kernel twin).
+
+    A block cover is a ``(block, row)`` pair: a class keeps its
+    members' covers as the rows of one ``uint64`` block, in member
+    order, so a node's extensions (a run of its parent's members) are
+    one slice of it.  The node ANDs that slice with its own cover and
+    sums ``np.bitwise_count`` over each row, in chunks of at most
+    :data:`_BLOCK_SCRATCH_BYTES` (at least one row), then keeps the
+    frequent rows as its child class's block.  At the root the
+    extensions are the database's big-int columns under the full
+    cover: their supports are int popcounts, and only the frequent ones
+    are packed, one row at a time.  Answers, their order and the
+    tid→diff switch (row counts) are :func:`_expand`'s.
+    """
+    if not exts:
+        return [], is_diff
+    block, row = parent_cover
+    parent = block[row]
+    root = type(exts[0][2]) is int
+    if root:
+        # Each column lies inside the full cover: it is its own tidset.
+        supps = [cover.bit_count() for _, _, cover in exts]
+    else:
+        ext_block, first = exts[0][2]
+        tail = ext_block[first : first + len(exts)]
+        mask = ~parent if is_diff else parent
+        step = max(1, _BLOCK_SCRATCH_BYTES // max(1, parent.nbytes))
+        supps = []
+        for start in range(0, len(tail), step):
+            part = np.bitwise_and(tail[start : start + step], mask)
+            # A row holds at most 64 bits per word, far below 2**32.
+            supps += np.add.reduce(
+                np.bitwise_count(part), axis=1, dtype=np.uint32
+            ).tolist()
+        if is_diff:
+            supps = [parent_supp - count for count in supps]
+    kept: list[int] = []
+    for index, supp in enumerate(supps):
+        mask_bits = prefix | exts[index][0]
+        if supp >= threshold:
+            supports[mask_bits] = supp
+            kept.append(index)
+        else:
+            rejected.append(mask_bits)
+    if not kept:
+        return [], is_diff
+    if root:
+        child = np.empty((len(kept), len(parent)), dtype=np.uint64)
+        for position, index in enumerate(kept):
+            child[position] = np.frombuffer(
+                exts[index][2].to_bytes(parent.nbytes, "little"), dtype="<u8"
+            )
+    elif len(tail) <= step:
+        # One chunk: its AND already holds every child cover.
+        child = part if len(kept) == len(tail) else part[kept]
+    else:
+        child = tail[kept]
+        np.bitwise_and(child, mask, out=child)
+    if not is_diff and len(kept) > 1:
+        tid_total = sum([supps[index] for index in kept])
+        if parent_supp * len(kept) - tid_total < tid_total:
+            # A child tidset lies inside the parent's, so its diffset
+            # ``parent & ~child`` is ``parent ^ child``.
+            np.bitwise_xor(child, parent, out=child)
+            is_diff = True
+    return [
+        (exts[index][0], supps[index], (child, position))
+        for position, index in enumerate(kept)
+    ], is_diff
+
+
+def _root_cover(columns: list, n_rows: int):
+    """The cover of ``∅``, in the representation that picks the kernels.
+
+    Every node's kernel follows from its parent cover's type
+    (:func:`_expand_for`), and every cover descends from this one:
+    roaring columns get a roaring cover, big-int columns a block row
+    from :data:`_BLOCK_MIN_ROWS` rows up and a big int below.
+    """
+    if columns and type(columns[0]) is not int:
+        return RoaringBitmap.full(n_rows)
+    full = (1 << n_rows) - 1
+    if n_rows < _BLOCK_MIN_ROWS:
+        return full
+    n_words = (n_rows + 63) // 64
+    row = np.frombuffer(full.to_bytes(8 * n_words, "little"), dtype="<u8")
+    return row.reshape(1, n_words), 0
+
+
 def _expand_for(cover):
     """The expand kernel matching a cover's representation."""
-    return _expand if type(cover) is int else _expand_roaring
+    kind = type(cover)
+    if kind is int:
+        return _expand
+    if kind is tuple:
+        return _expand_block
+    return _expand_roaring
 
 
 def _mine_subtree(
@@ -644,9 +777,9 @@ def eclat(
     tracer = run.tracer
     supports = run.supports
     n_rows = database.n_transactions
+    columns = database.tidsets_view()
     root_exts = [
-        (1 << item, 0, column)
-        for item, column in enumerate(database.tidsets_view())
+        (1 << item, 0, column) for item, column in enumerate(columns)
     ]
     # DFS frames [prefix, is_diff, members, next member index], owned
     # here so that a cut can rebuild its frontier from them.
@@ -659,8 +792,8 @@ def eclat(
         try:
             if run.probe_empty(n_rows):
                 nodes, diffset_nodes = _mine_subtree(
-                    0, False, n_rows, database.full_tidset, root_exts,
-                    run.threshold, supports, run.rejected, stack,
+                    0, False, n_rows, _root_cover(columns, n_rows),
+                    root_exts, run.threshold, supports, run.rejected, stack,
                     run.charge if budget is not None or tracer.enabled
                     else None,
                 )

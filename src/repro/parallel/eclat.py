@@ -67,6 +67,7 @@ from repro.mining.eclat import (
     _expand_for,
     _maximal_from_supports,
     _mine_subtree,
+    _root_cover,
     _Run,
 )
 from repro.obs.context import TraceContext, active_collector
@@ -103,12 +104,7 @@ def _root_class(
     optionally receives the frequent singletons' supports, which the
     coordinator replays to charge the root class.
     """
-    if columns and type(columns[0]) is not int:
-        from repro.util.roaring import RoaringBitmap
-
-        full_cover = RoaringBitmap.full(n_rows)
-    else:
-        full_cover = (1 << n_rows) - 1
+    full_cover = _root_cover(columns, n_rows)
     root_exts = [
         (1 << item, 0, column) for item, column in enumerate(columns)
     ]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.baskets import ColumnarBuilder
 from repro.datasets.fimi import (
     read_fimi,
     read_fimi_stream,
@@ -18,6 +21,51 @@ from repro.datasets.fimi import (
 from repro.datasets.synthetic import QuestParameters, generate_quest_database
 from repro.datasets.transactions import TransactionDatabase
 from repro.util.bitset import Universe
+
+fimi_module = importlib.import_module("repro.datasets.fimi")
+
+
+def _reference_read(path, universe=None, backend="auto"):
+    """The per-line reader: text mode, ``line.split()`` and ``int``."""
+    builder = ColumnarBuilder(universe, backend=backend)
+    with open(path, "r", encoding="ascii") as handle:
+        for line in handle:
+            builder.add(int(token) for token in line.split())
+    database = builder.to_database()
+    items = database.universe.items
+    if universe is None and items and items[0] < 0:
+        raise ValueError(f"item id {items[0]} is negative")
+    return database
+
+
+def _outcome(read, path, **kwargs):
+    """What a reader makes of a file: its database's data, or an error."""
+    try:
+        database = read(path, **kwargs)
+    except ValueError:
+        return "ValueError"
+    return (
+        database.universe.items,
+        database.n_transactions,
+        [int(column) for column in database.tidsets_view()],
+    )
+
+
+_TOKENS = st.one_of(
+    st.integers(min_value=0, max_value=40).map(str),
+    st.tuples(
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["", "0", "00"]),
+        st.integers(min_value=0, max_value=40),
+    ).map(lambda parts: f"{parts[0]}{parts[1]}{parts[2]}"),
+    st.sampled_from(["+", "-", "1-2", "--1", "+-3", "4+"]),
+)
+_SEPARATORS = st.text(alphabet=" \t\v\f", min_size=1, max_size=3)
+_LINE = st.tuples(
+    st.text(alphabet=" \t", max_size=2),
+    st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=6),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+).map(lambda p: p[0] + "".join(t + s for t, s in p[1]) + p[2])
 
 
 class TestFimiRoundTrip:
@@ -135,6 +183,90 @@ class TestFimiRoundTrip:
         path.write_text("0 1\n1 9\n")
         with pytest.raises(ValueError, match="9"):
             read_fimi(path, universe=Universe(range(3)))
+
+
+class TestFimiReaderConformance:
+    """The block reader against the per-line reference, byte by byte.
+
+    Blocks are shrunk to a few bytes, so lines, tokens and CRLF pairs
+    straddle block boundaries.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_LINE, max_size=8),
+        st.booleans(),
+        st.integers(min_value=1, max_value=16),
+    )
+    def test_matches_per_line_reference(self, lines, final_end, block):
+        text = "".join(lines)
+        if not final_end:
+            text = text.rstrip("\r\n")
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "diff.dat"
+            path.write_bytes(text.encode("ascii"))
+            with mock.patch.object(fimi_module, "_READ_BLOCK", block):
+                assert _outcome(read_fimi, path) == _outcome(
+                    _reference_read, path
+                )
+
+    @pytest.mark.parametrize(
+        "data, rows",
+        [
+            (b"1 2\r\n3\r\n", [{1, 2}, {3}]),
+            (b"1 2\r3\r", [{1, 2}, {3}]),
+            (b"1\t2\v3\f4\n", [{1, 2, 3, 4}]),
+            (b"1\n\n\n2\n", [{1}, set(), set(), {2}]),
+            (b"5 5 5 6\n", [{5, 6}]),
+            (b"007 0010\n", [{7, 10}]),
+            (b"+3 -0 +0\n", [{0, 3}]),
+            (b"1 2\n3 4", [{1, 2}, {3, 4}]),
+            (b"", []),
+            (b"\r\n", [set()]),
+            (b" ".join(b"%d" % i for i in range(400)) + b"\n2\n",
+             [set(range(400)), {2}]),
+        ],
+    )
+    @pytest.mark.parametrize("block", [1, 4, 1 << 16])
+    @pytest.mark.parametrize("backend", ["auto", "roaring"])
+    def test_explicit_cases(self, tmp_path, data, rows, block, backend):
+        path = tmp_path / "case.dat"
+        path.write_bytes(data)
+        with mock.patch.object(fimi_module, "_READ_BLOCK", block):
+            database = read_fimi(path, backend=backend)
+        universe = Universe(sorted(set().union(*rows)))
+        assert database.universe.items == universe.items
+        assert database.backend == backend
+        assert database.transaction_masks == [
+            universe.to_mask(row) for row in rows
+        ]
+
+    @pytest.mark.parametrize(
+        "data, token",
+        [
+            (b"1 2\n3 x\n", "x"),
+            (b"1 2\n1_0\n", "1_0"),
+            (b"1 2\n4 \xc3\xa9\n", "\\xc3\\xa9"),
+            (b"1 2\n4 \x1c 5\n", "\x1c"),
+            (b"1 2\n" + b"9" * 20 + b"\n", "9" * 20),
+            (b"1 2\r\n-9223372036854775809\n", "-9223372036854775809"),
+            (b"1 2\n3 4-5\n", "4-5"),
+        ],
+    )
+    @pytest.mark.parametrize("block", [2, 1 << 16])
+    def test_malformed_token_names_line(self, tmp_path, data, token, block):
+        path = tmp_path / "bad.dat"
+        path.write_bytes(data)
+        with mock.patch.object(fimi_module, "_READ_BLOCK", block):
+            with pytest.raises(ValueError, match="line 2") as caught:
+                read_fimi(path)
+        assert repr(token) in str(caught.value)
+
+    def test_int64_extremes_accepted(self, tmp_path):
+        path = tmp_path / "wide.dat"
+        path.write_bytes(b"9223372036854775807 00000000000000000000001\n")
+        database = read_fimi(path)
+        assert database.universe.items == (1, 9223372036854775807)
 
 
 class TestQuestParameters:

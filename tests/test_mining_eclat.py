@@ -10,6 +10,7 @@ sharding composing without changing any of it.
 from __future__ import annotations
 
 import importlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,9 @@ from repro.runtime.partial import PartialResult
 from repro.util.bitset import Universe
 
 from tests.conftest import labels
+
+# The package re-exports ``eclat`` under the module's name.
+_eclat_module = importlib.import_module("repro.mining.eclat")
 
 
 def _random_database(rng, n_items, n_rows):
@@ -284,10 +288,15 @@ class TestEclatInterrupts:
     ROWS = [i % 63 or 1 for i in range(1, 40)]
     THRESHOLD = 4
 
-    @pytest.fixture(params=["auto", "roaring"])
-    def database(self, request):
+    @pytest.fixture(params=["auto", "roaring", "block"])
+    def database(self, request, monkeypatch):
+        backend = request.param
+        if backend == "block":
+            # Forked workers inherit the patched crossover.
+            monkeypatch.setattr(_eclat_module, "_BLOCK_MIN_ROWS", 0)
+            backend = "auto"
         return TransactionDatabase(
-            Universe(range(self.N_ITEMS)), self.ROWS, backend=request.param
+            Universe(range(self.N_ITEMS)), self.ROWS, backend=backend
         )
 
     def _assert_certified_interrupt(self, result):
@@ -303,7 +312,7 @@ class TestEclatInterrupts:
         nodes = eclat(database, self.THRESHOLD).nodes
         kernels = {
             name: getattr(module, name)
-            for name in ("_expand", "_expand_roaring")
+            for name in ("_expand", "_expand_roaring", "_expand_block")
         }
         for k in range(1, nodes + 1):
             for j in range(3):
@@ -561,3 +570,109 @@ class TestEclatRoaringBitIdentity:
         )
         assert theory.maximal == reference.maximal
         assert theory.negative_border == reference.negative_border
+
+
+class TestEclatBlockBitIdentity:
+    """Eclat over block covers vs the big-int kernel.
+
+    The crossover is patched to 0 so that small databases take the
+    block kernel (:func:`repro.mining.eclat._expand_block`).  It counts
+    rows like the int kernel and switches to diffsets by the same row
+    rule, so everything is identical: answers, ``supports`` insertion
+    order, ``nodes``, ``diffset_nodes``, every trace event and every
+    budget cut.
+    """
+
+    @staticmethod
+    def _blocks():
+        return mock.patch.object(_eclat_module, "_BLOCK_MIN_ROWS", 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=0, max_value=14),
+        st.integers(min_value=0, max_value=5),
+        st.randoms(use_true_random=False),
+    )
+    def test_serial_results_identical(self, n_items, n_rows, threshold, rng):
+        database = _random_database(rng, n_items, n_rows)
+        reference = eclat(database, threshold)
+        with self._blocks():
+            result = eclat(database, threshold)
+        assert result == reference
+        assert list(result.supports.items()) == list(
+            reference.supports.items()
+        )
+        assert result.nodes == reference.nodes
+        assert result.diffset_nodes == reference.diffset_nodes
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=1, max_value=12),
+        st.randoms(use_true_random=False),
+    )
+    def test_traces_identical(self, n_items, n_rows, rng):
+        database = _random_database(rng, n_items, n_rows)
+        traces = []
+        for blocks in (False, True):
+            recorder = _RecordingTracer()
+            monitor = TheoremMonitor()
+            with mock.patch.object(
+                _eclat_module, "_BLOCK_MIN_ROWS", 0 if blocks else 1 << 62
+            ):
+                eclat(database, 2, tracer=MultiTracer(recorder, monitor))
+            report = monitor.report()
+            assert report.ok, report.summary()
+            traces.append(recorder.events)
+        assert traces[0] == traces[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=1, max_value=14),
+        st.integers(min_value=1, max_value=12),
+        st.randoms(use_true_random=False),
+    )
+    def test_budget_cuts_identical(self, n_items, n_rows, limit, rng):
+        database = _random_database(rng, n_items, n_rows)
+        reference = eclat(database, 2, budget=Budget(max_queries=limit))
+        with self._blocks():
+            result = eclat(database, 2, budget=Budget(max_queries=limit))
+        assert type(result) is type(reference)
+        if isinstance(reference, PartialResult):
+            for attr in dir(reference):
+                if attr.startswith("_") or attr == "elapsed":
+                    continue
+                ref_value = getattr(reference, attr)
+                if callable(ref_value):
+                    continue
+                assert getattr(result, attr) == ref_value, attr
+            assert result.certificate().ok
+        else:
+            assert result == reference
+
+    @pytest.mark.parametrize("limit", [None, 5, 17, 40])
+    def test_parallel_identical(self, worker_count, limit):
+        universe = Universe(range(7))
+        rows = [(i * 37) % 127 or 1 for i in range(1, 60)]
+        database = TransactionDatabase(universe, rows)
+
+        def mine(workers):
+            budget = None if limit is None else Budget(max_queries=limit)
+            return eclat(database, 5, workers=workers, budget=budget)
+
+        references = {"serial": mine(None), "parallel": mine(worker_count)}
+        with self._blocks():
+            results = {"serial": mine(None), "parallel": mine(worker_count)}
+        for path, reference in references.items():
+            result = results[path]
+            assert type(result) is type(reference), path
+            if isinstance(reference, PartialResult):
+                assert result.history == reference.history, path
+                assert result.frontier == reference.frontier, path
+                assert result.certificate().ok
+            else:
+                assert result == reference, path
+                assert result.supports == reference.supports, path
+                assert result.nodes == reference.nodes, path

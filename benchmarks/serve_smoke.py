@@ -3,13 +3,18 @@
 Boots ``python -m repro serve`` on a generated FIMI file, then drives
 the whole advertised lifecycle over real HTTP: ``/health``,
 ``/borders``, a hot ``/mine``, an ``/append`` batch, a duplicate
-``/append`` (idempotency), a ``/threshold`` move, and ``/metrics`` —
+``/append`` (idempotency), a ``/threshold`` raise, an append at the
+raised threshold, a lower back (which promotes ``Bd-`` members from
+their stored supports and runs the closure), and ``/metrics`` —
 verifying after every mutation that the *incrementally maintained*
 theory is bit-identical to from-scratch :func:`~repro.mining.eclat.eclat`
-on the same rows.  Finishes with a ``SIGTERM`` and asserts a clean
-exit.  ``--backend`` (default ``auto``) is passed to ``repro serve``;
-the from-scratch reference always mines the default backend, so the
-served theory is also checked across backends.  CI runs this as
+on the same rows.  The server compacts every :data:`COMPACT_EVERY`
+records, so a ``SIGTERM`` and a restart on the same state directory
+recover from a snapshot plus WAL records; the recovered theory and one
+more append are checked the same way.  Each ``SIGTERM`` must exit
+cleanly.  ``--backend`` (default ``auto``) is passed to ``repro
+serve``; the from-scratch reference always mines the default backend,
+so the served theory is also checked across backends.  CI runs this as
 ``make serve-smoke``, once per backend; it is also a quick local
 check::
 
@@ -33,6 +38,9 @@ from repro.datasets.transactions import BACKENDS, TransactionDatabase
 from repro.mining.eclat import eclat
 
 MIN_SUPPORT = 3
+#: Compaction period of the smoke's server: the third record folds the
+#: state into a snapshot, so the restart replays the fourth from WAL.
+COMPACT_EVERY = 3
 
 
 def _get(port: int, path: str) -> dict:
@@ -72,18 +80,14 @@ def _check_against_scratch(port: int, database, threshold) -> None:
     ) == scratch.supports, "support table diverged"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("data", help="FIMI .dat file to serve")
-    parser.add_argument("--state-dir", required=True)
-    parser.add_argument("--backend", choices=BACKENDS, default="auto")
-    args = parser.parse_args(argv)
-
+def _start(args) -> tuple[subprocess.Popen, int]:
+    """``repro serve`` on ``args``' data and state directory."""
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", args.data,
             "--min-support", str(MIN_SUPPORT),
             "--port", "0", "--state-dir", args.state_dir,
+            "--compact-every", str(COMPACT_EVERY),
             "--backend", args.backend,
         ],
         stdout=subprocess.PIPE,
@@ -98,24 +102,58 @@ def main(argv=None) -> int:
             .strip()
             .rsplit(":", 1)[1]
         )
-        print(
-            f"serve-smoke: server up on port {port} "
-            f"(backend {args.backend})"
-        )
+    except BaseException:
+        _stop(process)
+        raise
+    print(
+        f"serve-smoke: server up on port {port} "
+        f"(backend {args.backend})"
+    )
+    return process, port
 
-        database = read_fimi(args.data)
-        n_items = len(database.universe)
+
+def _stop(process: subprocess.Popen) -> int:
+    """``SIGTERM`` the server; its exit code."""
+    process.send_signal(signal.SIGTERM)
+    return process.wait(timeout=15)
+
+
+def _assert_clean(code: int) -> None:
+    assert code == 0, f"server exited {code}, wanted clean shutdown"
+    print("serve-smoke: clean shutdown, exit 0")
+
+
+def _append(port: int, database, rows: list[int], op: str):
+    """Append ``rows`` as op ``op``; returns the response and the
+    database the server should now hold."""
+    response = _post(port, "/append", {"rows": rows, "op": op})
+    assert response["duplicate"] is False
+    return response, TransactionDatabase(
+        database.universe, database.transaction_masks + rows
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("data", help="FIMI .dat file to serve")
+    parser.add_argument("--state-dir", required=True)
+    parser.add_argument("--backend", choices=BACKENDS, default="auto")
+    args = parser.parse_args(argv)
+
+    database = read_fimi(args.data)
+    n_items = len(database.universe)
+    rng = random.Random(13)
+    raised = MIN_SUPPORT + 2
+
+    process, port = _start(args)
+    try:
         assert _get(port, "/health")["status"] == "ok"
         _check_against_scratch(port, database, MIN_SUPPORT)
         print("serve-smoke: initial theory == scratch eclat")
 
-        rng = random.Random(13)
         delta = [rng.getrandbits(n_items) for _ in range(10)]
-        first = _post(port, "/append", {"rows": delta, "op": "smoke-1"})
-        assert first["duplicate"] is False and first["seq"] == 1
-        database = TransactionDatabase(
-            database.universe, database.transaction_masks + delta
-        )
+        first, database = _append(port, database, delta, "smoke-1")
+        assert first["seq"] == 1
         _check_against_scratch(port, database, MIN_SUPPORT)
         print("serve-smoke: post-append theory == scratch eclat")
 
@@ -124,18 +162,44 @@ def main(argv=None) -> int:
         assert again["digest"] == first["digest"], "idempotent replay mutated"
         print("serve-smoke: duplicate append is a no-op")
 
-        _post(port, "/threshold", {"min_support": MIN_SUPPORT + 2})
-        _check_against_scratch(port, database, MIN_SUPPORT + 2)
+        _post(port, "/threshold", {"min_support": raised})
+        _check_against_scratch(port, database, raised)
         print("serve-smoke: post-threshold theory == scratch eclat")
 
         metrics = _get(port, "/metrics")
         assert metrics["seq"] == 2
         assert metrics["n_transactions"] == database.n_transactions
+
+        delta = [rng.getrandbits(n_items) for _ in range(10)]
+        _, database = _append(port, database, delta, "smoke-2")
+        _check_against_scratch(port, database, raised)
+        print("serve-smoke: append at the raised threshold == scratch eclat")
+
+        _post(port, "/threshold", {"min_support": MIN_SUPPORT})
+        _check_against_scratch(port, database, MIN_SUPPORT)
+        print("serve-smoke: threshold lowered back == scratch eclat")
+
+        metrics = _get(port, "/metrics")
+        assert metrics["seq"] == 4
+        assert metrics["wal_pending"] == 4 - COMPACT_EVERY, metrics
     finally:
-        process.send_signal(signal.SIGTERM)
-        code = process.wait(timeout=15)
-    assert code == 0, f"server exited {code}, wanted clean shutdown"
-    print("serve-smoke: clean shutdown, exit 0")
+        code = _stop(process)
+    _assert_clean(code)
+
+    process, port = _start(args)
+    try:
+        metrics = _get(port, "/metrics")
+        assert metrics["seq"] == 4 and metrics["threshold"] == MIN_SUPPORT
+        _check_against_scratch(port, database, MIN_SUPPORT)
+        print("serve-smoke: snapshot + WAL recovery == scratch eclat")
+
+        delta = [rng.getrandbits(n_items) for _ in range(10)]
+        _, database = _append(port, database, delta, "smoke-3")
+        _check_against_scratch(port, database, MIN_SUPPORT)
+        print("serve-smoke: append after recovery == scratch eclat")
+    finally:
+        code = _stop(process)
+    _assert_clean(code)
     return 0
 
 

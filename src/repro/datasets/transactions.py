@@ -18,8 +18,9 @@ Three representations are kept in sync:
   handful of vectorized calls instead of one Python loop per itemset.
 
 The numpy path is an exact accelerator: counts are bit-identical to the
-pure-int path, numpy is optional (small batches or a missing numpy use
-the big-int kernel), and nothing about query accounting changes.
+pure-int path, small batches use the big-int kernel (the rule is in
+:meth:`TransactionDatabase.support_counts`), and nothing about query
+accounting changes.
 
 The vertical column bitmaps double as Eclat's *tidsets*: the tidset of
 an itemset is the AND of its item columns (:meth:`tidset`).  The
@@ -52,6 +53,11 @@ BACKENDS = ("auto", "roaring")
 # Below these sizes the big-int kernel wins on dispatch overhead alone.
 _AUTO_MIN_ROWS = 128
 _AUTO_MIN_BATCH = 64
+# Under _AUTO_MIN_ROWS rows (a service append's delta) the AND chains
+# are short and numpy's fixed cost dominates: its one-word kernel wins
+# from about 256-384 masks at 40 items, the multi-word one not below
+# 4,096 (sweep in docs/API.md §9).
+_SMALL_MIN_BATCH = 512
 # Vectorized groups are processed in blocks so the shared-conjunction
 # working set stays cache-resident (larger blocks thrash measurably).
 _BATCH_BLOCK = 2048
@@ -417,15 +423,19 @@ class TransactionDatabase:
         vectorized AND-reduce plus ``bitwise_count`` over the chunked
         vertical bitmaps, amortizing all per-itemset Python dispatch —
         the level-at-a-time database pass of practical Apriori
-        implementations.  Small batches, small databases and the
-        ``"roaring"`` backend run one AND-chain per mask.
+        implementations.  On fewer than 128 rows only a batch of at
+        least 512 masks over at most 64 items is vectorized.  Small
+        batches and the ``"roaring"`` backend run one AND-chain per
+        mask.
         """
         masks = list(itemset_masks)
-        if (
-            len(masks) >= _AUTO_MIN_BATCH
-            and self._n_rows >= _AUTO_MIN_ROWS
-            and self._backend != "roaring"
-        ):
+        if self._n_rows >= _AUTO_MIN_ROWS:
+            vectorize = len(masks) >= _AUTO_MIN_BATCH
+        else:
+            vectorize = (
+                len(masks) >= _SMALL_MIN_BATCH and len(self.universe) <= 64
+            )
+        if vectorize and self._backend != "roaring":
             return self._support_counts_numpy(masks)
         count = self.support_count
         return [count(mask) for mask in masks]

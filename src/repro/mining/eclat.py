@@ -48,8 +48,9 @@ true ``Bd-`` member is reached: its parent chain is frequent, so the
 class containing it is built.  Theory, ``Bd+``, and ``Bd-`` therefore
 equal :func:`repro.mining.levelwise.levelwise`'s bit for bit
 (property-tested in ``tests/test_mining_eclat.py``); ``Bd-`` is
-recovered from the rejected masks with the shared
-:func:`repro.util.prefix.parents_all_in` check.  Query accounting obeys
+recovered from the rejected masks by checking only the parents the
+traversal does not already know frequent (:func:`_negative_border`).
+Query accounting obeys
 ``|MTh| + |Bd-|  ≤  queries  ≤  n·|Th| + 1  ≤  2^k·n·|MTh| + 1`` —
 the Theorem 2 floor and the Corollary 13 ceiling (with one extra for the
 ``∅`` probe) — which :class:`~repro.obs.monitor.TheoremMonitor` checks
@@ -98,7 +99,6 @@ from repro.obs.tracer import Tracer, as_tracer
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult, build_partial
 from repro.util.bitset import Universe, popcount, rank_sorted
-from repro.util.prefix import parents_all_in
 from repro.util.roaring import RoaringBitmap
 
 __all__ = ["EclatResult", "eclat"]
@@ -526,6 +526,35 @@ def _frontier(root_exts, stack: list, supports: dict[int, int]) -> list[int]:
     return masks
 
 
+def _negative_border(
+    rejected: list[int], supports: Collection[int]
+) -> list[int]:
+    """``Bd-``: the rejected masks of a complete run whose every
+    immediate generalization is frequent.
+
+    A rejected mask is ``N ∪ {x}``, answered at the node of frequent
+    prefix ``N`` with ``x`` above every bit of ``N``.  At the root
+    ``N = ∅`` is the one parent.  Below it ``N = P ∪ {a}`` is a member
+    of class ``P`` and ``x`` a later member of the same class, so ``a``
+    and ``x`` are the mask's two highest bits and both ``P ∪ {a}`` and
+    ``P ∪ {x}`` are frequent: only the parents that drop a bit of ``P``
+    need a lookup.
+    """
+    negative = []
+    for mask in rejected:
+        # P's bits are the mask's lowest popcount − 2 (none for ∅ or a
+        # singleton).
+        remaining = mask
+        for _ in range(mask.bit_count() - 2):
+            low = remaining & -remaining
+            if mask ^ low not in supports:
+                break
+            remaining ^= low
+        else:
+            negative.append(mask)
+    return negative
+
+
 class _Run:
     """One Eclat run's policy and answers, shared by both engines.
 
@@ -678,9 +707,7 @@ class _Run:
         """End a complete run: Bd- filter, sorting and ``eclat.done``."""
         supports = self.supports
         queries = self.queries
-        negative = [
-            mask for mask in self.rejected if parents_all_in(mask, supports)
-        ]
+        negative = _negative_border(self.rejected, supports)
         sorted_maximal = tuple(rank_sorted(maximal))
         if self.tracer.enabled:
             run_span.note(outcome="complete", queries=queries)

@@ -18,28 +18,35 @@ border*:
 * lowering it (or any mixed update) again admits new sets only through
   newly satisfied ``Bd-`` members.
 
-The repair therefore (1) refreshes the supports of the old theory with
-one *delta-only* counting pass, (2) re-evaluates the old ``Bd-`` on the
-new database, and (3) grows a breadth-first closure from the ``Bd-``
-members that flipped to frequent, generating candidates only when every
+The state keeps the support of every ``Th`` member *and* of every
+``Bd-`` member — the two borders are the whole certificate, and their
+supports are what re-verifying it needs.  The repair therefore
+(1) refreshes both tables with one *delta-only* counting pass over the
+appended rows alone, (2) re-verifies the old ``Bd-`` from its refreshed
+table, and (3) grows a breadth-first closure from the ``Bd-`` members
+that flipped to frequent, generating candidates only when every
 immediate generalization is already known frequent (the Algorithm 9
-safety rule).  Every support the new theory or new ``Bd-`` needs is
-evaluated exactly once; the result is property-tested bit-identical to
-from-scratch mining across random databases, thresholds, and batch
-splits (``tests/test_service_incremental.py``).
+safety rule) and counting each on the full database.  Every support the
+new theory or new ``Bd-`` needs is evaluated exactly once; the result
+is property-tested bit-identical to from-scratch mining across random
+databases, thresholds, and batch splits
+(``tests/test_service_incremental.py``).  A threshold move has no
+delta, so a raise touches no database at all.
 
-When an update invalidates too much of the border — the closure would
-evaluate more than ``repair_limit`` fresh supports — the repair aborts
+When an update invalidates too much of the border — the repair would
+charge more than ``repair_limit`` queries — the repair aborts
 and falls back to a full :func:`~repro.mining.eclat.eclat` remine, so
 the fast path's worst case never exceeds from-scratch cost by more than
 the budget that tripped.
 
-Accounting: fresh full-database support evaluations are *charged*
-(``queries``), exactly like an engine's ``Is-interesting`` calls; the
-delta-only refresh of already-known supports is counted separately
-(``support_updates``) because it answers no new membership question —
-that split is precisely the Theorem 2 story of what maintenance must
-pay for.
+Accounting: each old ``Bd-`` member and each closure candidate is
+*charged* one query (``queries``), exactly like an engine's
+``Is-interesting`` calls — Corollary 4's price for re-verifying the
+border, whether the answer comes from the delta-refreshed table or from
+a full count; the delta-only refresh of the ``Th`` table is counted
+separately (``support_updates``) because it answers no membership
+question — that split is precisely the Theorem 2 story of what
+maintenance must pay for.
 """
 
 from __future__ import annotations
@@ -79,9 +86,10 @@ class RepairStats:
     """What one update cost.
 
     Attributes:
-        evaluated: fresh full-database supports charged (border
-            re-evaluations plus closure candidates).
-        support_updates: delta-only refreshes of already-known supports
+        evaluated: queries charged: one per old ``Bd-`` member
+            re-verified (answered from the delta-refreshed table) plus
+            one per closure candidate (a full-database count).
+        support_updates: delta-only refreshes of the ``Th`` supports
             (uncharged; see module docs).
         promoted: old ``Bd-`` members that became frequent.
         dropped: old theory members evicted by the update.
@@ -111,6 +119,10 @@ class MaintainedTheory:
             included), in canonical (cardinality, value) order.
         maximal: ``Bd+`` — the maximal frequent itemsets.
         negative: ``Bd-`` — the minimal infrequent itemsets.
+        negative_supports: support count of each ``Bd-`` member,
+            aligned with ``negative``.  Derived data, like
+            ``supports``' values: outside equality and the snapshot,
+            whose restore recounts it from the rows.
         queries: cumulative distinct support evaluations charged across
             the initial mine and every repair/remine (deterministic, so
             WAL replay reproduces it bit for bit).
@@ -124,6 +136,7 @@ class MaintainedTheory:
     supports: dict[int, int] = field(compare=False)
     maximal: tuple[int, ...] = ()
     negative: tuple[int, ...] = ()
+    negative_supports: tuple[int, ...] = field(default=(), compare=False)
     queries: int = 0
     support_updates: int = 0
     repairs: int = 0
@@ -214,8 +227,22 @@ def mine_initial(
         supports=_canonical_supports(result.supports),
         maximal=result.maximal,
         negative=result.negative_border,
+        negative_supports=_border_supports(database, result.negative_border),
         queries=result.queries,
     )
+
+
+def _border_supports(
+    database: TransactionDatabase, negative: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The support of each ``Bd-`` member, in ``negative``'s order.
+
+    One per-mask count each, never the batched numpy kernel: over the
+    full database its masks × row-chunks arrays would set the service's
+    peak memory (EXPERIMENTS.md, P13).
+    """
+    count = database.support_count
+    return tuple(count(mask) for mask in negative)
 
 
 def append_database(
@@ -237,55 +264,51 @@ def _repair(
     new_db: TransactionDatabase,
     new_threshold: int,
     repair_limit: int | None,
+    delta: list[int],
 ) -> tuple[MaintainedTheory, RepairStats]:
     """Border-delta repair of ``state`` against a new (db, threshold).
 
-    See the module docstring for the completeness argument; raises
-    :class:`_RepairBudgetExceeded` when more than ``repair_limit`` fresh
-    evaluations would be needed.
+    ``delta`` holds the rows ``new_db`` appends to ``state.database``
+    (empty for a threshold move).  See the module docstring for the
+    completeness argument; raises :class:`_RepairBudgetExceeded` when
+    more than ``repair_limit`` queries would be charged.
     """
     n_items = len(state.database.universe)
-    n_delta = new_db.n_transactions - state.database.n_transactions
+    old_negative = state.negative
     evaluated = 0
-    support_updates = 0
 
-    # 1. Refresh the known supports with one delta-only pass (counts of
-    # the *new* rows alone; old counts are already in the table).
-    if n_delta > 0:
-        n_old = state.database.n_transactions
-        if new_db.backend == "roaring":
-            delta_columns = [
-                column.sliced(n_old, new_db.n_transactions)
-                for column in new_db.tidsets_view()
-            ]
-        else:
-            delta_columns = [
-                column >> n_old for column in new_db.tidsets_view()
-            ]
-        delta_db = TransactionDatabase.from_vertical(
-            state.database.universe,
-            delta_columns,
-            n_delta,
-            backend=state.database.backend,
-        )
-        masks = list(state.supports)
-        delta_counts = delta_db.support_counts(masks)
+    # 1. Refresh the known supports of Th and Bd- with one delta-only
+    # pass: counts of the appended rows alone, added to the stored ones.
+    # The delta database is "auto" on every backend: the counts are
+    # the same, and a batch this size goes through numpy.
+    if delta:
+        delta_db = TransactionDatabase(state.database.universe, delta)
+        n_theory = len(state.supports)
+        counts = delta_db.support_counts([*state.supports, *old_negative])
         refreshed = {
-            mask: state.supports[mask] + delta
-            for mask, delta in zip(masks, delta_counts)
+            mask: supp + count
+            for (mask, supp), count in zip(state.supports.items(), counts)
         }
-        support_updates = len(masks)
+        negative_supports = [
+            supp + count
+            for supp, count in zip(
+                state.negative_supports, counts[n_theory:]
+            )
+        ]
+        support_updates = n_theory
     else:
-        refreshed = dict(state.supports)
+        refreshed = state.supports
+        negative_supports = state.negative_supports
+        support_updates = 0
 
     frequent: dict[int, int] = {
         mask: supp for mask, supp in refreshed.items() if supp >= new_threshold
     }
     dropped = len(refreshed) - len(frequent)
-    # Everything evaluated-and-infrequent this epoch; final Bd- filters
-    # it against the final frequent family.
-    infrequent: set[int] = {
-        mask for mask in refreshed if mask not in frequent
+    # Support of everything known infrequent this epoch; the final Bd-
+    # filters it against the final frequent family.
+    infrequent: dict[int, int] = {
+        mask: supp for mask, supp in refreshed.items() if supp < new_threshold
     }
 
     def charge() -> None:
@@ -294,17 +317,16 @@ def _repair(
         if repair_limit is not None and evaluated > repair_limit:
             raise _RepairBudgetExceeded
 
-    # 2. Re-evaluate the old negative border: the only gate through
-    # which new members can enter the theory.
+    # 2. Re-verify the old negative border — the only gate through which
+    # new members can enter the theory — from its refreshed supports.
     promoted: deque[int] = deque()
-    for mask in state.negative:
+    for mask, supp in zip(old_negative, negative_supports, strict=True):
         charge()
-        supp = new_db.support_count(mask)
         if supp >= new_threshold:
             frequent[mask] = supp
             promoted.append(mask)
         else:
-            infrequent.add(mask)
+            infrequent[mask] = supp
     n_promoted = len(promoted)
 
     # 3. Breadth-first closure above the promoted members.  A candidate
@@ -329,15 +351,31 @@ def _repair(
                 frequent[candidate] = supp
                 queue.append(candidate)
             else:
-                infrequent.add(candidate)
+                infrequent[candidate] = supp
 
-    frequent_set = set(frequent)
-    negative = tuple(
-        rank_sorted(
-            mask for mask in infrequent if parents_all_in(mask, frequent_set)
-        )
-    )
-    maximal = tuple(rank_sorted(_maximal_from_supports(frequent)))
+    if not dropped and not n_promoted:
+        # The same Th: the borders and the canonical order stand.
+        supports = frequent
+        maximal = state.maximal
+        negative = old_negative
+    else:
+        # New members arrive only through promotion; filtering alone
+        # keeps the canonical order.
+        supports = _canonical_supports(frequent) if n_promoted else frequent
+        maximal = tuple(rank_sorted(_maximal_from_supports(frequent)))
+        if dropped:
+            border = [
+                mask
+                for mask in infrequent
+                if parents_all_in(mask, frequent)
+            ]
+        else:
+            # Nothing left Th: the old Bd- members keep their parents,
+            # and the closure evaluated only sets whose parents were
+            # all frequent.
+            border = infrequent
+        negative = tuple(rank_sorted(border))
+        negative_supports = [infrequent[mask] for mask in negative]
     stats = RepairStats(
         evaluated=evaluated,
         support_updates=support_updates,
@@ -348,9 +386,10 @@ def _repair(
         state,
         database=new_db,
         threshold=new_threshold,
-        supports=_canonical_supports(frequent),
+        supports=supports,
         maximal=maximal,
         negative=negative,
+        negative_supports=tuple(negative_supports),
         queries=state.queries + evaluated,
         support_updates=state.support_updates + support_updates,
         repairs=state.repairs + 1,
@@ -371,6 +410,7 @@ def _remine(
         supports=_canonical_supports(result.supports),
         maximal=result.maximal,
         negative=result.negative_border,
+        negative_supports=_border_supports(new_db, result.negative_border),
         queries=state.queries + result.queries,
         remines=state.remines + 1,
     )
@@ -383,10 +423,13 @@ def _update(
     new_threshold: int,
     repair_limit: int | None,
     tracer,
+    delta: list[int],
 ) -> tuple[MaintainedTheory, RepairStats]:
     tracer = as_tracer(tracer)
     try:
-        new_state, stats = _repair(state, new_db, new_threshold, repair_limit)
+        new_state, stats = _repair(
+            state, new_db, new_threshold, repair_limit, delta
+        )
     except _RepairBudgetExceeded:
         if tracer.enabled:
             tracer.event("service.remine", reason="repair_budget")
@@ -414,7 +457,7 @@ def apply_append(
     Args:
         state: the current maintained theory.
         delta_masks: appended transactions as masks over the universe.
-        repair_limit: abort the delta repair after this many fresh
+        repair_limit: abort the delta repair after this many charged
             evaluations and remine from scratch (``None`` = never).
         tracer: optional tracer (``service.repair`` /
             ``service.remine`` events).
@@ -422,8 +465,11 @@ def apply_append(
     Returns:
         ``(new_state, stats)`` — the input state is never mutated.
     """
-    new_db = append_database(state.database, delta_masks)
-    return _update(state, new_db, state.threshold, repair_limit, tracer)
+    delta = list(delta_masks)
+    new_db = append_database(state.database, delta)
+    return _update(
+        state, new_db, state.threshold, repair_limit, tracer, delta
+    )
 
 
 def apply_threshold(
@@ -435,9 +481,10 @@ def apply_threshold(
 ) -> tuple[MaintainedTheory, RepairStats]:
     """Move the maintained threshold and repair the borders.
 
-    Raising the threshold only filters the hot table (plus border
-    re-evaluation); lowering it grows the theory through the old
-    ``Bd-``, exactly like an append.
+    Raising the threshold only filters the hot tables — the border is
+    re-verified from its stored supports, so no database is touched;
+    lowering it grows the theory through the old ``Bd-``, exactly like
+    an append.
     """
     new_threshold = (
         state.database.absolute_support(min_support)
@@ -447,5 +494,5 @@ def apply_threshold(
     if new_threshold < 0:
         raise ValueError("min_support must be non-negative")
     return _update(
-        state, state.database, new_threshold, repair_limit, tracer
+        state, state.database, new_threshold, repair_limit, tracer, []
     )

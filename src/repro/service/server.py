@@ -176,7 +176,7 @@ class _Handler(BaseHTTPRequestHandler):
         route every record through it — the batch is stitched into the
         shared tracer exactly once, at the end, under the server's
         stitch lock.  Latency and status are recorded in the registry
-        on every path, traced or not.
+        on every path, traced or not, after the stitch.
         """
         endpoint = urlparse(self.path).path
         request_id = self._request_identity()
@@ -202,11 +202,14 @@ class _Handler(BaseHTTPRequestHandler):
         except ReproError as error:
             self._send_json(500, {"error": str(error)})
         finally:
+            # Stitch before counting: a client that sees the request in
+            # the counters may stop the server, and the trace must
+            # already hold the request's records whole by then.
+            if tracer.enabled:
+                self.server.stitch_request(tracer)
             self.server.observe_request(
                 endpoint, self._status, time.perf_counter() - t0
             )
-            if tracer.enabled:
-                self.server.stitch_request(tracer)
 
     # -- GET ----------------------------------------------------------
 

@@ -26,12 +26,13 @@ translation on top.  The protocol, in order, for every mutation:
 
 Recovery inverts the protocol: load the snapshot (if any), rebuild the
 theory *bit-for-bit from the stored closure* (no remining — the stored
-``queries`` accounting stays honest), then replay WAL records newer
-than the snapshot through the same pure apply functions.  Because every
-apply is deterministic, the recovered state — theory, borders, supports
-*and* accounting — is identical to a run that never crashed; the chaos
-suite asserts this via :meth:`ServiceCore.digest` at randomized kill
-points.
+``queries`` accounting stays honest; only the ``Bd-`` supports, which
+the snapshot does not hold, are recounted from its rows), then replay
+WAL records newer than the snapshot through the same pure apply
+functions.  Because every apply is deterministic, the recovered state
+— theory, borders, supports *and* accounting — is identical to a run
+that never crashed; the chaos suite asserts this via
+:meth:`ServiceCore.digest` at randomized kill points.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from repro.runtime.partial import PartialResult
 from repro.service.incremental import (
     MaintainedTheory,
     RepairStats,
+    _border_supports,
     apply_append,
     apply_threshold,
     mine_initial,
@@ -198,6 +200,7 @@ class ServiceCore:
                 [int(r) for r in payload["rows"]],
                 backend=backend,
             )
+            negative = tuple(int(m) for m in payload["negative"])
             state = MaintainedTheory(
                 database=database,
                 threshold=int(payload["threshold"]),
@@ -206,7 +209,8 @@ class ServiceCore:
                     for mask, supp in payload["supports"]
                 },
                 maximal=tuple(int(m) for m in payload["maximal"]),
-                negative=tuple(int(m) for m in payload["negative"]),
+                negative=negative,
+                negative_supports=_border_supports(database, negative),
                 queries=int(payload["queries"]),
                 support_updates=int(payload["support_updates"]),
                 repairs=int(payload["repairs"]),

@@ -23,8 +23,8 @@ structural equality (`__eq__`) coincide with set equality and makes
 the quantity the Eclat tidset→diffset switch compares.
 
 Containers are immutable ``(kind, payload, cardinality)`` tuples, so
-bitmaps sharing containers (``sliced``, ``with_appended``, ``andnot``
-on disjoint chunks) is safe.  :meth:`to_int` converts to the big-int
+bitmaps sharing containers (``with_appended``, ``andnot`` on disjoint
+chunks) is safe.  :meth:`to_int` converts to the big-int
 encoding bit for bit — the cross-backend equivalence oracle — and
 :meth:`serialize`/:meth:`deserialize` give a flat bytes layout suitable
 for the shared-memory plane and for compact pickling (``__reduce__``).
@@ -466,45 +466,6 @@ class RoaringBitmap:
             else:
                 keys.append(key)
                 cons.append(_container_from_sorted(lows))
-        return RoaringBitmap._assemble(keys, cons)
-
-    def sliced(self, start: int, stop: int | None = None) -> "RoaringBitmap":
-        """Rows in ``[start, stop)``, re-indexed to start at 0.
-
-        Chunk-aligned ``start`` (``start % 65536 == 0``, the shard case)
-        shares interior containers; other offsets rebuild from indices.
-        """
-        if start < 0:
-            raise ValueError("start must be non-negative")
-        if stop is None:
-            stop = self.max_index() + 1
-        if stop < start:
-            raise ValueError("stop must be at least start")
-        if start & 0xFFFF:
-            return RoaringBitmap.from_indices(
-                index - start
-                for index in self
-                if start <= index < stop
-            )
-        key_offset = start >> 16
-        keys: list[int] = []
-        cons: list[_Container] = []
-        for key, con in zip(self._keys, self._cons):
-            if key < key_offset:
-                continue
-            base = (key - key_offset) << 16
-            if base >= stop - start:
-                break
-            if base + CHUNK <= stop - start:
-                keys.append(key - key_offset)
-                cons.append(con)
-                continue
-            bits = _container_to_int(con) & (
-                (1 << (stop - start - base)) - 1
-            )
-            if bits:
-                keys.append(key - key_offset)
-                cons.append(_container_from_int(bits))
         return RoaringBitmap._assemble(keys, cons)
 
     # -- serialization ------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +172,32 @@ class TestVerticalBackends:
         if masks:
             # auto's large-batch kernel, run on a batch of any size
             assert database._support_counts_numpy(masks) == reference
+
+    def test_few_rows_vectorize_only_large_one_word_batches(
+        self, monkeypatch
+    ):
+        """Under 128 rows (a service append's delta) numpy's fixed cost
+        pays off from 512 masks, and only in its one-word kernel."""
+        batches = []
+        kernel = TransactionDatabase._support_counts_numpy
+
+        def spy(database, masks):
+            batches.append(len(masks))
+            return kernel(database, masks)
+
+        monkeypatch.setattr(TransactionDatabase, "_support_counts_numpy", spy)
+        rng = random.Random(5)
+        for n_items, expected in ((64, [512]), (65, [])):
+            universe = Universe(range(n_items))
+            database = TransactionDatabase(
+                universe, [rng.getrandbits(n_items) for _ in range(10)]
+            )
+            masks = [rng.getrandbits(n_items) for _ in range(512)]
+            reference = [database.support_count(mask) for mask in masks]
+            assert database.support_counts(masks[:511]) == reference[:511]
+            assert database.support_counts(masks) == reference
+            assert batches == expected
+            batches.clear()
 
     def test_full_tidset_covers_every_row(self, database):
         assert database.full_tidset == 0b11111

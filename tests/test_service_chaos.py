@@ -208,6 +208,39 @@ class TestDigestContract:
             assert memory.digest() == digest
 
 
+class TestRecoveredBorderSupports:
+    """The snapshot does not hold the ``Bd-`` supports; recovery
+    recounts them from the restored rows, and WAL replay refreshes
+    them like any write, so the next repair starts from the same
+    table as an uninterrupted run."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_snapshot_plus_wal_restores_border_supports(
+        self, tmp_path, backend
+    ):
+        batches = _batches(random.Random(9), 7)
+        state_dir = str(tmp_path / "state")
+        with ServiceCore(
+            _database(backend), 2, state_dir=state_dir, compact_every=3
+        ) as core:
+            for op_id, rows in batches[:4]:
+                core.append(rows, op_id=op_id)
+            core.set_threshold(3, op_id="raise")
+            for op_id, rows in batches[4:]:
+                core.append(rows, op_id=op_id)
+            assert core.metrics()["wal_pending"] == 2  # snapshot + WAL
+            expected = core.state
+        with ServiceCore(
+            _database(backend), 2, state_dir=state_dir
+        ) as recovered:
+            state = recovered.state
+        assert state.negative == expected.negative
+        assert state.negative_supports == expected.negative_supports
+        assert state.negative_supports == tuple(
+            state.database.support_count(mask) for mask in state.negative
+        )
+
+
 class TestBadRequestsNeverPoisonTheLog:
     """Regression: a mutation that cannot apply must be rejected
     *before* it reaches the WAL.  A durably logged record that raises

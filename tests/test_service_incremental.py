@@ -11,6 +11,8 @@ random batch splits and random repair budgets, comparing against
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +21,14 @@ from repro.datasets import BACKENDS
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import eclat
 from repro.service.incremental import (
+    RepairStats,
     append_database,
     apply_append,
     apply_threshold,
     mine_initial,
 )
-from repro.util.bitset import Universe, popcount
+from repro.util.bitset import Universe, popcount, rank_sorted
+from repro.util.prefix import parents_all_in
 
 
 def _universe(n_items: int) -> Universe:
@@ -45,6 +49,91 @@ def _assert_matches_scratch(state):
     # Canonical iteration order regardless of the path that built it.
     assert list(state.supports) == sorted(
         state.supports, key=lambda m: (popcount(m), m)
+    )
+    # The stored Bd- supports, aligned with the border, whatever path
+    # (initial mine, repair, remine) refreshed them.
+    assert state.negative_supports == tuple(
+        state.database.support_count(mask) for mask in state.negative
+    )
+
+
+class _ReferenceBudgetExceeded(Exception):
+    pass
+
+
+def _reference_update(state, new_db, new_threshold, repair_limit):
+    """The repair without stored ``Bd-`` supports: every old ``Bd-``
+    member is recounted on the full database.  Returns the support
+    table, ``Bd-`` and the :class:`RepairStats` of the update, remine
+    fallback included."""
+    delta = new_db.transaction_masks[state.database.n_transactions :]
+    evaluated = 0
+
+    def charge():
+        nonlocal evaluated
+        evaluated += 1
+        if repair_limit is not None and evaluated > repair_limit:
+            raise _ReferenceBudgetExceeded
+
+    try:
+        if delta:
+            delta_db = TransactionDatabase(new_db.universe, delta)
+            refreshed = {
+                mask: supp + delta_db.support_count(mask)
+                for mask, supp in state.supports.items()
+            }
+        else:
+            refreshed = dict(state.supports)
+        frequent = {
+            mask: supp
+            for mask, supp in refreshed.items()
+            if supp >= new_threshold
+        }
+        dropped = len(refreshed) - len(frequent)
+        infrequent = set(refreshed) - set(frequent)
+        promoted = deque()
+        for mask in state.negative:
+            charge()
+            supp = new_db.support_count(mask)
+            if supp >= new_threshold:
+                frequent[mask] = supp
+                promoted.append(mask)
+            else:
+                infrequent.add(mask)
+        n_promoted = len(promoted)
+        while promoted:
+            parent = promoted.popleft()
+            for item in range(len(new_db.universe)):
+                candidate = parent | 1 << item
+                if (
+                    candidate == parent
+                    or candidate in frequent
+                    or candidate in infrequent
+                    or not parents_all_in(candidate, frequent)
+                ):
+                    continue
+                charge()
+                supp = new_db.support_count(candidate)
+                if supp >= new_threshold:
+                    frequent[candidate] = supp
+                    promoted.append(candidate)
+                else:
+                    infrequent.add(candidate)
+    except _ReferenceBudgetExceeded:
+        result = eclat(new_db, new_threshold)
+        return (
+            result.supports,
+            result.negative_border,
+            RepairStats(evaluated=result.queries, remined=True),
+        )
+    negative = tuple(
+        rank_sorted(m for m in infrequent if parents_all_in(m, frequent))
+    )
+    return frequent, negative, RepairStats(
+        evaluated=evaluated,
+        support_updates=len(refreshed) if delta else 0,
+        promoted=n_promoted,
+        dropped=dropped,
     )
 
 
@@ -331,3 +420,94 @@ class TestRowListCarriedThroughAppends:
             base.universe, state.database.transaction_masks, backend=backend
         ).tidsets_view()
         assert decodes == [6]
+
+
+class TestStoredBorderSupports:
+    """The state keeps every ``Bd-`` member's support, so a repair
+    re-verifies the old border from a table the delta pass refreshed
+    instead of recounting it on the full database — at the same charge
+    per member."""
+
+    @given(_scenario())
+    @settings(max_examples=120, deadline=None)
+    def test_accounting_equals_the_recounting_repair(self, scenario):
+        n_items, rows, threshold, steps, limit = scenario
+        for backend in BACKENDS:
+            database = TransactionDatabase(
+                _universe(n_items), rows, backend=backend
+            )
+            state = mine_initial(database, threshold)
+            queries = state.queries
+            support_updates = 0
+            for kind, payload in steps:
+                if kind == "append":
+                    new, stats = apply_append(
+                        state, payload, repair_limit=limit
+                    )
+                else:
+                    new, stats = apply_threshold(
+                        state, payload, repair_limit=limit
+                    )
+                supports, negative, expected = _reference_update(
+                    state, new.database, new.threshold, limit
+                )
+                assert stats == expected
+                assert new.supports == supports
+                assert new.negative == negative
+                queries += expected.evaluated
+                support_updates += expected.support_updates
+                assert new.queries == queries
+                assert new.support_updates == support_updates
+                state = new
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        """``(rows, mask)`` of every support count a database makes,
+        batched or one at a time."""
+        calls = []
+        count_one = TransactionDatabase.support_count
+        count_many = TransactionDatabase.support_counts
+
+        def one(database, mask):
+            calls.append((database.n_transactions, mask))
+            return count_one(database, mask)
+
+        def many(database, masks):
+            masks = list(masks)
+            calls.extend((database.n_transactions, mask) for mask in masks)
+            return count_many(database, masks)
+
+        monkeypatch.setattr(TransactionDatabase, "support_count", one)
+        monkeypatch.setattr(TransactionDatabase, "support_counts", many)
+        return calls
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_append_recounts_no_old_border_member(self, backend, counts):
+        database = TransactionDatabase(
+            _universe(5), [7, 21, 3, 28, 7, 19, 25, 14], backend=backend
+        )
+        state = mine_initial(database, 3)
+        counts.clear()
+        new, stats = apply_append(state, [31, 6, 12])
+        assert stats.promoted and not stats.remined
+        full = new.database.n_transactions
+        old_border = set(state.negative)
+        # The delta pass counts every old member on the 3 new rows ...
+        assert old_border <= {mask for rows, mask in counts if rows == 3}
+        # ... and the full database sees only closure candidates.
+        assert {mask for rows, mask in counts if rows == full}.isdisjoint(
+            old_border
+        )
+        _assert_matches_scratch(new)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_threshold_raise_touches_no_database(self, backend, counts):
+        database = TransactionDatabase(
+            _universe(5), [7, 7, 7, 25, 25, 14, 3], backend=backend
+        )
+        state = mine_initial(database, 2)
+        counts.clear()
+        raised, stats = apply_threshold(state, 4)
+        assert counts == []
+        assert stats.dropped and stats.evaluated == len(state.negative)
+        _assert_matches_scratch(raised)

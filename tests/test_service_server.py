@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -341,3 +342,48 @@ class TestHTTPEndpoints:
             gate.release()
         status, _, _ = _request(server.port, "/mine")
         assert status == 200
+
+
+class StitchRecorder(Tracer):
+    """A shared tracer that keeps every stitched request record."""
+
+    def __init__(self):
+        self.stitched: list[dict] = []
+
+    def stitch(self, records):
+        self.stitched.extend(records)
+
+
+def test_request_is_stitched_before_it_is_counted():
+    """A client that sees a request in the counters may stop the
+    server at once, so the request's records must already be in the
+    shared tracer when ``observe_request`` counts it."""
+    tracer = StitchRecorder()
+    core = ServiceCore(
+        TransactionDatabase(Universe(["a", "b", "c"]), [3, 5, 7]), 2
+    )
+    srv = MiningServer(core, port=0, tracer=tracer).start_background()
+    observed: list[tuple[str, list]] = []
+    observe = srv.observe_request
+
+    def spy(endpoint, status, seconds):
+        observed.append(
+            (endpoint, [record["name"] for record in tracer.stitched])
+        )
+        observe(endpoint, status, seconds)
+
+    srv.observe_request = spy
+    try:
+        status, _, _ = _request(srv.port, "/mine")
+        assert status == 200
+        # The counter is recorded after the response bytes go out.
+        deadline = time.monotonic() + 10
+        while not observed and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        srv.stop()
+    assert len(observed) == 1
+    endpoint, stitched = observed[0]
+    assert endpoint == "/mine"
+    assert "service.request" in stitched
+    assert "service.mine" in stitched

@@ -108,25 +108,6 @@ class TestSetAlgebra:
 
 class TestSlicingAndAppend:
     @settings(max_examples=60, deadline=None)
-    @given(
-        index_sets,
-        st.integers(min_value=0, max_value=4 * CHUNK),
-        st.integers(min_value=0, max_value=4 * CHUNK),
-    )
-    def test_sliced_matches_int_model(self, indices, start, length):
-        stop = start + length
-        bitmap = RoaringBitmap.from_indices(indices)
-        window = (bitmap.to_int() >> start) & ((1 << (stop - start)) - 1)
-        assert bitmap.sliced(start, stop).to_int() == window
-
-    def test_sliced_rejects_bad_ranges(self):
-        bitmap = RoaringBitmap.from_indices([1, 2, 3])
-        with pytest.raises(ValueError):
-            bitmap.sliced(-1, 2)
-        with pytest.raises(ValueError):
-            bitmap.sliced(5, 2)
-
-    @settings(max_examples=60, deadline=None)
     @given(index_sets, st.sets(st.integers(0, 200), max_size=40))
     def test_with_appended_matches_int_model(self, indices, extra):
         bitmap = RoaringBitmap.from_indices(indices)

@@ -3,7 +3,9 @@
 Boots ``python -m repro serve`` on a generated FIMI file, then drives
 the whole advertised lifecycle over real HTTP: ``/health``,
 ``/borders``, a hot ``/mine``, an ``/append`` batch, a duplicate
-``/append`` (idempotency), a ``/threshold`` raise, an append at the
+``/append`` (idempotency), two rejected appends (an over-limit body
+answers 413 and a float row 400, each leaving the digest unchanged), a
+``/threshold`` raise, an append at the
 raised threshold, a lower back (which promotes ``Bd-`` members from
 their stored supports and runs the closure), and ``/metrics`` —
 verifying after every mutation that the *incrementally maintained*
@@ -26,16 +28,19 @@ Exits non-zero on the first divergence.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import random
 import signal
 import subprocess
 import sys
+import urllib.error
 import urllib.request
 
 from repro.datasets.fimi import read_fimi
 from repro.datasets.transactions import BACKENDS, TransactionDatabase
 from repro.mining.eclat import eclat
+from repro.service.server import MAX_BODY_BYTES
 
 MIN_SUPPORT = 3
 #: Compaction period of the smoke's server: the third record folds the
@@ -63,6 +68,29 @@ def _post(port: int, path: str, body: dict) -> dict:
     )
     with urllib.request.urlopen(request, timeout=10) as response:
         return json.loads(response.read())
+
+
+def _rejected_status(port: int, body: dict | None) -> int:
+    """Status of an ``/append`` the server must refuse.
+
+    ``body=None`` declares a body one byte over the server's limit and
+    sends only the headers: the server must answer without reading it.
+    """
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        if body is None:
+            connection.putrequest("POST", "/append")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+        else:
+            connection.request(
+                "POST", "/append", json.dumps(body).encode(),
+                {"Content-Type": "application/json"},
+            )
+        return connection.getresponse().status
+    finally:
+        connection.close()
 
 
 def _check_against_scratch(port: int, database, threshold) -> None:
@@ -161,6 +189,15 @@ def main(argv=None) -> int:
         assert again["duplicate"] is True and again["seq"] == 1
         assert again["digest"] == first["digest"], "idempotent replay mutated"
         print("serve-smoke: duplicate append is a no-op")
+
+        for body, expected in ((None, 413), ({"rows": [1.5]}, 400)):
+            status = _rejected_status(port, body)
+            assert status == expected, f"{body}: {status}, wanted {expected}"
+            # A replay of the applied op reports the current digest.
+            again = _post(port, "/append", {"rows": delta, "op": "smoke-1"})
+            assert again["digest"] == first["digest"], f"{body} mutated"
+        print("serve-smoke: over-limit body is 413, float row 400, "
+              "digest unchanged")
 
         _post(port, "/threshold", {"min_support": raised})
         _check_against_scratch(port, database, raised)

@@ -35,75 +35,41 @@ Quickstart::
     print(theory.maximal_sets())   # maximal frequent itemsets
 """
 
-from repro.core import (
-    CountingOracle,
-    MonotonicityError,
-    RepresentationError,
-    SetLanguage,
-    Theory,
-    verify_maxth,
-)
-from repro.boolean import MonotoneCNF, MonotoneDNF, dnf_to_cnf, dual_dnf
-from repro.datasets import (
-    PlantedTheory,
-    TransactionDatabase,
-    generate_quest_database,
-    read_fimi,
-    write_fimi,
-)
-from repro.hypergraph import Hypergraph, minimal_transversals
-from repro.instances import (
-    mine_frequent_itemsets,
-    mine_inclusion_dependencies,
-    mine_minimal_keys,
-    mine_parallel_episodes,
-    minimal_keys_via_agree_sets,
-)
-from repro.learning import (
-    MembershipOracle,
-    learn_monotone_function,
-    learn_short_complement_cnf,
-)
-from repro.mining import (
-    apriori,
-    association_rules_from_supports,
-    dualize_and_advance,
-    levelwise,
-)
-from repro.util import Universe
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CountingOracle",
-    "MonotonicityError",
-    "RepresentationError",
-    "SetLanguage",
-    "Theory",
-    "verify_maxth",
-    "MonotoneCNF",
-    "MonotoneDNF",
-    "dnf_to_cnf",
-    "dual_dnf",
-    "PlantedTheory",
-    "TransactionDatabase",
-    "generate_quest_database",
-    "read_fimi",
-    "write_fimi",
-    "Hypergraph",
-    "minimal_transversals",
-    "mine_frequent_itemsets",
-    "mine_inclusion_dependencies",
-    "mine_minimal_keys",
-    "mine_parallel_episodes",
-    "minimal_keys_via_agree_sets",
-    "MembershipOracle",
-    "learn_monotone_function",
-    "learn_short_complement_cnf",
-    "apriori",
-    "association_rules_from_supports",
-    "dualize_and_advance",
-    "levelwise",
-    "Universe",
-    "__version__",
-]
+_EXPORTS = {
+    "repro.core.oracle": ("CountingOracle",),
+    "repro.core.errors": ("MonotonicityError", "RepresentationError"),
+    "repro.core.language": ("SetLanguage",),
+    "repro.core.theory": ("Theory",),
+    "repro.core.verification": ("verify_maxth",),
+    "repro.boolean.monotone": ("MonotoneCNF", "MonotoneDNF"),
+    "repro.boolean.dualization": ("dnf_to_cnf", "dual_dnf"),
+    "repro.datasets.planted": ("PlantedTheory",),
+    "repro.datasets.transactions": ("TransactionDatabase",),
+    "repro.datasets.synthetic": ("generate_quest_database",),
+    "repro.datasets.fimi": ("read_fimi", "write_fimi"),
+    "repro.hypergraph.hypergraph": ("Hypergraph",),
+    "repro.hypergraph.enumeration": ("minimal_transversals",),
+    "repro.instances.frequent_itemsets": ("mine_frequent_itemsets",),
+    "repro.instances.inclusion_dependencies": (
+        "mine_inclusion_dependencies",
+    ),
+    "repro.instances.functional_dependencies": (
+        "mine_minimal_keys",
+        "minimal_keys_via_agree_sets",
+    ),
+    "repro.instances.episodes": ("mine_parallel_episodes",),
+    "repro.learning.oracles": ("MembershipOracle",),
+    "repro.learning.exact": ("learn_monotone_function",),
+    "repro.learning.levelwise_learner": ("learn_short_complement_cnf",),
+    "repro.mining.apriori": ("apriori",),
+    "repro.mining.association_rules": ("association_rules_from_supports",),
+    "repro.mining.dualize_advance": ("dualize_and_advance",),
+    "repro.mining.levelwise": ("levelwise",),
+    "repro.util.bitset": ("Universe",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__.append("__version__")

@@ -7,32 +7,22 @@ negative border gives the DNF terms (Example 25).  This package provides
 the function representations that the learning reduction manipulates.
 """
 
-from repro.boolean.monotone import (
-    MonotoneCNF,
-    MonotoneDNF,
-    maximal_false_points,
-    minimal_true_points,
-)
-from repro.boolean.dualization import cnf_to_dnf, dnf_to_cnf, dual_dnf
-from repro.boolean.families import (
-    matching_dnf,
-    planted_cnf_function,
-    random_monotone_dnf,
-    threshold_function,
-    tribes_function,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MonotoneCNF",
-    "MonotoneDNF",
-    "maximal_false_points",
-    "minimal_true_points",
-    "cnf_to_dnf",
-    "dnf_to_cnf",
-    "dual_dnf",
-    "matching_dnf",
-    "planted_cnf_function",
-    "random_monotone_dnf",
-    "threshold_function",
-    "tribes_function",
-]
+_EXPORTS = {
+    "repro.boolean.monotone": (
+        "MonotoneCNF",
+        "MonotoneDNF",
+        "maximal_false_points",
+        "minimal_true_points",
+    ),
+    "repro.boolean.dualization": ("cnf_to_dnf", "dnf_to_cnf", "dual_dnf"),
+    "repro.boolean.families": (
+        "matching_dnf",
+        "planted_cnf_function",
+        "random_monotone_dnf",
+        "threshold_function",
+        "tribes_function",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

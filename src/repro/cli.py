@@ -11,6 +11,11 @@ The subcommands mirror the library's main entry points::
 ``figure1`` replays the paper's worked example, which doubles as a
 smoke test of an installation.
 
+Each subcommand imports what it runs inside its handler, so building the
+parser loads only :mod:`argparse`, the error types and the backend
+names: ``transversals`` builds no database and loads no miner, service
+or numpy code, and ``serve`` loads no transversal engine.
+
 Exit codes: ``0`` — complete result; ``2`` — usage or input error
 (bad file, malformed ``--edges``, invalid checkpoint); ``3`` — a budget
 limit tripped and a *certified partial* result was printed (resume with
@@ -23,25 +28,14 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.errors import BudgetExhausted, ReproError
-from repro.datasets.fimi import read_fimi, write_fimi
 from repro.datasets.transactions import BACKENDS
-from repro.datasets.synthetic import QuestParameters, generate_quest_database
-from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.enumeration import minimal_transversals
-from repro.instances.frequent_itemsets import mine_frequent_itemsets
-from repro.obs import (
-    JsonlTraceWriter,
-    MetricsRegistry,
-    MetricsTracer,
-    MultiTracer,
-    SamplingProfiler,
-    TheoremMonitor,
-)
-from repro.runtime.budget import Budget
-from repro.runtime.partial import PartialResult
-from repro.util.bitset import Universe
+
+if TYPE_CHECKING:
+    from repro.runtime.budget import Budget
+    from repro.runtime.partial import PartialResult
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -286,6 +280,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.datasets.fimi import write_fimi
+    from repro.datasets.synthetic import (
+        QuestParameters,
+        generate_quest_database,
+    )
+
     params = QuestParameters(
         n_items=args.items,
         n_transactions=args.transactions,
@@ -315,6 +315,8 @@ def _read_database(path: str, backend: str = "auto"):
             f"unknown --backend {backend!r}; expected one of "
             f"{', '.join(BACKENDS)}"
         )
+    from repro.datasets.fimi import read_fimi
+
     try:
         return read_fimi(path, backend=backend)
     except OSError as error:
@@ -400,6 +402,8 @@ def _build_tracer(args: argparse.Namespace) -> _ObsStack:
     profile_path = getattr(args, "profile", None)
     profiler = None
     if profile_path:
+        from repro.obs import SamplingProfiler
+
         profiler = SamplingProfiler()
         profiler.start()
     if not trace_path and not want_metrics:
@@ -414,6 +418,14 @@ def _build_tracer(args: argparse.Namespace) -> _ObsStack:
                 )
 
         return _ObsStack(None, None, None, profiler, finalize_profile)
+    from repro.obs import (
+        JsonlTraceWriter,
+        MetricsRegistry,
+        MetricsTracer,
+        MultiTracer,
+        TheoremMonitor,
+    )
+
     writer = JsonlTraceWriter(trace_path) if trace_path else None
     registry = MetricsRegistry() if want_metrics else None
     monitor = TheoremMonitor()
@@ -449,6 +461,8 @@ def _build_budget(args: argparse.Namespace) -> Budget | None:
     max_family = getattr(args, "max_family", None)
     if max_queries is None and timeout is None and max_family is None:
         return None
+    from repro.runtime.budget import Budget
+
     return Budget(
         max_queries=max_queries, timeout=timeout, max_family=max_family
     )
@@ -510,6 +524,9 @@ def _resolve_min_support(value: float) -> int | float:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
+    from repro.instances.frequent_itemsets import mine_frequent_itemsets
+    from repro.runtime.partial import PartialResult
+
     database = _read_database(args.input, args.backend)
     threshold = _resolve_min_support(args.min_support)
     budget = _build_budget(args)
@@ -566,6 +583,10 @@ def _parse_edges(text: str) -> list[frozenset[int]]:
 
 
 def _cmd_transversals(args: argparse.Namespace) -> int:
+    from repro.hypergraph.enumeration import minimal_transversals
+    from repro.hypergraph.hypergraph import Hypergraph
+    from repro.util.bitset import Universe
+
     edges = _parse_edges(args.edges)
     vertices = sorted(set().union(*edges))
     universe = Universe(vertices)
@@ -609,6 +630,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
+    from repro.obs import MetricsRegistry
     from repro.service import AdmissionController, MiningServer, ServiceCore
 
     database = _read_database(args.input, args.backend)
@@ -682,6 +704,7 @@ def _cmd_figure1(_: argparse.Namespace) -> int:
     )
     from repro.mining.dualize_advance import dualize_and_advance
     from repro.mining.levelwise import levelwise
+    from repro.util.bitset import Universe
 
     universe = Universe("ABCD")
     planted = PlantedTheory.from_sets(universe, [{"A", "B", "C"}, {"B", "D"}])

@@ -15,63 +15,39 @@ elements ``MTh`` (Problem 1, *MaxTh*).  This package defines:
   queries (Corollary 4).
 """
 
-from repro.core.errors import (
-    BudgetExhausted,
-    CheckpointError,
-    MonotonicityError,
-    OracleFailure,
-    OracleTimeout,
-    ReproError,
-    RepresentationError,
-)
-from repro.core.language import GenericLanguage, SetLanguage
-from repro.core.oracle import (
-    CountingOracle,
-    FailingOracle,
-    FlakyOracle,
-    GenericCountingOracle,
-    MonotonicityCheckingOracle,
-)
-from repro.core.borders import (
-    border,
-    downward_closure,
-    negative_border_brute_force,
-    negative_border_from_positive,
-    positive_border,
-)
-from repro.core.theory import Theory, compute_theory_brute_force
-from repro.core.representation import (
-    IdentityRepresentation,
-    SetRepresentationProtocol,
-    check_representation,
-)
-from repro.core.verification import VerificationResult, verify_maxth
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BudgetExhausted",
-    "CheckpointError",
-    "MonotonicityError",
-    "OracleFailure",
-    "OracleTimeout",
-    "ReproError",
-    "RepresentationError",
-    "GenericLanguage",
-    "SetLanguage",
-    "CountingOracle",
-    "FailingOracle",
-    "FlakyOracle",
-    "GenericCountingOracle",
-    "MonotonicityCheckingOracle",
-    "border",
-    "downward_closure",
-    "negative_border_brute_force",
-    "negative_border_from_positive",
-    "positive_border",
-    "Theory",
-    "compute_theory_brute_force",
-    "IdentityRepresentation",
-    "SetRepresentationProtocol",
-    "check_representation",
-    "VerificationResult",
-    "verify_maxth",
-]
+_EXPORTS = {
+    "repro.core.errors": (
+        "BudgetExhausted",
+        "CheckpointError",
+        "MonotonicityError",
+        "OracleFailure",
+        "OracleTimeout",
+        "ReproError",
+        "RepresentationError",
+    ),
+    "repro.core.language": ("GenericLanguage", "SetLanguage"),
+    "repro.core.oracle": (
+        "CountingOracle",
+        "FailingOracle",
+        "FlakyOracle",
+        "GenericCountingOracle",
+        "MonotonicityCheckingOracle",
+    ),
+    "repro.core.borders": (
+        "border",
+        "downward_closure",
+        "negative_border_brute_force",
+        "negative_border_from_positive",
+        "positive_border",
+    ),
+    "repro.core.theory": ("Theory", "compute_theory_brute_force"),
+    "repro.core.representation": (
+        "IdentityRepresentation",
+        "SetRepresentationProtocol",
+        "check_representation",
+    ),
+    "repro.core.verification": ("VerificationResult", "verify_maxth"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

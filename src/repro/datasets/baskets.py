@@ -19,6 +19,10 @@ never to ``n_rows × n_items``.
 ``(order, item)`` pairs, groups consecutive rows with equal order ids
 into one transaction (the export's sort order makes this exact), and
 returns the built database.
+
+numpy is imported by :meth:`ColumnarBuilder.add_pairs`, the bulk form
+behind :func:`~repro.datasets.fimi.read_fimi`, on its first call; the
+row-at-a-time :meth:`ColumnarBuilder.add` does not need it.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ import csv
 import os
 from array import array
 from collections.abc import Iterable
-
-import numpy as np
 
 from repro.datasets.transactions import TransactionDatabase
 from repro.util.bitset import Universe
@@ -123,6 +125,8 @@ class ColumnarBuilder:
         ascending; a pair repeated within a row counts once, and rows
         without pairs are empty transactions.
         """
+        import numpy as np
+
         columns = self._open_columns()
         keys = items
         if len(items) and int(items.max()) - int(items.min()) < 1 << 16:

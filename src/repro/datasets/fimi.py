@@ -4,18 +4,25 @@ The Frequent Itemset Mining Implementations repository format: one
 transaction per line, items as whitespace-separated non-negative
 integers.  The synthetic generators write this format so the on-disk
 path is the same one a user of the public FIMI datasets would exercise.
+
+:func:`read_fimi` parses with numpy, imported by the first read (with
+the parser's byte tables), so writing a file or importing this module
+does not load it.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from repro.datasets.baskets import ColumnarBuilder
 from repro.datasets.transactions import TransactionDatabase
 from repro.util.bitset import Universe, iter_bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Bytes :func:`read_fimi` reads at a time.  Each block is parsed up to
 #: its last line end and the rest carried into the next one, so a line
@@ -24,18 +31,35 @@ _READ_BLOCK = 1 << 15
 
 # Byte classes of the FIMI grammar (0 = not allowed anywhere).
 _DIGIT, _SIGN, _SPACE, _LF, _CR = 1, 2, 3, 4, 5
-_CLASS = np.zeros(256, dtype=np.uint8)
-_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
-_CLASS[np.frombuffer(b"+-", dtype=np.uint8)] = _SIGN
-_CLASS[np.frombuffer(b" \t\v\f", dtype=np.uint8)] = _SPACE
-_CLASS[ord("\n")] = _LF
-_CLASS[ord("\r")] = _CR
 
 #: Digits a token may have before its value is checked in Python:
 #: every 18-digit number fits an int64.
 _FAST_DIGITS = 18
-_POW10 = 10 ** np.arange(_FAST_DIGITS, dtype=np.int64)
 _INT64 = range(-(1 << 63), 1 << 63)
+
+
+@cache
+def _byte_classes():
+    """The grammar class of each byte value: a 256-entry ``uint8``
+    table."""
+    import numpy as np
+
+    classes = np.zeros(256, dtype=np.uint8)
+    classes[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
+    classes[np.frombuffer(b"+-", dtype=np.uint8)] = _SIGN
+    classes[np.frombuffer(b" \t\v\f", dtype=np.uint8)] = _SPACE
+    classes[ord("\n")] = _LF
+    classes[ord("\r")] = _CR
+    return classes
+
+
+@cache
+def _powers_of_ten():
+    """``10 ** place`` for each of the :data:`_FAST_DIGITS` places
+    (``int64``)."""
+    import numpy as np
+
+    return 10 ** np.arange(_FAST_DIGITS, dtype=np.int64)
 
 
 def write_fimi(database: TransactionDatabase, path: str | os.PathLike) -> None:
@@ -55,10 +79,11 @@ def write_fimi(database: TransactionDatabase, path: str | os.PathLike) -> None:
 
 def _token_error(data, position: int, line: int, what: str) -> ValueError:
     """A :class:`ValueError` naming the line and the token at ``position``."""
+    classes = _byte_classes()
     start = end = position
-    while start > 0 and _CLASS[data[start - 1]] in (0, _DIGIT, _SIGN):
+    while start > 0 and classes[data[start - 1]] in (0, _DIGIT, _SIGN):
         start -= 1
-    while end < len(data) and _CLASS[data[end]] in (0, _DIGIT, _SIGN):
+    while end < len(data) and classes[data[end]] in (0, _DIGIT, _SIGN):
         end += 1
     token = bytes(data[start:end]).decode("ascii", "backslashreplace")
     return ValueError(f"line {line}: {what} {token!r}")
@@ -74,7 +99,9 @@ def _token_spans(
     after one completes a CRLF and ends no line), and ``first_line`` is
     the 1-based number of their first line, for error messages.
     """
-    kind = _CLASS[data]
+    import numpy as np
+
+    kind = _byte_classes()[data]
     is_cr = kind == _CR
     line_end = kind == _LF
     line_end[0] &= not after_cr
@@ -112,6 +139,9 @@ def _parse_lines(
     each token within the run, the token values (``int64``) and the
     number of lines.
     """
+    import numpy as np
+
+    powers = _powers_of_ten()
     starts, ends, line_ends = _token_spans(data, after_cr, first_line)
     n_digits = ends - starts
     n_digits -= data[starts] < ord("0")  # a leading sign
@@ -120,7 +150,7 @@ def _parse_lines(
     for place in range(min(int(n_digits.max(initial=0)), _FAST_DIGITS)):
         digit = data.take(position, mode="clip").astype(np.int64)
         digit -= ord("0")
-        digit *= _POW10[place]
+        digit *= powers[place]
         np.add(values, digit, out=values, where=n_digits > place)
         position -= 1
     np.negative(values, out=values, where=data[starts] == ord("-"))
@@ -145,6 +175,8 @@ def _fimi_blocks(
     reading, also where a CRLF pair straddles two blocks; a last line
     without a line end is a row too.
     """
+    import numpy as np
+
     carry = b""
     after_cr = False
     line = 1

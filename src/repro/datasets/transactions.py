@@ -20,7 +20,10 @@ Three representations are kept in sync:
 The numpy path is an exact accelerator: counts are bit-identical to the
 pure-int path, small batches use the big-int kernel (the rule is in
 :meth:`TransactionDatabase.support_counts`), and nothing about query
-accounting changes.
+accounting changes.  numpy is imported by the functions that run it —
+the column builder behind :meth:`TransactionDatabase.from_columnar`
+and the batched :meth:`TransactionDatabase.support_counts` — so a
+program that calls neither never loads it.
 
 The vertical column bitmaps double as Eclat's *tidsets*: the tidset of
 an itemset is the AND of its item columns (:meth:`tidset`).  The
@@ -41,8 +44,6 @@ from __future__ import annotations
 from array import array
 from collections.abc import Hashable, Iterable, Sequence
 
-import numpy as _np
-
 from repro.util.bitset import Universe, iter_bits, popcount
 from repro.util.roaring import RoaringBitmap
 
@@ -62,11 +63,6 @@ _SMALL_MIN_BATCH = 512
 # working set stays cache-resident (larger blocks thrash measurably).
 _BATCH_BLOCK = 2048
 
-# scalar constants reused by the vectorized kernel
-_U0 = _np.uint64(0)
-_U1 = _np.uint64(1)
-_U6 = _np.uint64(6)
-
 
 def _column_from_rows(rows: Iterable[int], n_rows: int) -> int:
     """The big-int column of one item's row indices.
@@ -74,18 +70,20 @@ def _column_from_rows(rows: Iterable[int], n_rows: int) -> int:
     The bits are set in a ``uint64`` word array with numpy, then read
     into one int with a single ``int.from_bytes``.
     """
+    import numpy as np
+
     indices = (
-        _np.asarray(rows)
+        np.asarray(rows)
         if isinstance(rows, array)
-        else _np.fromiter(rows, dtype=_np.int64)
+        else np.fromiter(rows, dtype=np.int64)
     )
     if len(indices) and not (indices.min() >= 0 and indices.max() < n_rows):
         raise ValueError("column uses rows outside the database")
-    words = _np.zeros((n_rows + 63) // 64, dtype="<u8")
-    _np.bitwise_or.at(
+    words = np.zeros((n_rows + 63) // 64, dtype="<u8")
+    np.bitwise_or.at(
         words,
         indices >> 6,
-        _np.left_shift(_U1, (indices & 63).astype(_np.uint64)),
+        np.left_shift(np.uint64(1), (indices & 63).astype(np.uint64)),
     )
     return int.from_bytes(words.tobytes(), "little")
 
@@ -443,13 +441,15 @@ class TransactionDatabase:
     def _vertical_matrix(self):
         """The chunked vertical bitmaps: ``(n_items, ⌈n/64⌉)`` uint64."""
         if self._matrix is None:
+            import numpy as np
+
             n_chunks = (self._n_rows + 63) // 64
             n_bytes = n_chunks * 8
             packed = b"".join(
                 column.to_bytes(n_bytes, "little")
                 for column in self._columns
             )
-            self._matrix = _np.frombuffer(packed, dtype="<u8").reshape(
+            self._matrix = np.frombuffer(packed, dtype="<u8").reshape(
                 len(self._columns), n_chunks
             )
         return self._matrix
@@ -467,37 +467,39 @@ class TransactionDatabase:
         rather than a gather.  No per-itemset Python work anywhere —
         that, not the AND itself, is what the scalar path pays for.
         """
+        import numpy as np
+
         matrix = self._vertical_matrix()
         d = len(masks_matrix)
-        arange = _np.arange(d)
+        arange = np.arange(d)
         low_chunk = (masks_matrix != 0).argmax(axis=1)
         chunk_values = masks_matrix[arange, low_chunk]
-        low_bit = chunk_values & (_U0 - chunk_values)
+        low_bit = chunk_values & (np.uint64(0) - chunk_values)
         ext = (
-            low_chunk.astype(_np.uint64) << _U6
-            | _np.bitwise_count(low_bit - _U1)
-        ).astype(_np.intp)
+            low_chunk.astype(np.uint64) << np.uint64(6)
+            | np.bitwise_count(low_bit - np.uint64(1))
+        ).astype(np.intp)
         columns = matrix.take(ext, axis=0)
         if size == 1:
             return columns
         parents = masks_matrix.copy()
         parents[arange, low_chunk] ^= low_bit
         if is_sorted:
-            fresh = _np.empty(d, dtype=bool)
+            fresh = np.empty(d, dtype=bool)
             fresh[0] = True
             if d > 1:
                 fresh[1:] = (parents[1:] != parents[:-1]).any(axis=1)
-            starts = _np.flatnonzero(fresh)
-            group_sizes = _np.diff(_np.append(starts, d))
+            starts = np.flatnonzero(fresh)
+            group_sizes = np.diff(np.append(starts, d))
             unique_conj = self._conjunctions(
                 parents[fresh], size - 1, False
             )
-            conjunction = _np.repeat(unique_conj, group_sizes, axis=0)
-            _np.bitwise_and(conjunction, columns, out=conjunction)
+            conjunction = np.repeat(unique_conj, group_sizes, axis=0)
+            np.bitwise_and(conjunction, columns, out=conjunction)
             return conjunction
-        order = _np.lexsort(tuple(parents.T))
+        order = np.lexsort(tuple(parents.T))
         parents_sorted = parents[order]
-        fresh = _np.empty(d, dtype=bool)
+        fresh = np.empty(d, dtype=bool)
         fresh[0] = True
         if d > 1:
             fresh[1:] = (parents_sorted[1:] != parents_sorted[:-1]).any(
@@ -506,10 +508,10 @@ class TransactionDatabase:
         unique_conj = self._conjunctions(
             parents_sorted[fresh], size - 1, False
         )
-        parent_id = _np.empty(d, dtype=_np.intp)
-        parent_id[order] = _np.cumsum(fresh) - 1
+        parent_id = np.empty(d, dtype=np.intp)
+        parent_id[order] = np.cumsum(fresh) - 1
         conjunction = unique_conj.take(parent_id, axis=0)
-        _np.bitwise_and(conjunction, columns, out=conjunction)
+        np.bitwise_and(conjunction, columns, out=conjunction)
         return conjunction
 
     def _conjunctions_1chunk(self, masks_vector, size: int, is_sorted: bool):
@@ -520,52 +522,56 @@ class TransactionDatabase:
         and dedup ordering a plain ``argsort`` — measurably faster than
         the general row-wise machinery.
         """
+        import numpy as np
+
         matrix = self._vertical_matrix()
         d = len(masks_vector)
-        low_bit = masks_vector & (_U0 - masks_vector)
-        ext = _np.bitwise_count(low_bit - _U1).astype(_np.intp)
+        low_bit = masks_vector & (np.uint64(0) - masks_vector)
+        ext = np.bitwise_count(low_bit - np.uint64(1)).astype(np.intp)
         columns = matrix.take(ext, axis=0)
         if size == 1:
             return columns
         parents = masks_vector ^ low_bit
         if is_sorted:
-            fresh = _np.empty(d, dtype=bool)
+            fresh = np.empty(d, dtype=bool)
             fresh[0] = True
             fresh[1:] = parents[1:] != parents[:-1]
-            starts = _np.flatnonzero(fresh)
-            group_sizes = _np.diff(_np.append(starts, d))
+            starts = np.flatnonzero(fresh)
+            group_sizes = np.diff(np.append(starts, d))
             unique_conj = self._conjunctions_1chunk(
                 parents[starts], size - 1, False
             )
-            conjunction = _np.repeat(unique_conj, group_sizes, axis=0)
-            _np.bitwise_and(conjunction, columns, out=conjunction)
+            conjunction = np.repeat(unique_conj, group_sizes, axis=0)
+            np.bitwise_and(conjunction, columns, out=conjunction)
             return conjunction
-        order = _np.argsort(parents, kind="stable")
+        order = np.argsort(parents, kind="stable")
         parents_sorted = parents[order]
-        fresh = _np.empty(d, dtype=bool)
+        fresh = np.empty(d, dtype=bool)
         fresh[0] = True
         fresh[1:] = parents_sorted[1:] != parents_sorted[:-1]
         unique_conj = self._conjunctions_1chunk(
             parents_sorted[fresh], size - 1, False
         )
-        parent_id = _np.empty(d, dtype=_np.intp)
-        parent_id[order] = _np.cumsum(fresh) - 1
+        parent_id = np.empty(d, dtype=np.intp)
+        parent_id[order] = np.cumsum(fresh) - 1
         conjunction = unique_conj.take(parent_id, axis=0)
-        _np.bitwise_and(conjunction, columns, out=conjunction)
+        np.bitwise_and(conjunction, columns, out=conjunction)
         return conjunction
 
     def _support_counts_numpy_1chunk(self, masks: list[int]) -> list[int]:
+        import numpy as np
+
         n = len(masks)
         n_rows = self._n_rows
-        vector = _np.fromiter(masks, dtype=_np.uint64, count=n)
-        sizes = _np.bitwise_count(vector)
-        out = _np.empty(n, dtype=_np.int64)
+        vector = np.fromiter(masks, dtype=np.uint64, count=n)
+        sizes = np.bitwise_count(vector)
+        out = np.empty(n, dtype=np.int64)
         out[sizes == 0] = n_rows
-        order = _np.lexsort((vector, sizes))
+        order = np.lexsort((vector, sizes))
         vector_sorted = vector[order]
         sizes_sorted = sizes[order]
         max_size = int(sizes_sorted[-1])
-        bounds = _np.searchsorted(sizes_sorted, _np.arange(max_size + 2))
+        bounds = np.searchsorted(sizes_sorted, np.arange(max_size + 2))
         for size in range(1, max_size + 1):
             lo, hi = int(bounds[size]), int(bounds[size + 1])
             if lo == hi:
@@ -575,8 +581,8 @@ class TransactionDatabase:
                     vector_sorted[start : start + _BATCH_BLOCK], size, True
                 )
                 out[order[start : start + _BATCH_BLOCK]] = (
-                    _np.bitwise_count(conjunction).sum(
-                        axis=1, dtype=_np.int64
+                    np.bitwise_count(conjunction).sum(
+                        axis=1, dtype=np.int64
                     )
                 )
         return out.tolist()
@@ -587,24 +593,26 @@ class TransactionDatabase:
             return []
         if len(self.universe) <= 64:
             return self._support_counts_numpy_1chunk(masks)
+        import numpy as np
+
         n_rows = self._n_rows
         mask_chunks = max(1, (len(self.universe) + 63) // 64)
         mask_bytes = mask_chunks * 8
         packed = b"".join(m.to_bytes(mask_bytes, "little") for m in masks)
-        masks_matrix = _np.frombuffer(packed, dtype="<u8").reshape(
+        masks_matrix = np.frombuffer(packed, dtype="<u8").reshape(
             n, mask_chunks
         )
-        sizes = _np.bitwise_count(masks_matrix).sum(axis=1, dtype=_np.int64)
-        out = _np.empty(n, dtype=_np.int64)
+        sizes = np.bitwise_count(masks_matrix).sum(axis=1, dtype=np.int64)
+        out = np.empty(n, dtype=np.int64)
         out[sizes == 0] = n_rows
         for size in range(1, int(sizes.max(initial=0)) + 1):
-            positions = _np.flatnonzero(sizes == size)
+            positions = np.flatnonzero(sizes == size)
             if not len(positions):
                 continue
             group = masks_matrix[positions]
             # Sort so same-parent itemsets are adjacent (they share the
             # conjunction of everything above their lowest bit).
-            order = _np.lexsort(tuple(group.T))
+            order = np.lexsort(tuple(group.T))
             positions = positions[order]
             group = group[order]
             for start in range(0, len(positions), _BATCH_BLOCK):
@@ -612,8 +620,8 @@ class TransactionDatabase:
                     group[start : start + _BATCH_BLOCK], size, True
                 )
                 out[positions[start : start + _BATCH_BLOCK]] = (
-                    _np.bitwise_count(conjunction).sum(
-                        axis=1, dtype=_np.int64
+                    np.bitwise_count(conjunction).sum(
+                        axis=1, dtype=np.int64
                     )
                 )
         return out.tolist()

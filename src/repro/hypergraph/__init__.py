@@ -22,59 +22,44 @@ Engines provided:
   data-profiling scale.
 """
 
-from repro.hypergraph.certification import (
-    TransversalCertificate,
-    certify_transversal_family,
-)
-from repro.hypergraph.hypergraph import (
-    Hypergraph,
-    NonSimpleHypergraphError,
-    minimize_family,
-)
-from repro.hypergraph.berge import berge_transversal_masks, transversal_hypergraph
-from repro.hypergraph.fredman_khachiyan import (
-    DualityWitness,
-    check_duality,
-    find_new_minimal_transversal,
-)
-from repro.hypergraph.mmcs import mmcs_transversal_masks
-from repro.hypergraph.enumeration import (
-    brute_force_transversal_masks,
-    iter_minimal_transversals,
-    minimal_transversals,
-    minimize_transversal_mask,
-)
-from repro.hypergraph.levelwise_transversal import levelwise_transversal_masks
-from repro.hypergraph.generators import (
-    complete_k_uniform_hypergraph,
-    large_edge_hypergraph,
-    matching_hypergraph,
-    matching_transversal_count,
-    path_hypergraph,
-    random_simple_hypergraph,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TransversalCertificate",
-    "certify_transversal_family",
-    "Hypergraph",
-    "NonSimpleHypergraphError",
-    "minimize_family",
-    "berge_transversal_masks",
-    "transversal_hypergraph",
-    "DualityWitness",
-    "check_duality",
-    "find_new_minimal_transversal",
-    "mmcs_transversal_masks",
-    "brute_force_transversal_masks",
-    "iter_minimal_transversals",
-    "minimal_transversals",
-    "minimize_transversal_mask",
-    "levelwise_transversal_masks",
-    "complete_k_uniform_hypergraph",
-    "large_edge_hypergraph",
-    "matching_hypergraph",
-    "matching_transversal_count",
-    "path_hypergraph",
-    "random_simple_hypergraph",
-]
+_EXPORTS = {
+    "repro.hypergraph.certification": (
+        "TransversalCertificate",
+        "certify_transversal_family",
+    ),
+    "repro.hypergraph.hypergraph": (
+        "Hypergraph",
+        "NonSimpleHypergraphError",
+        "minimize_family",
+    ),
+    "repro.hypergraph.berge": (
+        "berge_transversal_masks",
+        "transversal_hypergraph",
+    ),
+    "repro.hypergraph.fredman_khachiyan": (
+        "DualityWitness",
+        "check_duality",
+        "find_new_minimal_transversal",
+    ),
+    "repro.hypergraph.mmcs": ("mmcs_transversal_masks",),
+    "repro.hypergraph.enumeration": (
+        "brute_force_transversal_masks",
+        "iter_minimal_transversals",
+        "minimal_transversals",
+        "minimize_transversal_mask",
+    ),
+    "repro.hypergraph.levelwise_transversal": (
+        "levelwise_transversal_masks",
+    ),
+    "repro.hypergraph.generators": (
+        "complete_k_uniform_hypergraph",
+        "large_edge_hypergraph",
+        "matching_hypergraph",
+        "matching_transversal_count",
+        "path_hypergraph",
+        "random_simple_hypergraph",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -7,64 +7,43 @@ dependencies, the direct agree-set route of [16] that the paper's
 Section 5 closing remark describes.
 """
 
-from repro.instances.armstrong import (
-    FunctionalDependency,
-    armstrong_relation,
-    fd_closure,
-    implied_fds,
-    implies,
-    max_sets,
-)
-from repro.instances.frequent_itemsets import (
-    FrequencyPredicate,
-    mine_frequent_itemsets,
-)
-from repro.instances.functional_dependencies import (
-    fd_lhs_via_agree_sets,
-    key_interestingness_predicate,
-    mine_minimal_keys,
-    minimal_keys_via_agree_sets,
-)
-from repro.instances.inclusion_dependencies import (
-    InclusionPredicate,
-    mine_inclusion_dependencies,
-    unary_inclusion_dependencies,
-)
-from repro.instances.episodes import (
-    EpisodeLanguage,
-    ParallelEpisodePredicate,
-    SerialEpisodePredicate,
-    attempt_set_representation,
-    mine_parallel_episodes,
-    mine_serial_episodes,
-)
-from repro.instances.episode_rules import (
-    EpisodeRule,
-    episode_rules_from_frequencies,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FunctionalDependency",
-    "armstrong_relation",
-    "fd_closure",
-    "implied_fds",
-    "implies",
-    "max_sets",
-    "FrequencyPredicate",
-    "mine_frequent_itemsets",
-    "fd_lhs_via_agree_sets",
-    "key_interestingness_predicate",
-    "mine_minimal_keys",
-    "minimal_keys_via_agree_sets",
-    "InclusionPredicate",
-    "mine_inclusion_dependencies",
-    "unary_inclusion_dependencies",
-    "EpisodeLanguage",
-    "ParallelEpisodePredicate",
-    "SerialEpisodePredicate",
-    "attempt_set_representation",
-    "mine_parallel_episodes",
-    "mine_serial_episodes",
-    "EpisodeRule",
-    "episode_rules_from_frequencies",
-]
+_EXPORTS = {
+    "repro.instances.armstrong": (
+        "FunctionalDependency",
+        "armstrong_relation",
+        "fd_closure",
+        "implied_fds",
+        "implies",
+        "max_sets",
+    ),
+    "repro.instances.frequent_itemsets": (
+        "FrequencyPredicate",
+        "mine_frequent_itemsets",
+    ),
+    "repro.instances.functional_dependencies": (
+        "fd_lhs_via_agree_sets",
+        "key_interestingness_predicate",
+        "mine_minimal_keys",
+        "minimal_keys_via_agree_sets",
+    ),
+    "repro.instances.inclusion_dependencies": (
+        "InclusionPredicate",
+        "mine_inclusion_dependencies",
+        "unary_inclusion_dependencies",
+    ),
+    "repro.instances.episodes": (
+        "EpisodeLanguage",
+        "ParallelEpisodePredicate",
+        "SerialEpisodePredicate",
+        "attempt_set_representation",
+        "mine_parallel_episodes",
+        "mine_serial_episodes",
+    ),
+    "repro.instances.episode_rules": (
+        "EpisodeRule",
+        "episode_rules_from_frequencies",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -13,27 +13,19 @@ package realizes the equivalence as executable reductions:
   monotone CNFs whose clauses have ≥ n − O(log n) variables.
 """
 
-from repro.learning.oracles import MembershipOracle
-from repro.learning.correspondence import (
-    cnf_from_maximal_sets,
-    dnf_from_negative_border,
-    interestingness_from_membership,
-    maximal_sets_from_cnf,
-    membership_from_interestingness,
-    negative_border_from_dnf,
-)
-from repro.learning.exact import LearnResult, learn_monotone_function
-from repro.learning.levelwise_learner import learn_short_complement_cnf
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MembershipOracle",
-    "cnf_from_maximal_sets",
-    "dnf_from_negative_border",
-    "interestingness_from_membership",
-    "maximal_sets_from_cnf",
-    "membership_from_interestingness",
-    "negative_border_from_dnf",
-    "LearnResult",
-    "learn_monotone_function",
-    "learn_short_complement_cnf",
-]
+_EXPORTS = {
+    "repro.learning.oracles": ("MembershipOracle",),
+    "repro.learning.correspondence": (
+        "cnf_from_maximal_sets",
+        "dnf_from_negative_border",
+        "interestingness_from_membership",
+        "maximal_sets_from_cnf",
+        "membership_from_interestingness",
+        "negative_border_from_dnf",
+    ),
+    "repro.learning.exact": ("LearnResult", "learn_monotone_function"),
+    "repro.learning.levelwise_learner": ("learn_short_complement_cnf",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,54 +16,38 @@
   measured-vs-proven.
 """
 
-from repro.mining.levelwise import (
-    GenericLevelwiseResult,
-    LevelwiseResult,
-    levelwise,
-    levelwise_generic,
-)
-from repro.mining.apriori import AprioriResult, apriori
-from repro.mining.eclat import EclatResult, eclat
-from repro.mining.dualize_advance import (
-    DualizeAdvanceIteration,
-    DualizeAdvanceResult,
-    dualize_and_advance,
-)
-from repro.mining.maximalize import greedy_maximalize
-from repro.mining.maxminer import MaxMinerResult, maxminer, maxminer_maxth
-from repro.mining.bounds import (
-    corollary13_frequent_sets_bound,
-    corollary14_negative_border_bound,
-    theorem10_exact_query_count,
-    theorem12_levelwise_bound,
-    theorem21_dualize_advance_bound,
-)
-from repro.mining.association_rules import (
-    AssociationRule,
-    association_rules_from_supports,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GenericLevelwiseResult",
-    "LevelwiseResult",
-    "levelwise",
-    "levelwise_generic",
-    "AprioriResult",
-    "apriori",
-    "EclatResult",
-    "eclat",
-    "DualizeAdvanceIteration",
-    "DualizeAdvanceResult",
-    "dualize_and_advance",
-    "greedy_maximalize",
-    "MaxMinerResult",
-    "maxminer",
-    "maxminer_maxth",
-    "corollary13_frequent_sets_bound",
-    "corollary14_negative_border_bound",
-    "theorem10_exact_query_count",
-    "theorem12_levelwise_bound",
-    "theorem21_dualize_advance_bound",
-    "AssociationRule",
-    "association_rules_from_supports",
-]
+_EXPORTS = {
+    "repro.mining.levelwise": (
+        "GenericLevelwiseResult",
+        "LevelwiseResult",
+        "levelwise",
+        "levelwise_generic",
+    ),
+    "repro.mining.apriori": ("AprioriResult", "apriori"),
+    "repro.mining.eclat": ("EclatResult", "eclat"),
+    "repro.mining.dualize_advance": (
+        "DualizeAdvanceIteration",
+        "DualizeAdvanceResult",
+        "dualize_and_advance",
+    ),
+    "repro.mining.maximalize": ("greedy_maximalize",),
+    "repro.mining.maxminer": ("MaxMinerResult", "maxminer", "maxminer_maxth"),
+    "repro.mining.bounds": (
+        "corollary13_frequent_sets_bound",
+        "corollary14_negative_border_bound",
+        "theorem10_exact_query_count",
+        "theorem12_levelwise_bound",
+        "theorem21_dualize_advance_bound",
+    ),
+    "repro.mining.association_rules": (
+        "AssociationRule",
+        "association_rules_from_supports",
+    ),
+}
+# Each of these four shares its name with a submodule, whose import
+# would rebind the package attribute to the module.
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(), _EXPORTS, eager=("apriori", "eclat", "levelwise", "maxminer")
+)

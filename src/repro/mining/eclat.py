@@ -33,8 +33,10 @@ keeps its covers as the rows of one ``uint64`` block
 its own cover and counts every row with one ``np.bitwise_count`` sum,
 where the big-int kernel pays one ``int.bit_count`` per extension.
 Below the crossover the per-call numpy cost outweighs that, and the
-big-int kernel runs.  Block covers count rows and switch by the same
-row rule, so even ``diffset_nodes`` match the big-int run.
+big-int kernel runs; numpy is imported by the block kernel and
+:func:`_root_cover`, so a run below the crossover never loads it.
+Block covers count rows and switch by the same row rule, so even
+``diffset_nodes`` match the big-int run.
 
 The levelwise engine re-derives every support from raw column bitmaps
 (an ``|X|``-way AND per candidate); here each support reuses the
@@ -90,8 +92,6 @@ from __future__ import annotations
 import time
 from collections.abc import Collection
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.errors import BudgetExhausted
 from repro.datasets.transactions import TransactionDatabase
@@ -301,6 +301,8 @@ def _expand_block(
     """
     if not exts:
         return [], is_diff
+    import numpy as np
+
     block, row = parent_cover
     parent = block[row]
     root = type(exts[0][2]) is int
@@ -369,6 +371,8 @@ def _root_cover(columns: list, n_rows: int):
     full = (1 << n_rows) - 1
     if n_rows < _BLOCK_MIN_ROWS:
         return full
+    import numpy as np
+
     n_words = (n_rows + 63) // 64
     row = np.frombuffer(full.to_bytes(8 * n_words, "little"), dtype="<u8")
     return row.reshape(1, n_words), 0

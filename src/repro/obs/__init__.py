@@ -34,62 +34,39 @@ Typical wiring::
     assert monitor.report().certified("theorem10")
 """
 
-from repro.obs.context import (
-    TraceContext,
-    WorkerTraceCollector,
-    active_collector,
-    install_worker_collector,
-)
-from repro.obs.jsonl import JsonlTraceWriter
-from repro.obs.metrics import (
-    MetricsRegistry,
-    MetricsTracer,
-    DEFAULT_SECONDS_BUCKETS,
-    LATENCY_SECONDS_BUCKETS,
-    labelled,
-    render_prometheus,
-)
-from repro.obs.monitor import Check, TheoremMonitor, TheoremReport
-from repro.obs.profile import SamplingProfiler
-from repro.obs.schema import (
-    KNOWN_EVENTS,
-    parse_trace,
-    validate_record,
-    validate_trace,
-)
-from repro.obs.tracer import (
-    MultiTracer,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    as_tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Tracer",
-    "Span",
-    "NullTracer",
-    "NULL_TRACER",
-    "MultiTracer",
-    "as_tracer",
-    "JsonlTraceWriter",
-    "MetricsRegistry",
-    "MetricsTracer",
-    "DEFAULT_SECONDS_BUCKETS",
-    "LATENCY_SECONDS_BUCKETS",
-    "labelled",
-    "render_prometheus",
-    "TraceContext",
-    "WorkerTraceCollector",
-    "install_worker_collector",
-    "active_collector",
-    "SamplingProfiler",
-    "TheoremMonitor",
-    "TheoremReport",
-    "Check",
-    "KNOWN_EVENTS",
-    "parse_trace",
-    "validate_record",
-    "validate_trace",
-]
+_EXPORTS = {
+    "repro.obs.tracer": (
+        "Tracer",
+        "Span",
+        "NullTracer",
+        "NULL_TRACER",
+        "MultiTracer",
+        "as_tracer",
+    ),
+    "repro.obs.jsonl": ("JsonlTraceWriter",),
+    "repro.obs.metrics": (
+        "MetricsRegistry",
+        "MetricsTracer",
+        "DEFAULT_SECONDS_BUCKETS",
+        "LATENCY_SECONDS_BUCKETS",
+        "labelled",
+        "render_prometheus",
+    ),
+    "repro.obs.context": (
+        "TraceContext",
+        "WorkerTraceCollector",
+        "install_worker_collector",
+        "active_collector",
+    ),
+    "repro.obs.profile": ("SamplingProfiler",),
+    "repro.obs.monitor": ("TheoremMonitor", "TheoremReport", "Check"),
+    "repro.obs.schema": (
+        "KNOWN_EVENTS",
+        "parse_trace",
+        "validate_record",
+        "validate_trace",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

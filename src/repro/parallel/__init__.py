@@ -23,17 +23,12 @@ See ``docs/API.md`` §12–14 for the determinism guarantees and
 worker-crash semantics.
 """
 
-from repro.parallel.eclat import eclat_parallel
-from repro.parallel.mmcs import mmcs_transversals_parallel
-from repro.parallel.pool import WorkerPool, WorkerPoolBroken, resolve_workers
-from repro.parallel.shm import ShmHandle, ShmVerticalStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WorkerPool",
-    "WorkerPoolBroken",
-    "resolve_workers",
-    "ShmHandle",
-    "ShmVerticalStore",
-    "eclat_parallel",
-    "mmcs_transversals_parallel",
-]
+_EXPORTS = {
+    "repro.parallel.pool": ("WorkerPool", "WorkerPoolBroken", "resolve_workers"),
+    "repro.parallel.shm": ("ShmHandle", "ShmVerticalStore"),
+    "repro.parallel.eclat": ("eclat_parallel",),
+    "repro.parallel.mmcs": ("mmcs_transversals_parallel",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

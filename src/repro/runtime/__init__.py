@@ -23,28 +23,19 @@ instead of falling over:
   injector).
 """
 
-from repro.core.errors import BudgetExhausted, CheckpointError
-from repro.core.oracle import FailingOracle
-from repro.runtime.budget import Budget
-from repro.runtime.checkpoint import CHECKPOINT_VERSION, Checkpoint
-from repro.runtime.partial import (
-    Certificate,
-    PartialDualization,
-    PartialResult,
-    build_partial,
-)
-from repro.runtime.resilient import ResilientOracle
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Budget",
-    "BudgetExhausted",
-    "CHECKPOINT_VERSION",
-    "Certificate",
-    "Checkpoint",
-    "CheckpointError",
-    "FailingOracle",
-    "PartialDualization",
-    "PartialResult",
-    "ResilientOracle",
-    "build_partial",
-]
+_EXPORTS = {
+    "repro.runtime.budget": ("Budget",),
+    "repro.core.errors": ("BudgetExhausted", "CheckpointError"),
+    "repro.runtime.checkpoint": ("CHECKPOINT_VERSION", "Checkpoint"),
+    "repro.runtime.partial": (
+        "Certificate",
+        "PartialDualization",
+        "PartialResult",
+        "build_partial",
+    ),
+    "repro.core.oracle": ("FailingOracle",),
+    "repro.runtime.resilient": ("ResilientOracle",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

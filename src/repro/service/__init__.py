@@ -27,30 +27,20 @@ robustness substrate that makes such a server trustworthy:
   ``/member``, ``/append``, ``/threshold``, ``/health``, ``/metrics``.
 """
 
-from repro.service.admission import AdmissionController, Saturated
-from repro.service.incremental import (
-    MaintainedTheory,
-    RepairStats,
-    append_database,
-    apply_append,
-    apply_threshold,
-    mine_initial,
-)
-from repro.service.server import MiningServer
-from repro.service.state import ServiceCore
-from repro.service.wal import WALError, WriteAheadLog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "MaintainedTheory",
-    "MiningServer",
-    "RepairStats",
-    "Saturated",
-    "ServiceCore",
-    "WALError",
-    "WriteAheadLog",
-    "append_database",
-    "apply_append",
-    "apply_threshold",
-    "mine_initial",
-]
+_EXPORTS = {
+    "repro.service.admission": ("AdmissionController", "Saturated"),
+    "repro.service.incremental": (
+        "MaintainedTheory",
+        "RepairStats",
+        "append_database",
+        "apply_append",
+        "apply_threshold",
+        "mine_initial",
+    ),
+    "repro.service.server": ("MiningServer",),
+    "repro.service.state": ("ServiceCore",),
+    "repro.service.wal": ("WALError", "WriteAheadLog"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -94,6 +94,18 @@ __all__ = ["MiningServer"]
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: Largest request body a handler reads.  A longer ``Content-Length``
+#: answers 413 before any of the body is read, and the connection
+#: closes, so one request cannot make a handler thread buffer whatever
+#: a client sends.  4 MiB holds about 280,000 rows of a 40-item
+#: universe as decimal JSON; the largest append of the smokes and the
+#: ledger is 10 such rows.
+MAX_BODY_BYTES = 1 << 22
+
+
+class _BodyTooLarge(Exception):
+    """A request declared a body longer than :data:`MAX_BODY_BYTES`."""
+
 
 def _partial_payload(partial: PartialResult) -> dict:
     """JSON shape of a certified partial answer (HTTP 206 body)."""
@@ -160,6 +172,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         if length <= 0:
             return {}
         raw = self.rfile.read(length)
@@ -196,6 +213,11 @@ class _Handler(BaseHTTPRequestHandler):
                 503,
                 {"error": str(error)},
                 headers=(("Retry-After", f"{error.retry_after:.0f}"),),
+            )
+        except _BodyTooLarge as error:
+            # The unread body would be parsed as the next request.
+            self._send_json(
+                413, {"error": str(error)}, headers=(("Connection", "close"),)
             )
         except (ValueError, KeyError, json.JSONDecodeError) as error:
             self._send_json(400, {"error": str(error)})
@@ -325,7 +347,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _append(self, tracer) -> None:
         body = self._read_body()
-        rows = [int(r) for r in body["rows"]]
+        rows = body["rows"]
+        # ``bool`` is an ``int`` subclass: ``true`` must not append row 1.
+        if not isinstance(rows, list) or any(type(r) is not int for r in rows):
+            raise ValueError("rows must be a list of JSON integers")
         op_id = body.get("op")
         with tracer.span("service.admission"):
             self.server.admission.acquire(tracer)
@@ -349,7 +374,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _threshold(self, tracer) -> None:
         body = self._read_body()
         value = body["min_support"]
-        if not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError("min_support must be a number")
         op_id = body.get("op")
         with tracer.span("service.admission"):

@@ -415,6 +415,10 @@ class ServiceCore:
         op_id: str | None,
         tracer=None,
     ) -> tuple[int, RepairStats | None, str]:
+        if op_id is not None and not isinstance(op_id, str):
+            # The ledger sorts its ids and a snapshot restores them as
+            # strings: another type would break the digest and dedup.
+            raise ValueError("op must be a string")
         t = self._tracer if tracer is None else as_tracer(tracer)
         with self._lock:
             if op_id is not None and op_id in self._ledger:

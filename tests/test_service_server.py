@@ -8,6 +8,7 @@ including the 503 + ``Retry-After`` and certified-206 contracts.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -264,6 +265,17 @@ class TestHTTPEndpoints:
         assert status == 400
         status, _, _ = _request(server.port, "/append", {"rows": [-1]})
         assert status == 400
+        # Rows must be JSON integers: no float, boolean or string is
+        # coerced into a row.
+        for rows in ([1.9], [True], ["7"], "15"):
+            status, _, _ = _request(server.port, "/append", {"rows": rows})
+            assert status == 400, rows
+        # Op ids are strings: the ledger sorts them, and a snapshot
+        # restores them as strings.
+        status, _, _ = _request(
+            server.port, "/append", {"rows": [15], "op": 1}
+        )
+        assert status == 400
         assert server.core.seq == 0
         status, payload, _ = _request(
             server.port, "/append", {"rows": [15], "op": "good"}
@@ -280,12 +292,43 @@ class TestHTTPEndpoints:
             server.port, "/threshold", {"min_support": 2.5}
         )
         assert status == 400
+        for value in (True, False, "3"):
+            status, _, _ = _request(
+                server.port, "/threshold", {"min_support": value}
+            )
+            assert status == 400, value
         assert server.core.seq == 0
         status, payload, _ = _request(
             server.port, "/threshold", {"min_support": 3}
         )
         assert status == 200
         assert payload["seq"] == 1
+
+    def test_oversized_body_is_413_without_reading_it(self, server):
+        from repro.service.server import MAX_BODY_BYTES
+
+        head = (
+            "POST /append HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        )
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as sock:
+            sock.sendall(head.encode("ascii"))
+            # Only the headers were sent: a server that waits for the
+            # body never answers, and recv times out.
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        headers, _, body = rest.partition(b"\r\n\r\n")
+        assert status_line.split()[1] == b"413"
+        assert b"connection: close" in headers.lower()
+        assert "limit" in json.loads(body)["error"]
+        status, payload, _ = _request(server.port, "/health")
+        assert status == 200
+        assert payload["seq"] == 0
 
     def test_metrics_include_admission_snapshot(self, server):
         status, payload, _ = _request(

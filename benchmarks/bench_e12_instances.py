@@ -47,7 +47,7 @@ def test_frequent_itemsets_and_rules():
     theory = mine_frequent_itemsets(database, 0.08)
     rules = association_rules_from_supports(
         database.universe,
-        theory.extra["supports"],
+        theory.supports,
         database.n_transactions,
         min_confidence=0.7,
     )

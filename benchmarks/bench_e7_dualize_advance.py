@@ -36,7 +36,7 @@ def test_lemma20_and_theorem21_across_shapes():
         assert result.maximal == planted.maximal_masks
 
         lemma_bound = lemma20_enumeration_bound(len(result.negative_border))
-        max_enumerated = result.max_enumerated()
+        max_enumerated = max(step.enumerated for step in result.iterations)
         assert max_enumerated <= lemma_bound
 
         theorem_bound = theorem21_dualize_advance_bound(
@@ -48,12 +48,12 @@ def test_lemma20_and_theorem21_across_shapes():
         slack = len(result.negative_border) + 1
         assert result.queries <= theorem_bound + slack
 
-        assert result.n_iterations() == len(result.maximal) + 1
+        assert len(result.iterations) == len(result.maximal) + 1
         record(
             "E7",
             f"{label:>9}: n={n:>2} |MTh|={len(result.maximal)} "
             f"|Bd-|={len(result.negative_border):>4} rank={result.rank():>2} "
-            f"iter={result.n_iterations():>2} "
+            f"iter={len(result.iterations):>2} "
             f"maxEnum={max_enumerated:>4}≤{lemma_bound:>4} "
             f"queries={result.queries:>5}≤{theorem_bound + slack:>6} (Thm 21)",
         )

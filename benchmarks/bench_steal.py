@@ -119,7 +119,7 @@ def uniform_database() -> TransactionDatabase:
 
 
 def _payload(result) -> tuple:
-    """Comparable payload of an EclatResult or a waves tuple."""
+    """Comparable payload of an Eclat Theory or a waves tuple."""
     if isinstance(result, tuple):
         return result[:3] + (result[3],)
     return (

@@ -45,6 +45,7 @@ def _mine_root(position: int):
         _WORKER_STATE["threshold"],
         supports,
         rejected,
+        [],
     )
     return supports, rejected
 
@@ -55,8 +56,8 @@ def eclat_waves(
     """The PR 5 parallel Eclat: whole-root waves, pickled transport.
 
     Returns ``(interesting, maximal, negative_border, supports)`` —
-    the comparable payload of an
-    :class:`~repro.mining.eclat.EclatResult`.
+    the comparable payload of an Eclat
+    :class:`~repro.core.theory.Theory`.
     """
     threshold = (
         database.absolute_support(min_support)

@@ -68,7 +68,7 @@ def main() -> None:
     theory = mine_frequent_itemsets(database, 0.10)
     rules = association_rules_from_supports(
         database.universe,
-        theory.extra["supports"],
+        theory.supports,
         database.n_transactions,
         min_confidence=0.8,
     )

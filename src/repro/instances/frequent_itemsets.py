@@ -4,13 +4,16 @@
 ``q(r, X)`` holds when the support of ``X`` in the database reaches the
 threshold ``σ``.  The identity map represents the language as sets, so
 every algorithm in :mod:`repro.mining` applies directly; this module
-wires them together under one entry point with a uniform result type.
+wires them together under one entry point, whose result is the engine's
+own :class:`~repro.core.theory.Theory`.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
+from repro.core.borders import negative_border_from_positive
 from repro.core.oracle import CountingOracle
 from repro.core.theory import Theory
 from repro.datasets.transactions import TransactionDatabase
@@ -128,12 +131,13 @@ def mine_frequent_itemsets(
             with bit-identical results and query accounting.
 
     Returns:
-        A :class:`~repro.core.theory.Theory`, or a
-        :class:`~repro.runtime.partial.PartialResult` when a budget ran
-        out.  ``queries`` counts distinct support computations; Apriori
-        additionally stores the support table under
-        ``extra["supports"]``, and Dualize and Advance stores its
-        iteration trace under ``extra["iterations"]``.
+        The chosen engine's :class:`~repro.core.theory.Theory`, with
+        ``min_support`` set and ``negative_border`` computed for every
+        algorithm, or a :class:`~repro.runtime.partial.PartialResult`
+        when a budget ran out.  ``queries`` counts distinct support
+        computations.  Apriori and Eclat also carry ``supports`` and
+        ``border_supports``, Dualize and Advance its ``iterations``,
+        and Eclat and MaxMiner their ``nodes``.
     """
     if algorithm not in _ALGORITHMS:
         raise ValueError(
@@ -154,101 +158,42 @@ def mine_frequent_itemsets(
             f"algorithm {algorithm!r} does not support workers; use eclat"
         )
     predicate = FrequencyPredicate(database, min_support)
+    threshold = predicate.threshold
     universe = database.universe
-
     if algorithm == "eclat":
         result = eclat(
-            database,
-            predicate.threshold,
-            budget=budget,
-            tracer=tracer,
-            workers=workers,
+            database, threshold, budget=budget, tracer=tracer, workers=workers
         )
-        if isinstance(result, PartialResult):
-            return result
-        return Theory(
-            universe=universe,
-            maximal=result.maximal,
-            negative_border=result.negative_border,
-            interesting=result.interesting,
-            queries=result.queries,
-            extra={
-                "supports": result.supports,
-                "min_support": result.min_support,
-                "nodes": result.nodes,
-                "diffset_nodes": result.diffset_nodes,
-            },
-        )
-
-    if algorithm == "apriori":
-        result = apriori(database, predicate.threshold, tracer=tracer)
-        return Theory(
-            universe=universe,
-            maximal=result.maximal,
-            negative_border=result.negative_border,
-            interesting=tuple(result.frequent_masks()),
-            queries=len(result.supports) + len(result.negative_border),
-            extra={
-                "supports": result.supports,
-                "database_passes": result.database_passes,
-                "min_support": result.min_support,
-            },
-        )
-    if algorithm == "levelwise":
-        oracle = CountingOracle(predicate, name="frequency")
+    elif algorithm == "apriori":
+        result = apriori(database, threshold, tracer=tracer)
+    elif algorithm == "levelwise":
         result = levelwise(
-            universe, oracle, budget=budget, resume=resume, tracer=tracer
+            universe,
+            CountingOracle(predicate, name="frequency"),
+            budget=budget,
+            resume=resume,
+            tracer=tracer,
         )
-        if isinstance(result, PartialResult):
-            return result
-        return Theory(
-            universe=universe,
-            maximal=result.maximal,
-            negative_border=result.negative_border,
-            interesting=result.interesting,
-            queries=result.queries,
-            extra={"levels": result.levels},
-        )
-    if algorithm == "dualize_advance":
-        oracle = CountingOracle(predicate, name="frequency")
+    elif algorithm == "dualize_advance":
         result = dualize_and_advance(
             universe,
-            oracle,
+            CountingOracle(predicate, name="frequency"),
             engine=engine,
             shuffle=seed,
             budget=budget,
             resume=resume,
             tracer=tracer,
         )
-        if isinstance(result, PartialResult):
-            return result
-        return Theory(
-            universe=universe,
-            maximal=result.maximal,
-            negative_border=result.negative_border,
-            interesting=None,
-            queries=result.queries,
-            extra={"iterations": result.iterations},
+    else:
+        result = maxminer(database, threshold, budget=budget, tracer=tracer)
+    if isinstance(result, PartialResult):
+        return result
+    if result.negative_border is None:
+        # MaxMiner computes no Bd-; Theorem 7 dualizes it from MTh.
+        result = replace(
+            result,
+            negative_border=tuple(
+                negative_border_from_positive(universe, list(result.maximal))
+            ),
         )
-    if algorithm == "maxminer":
-        result = maxminer(
-            database, predicate.threshold, budget=budget, tracer=tracer
-        )
-        if isinstance(result, PartialResult):
-            return result
-        from repro.core.borders import negative_border_from_positive
-
-        negative = negative_border_from_positive(
-            universe, list(result.maximal)
-        )
-        return Theory(
-            universe=universe,
-            maximal=result.maximal,
-            negative_border=tuple(negative),
-            interesting=None,
-            queries=result.queries,
-            extra={
-                "nodes_expanded": result.nodes_expanded,
-                "lookahead_hits": result.lookahead_hits,
-            },
-        )
+    return replace(result, min_support=threshold)

@@ -164,25 +164,10 @@ def mine_minimal_keys(
     )
     universe = relation.universe
     if algorithm == "levelwise":
-        result = levelwise(universe, predicate)
-        return Theory(
-            universe=universe,
-            maximal=result.maximal,
-            negative_border=result.negative_border,
-            interesting=result.interesting,
-            queries=result.queries,
-        )
+        return levelwise(universe, predicate)
     if algorithm == "dualize_advance":
-        advance = dualize_and_advance(
+        return dualize_and_advance(
             universe, predicate, engine=method, shuffle=seed
-        )
-        return Theory(
-            universe=universe,
-            maximal=advance.maximal,
-            negative_border=advance.negative_border,
-            interesting=None,
-            queries=advance.queries,
-            extra={"iterations": advance.iterations},
         )
     raise ValueError(
         f"unknown algorithm {algorithm!r}; "

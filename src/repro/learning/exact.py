@@ -79,5 +79,5 @@ def learn_monotone_function(
         dnf=dnf_from_negative_border(universe, mined.negative_border),
         cnf=cnf_from_maximal_sets(universe, mined.maximal),
         queries=oracle.queries - start,
-        iterations=mined.n_iterations(),
+        iterations=len(mined.iterations),
     )

@@ -14,6 +14,9 @@
 * :mod:`repro.mining.bounds` — closed forms of every quantitative bound
   (Theorems 10/12/21, Corollaries 13/14/22) so experiments can assert
   measured-vs-proven.
+
+A complete run of any miner over the subset lattice returns one
+:class:`~repro.core.theory.Theory`.
 """
 
 from repro._lazy import lazy_exports
@@ -21,19 +24,17 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.mining.levelwise": (
         "GenericLevelwiseResult",
-        "LevelwiseResult",
         "levelwise",
         "levelwise_generic",
     ),
-    "repro.mining.apriori": ("AprioriResult", "apriori"),
-    "repro.mining.eclat": ("EclatResult", "eclat"),
+    "repro.mining.apriori": ("apriori",),
+    "repro.mining.eclat": ("eclat",),
     "repro.mining.dualize_advance": (
         "DualizeAdvanceIteration",
-        "DualizeAdvanceResult",
         "dualize_and_advance",
     ),
     "repro.mining.maximalize": ("greedy_maximalize",),
-    "repro.mining.maxminer": ("MaxMinerResult", "maxminer", "maxminer_maxth"),
+    "repro.mining.maxminer": ("maxminer", "maxminer_maxth"),
     "repro.mining.bounds": (
         "corollary13_frequent_sets_bound",
         "corollary14_negative_border_bound",

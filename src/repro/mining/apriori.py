@@ -9,59 +9,19 @@ and vertical-bitmap support counting from
 Its query accounting is identical to :func:`repro.mining.levelwise.levelwise`
 run on the frequency predicate — the tests assert that — but it also
 reports the support of every frequent set, which the association-rule
-step (Section 2) consumes, and it counts *database passes*, the quantity
-practical Apriori variants optimize.
+step (Section 2) consumes, and of every ``Bd-`` member.  Its *database
+passes*, the quantity practical Apriori variants optimize, are the
+levels of ``Th ∪ Bd-`` (:attr:`~repro.core.theory.Theory.levels`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.core.theory import Theory
 from repro.datasets.transactions import TransactionDatabase
 from repro.obs.tracer import Tracer, as_tracer
 from repro.hypergraph.hypergraph import maximize_family
-from repro.util.bitset import Universe, popcount, rank_sorted
+from repro.util.bitset import rank_sorted, rank_sorted_with
 from repro.util.prefix import prefix_join_candidates
-
-
-@dataclass(frozen=True)
-class AprioriResult:
-    """Output of an Apriori run.
-
-    Attributes:
-        universe: the item universe.
-        supports: support count of every frequent mask (subset-closed;
-            includes the empty set with support = database size).
-        maximal: the maximal frequent masks.
-        negative_border: evaluated-but-infrequent candidates
-            (``Bd-(Th)``).
-        min_support: the absolute threshold used.
-        database_passes: level count — one counting pass per level.
-        candidate_counts: candidates generated per level (level k at
-            index k-1).
-    """
-
-    universe: Universe
-    supports: dict[int, int]
-    maximal: tuple[int, ...]
-    negative_border: tuple[int, ...]
-    min_support: int
-    database_passes: int
-    candidate_counts: tuple[int, ...] = field(default=(), compare=False)
-
-    def frequent_masks(self) -> list[int]:
-        """All frequent masks, smallest first."""
-        return rank_sorted(self.supports)
-
-    def n_frequent(self) -> int:
-        """``|Th|`` including the empty set."""
-        return len(self.supports)
-
-    def largest_frequent_size(self) -> int:
-        """``k``: the size of the largest frequent set."""
-        if not self.maximal:
-            return 0
-        return max(popcount(mask) for mask in self.maximal)
 
 
 def apriori(
@@ -69,7 +29,7 @@ def apriori(
     min_support: int | float,
     max_size: int | None = None,
     tracer: "Tracer | None" = None,
-) -> AprioriResult:
+) -> Theory:
     """Mine all frequent itemsets of a transaction database.
 
     Args:
@@ -84,9 +44,11 @@ def apriori(
             database passes, not through an ``Is-interesting`` oracle.
 
     Returns:
-        An :class:`AprioriResult`.  With the default ``max_size`` the
-        frequent family, maximal sets, and negative border coincide with
-        a generic levelwise run on the frequency predicate.
+        A :class:`~repro.core.theory.Theory` with ``supports``,
+        ``border_supports`` and ``min_support``; ``queries`` counts the
+        evaluated candidates, ``|Th| + |Bd-|`` (Theorem 10).  With the
+        default ``max_size`` the theory and both borders coincide with a
+        generic levelwise run on the frequency predicate.
     """
     threshold = (
         database.absolute_support(min_support)
@@ -101,7 +63,7 @@ def apriori(
 
     supports: dict[int, int] = {}
     negative_border: list[int] = []
-    candidate_counts: list[int] = []
+    border_supports: list[int] = []
 
     with tracer.span("apriori.run", n=n, threshold=threshold) as run_span:
         empty_support = database.n_transactions
@@ -116,14 +78,15 @@ def apriori(
                     negative=1,
                     threshold=threshold,
                 )
-            return AprioriResult(
+            return Theory(
                 universe=universe,
-                supports={},
                 maximal=(),
                 negative_border=(0,),
+                interesting=(),
+                queries=1,
                 min_support=threshold,
-                database_passes=1,
-                candidate_counts=(1,),
+                supports={},
+                border_supports=(empty_support,),
             )
         supports[0] = empty_support
 
@@ -134,7 +97,6 @@ def apriori(
         passes = 1  # the empty-set check above reads only the row count
         level = 1
         while candidates:
-            candidate_counts.append(len(candidates))
             passes += 1
             with tracer.span(
                 "apriori.level", level=level, candidates=len(candidates)
@@ -150,6 +112,7 @@ def apriori(
                         next_frequent.append(candidate)
                     else:
                         negative_border.append(candidate)
+                        border_supports.append(support)
                 if tracer.enabled:
                     level_span.note(
                         frequent=len(next_frequent),
@@ -175,14 +138,18 @@ def apriori(
                 negative=len(negative_border),
                 threshold=threshold,
             )
-        return AprioriResult(
+        negative, negative_supports = rank_sorted_with(
+            negative_border, border_supports
+        )
+        return Theory(
             universe=universe,
-            supports=supports,
             maximal=tuple(rank_sorted(maximal)),
-            negative_border=tuple(rank_sorted(negative_border)),
+            negative_border=negative,
+            interesting=tuple(rank_sorted(supports)),
+            queries=len(supports) + len(negative),
             min_support=threshold,
-            database_passes=passes,
-            candidate_counts=tuple(candidate_counts),
+            supports=supports,
+            border_supports=negative_supports,
         )
 
 

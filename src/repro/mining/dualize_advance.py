@@ -49,10 +49,11 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import BudgetExhausted, CheckpointError
 from repro.core.oracle import CountingOracle
+from repro.core.theory import Theory
 from repro.obs.tracer import Tracer, as_tracer
 from repro.hypergraph.berge import berge_step
 from repro.hypergraph.fredman_khachiyan import find_new_minimal_transversal
@@ -61,7 +62,7 @@ from repro.mining.maximalize import greedy_maximalize
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.partial import PartialResult, build_partial
-from repro.util.bitset import Universe, popcount, rank_sorted
+from repro.util.bitset import Universe, rank_sorted
 
 _ENGINES = ("fk", "berge", "mmcs")
 
@@ -84,37 +85,6 @@ class DualizeAdvanceIteration:
     counterexample: int | None
     new_maximal: int | None
     transversal_family_size: int | None = None
-
-
-@dataclass(frozen=True)
-class DualizeAdvanceResult:
-    """Output of a Dualize and Advance run.
-
-    ``interesting`` is ``None`` by design — the algorithm never
-    enumerates the theory, only its borders.
-    """
-
-    universe: Universe
-    maximal: tuple[int, ...]
-    negative_border: tuple[int, ...]
-    queries: int
-    iterations: tuple[DualizeAdvanceIteration, ...] = field(compare=False)
-
-    def n_iterations(self) -> int:
-        """Number of main-loop iterations, ``= |MTh| + 1`` when nonempty."""
-        return len(self.iterations)
-
-    def max_enumerated(self) -> int:
-        """Largest per-iteration probe count (Lemma 20 bounds it)."""
-        if not self.iterations:
-            return 0
-        return max(step.enumerated for step in self.iterations)
-
-    def rank(self) -> int:
-        """``rank(MTh)``."""
-        if not self.maximal:
-            return 0
-        return max(popcount(mask) for mask in self.maximal)
 
 
 class _IncrementalDualizer:
@@ -240,7 +210,7 @@ def dualize_and_advance(
     resume: "Checkpoint | str | None" = None,
     on_exhaust: str = "return",
     tracer: "Tracer | None" = None,
-) -> "DualizeAdvanceResult | PartialResult":
+) -> "Theory | PartialResult":
     """Run Algorithm 16.
 
     Args:
@@ -289,8 +259,12 @@ def dualize_and_advance(
             from the underlying :class:`~repro.core.oracle.CountingOracle`.
 
     Returns:
-        :class:`DualizeAdvanceResult` with ``MTh``, ``Bd-(MTh)``, the
-        distinct query count, and the per-iteration trace — or a
+        A :class:`~repro.core.theory.Theory` with ``MTh``,
+        ``Bd-(MTh)``, the distinct query count, and the per-iteration
+        trace in ``iterations`` (``|MTh| + 1`` of them when ``MTh`` is
+        nonempty; Lemma 20 bounds each one's ``enumerated``);
+        ``interesting`` is ``None`` by design, since the algorithm
+        never enumerates the theory.  Or a
         :class:`~repro.runtime.partial.PartialResult` when the budget
         ran out first.
     """
@@ -510,7 +484,7 @@ def dualize_and_advance(
                             n=len(universe),
                             base_queries=base_queries,
                         )
-                    return DualizeAdvanceResult(
+                    return Theory(
                         universe=universe,
                         maximal=(),
                         negative_border=(0,),
@@ -616,7 +590,7 @@ def dualize_and_advance(
                         )
                     )
                     negative_border = rank_sorted(probed)
-                    result = DualizeAdvanceResult(
+                    result = Theory(
                         universe=universe,
                         maximal=tuple(rank_sorted(current_maximal)),
                         negative_border=tuple(negative_border),

@@ -52,6 +52,9 @@ equal :func:`repro.mining.levelwise.levelwise`'s bit for bit
 (property-tested in ``tests/test_mining_eclat.py``); ``Bd-`` is
 recovered from the rejected masks by checking only the parents the
 traversal does not already know frequent (:func:`_negative_border`).
+Every kernel keeps the support of each rejected mask beside it, so the
+result carries the support of every ``Bd-`` member as well as of every
+frequent set, with no count beyond the traversal's own.
 Query accounting obeys
 ``|MTh| + |Bd-|  ≤  queries  ≤  n·|Th| + 1  ≤  2^k·n·|MTh| + 1`` —
 the Theorem 2 floor and the Corollary 13 ceiling (with one extra for the
@@ -72,10 +75,10 @@ budgeted or traced run, and the parallel coordinator
 (:class:`_Run`): the ``eclat.node`` event, the family check, the kernel
 into a node-local dict, then the node's answers replayed in extension
 order — per answer a query/deadline check, the count, the
-``oracle.query`` event and the record.  The budget thus sees one check
-per evaluation: a budgeted run stops at exactly its query limit, and a
-deadline overshoots by at most one node, whose kernel call runs before
-its checks.
+``oracle.query`` event and the record.  The budget thus sees
+one check per evaluation: a budgeted run stops at exactly its query
+limit, and a deadline overshoots by at most one node, whose kernel call
+runs before its checks.
 
 A cut — a budget or ``KeyboardInterrupt``, traced or not — returns a
 certified :class:`~repro.runtime.partial.PartialResult` whose ``Bd+``
@@ -90,60 +93,19 @@ results.
 from __future__ import annotations
 
 import time
+from array import array
 from collections.abc import Collection
-from dataclasses import dataclass, field
 
 from repro.core.errors import BudgetExhausted
+from repro.core.theory import Theory
 from repro.datasets.transactions import TransactionDatabase
 from repro.obs.tracer import Tracer, as_tracer
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult, build_partial
-from repro.util.bitset import Universe, popcount, rank_sorted
+from repro.util.bitset import popcount, rank_sorted, rank_sorted_with
 from repro.util.roaring import RoaringBitmap
 
-__all__ = ["EclatResult", "eclat"]
-
-
-@dataclass(frozen=True)
-class EclatResult:
-    """Output of a depth-first vertical mining run.
-
-    Attributes:
-        universe: the item universe.
-        interesting: the full theory ``Th`` (all frequent masks,
-            including ``∅``), sorted by (cardinality, value).
-        maximal: ``MTh`` — identical to every other engine's.
-        negative_border: ``Bd-(Th)`` — the rejected masks whose every
-            immediate generalization is frequent; identical to
-            levelwise's.
-        queries: distinct support evaluations.  Depth-first enumeration
-            evaluates a superset of ``Th ∪ Bd-``, so this is at least
-            levelwise's Theorem 10 count and at most ``n·|Th| + 1``.
-        min_support: the absolute threshold used.
-        supports: support count of every frequent mask (``∅`` maps to
-            the database size) — the same table Apriori reports.
-        nodes: equivalence-class nodes expanded.
-        diffset_nodes: nodes whose covers were computed with diffset
-            arithmetic (the dEclat path).
-    """
-
-    universe: Universe
-    interesting: tuple[int, ...]
-    maximal: tuple[int, ...]
-    negative_border: tuple[int, ...]
-    queries: int
-    min_support: int
-    supports: dict[int, int] = field(default_factory=dict, compare=False)
-    nodes: int = field(default=0, compare=False)
-    diffset_nodes: int = field(default=0, compare=False)
-
-    def theory_size(self) -> int:
-        """``|Th|``."""
-        return len(self.interesting)
-
-    def border_size(self) -> int:
-        """``|Bd(Th)|`` — the Theorem 2 lower bound on any miner."""
-        return len(self.maximal) + len(self.negative_border)
+__all__ = ["eclat"]
 
 
 def _expand(
@@ -155,6 +117,7 @@ def _expand(
     threshold: int,
     supports: dict[int, int],
     rejected: list[int],
+    rejected_supports,
 ) -> tuple[list[tuple[int, int, int]], bool]:
     """Evaluate one equivalence-class node, budget/trace-free (hot kernel).
 
@@ -163,7 +126,8 @@ def _expand(
     prefix already includes the member being expanded, whose support and
     cover are ``parent_supp`` / ``parent_cover``.  Frequent extensions
     are recorded in ``supports`` and returned as the new class members;
-    infrequent masks go to ``rejected``.  A tidset class converts to
+    infrequent masks go to ``rejected`` and their supports, aligned, to
+    ``rejected_supports``.  A tidset class converts to
     diffsets when the diffsets are smaller in total — decided from the
     supports alone (``|d| = supp(parent) − supp(child)``), then realized
     with one AND-NOT per member.
@@ -180,6 +144,7 @@ def _expand(
                 members.append((bit, supp, child_cover))
             else:
                 rejected.append(mask)
+                rejected_supports.append(supp)
         return members, True
     tid_total = 0
     diff_total = 0
@@ -194,6 +159,7 @@ def _expand(
             diff_total += parent_supp - supp
         else:
             rejected.append(mask)
+            rejected_supports.append(supp)
     if diff_total < tid_total and len(members) > 1:
         members = [
             (bit, supp, parent_cover & ~cover)
@@ -221,6 +187,7 @@ def _expand_roaring(
     threshold: int,
     supports: dict[int, int],
     rejected: list[int],
+    rejected_supports,
 ) -> tuple[list, bool]:
     """:func:`_expand` over compressed covers (hot kernel twin).
 
@@ -240,6 +207,7 @@ def _expand_roaring(
                 members.append((bit, supp, child_cover))
             else:
                 rejected.append(mask)
+                rejected_supports.append(supp)
         return members, True
     tid_total = 0
     diff_total = 0
@@ -254,6 +222,7 @@ def _expand_roaring(
             diff_total += _DIFF_BYTES_PER_ROW * (parent_supp - supp)
         else:
             rejected.append(mask)
+            rejected_supports.append(supp)
     if diff_total < tid_total and len(members) > 1:
         members = [
             (bit, supp, parent_cover.andnot(cover))
@@ -284,6 +253,7 @@ def _expand_block(
     threshold: int,
     supports: dict[int, int],
     rejected: list[int],
+    rejected_supports,
 ) -> tuple[list, bool]:
     """:func:`_expand` over block covers (hot kernel twin).
 
@@ -331,6 +301,7 @@ def _expand_block(
             kept.append(index)
         else:
             rejected.append(mask_bits)
+            rejected_supports.append(supp)
     if not kept:
         return [], is_diff
     if root:
@@ -397,6 +368,7 @@ def _mine_subtree(
     threshold: int,
     supports: dict[int, int],
     rejected: list[int],
+    rejected_supports,
     stack: list[list] | None = None,
     charge=None,
 ) -> tuple[int, int]:
@@ -407,7 +379,8 @@ def _mine_subtree(
     makes the root class an ordinary node), and each
     :mod:`repro.parallel.eclat` worker runs one task subtree.  Returns
     ``(nodes, diffset_nodes)``; answers accumulate in the caller's
-    ``supports``/``rejected`` in deterministic DFS order.
+    ``supports``/``rejected``/``rejected_supports`` in deterministic DFS
+    order.
 
     ``stack`` is an optional caller-owned list that receives the DFS
     frames ``[prefix, is_diff, members, next member index]``, so a
@@ -415,7 +388,7 @@ def _mine_subtree(
     ``charge`` is an optional ``charge(prefix, is_diff, parent_supp,
     parent_cover, exts)`` that evaluates a node in place of the kernel
     (:meth:`_Run.charge`); without it the kernel writes straight into
-    ``supports``/``rejected``.
+    the three tables.
     """
     nodes = 1
     diffset_nodes = 1 if is_diff else 0
@@ -423,7 +396,7 @@ def _mine_subtree(
     if charge is None:
         members, is_diff = expand(
             prefix, is_diff, parent_supp, parent_cover, exts,
-            threshold, supports, rejected,
+            threshold, supports, rejected, rejected_supports,
         )
     else:
         members, is_diff = charge(
@@ -452,6 +425,7 @@ def _mine_subtree(
             child_members, child_diff = expand(
                 child_prefix, frame[1], supp, cover,
                 frame_members[index + 1 :], threshold, supports, rejected,
+                rejected_supports,
             )
         else:
             child_members, child_diff = charge(
@@ -531,10 +505,10 @@ def _frontier(root_exts, stack: list, supports: dict[int, int]) -> list[int]:
 
 
 def _negative_border(
-    rejected: list[int], supports: Collection[int]
-) -> list[int]:
+    rejected: list[int], rejected_supports, supports: Collection[int]
+) -> tuple[list[int], list[int]]:
     """``Bd-``: the rejected masks of a complete run whose every
-    immediate generalization is frequent.
+    immediate generalization is frequent, and their supports.
 
     A rejected mask is ``N ∪ {x}``, answered at the node of frequent
     prefix ``N`` with ``x`` above every bit of ``N``.  At the root
@@ -545,7 +519,8 @@ def _negative_border(
     need a lookup.
     """
     negative = []
-    for mask in rejected:
+    negative_supports = []
+    for mask, supp in zip(rejected, rejected_supports):
         # P's bits are the mask's lowest popcount − 2 (none for ∅ or a
         # singleton).
         remaining = mask
@@ -556,7 +531,8 @@ def _negative_border(
             remaining ^= low
         else:
             negative.append(mask)
-    return negative
+            negative_supports.append(supp)
+    return negative, negative_supports
 
 
 class _Run:
@@ -564,9 +540,10 @@ class _Run:
 
     Validates the arguments, then holds the budget, the tracer and the
     answers charged so far: ``supports`` (frequent mask → support) and
-    ``rejected`` (infrequent masks in charge order).  Every evaluated
-    mask sits in exactly one of the two, so they are the run's whole
-    oracle history and their sizes sum to the query count.  A run ends
+    ``rejected`` (infrequent masks in charge order, their supports
+    aligned in ``rejected_supports``).  Every evaluated mask sits in
+    exactly one of the two, so they are the run's whole oracle history
+    and their sizes sum to the query count.  A run ends
     in :meth:`partial` (a certified cut) or :meth:`complete`.
     """
 
@@ -596,6 +573,7 @@ class _Run:
         self.tracer = as_tracer(tracer)
         self.supports: dict[int, int] = {}
         self.rejected: list[int] = []
+        self.rejected_supports = array("q")
         self.t0 = time.monotonic()
         if budget is not None:
             budget.begin()
@@ -610,18 +588,19 @@ class _Run:
         """Evaluate one node of a budgeted or traced run and charge it.
 
         The ``charge`` step of :func:`_mine_subtree`: :meth:`open` the
-        node, run the matching kernel into a node-local dict, then
-        :meth:`replay` its answers.  The kernel call precedes the
+        node, run the matching kernel into a node-local dict and list,
+        then :meth:`replay` its answers.  The kernel call precedes the
         per-answer checks, so a deadline overshoots by at most this one
         node (``len(exts)`` cover operations).
         """
         self.open(prefix, is_diff, len(exts))
         answers: dict[int, int] = {}
+        rejected_supports: list[int] = []
         node = _expand_for(parent_cover)(
             prefix, is_diff, parent_supp, parent_cover, exts,
-            self.threshold, answers, [],
+            self.threshold, answers, [], rejected_supports,
         )
-        self.replay(prefix, exts, answers)
+        self.replay(prefix, exts, answers, rejected_supports)
         return node
 
     def open(self, prefix: int, is_diff: bool, tail: int) -> None:
@@ -636,13 +615,19 @@ class _Run:
         if self.budget is not None:
             self.budget.check(queries=self.queries, family=tail)
 
-    def replay(self, prefix: int, exts, answers: dict[int, int]) -> None:
+    def replay(
+        self, prefix: int, exts, answers: dict[int, int], rejected_supports
+    ) -> None:
         """Charge a node's answers in extension order.
 
         ``answers`` maps each frequent ``prefix | bit`` to its support;
-        an extension missing from it was rejected.  Per extension: a
-        budget check, the count, the ``oracle.query`` event, then the
-        record in ``supports`` or ``rejected``.
+        an extension missing from it was rejected, and
+        ``rejected_supports`` holds the rejected ones' supports in
+        extension order.  Per extension: a budget check, the count, the
+        ``oracle.query`` event, then the record in ``supports`` or
+        ``rejected``.  The node's rejected supports are recorded once
+        its answers are: a cut in between ends the run in
+        :meth:`partial`, which reads masks only.
         """
         budget = self.budget
         tracer = self.tracer
@@ -666,15 +651,17 @@ class _Run:
                 rejected.append(mask)
             else:
                 supports[mask] = supp
+        self.rejected_supports.extend(rejected_supports)
 
     def probe_empty(self, n_rows: int) -> bool:
         """Charge ``∅`` first, like every other engine; ``True`` if frequent.
 
         ``∅`` is the one extension of a node with prefix ``∅``.
         """
-        self.replay(
-            0, ((0,),), {0: n_rows} if n_rows >= self.threshold else {}
-        )
+        if n_rows >= self.threshold:
+            self.replay(0, ((0,),), {0: n_rows}, ())
+        else:
+            self.replay(0, ((0,),), {}, (n_rows,))
         return 0 in self.supports
 
     def partial(
@@ -707,11 +694,13 @@ class _Run:
 
     def complete(
         self, maximal, nodes: int, diffset_nodes: int, run_span
-    ) -> EclatResult:
+    ) -> Theory:
         """End a complete run: Bd- filter, sorting and ``eclat.done``."""
         supports = self.supports
         queries = self.queries
-        negative = _negative_border(self.rejected, supports)
+        negative, border_supports = rank_sorted_with(
+            *_negative_border(self.rejected, self.rejected_supports, supports)
+        )
         sorted_maximal = tuple(rank_sorted(maximal))
         if self.tracer.enabled:
             run_span.note(outcome="complete", queries=queries)
@@ -726,16 +715,16 @@ class _Run:
                 nodes=nodes,
                 diffset_nodes=diffset_nodes,
             )
-        return EclatResult(
+        return Theory(
             universe=self.universe,
-            interesting=tuple(rank_sorted(supports)),
             maximal=sorted_maximal,
-            negative_border=tuple(rank_sorted(negative)),
+            negative_border=negative,
+            interesting=tuple(rank_sorted(supports)),
             queries=queries,
             min_support=self.threshold,
             supports=supports,
+            border_supports=border_supports,
             nodes=nodes,
-            diffset_nodes=diffset_nodes,
         )
 
 
@@ -747,7 +736,7 @@ def eclat(
     on_exhaust: str = "return",
     tracer: "Tracer | None" = None,
     workers: int | None = None,
-) -> "EclatResult | PartialResult":
+) -> "Theory | PartialResult":
     """Mine all frequent itemsets depth-first with memoized covers.
 
     Args:
@@ -787,11 +776,14 @@ def eclat(
             with bit-identical output.
 
     Returns:
-        An :class:`EclatResult` whose theory and borders equal
-        :func:`~repro.mining.levelwise.levelwise`'s and whose support
-        table equals :func:`~repro.mining.apriori.apriori`'s, or a
-        certified :class:`~repro.runtime.partial.PartialResult` — also
-        on ``KeyboardInterrupt``, with the same complete frontier.
+        A :class:`~repro.core.theory.Theory` whose theory and borders
+        equal :func:`~repro.mining.levelwise.levelwise`'s and whose
+        ``supports`` and ``border_supports`` equal
+        :func:`~repro.mining.apriori.apriori`'s, with ``min_support``
+        and ``nodes`` (the classes expanded; ``eclat.done`` also counts
+        the diffset ones), or a certified
+        :class:`~repro.runtime.partial.PartialResult` — also on
+        ``KeyboardInterrupt``, with the same complete frontier.
     """
     run = _Run(database, min_support, budget, on_exhaust, tracer)
     if workers is not None and workers > 1:
@@ -824,7 +816,8 @@ def eclat(
             if run.probe_empty(n_rows):
                 nodes, diffset_nodes = _mine_subtree(
                     0, False, n_rows, _root_cover(columns, n_rows),
-                    root_exts, run.threshold, supports, run.rejected, stack,
+                    root_exts, run.threshold, supports, run.rejected,
+                    run.rejected_supports, stack,
                     run.charge if budget is not None or tracer.enabled
                     else None,
                 )

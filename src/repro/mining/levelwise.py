@@ -7,8 +7,9 @@ generation (a pure lattice computation, no data access) with evaluation
 of whose immediate generalizations proved interesting.
 
 Theorem 10: the algorithm is correct and evaluates ``q`` exactly
-``|Th ∪ Bd-(Th)|`` times; the result object exposes everything needed to
-assert that equality, which experiment E2 does.
+``|Th ∪ Bd-(Th)|`` times; the returned :class:`~repro.core.theory.Theory`
+exposes everything needed to assert that equality, which experiment E2
+does.
 
 Convention: the subset-lattice version queries the empty set first (level
 0).  If ``∅`` itself is uninteresting the theory is empty and the
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from repro.core.errors import BudgetExhausted, CheckpointError
 from repro.core.language import GenericLanguage, SetLanguage
 from repro.core.oracle import CountingOracle, GenericCountingOracle
+from repro.core.theory import Theory
 from repro.hypergraph.hypergraph import maximize_family
 from repro.obs.tracer import Tracer, as_tracer
 from repro.runtime.budget import Budget
@@ -47,40 +49,6 @@ from repro.util.prefix import prefix_join_candidates
 _DEADLINE_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class LevelwiseResult:
-    """Output of the subset-lattice levelwise run.
-
-    Attributes:
-        universe: the attribute universe.
-        interesting: the full theory ``Th`` (all interesting masks).
-        maximal: ``MTh`` (positive border of the theory).
-        negative_border: the evaluated-but-uninteresting candidates,
-            which by construction equal ``Bd-(Th)``.
-        queries: distinct ``q`` evaluations (Theorem 10 says this equals
-            ``len(interesting) + len(negative_border)``).
-        levels: the interesting sentences found at each level
-            (``levels[i]`` has the rank-``i`` ones).
-        candidates_per_level: how many candidates each level generated.
-    """
-
-    universe: Universe
-    interesting: tuple[int, ...]
-    maximal: tuple[int, ...]
-    negative_border: tuple[int, ...]
-    queries: int
-    levels: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
-    candidates_per_level: tuple[int, ...] = field(default=(), compare=False)
-
-    def theory_size(self) -> int:
-        """``|Th|``."""
-        return len(self.interesting)
-
-    def border_size(self) -> int:
-        """``|Bd(Th)|`` — the Theorem 2 lower bound for this problem."""
-        return len(self.maximal) + len(self.negative_border)
-
-
 def levelwise(
     universe: Universe,
     predicate: Callable[[int], bool],
@@ -89,7 +57,7 @@ def levelwise(
     resume: "Checkpoint | str | None" = None,
     on_exhaust: str = "return",
     tracer: "Tracer | None" = None,
-) -> "LevelwiseResult | PartialResult":
+) -> "Theory | PartialResult":
     """Run Algorithm 9 on the subset lattice over ``universe``.
 
     Args:
@@ -130,9 +98,10 @@ def levelwise(
             (property-tested).
 
     Returns:
-        A :class:`LevelwiseResult` (``queries`` counts distinct
-        evaluations, which Theorem 10 pins to ``|Th| + |Bd-(Th)|``), or
-        a :class:`~repro.runtime.partial.PartialResult` when the budget
+        A :class:`~repro.core.theory.Theory` (``queries`` counts
+        distinct evaluations, which Theorem 10 pins to
+        ``|Th| + |Bd-(Th)|``; ``levels`` are the levels walked), or a
+        :class:`~repro.runtime.partial.PartialResult` when the budget
         ran out first.
     """
     if on_exhaust not in ("return", "raise"):
@@ -357,14 +326,12 @@ def levelwise(
                 n=n,
                 base_queries=base_queries,
             )
-        return LevelwiseResult(
+        return Theory(
             universe=universe,
-            interesting=tuple(rank_sorted(interesting_all)),
             maximal=tuple(rank_sorted(maximal)),
             negative_border=tuple(rank_sorted(negative_border)),
+            interesting=tuple(rank_sorted(interesting_all)),
             queries=queries,
-            levels=tuple(levels),
-            candidates_per_level=tuple(candidates_per_level),
         )
 
 
@@ -477,6 +444,6 @@ def levelwise_for_language(
     language: SetLanguage,
     predicate: Callable[[int], bool],
     max_rank: int | None = None,
-) -> LevelwiseResult:
+) -> "Theory | PartialResult":
     """Convenience dispatcher: fast path for :class:`SetLanguage`."""
     return levelwise(language.universe, predicate, max_rank=max_rank)

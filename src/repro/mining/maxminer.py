@@ -20,35 +20,16 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from repro.core.errors import BudgetExhausted
 from repro.core.oracle import CountingOracle
+from repro.core.theory import Theory
 from repro.obs.tracer import Tracer, as_tracer
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.maximalize import maximal_set_tracker
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult, build_partial
 from repro.util.bitset import Universe, rank_sorted
-
-
-@dataclass(frozen=True)
-class MaxMinerResult:
-    """Output of a MaxMiner run.
-
-    Attributes:
-        universe: the item universe.
-        maximal: the maximal frequent masks (``MTh``).
-        queries: distinct support predicate evaluations.
-        nodes_expanded: enumeration-tree nodes actually expanded.
-        lookahead_hits: subtrees pruned by a successful lookahead.
-    """
-
-    universe: Universe
-    maximal: tuple[int, ...]
-    queries: int
-    nodes_expanded: int = field(compare=False, default=0)
-    lookahead_hits: int = field(compare=False, default=0)
 
 
 def maxminer_maxth(
@@ -58,7 +39,7 @@ def maxminer_maxth(
     budget: Budget | None = None,
     on_exhaust: str = "return",
     tracer: "Tracer | None" = None,
-) -> "MaxMinerResult | PartialResult":
+) -> "Theory | PartialResult":
     """Find all maximal interesting sets by lookahead tree search.
 
     Args:
@@ -87,8 +68,11 @@ def maxminer_maxth(
             ``dead``), and a ``maxminer.done`` accounting summary.
 
     Returns:
-        A :class:`MaxMinerResult` (``maximal`` agrees with every other
-        miner in this library, asserted by the test suite) or a
+        A :class:`~repro.core.theory.Theory` whose ``maximal`` agrees
+        with every other miner in this library (asserted by the test
+        suite), with ``nodes`` the tree nodes expanded; the search
+        computes no ``Bd-``, so ``negative_border`` and ``interesting``
+        are ``None``.  Or a
         :class:`~repro.runtime.partial.PartialResult` on exhaustion.
     """
     if on_exhaust not in ("return", "raise"):
@@ -159,9 +143,10 @@ def maxminer_maxth(
                         nodes=0,
                         lookaheads=0,
                     )
-                return MaxMinerResult(
+                return Theory(
                     universe=universe,
                     maximal=(),
+                    negative_border=None,
                     queries=oracle.distinct_queries - start_queries,
                 )
             while stack:
@@ -253,12 +238,12 @@ def maxminer_maxth(
                 nodes=stats["nodes"],
                 lookaheads=stats["lookaheads"],
             )
-        return MaxMinerResult(
+        return Theory(
             universe=universe,
             maximal=tuple(rank_sorted(maximal)),
+            negative_border=None,
             queries=queries,
-            nodes_expanded=stats["nodes"],
-            lookahead_hits=stats["lookaheads"],
+            nodes=stats["nodes"],
         )
 
 
@@ -274,7 +259,7 @@ def maxminer(
     min_support: int | float,
     budget: Budget | None = None,
     tracer: "Tracer | None" = None,
-) -> "MaxMinerResult | PartialResult":
+) -> "Theory | PartialResult":
     """MaxMiner on a transaction database with the support-order heuristic.
 
     Tail items are ordered by increasing support so that likely-failing

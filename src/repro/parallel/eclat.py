@@ -33,10 +33,10 @@ extension order through the serial engine's charge step
 (:class:`repro.mining.eclat._Run`).  A split root is *computed* during
 task building (workers need the task list immediately) but *charged*
 at the root's serial DFS position in the fold stream, so theory, Bd+,
-Bd-, supports, node counts, and Theorem 10/21 query accounting are
-bit-identical to the serial engine at every worker count — and a
-mid-run budget cut lands between the same two fold steps everywhere,
-making budgeted :class:`~repro.runtime.partial.PartialResult`s
+Bd-, both support tables, node counts, and Theorem 10/21 query
+accounting are bit-identical to the serial engine at every worker
+count — and a mid-run budget cut lands between the same two fold steps
+everywhere, making budgeted :class:`~repro.runtime.partial.PartialResult`s
 deterministic too (one task subtree is the overshoot unit).
 
 The partial's lower frontier stays *complete* at any cut, a Ctrl-C
@@ -59,11 +59,12 @@ from __future__ import annotations
 
 import os
 import time
+from array import array
 
 from repro.core.errors import BudgetExhausted
+from repro.core.theory import Theory
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import (
-    EclatResult,
     _expand_for,
     _maximal_from_supports,
     _mine_subtree,
@@ -90,7 +91,11 @@ _WORKER_STATE: dict = {}
 
 
 def _root_class(
-    columns: list, n_rows: int, threshold: int, answers: dict | None = None
+    columns: list,
+    n_rows: int,
+    threshold: int,
+    answers: dict | None = None,
+    rejected_supports: list | None = None,
 ) -> tuple[list[tuple[int, int, int]], bool]:
     """The root equivalence class, exactly as the serial engine forms it.
 
@@ -101,8 +106,9 @@ def _root_class(
     roaring covers), this delegates to the same expand kernel the
     serial engine runs on its root node — so coordinator and every
     worker agree with serial bit for bit on both backends.  ``answers``
-    optionally receives the frequent singletons' supports, which the
-    coordinator replays to charge the root class.
+    and ``rejected_supports`` optionally receive the frequent
+    singletons' supports and the others', which the coordinator
+    replays to charge the root class.
     """
     full_cover = _root_cover(columns, n_rows)
     root_exts = [
@@ -111,6 +117,7 @@ def _root_class(
     return _expand_for(full_cover)(
         0, False, n_rows, full_cover, root_exts, threshold,
         {} if answers is None else answers, [],
+        [] if rejected_supports is None else rejected_supports,
     )
 
 
@@ -140,7 +147,7 @@ def _mine_payload(
     expansions: dict,
     position: int,
     split_index: int | None,
-) -> tuple[dict[int, int], list[int], int, int, float, list[int]]:
+) -> tuple[dict[int, int], list[int], array, int, int, float, list[int]]:
     """Mine one task subtree — the pure kernel both sides share.
 
     ``split_index=None`` mines the whole subtree under root member
@@ -148,14 +155,16 @@ def _mine_payload(
     ``split_index``-th child.  Child classes of split roots are derived
     once per process and memoized in ``expansions`` (their evaluations
     are charged coordinator-side; recomputation here is pure).
-    Returns ``(supports, rejected, nodes, diffset_nodes, seconds,
-    maximal)``, where ``maximal`` holds the task's sets with no
-    one-item extension among its own supports — its Bd+ candidates.
+    Returns ``(supports, rejected, rejected_supports, nodes,
+    diffset_nodes, seconds, maximal)``, where ``maximal`` holds the
+    task's sets with no one-item extension among its own supports — its
+    Bd+ candidates.
     """
     t0 = time.perf_counter()
     bit, supp, cover = members[position]
     supports: dict[int, int] = {}
     rejected: list[int] = []
+    rejected_supports = array("q")
     if split_index is None:
         nodes, diffset_nodes = _mine_subtree(
             bit,
@@ -166,6 +175,7 @@ def _mine_payload(
             threshold,
             supports,
             rejected,
+            rejected_supports,
         )
     else:
         node = expansions.get(position)
@@ -178,6 +188,7 @@ def _mine_payload(
                 members[position + 1 :],
                 threshold,
                 {},
+                [],
                 [],
             )
             expansions[position] = node
@@ -192,16 +203,20 @@ def _mine_payload(
             threshold,
             supports,
             rejected,
+            rejected_supports,
         )
     maximal = _maximal_from_supports(supports)
     seconds = time.perf_counter() - t0
-    return supports, rejected, nodes, diffset_nodes, seconds, maximal
+    return (
+        supports, rejected, rejected_supports, nodes, diffset_nodes,
+        seconds, maximal,
+    )
 
 
 def _mine_task(position: int, split_index: int | None):
     """Worker entry point: mine one task from the initializer state.
 
-    Returns the :func:`_mine_payload` 6-tuple extended with the drained
+    Returns the :func:`_mine_payload` 7-tuple extended with the drained
     trace-record batch (empty when the run is untraced).  The worker
     wraps its work in a ``worker.task`` span on the process's buffering
     collector — it never emits ``oracle.query`` events itself; those
@@ -230,8 +245,8 @@ def _mine_task(position: int, split_index: int | None):
         span.note(
             supported=len(result[0]),
             rejected=len(result[1]),
-            nodes=result[2],
-            seconds=round(result[4], 6),
+            nodes=result[3],
+            seconds=round(result[5], 6),
         )
     return (*result, collector.drain())
 
@@ -244,7 +259,7 @@ def eclat_parallel(
     budget=None,
     on_exhaust: str = "return",
     tracer=None,
-) -> "EclatResult | PartialResult":
+) -> "Theory | PartialResult":
     """Depth-first vertical mining, fanned out across a worker pool.
 
     Args:
@@ -278,10 +293,11 @@ def eclat_parallel(
             certifies unchanged.
 
     Returns:
-        The same :class:`~repro.mining.eclat.EclatResult` (or certified
+        The same :class:`~repro.core.theory.Theory` (or certified
         :class:`~repro.runtime.partial.PartialResult`, also on
         ``KeyboardInterrupt``) the serial engine produces — identical
-        theory, borders, supports, node counts, and accounting.
+        theory, borders, both support tables, node counts, and
+        accounting.
     """
     if resolve_workers(workers) <= 1:
         from repro.mining.eclat import eclat
@@ -298,6 +314,7 @@ def eclat_parallel(
     threshold = run.threshold
     supports = run.supports
     rejected = run.rejected
+    rejected_supports = run.rejected_supports
     n = len(database.universe)
     n_rows = database.n_transactions
     columns = database.tidsets_view()
@@ -314,10 +331,10 @@ def eclat_parallel(
     members: list[tuple[int, int, int]] = []
     root_is_diff = False
     tasks: list[tuple[int, int | None]] = []
-    # Split roots: position -> (the depth-2 node's answers, its members'
-    # bits), computed at task building and charged at the root's DFS
-    # slot in the fold stream.
-    splits: dict[int, tuple[dict[int, int], list[int]]] = {}
+    # Split roots: position -> (the depth-2 node's frequent answers, its
+    # rejected supports, its members' bits), computed at task building
+    # and charged at the root's DFS slot in the fold stream.
+    splits: dict[int, tuple[dict[int, int], list[int], list[int]]] = {}
     # Task sequence number -> the split roots charged just before its
     # fold.
     pre_charges: dict[int, list[int]] = {}
@@ -331,15 +348,19 @@ def eclat_parallel(
         bit = members[position][0]
         tail = members[position + 1 :]
         run.open(bit, root_is_diff, len(tail))
-        run.replay(bit, tail, splits[position][0])
+        run.replay(bit, tail, *splits[position][:2])
 
     def merge(seq: int, result) -> None:
         nonlocal nodes, diffset_nodes
-        sub_supports, sub_rejected, sub_nodes, sub_diff = result[:4]
-        # Rejections first: a Ctrl-C between the two lines leaves the
+        (
+            sub_supports, sub_rejected, sub_rejected_supports, sub_nodes,
+            sub_diff,
+        ) = result[:5]
+        # Rejections first: a Ctrl-C before the last line leaves the
         # task's frequent sets undecided, so its root member's node
         # frontier still covers the whole task.
         rejected.extend(sub_rejected)
+        rejected_supports.extend(sub_rejected_supports)
         supports.update(sub_supports)
         if tracer.enabled:
             for mask in sub_supports:
@@ -360,13 +381,13 @@ def eclat_parallel(
             position, split_index = tasks[seq]
             prefix_bits = [members[position][0]]
             if split_index is not None:
-                prefix_bits.append(splits[position][1][split_index])
+                prefix_bits.append(splits[position][2][split_index])
             prefix = 0
             for bit in prefix_bits:
                 prefix |= bit
                 marked.update([mask ^ bit for mask in sub_supports])
             marked.add(prefix)
-            candidates.extend(result[5])
+            candidates.extend(result[6])
 
     def fold(seq: int, result) -> None:
         for position in pre_charges.get(seq, ()):
@@ -376,8 +397,8 @@ def eclat_parallel(
         # Stitch the worker's buffered trace records at the fold point:
         # folds happen strictly in sequence order, so the stitched
         # record order is deterministic at every worker count.  (The
-        # serial fallback path folds bare 6-tuples — nothing to stitch.)
-        records = result[6] if len(result) > 6 else ()
+        # serial fallback path folds bare 7-tuples — nothing to stitch.)
+        records = result[7] if len(result) > 7 else ()
         if tracer.enabled and records:
             tracer.stitch(records)
         merge(seq, result)
@@ -386,7 +407,7 @@ def eclat_parallel(
                 "worker.batch",
                 shard=seq,
                 size=len(result[0]) + len(result[1]),
-                seconds=round(result[4], 6),
+                seconds=round(result[5], 6),
             )
 
     with tracer.span("eclat.run", n=n, threshold=threshold) as run_span:
@@ -427,8 +448,11 @@ def eclat_parallel(
             nodes = 1
             run.open(0, False, n)
             answers: dict[int, int] = {}
-            root = _root_class(columns, n_rows, threshold, answers)
-            run.replay(0, singletons, answers)
+            root_rejected: list[int] = []
+            root = _root_class(
+                columns, n_rows, threshold, answers, root_rejected
+            )
+            run.replay(0, singletons, answers, root_rejected)
             members, root_is_diff = root
 
             # Build the task list: one task per short root subtree, one
@@ -443,12 +467,14 @@ def eclat_parallel(
                     position_tasks = [(position, None)]
                 else:
                     answers = {}
+                    split_rejected: list[int] = []
                     child_members, _ = _expand_for(cover)(
                         bit, root_is_diff, supp, cover, tail, threshold,
-                        answers, [],
+                        answers, [], split_rejected,
                     )
                     splits[position] = (
                         answers,
+                        split_rejected,
                         [member[0] for member in child_members],
                     )
                     pending_charge.append(position)
@@ -513,7 +539,7 @@ def eclat_parallel(
         # them extends a task's set; among themselves, their own
         # maximal ones are the candidates.
         own = [0] + [member[0] for member in members]
-        for position, (_, child_bits) in splits.items():
+        for position, (_, _, child_bits) in splits.items():
             own += [members[position][0] | bit for bit in child_bits]
         candidates.extend(_maximal_from_supports(own))
         return run.complete(

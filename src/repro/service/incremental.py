@@ -120,9 +120,10 @@ class MaintainedTheory:
         maximal: ``Bd+`` — the maximal frequent itemsets.
         negative: ``Bd-`` — the minimal infrequent itemsets.
         negative_supports: support count of each ``Bd-`` member,
-            aligned with ``negative``.  Derived data, like
-            ``supports``' values: outside equality and the snapshot,
-            whose restore recounts it from the rows.
+            aligned with ``negative`` — Eclat's ``border_supports`` after
+            a mine.  Derived data, like ``supports``' values: outside
+            equality and the snapshot, whose restore recounts it from
+            the rows.
         queries: cumulative distinct support evaluations charged across
             the initial mine and every repair/remine (deterministic, so
             WAL replay reproduces it bit for bit).
@@ -227,22 +228,9 @@ def mine_initial(
         supports=_canonical_supports(result.supports),
         maximal=result.maximal,
         negative=result.negative_border,
-        negative_supports=_border_supports(database, result.negative_border),
+        negative_supports=result.border_supports,
         queries=result.queries,
     )
-
-
-def _border_supports(
-    database: TransactionDatabase, negative: tuple[int, ...]
-) -> tuple[int, ...]:
-    """The support of each ``Bd-`` member, in ``negative``'s order.
-
-    One per-mask count each, never the batched numpy kernel: over the
-    full database its masks × row-chunks arrays would set the service's
-    peak memory (EXPERIMENTS.md, P13).
-    """
-    count = database.support_count
-    return tuple(count(mask) for mask in negative)
 
 
 def append_database(
@@ -410,7 +398,7 @@ def _remine(
         supports=_canonical_supports(result.supports),
         maximal=result.maximal,
         negative=result.negative_border,
-        negative_supports=_border_supports(new_db, result.negative_border),
+        negative_supports=result.border_supports,
         queries=state.queries + result.queries,
         remines=state.remines + 1,
     )

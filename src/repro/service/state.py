@@ -27,7 +27,8 @@ translation on top.  The protocol, in order, for every mutation:
 Recovery inverts the protocol: load the snapshot (if any), rebuild the
 theory *bit-for-bit from the stored closure* (no remining — the stored
 ``queries`` accounting stays honest; only the ``Bd-`` supports, which
-the snapshot does not hold, are recounted from its rows), then replay
+the snapshot does not hold, are recounted from its rows, where a mine
+takes them from Eclat's own counts), then replay
 WAL records newer than the snapshot through the same pure apply
 functions.  Because every apply is deterministic, the recovered state
 — theory, borders, supports *and* accounting — is identical to a run
@@ -53,7 +54,6 @@ from repro.runtime.partial import PartialResult
 from repro.service.incremental import (
     MaintainedTheory,
     RepairStats,
-    _border_supports,
     apply_append,
     apply_threshold,
     mine_initial,
@@ -201,6 +201,11 @@ class ServiceCore:
                 backend=backend,
             )
             negative = tuple(int(m) for m in payload["negative"])
+            # The snapshot holds no Bd- supports: count them on the
+            # restored rows, one mask at a time — the batched numpy
+            # kernel's masks × row-chunks arrays over the full database
+            # would set the service's peak memory (EXPERIMENTS.md, P13).
+            count = database.support_count
             state = MaintainedTheory(
                 database=database,
                 threshold=int(payload["threshold"]),
@@ -210,7 +215,7 @@ class ServiceCore:
                 },
                 maximal=tuple(int(m) for m in payload["maximal"]),
                 negative=negative,
-                negative_supports=_border_supports(database, negative),
+                negative_supports=tuple(count(mask) for mask in negative),
                 queries=int(payload["queries"]),
                 support_updates=int(payload["support_updates"]),
                 repairs=int(payload["repairs"]),
@@ -283,8 +288,10 @@ class ServiceCore:
         the full, monitor-certifiable ``eclat.run`` tree.
 
         Returns:
-            ``("hot" | "mined", EclatResult-like dict)`` on completion,
-            or ``("partial", PartialResult)`` on a deadline cut.
+            ``("hot" | "mined", dict)`` on completion — the dict holds
+            ``threshold``, ``supports``, ``maximal``, ``negative`` and
+            ``queries`` — or ``("partial", PartialResult)`` on a
+            deadline cut.
         """
         t = self._tracer if tracer is None else as_tracer(tracer)
         state = self._state
@@ -430,7 +437,7 @@ class ServiceCore:
                         kind,
                         tracer=tracer,
                         **payload,
-                        **({"op": op_id} if op_id else {}),
+                        **({} if op_id is None else {"op": op_id}),
                     )
             else:
                 seq = self._seq + 1

@@ -36,6 +36,25 @@ def rank_sorted(masks: Iterable[int]) -> list[int]:
     return ordered
 
 
+def rank_sorted_with(
+    masks: Sequence[int], values: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """:func:`rank_sorted` ``masks`` with ``values`` permuted alongside.
+
+    ``values[i]`` belongs to ``masks[i]``; both come back as tuples.
+    One index permutation, sorted on C-level keys like
+    :func:`rank_sorted`, carries both, so no mask is hashed: wide masks
+    collide as dict keys (CPython hashes an int modulo ``2**61 - 1``,
+    so items ``i`` and ``i + 61`` share a hash).
+    """
+    order = sorted(range(len(masks)), key=masks.__getitem__)
+    order.sort(key=list(map(int.bit_count, masks)).__getitem__)
+    return (
+        tuple(map(masks.__getitem__, order)),
+        tuple(map(values.__getitem__, order)),
+    )
+
+
 def lowest_bit(mask: int) -> int:
     """Index of the least significant set bit of a non-zero ``mask``.
 

@@ -65,15 +65,15 @@ class TestMineFrequentItemsets:
 
     def test_apriori_extras(self, figure1_database):
         theory = mine_frequent_itemsets(figure1_database, 2)
-        assert "supports" in theory.extra
-        assert theory.extra["database_passes"] >= 2
+        assert theory.supports[0] == figure1_database.n_transactions
+        assert len(theory.levels) >= 2
 
     def test_dualize_advance_extras(self, figure1_database):
         theory = mine_frequent_itemsets(
             figure1_database, 2, algorithm="dualize_advance"
         )
         assert theory.interesting is None
-        assert "iterations" in theory.extra
+        assert len(theory.iterations) == len(theory.maximal) + 1
 
     def test_unknown_algorithm(self, figure1_database):
         for algorithm in ("magic", "randomized"):

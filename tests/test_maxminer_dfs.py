@@ -9,6 +9,7 @@ from repro.core.theory import compute_theory_brute_force
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.levelwise import levelwise
 from repro.mining.maxminer import maxminer, maxminer_maxth
+from repro.obs.tracer import Tracer
 from repro.util.bitset import Universe
 
 from tests.conftest import labels, planted_theories
@@ -29,9 +30,16 @@ class TestMaxMiner:
 
     def test_full_theory_uses_one_lookahead(self):
         universe = Universe("ABCDE")
-        result = maxminer_maxth(universe, lambda mask: True)
+        done = []
+
+        class _Done(Tracer):
+            def event(self, name, **attrs):
+                if name == "maxminer.done":
+                    done.append(attrs)
+
+        result = maxminer_maxth(universe, lambda mask: True, tracer=_Done())
         assert result.maximal == (universe.full_mask,)
-        assert result.lookahead_hits == 1
+        assert [attrs["lookaheads"] for attrs in done] == [1]
         assert result.queries == 2  # ∅ plus the single lookahead
 
     @settings(max_examples=120, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -60,11 +61,15 @@ class TestAprioriOnFigure1:
     def test_database_passes_is_levels(self, figure1_database):
         result = apriori(figure1_database, 2)
         # Levels: singletons, pairs, triples, (empty candidate set stops)
-        assert result.database_passes == 4
-        assert result.candidate_counts == (4, 6, 1)
+        assert len(result.levels) == 4
+        # The candidates of each level are its Th ∪ Bd- members.
+        evaluated = Counter(
+            map(popcount, (*result.interesting, *result.negative_border))
+        )
+        assert (evaluated[1], evaluated[2], evaluated[3]) == (4, 6, 1)
 
     def test_largest_frequent_size(self, figure1_database):
-        assert apriori(figure1_database, 2).largest_frequent_size() == 3
+        assert apriori(figure1_database, 2).rank() == 3
 
 
 class TestAprioriEdgeCases:

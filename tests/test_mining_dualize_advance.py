@@ -49,7 +49,7 @@ class TestExample17:
         result = dualize_and_advance(
             figure1_universe, figure1_theory.is_interesting
         )
-        assert result.n_iterations() == len(result.maximal) + 1
+        assert len(result.iterations) == len(result.maximal) + 1
 
     @pytest.mark.parametrize("engine", ["fk", "berge"])
     def test_engines_agree(self, engine, figure1_universe, figure1_theory):
@@ -155,9 +155,9 @@ class TestComplexityBounds:
     def test_iterations_equal_mth_plus_one(self, planted):
         result = dualize_and_advance(planted.universe, planted.is_interesting)
         if result.maximal:
-            assert result.n_iterations() == len(result.maximal) + 1
+            assert len(result.iterations) == len(result.maximal) + 1
         else:
-            assert result.n_iterations() == 1
+            assert len(result.iterations) == 1
 
     @settings(max_examples=100)
     @given(planted_theories())

@@ -87,8 +87,9 @@ class TestEclatOnFigure1:
         reference = apriori(figure1_database, 2)
         assert result.maximal == reference.maximal
         assert result.negative_border == reference.negative_border
-        assert result.interesting == tuple(reference.frequent_masks())
+        assert result.interesting == reference.interesting
         assert result.supports == reference.supports
+        assert result.border_supports == reference.border_supports
 
     def test_relative_threshold(self, figure1_database):
         assert eclat(figure1_database, 0.5).maximal == (
@@ -96,9 +97,12 @@ class TestEclatOnFigure1:
         )
 
     def test_counts_nodes(self, figure1_database):
-        result = eclat(figure1_database, 2)
+        recorder = _RecordingTracer()
+        result = eclat(figure1_database, 2, tracer=recorder)
         assert result.nodes >= 1
-        assert 0 <= result.diffset_nodes <= result.nodes
+        (done,) = [a for name, a in recorder.events if name == "eclat.done"]
+        assert done["nodes"] == result.nodes
+        assert 0 <= done["diffset_nodes"] <= result.nodes
 
 
 class TestEclatEdgeCases:
@@ -414,8 +418,8 @@ class TestEclatEntryPoint:
         )
         assert theory.maximal == reference.maximal
         assert theory.negative_border == reference.negative_border
-        assert "supports" in theory.extra
-        assert "nodes" in theory.extra
+        assert theory.supports == eclat(figure1_database, 2).supports
+        assert theory.nodes >= 1
 
     def test_workers_routed(self, figure1_database):
         theory = mine_frequent_itemsets(
@@ -604,7 +608,6 @@ class TestEclatBlockBitIdentity:
             reference.supports.items()
         )
         assert result.nodes == reference.nodes
-        assert result.diffset_nodes == reference.diffset_nodes
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -676,3 +679,59 @@ class TestEclatBlockBitIdentity:
                 assert result == reference, path
                 assert result.supports == reference.supports, path
                 assert result.nodes == reference.nodes, path
+
+
+class TestBorderSupports:
+    """Apriori and Eclat report the support of every ``Th`` and every
+    ``Bd-`` member from the counts their kernels make, on every route;
+    the other engines count nothing and report ``None``."""
+
+    @staticmethod
+    def _assert_counts(database, result, route):
+        count = database.support_count
+        assert result.supports == {
+            mask: count(mask) for mask in result.interesting
+        }, route
+        assert result.border_supports == tuple(
+            count(mask) for mask in result.negative_border
+        ), route
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_items=st.integers(min_value=1, max_value=7),
+        n_rows=st.integers(min_value=0, max_value=14),
+        threshold=st.integers(min_value=0, max_value=6),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_every_route_counts_both_borders(
+        self, n_items, n_rows, threshold, rng, worker_count
+    ):
+        database, roaring = _roaring_pair(rng, n_items, n_rows)
+        routes = {
+            "apriori": apriori(database, threshold),
+            "eclat": eclat(database, threshold),
+            "eclat roaring": eclat(roaring, threshold),
+            "eclat workers": eclat(database, threshold, workers=worker_count),
+            "eclat traced": eclat(
+                database, threshold, tracer=_RecordingTracer()
+            ),
+            "eclat budgeted": eclat(
+                database, threshold, budget=Budget(max_queries=1 << 20)
+            ),
+        }
+        with mock.patch.object(_eclat_module, "_BLOCK_MIN_ROWS", 0):
+            routes["eclat blocks"] = eclat(database, threshold)
+        for route, result in routes.items():
+            self._assert_counts(database, result, route)
+        for algorithm in (
+            "apriori", "levelwise", "eclat", "dualize_advance", "maxminer"
+        ):
+            theory = mine_frequent_itemsets(
+                database, threshold, algorithm=algorithm
+            )
+            assert theory.min_support == threshold
+            if algorithm in ("apriori", "eclat"):
+                self._assert_counts(database, theory, algorithm)
+            else:
+                assert theory.supports is None, algorithm
+                assert theory.border_supports is None, algorithm

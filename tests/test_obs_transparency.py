@@ -73,7 +73,6 @@ class TestTracingTransparency:
         assert traced == plain
         assert traced.queries == plain.queries
         assert traced.levels == plain.levels
-        assert traced.candidates_per_level == plain.candidates_per_level
         assert _accounting(traced_oracle) == _accounting(plain_oracle)
 
     @settings(max_examples=15, deadline=None)
@@ -107,8 +106,7 @@ class TestTracingTransparency:
         )
         assert traced == plain
         assert traced.queries == plain.queries
-        assert traced.nodes_expanded == plain.nodes_expanded
-        assert traced.lookahead_hits == plain.lookahead_hits
+        assert traced.nodes == plain.nodes
         assert _accounting(traced_oracle) == _accounting(plain_oracle)
 
     @settings(max_examples=15, deadline=None)

@@ -81,8 +81,17 @@ def test_steal_workload_parallel_is_bit_identical_everywhere():
 
     from repro.datasets.transactions import TransactionDatabase
     from repro.mining.eclat import eclat
+    from repro.obs.tracer import Tracer
     from repro.parallel.eclat import eclat_parallel
     from repro.util.bitset import Universe
+
+    class _Done(Tracer):
+        def __init__(self):
+            self.done = []
+
+        def event(self, name, **attrs):
+            if name == "eclat.done":
+                self.done.append(attrs)
 
     rng = random.Random(4242)
     rows = []
@@ -98,11 +107,17 @@ def test_steal_workload_parallel_is_bit_identical_everywhere():
         rows.append(row)
     database = TransactionDatabase(Universe(range(24)), rows)
     serial = eclat(database, 40)
-    parallel = eclat_parallel(database, 40, workers=STEAL_WORKERS)
+    serial_done, parallel_done = _Done(), _Done()
+    eclat(database, 40, tracer=serial_done)
+    parallel = eclat_parallel(
+        database, 40, workers=STEAL_WORKERS, tracer=parallel_done
+    )
     assert parallel.interesting == serial.interesting
     assert parallel.maximal == serial.maximal
     assert parallel.negative_border == serial.negative_border
     assert parallel.supports == serial.supports
+    assert parallel.border_supports == serial.border_supports
     assert parallel.queries == serial.queries
     assert parallel.nodes == serial.nodes
-    assert parallel.diffset_nodes == serial.diffset_nodes
+    # The diffset node counts travel in the done events.
+    assert parallel_done.done == serial_done.done

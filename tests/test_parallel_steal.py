@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import eclat
 from repro.obs.monitor import TheoremMonitor
+from repro.obs.tracer import MultiTracer, Tracer
 from repro.parallel.eclat import (
     _SPLIT_TAIL,
     _mine_payload,
@@ -52,9 +53,28 @@ def _assert_identical(serial, parallel):
     assert parallel.maximal == serial.maximal
     assert parallel.negative_border == serial.negative_border
     assert parallel.supports == serial.supports
+    assert parallel.border_supports == serial.border_supports
     assert parallel.queries == serial.queries
     assert parallel.nodes == serial.nodes
-    assert parallel.diffset_nodes == serial.diffset_nodes
+
+
+class _Done(Tracer):
+    """Keeps the attributes of every ``eclat.done`` event."""
+
+    def __init__(self):
+        self.done = []
+
+    def event(self, name, **attrs):
+        if name == "eclat.done":
+            self.done.append(attrs)
+
+
+def _assert_done_identical(database, threshold, parallel_done):
+    """A traced serial run's ``eclat.done`` — nodes, diffset nodes and
+    accounting — equals the traced parallel run's."""
+    serial = _Done()
+    eclat(database, threshold, tracer=serial)
+    assert parallel_done.done == serial.done
 
 
 # -- whole-run equivalence ---------------------------------------------
@@ -69,15 +89,21 @@ def test_steal_bit_identical_to_serial(data, worker_count):
     threshold = data.draw(st.integers(min_value=1, max_value=12))
     database = _random_database(random.Random(seed), n_items, n_rows)
     serial = eclat(database, threshold)
-    parallel = eclat_parallel(database, threshold, workers=worker_count)
+    done = _Done()
+    parallel = eclat_parallel(
+        database, threshold, workers=worker_count, tracer=done
+    )
     _assert_identical(serial, parallel)
+    _assert_done_identical(database, threshold, done)
 
 
 def test_transports_and_schedules_agree(worker_count):
     database = _random_database(random.Random(99), 11, 150)
     serial = eclat(database, 6)
-    parallel = eclat_parallel(database, 6, workers=worker_count)
+    done = _Done()
+    parallel = eclat_parallel(database, 6, workers=worker_count, tracer=done)
     _assert_identical(serial, parallel)
+    _assert_done_identical(database, 6, done)
 
 
 def test_task_local_maxima_dominated_across_tasks(worker_count):
@@ -93,7 +119,7 @@ def test_task_local_maxima_dominated_across_tasks(worker_count):
     assert len(members) == 6 and len(members) - 2 >= _SPLIT_TAIL
     assert len(members) - 3 < _SPLIT_TAIL
     local = {
-        position: _mine_payload(members, is_diff, 2, {}, position, None)[5]
+        position: _mine_payload(members, is_diff, 2, {}, position, None)[6]
         for position in (2, 3)
     }
     assert 0b011100 in local[2] and 0b011000 in local[3]
@@ -101,8 +127,10 @@ def test_task_local_maxima_dominated_across_tasks(worker_count):
     serial = eclat(database, 2)
     assert 0b011100 not in serial.maximal
     assert 0b011000 not in serial.maximal
-    parallel = eclat_parallel(database, 2, workers=worker_count)
+    done = _Done()
+    parallel = eclat_parallel(database, 2, workers=worker_count, tracer=done)
     _assert_identical(serial, parallel)
+    _assert_done_identical(database, 2, done)
 
 
 # -- budget cuts --------------------------------------------------------
@@ -169,14 +197,16 @@ def test_budget_cut_trace_certified(worker_count):
 def test_monitor_certifies_stolen_trace(worker_count):
     database = _random_database(random.Random(31), 11, 120)
     monitor = TheoremMonitor()
+    done = _Done()
     parallel = eclat_parallel(
         database,
         5,
         workers=worker_count,
-        tracer=monitor,
+        tracer=MultiTracer(monitor, done),
     )
     serial = eclat(database, 5)
     _assert_identical(serial, parallel)
+    _assert_done_identical(database, 5, done)
     report = monitor.report()
     assert report.ok, report.summary()
 
@@ -218,23 +248,19 @@ def test_eclat_serial_fallback_on_broken_pool(monkeypatch, worker_count):
     database = _random_database(random.Random(55), 10, 90)
     serial = eclat(database, 5)
 
-    class _EventTracer:
-        enabled = True
-
+    class _EventTracer(_Done):
         def __init__(self):
+            super().__init__()
             self.events = []
 
         def event(self, name, **attrs):
             self.events.append(name)
-
-        def span(self, name, **attrs):
-            from repro.obs.tracer import _NullSpan
-
-            return _NullSpan()
+            super().event(name, **attrs)
 
     tracer = _EventTracer()
     parallel = eclat_parallel(
         database, 5, workers=worker_count, tracer=tracer
     )
     _assert_identical(serial, parallel)
+    _assert_done_identical(database, 5, tracer)
     assert "worker.fallback" in tracer.events

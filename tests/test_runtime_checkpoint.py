@@ -59,7 +59,6 @@ class TestLevelwiseResume:
         assert resumed.interesting == baseline.interesting
         assert resumed.queries == baseline.queries
         assert resumed.levels == baseline.levels
-        assert resumed.candidates_per_level == baseline.candidates_per_level
 
     @given(planted=planted_theories(max_attributes=6), data=st.data())
     @settings(max_examples=20, deadline=None)

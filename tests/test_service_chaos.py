@@ -186,6 +186,19 @@ class TestDigestContract:
             assert digest == core.digest() == digest_b
             assert digest != digest_a
 
+    def test_empty_op_id_dedups_across_a_reopen(self, tmp_path):
+        """``""`` is an op id like any other: the WAL logs it, so a
+        re-sent op is still answered from the ledger after a restart."""
+        state_dir = str(tmp_path / "state")
+        with ServiceCore(_database(), 2, state_dir=state_dir) as core:
+            assert core.append([15], op_id="")[0] == 1
+            assert core.append([15], op_id="")[:2] == (1, None)
+            digest = core.digest()
+        with ServiceCore(_database(), 2, state_dir=state_dir) as core:
+            seq, stats, again = core.append([15], op_id="")
+            assert (seq, stats, core.seq) == (1, None, 1)
+            assert again == core.digest() == digest
+
     def test_roaring_state_survives_compaction_and_reopen(self, tmp_path):
         batches = _batches(random.Random(5), 7)
         state_dir = str(tmp_path / "state")

@@ -501,6 +501,23 @@ class TestStoredBorderSupports:
         _assert_matches_scratch(new)
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mines_take_border_supports_from_eclat(self, backend, counts):
+        """A mine stores the ``Bd-`` supports Eclat counted: neither the
+        first mine nor a forced remine counts on the mined database."""
+        database = TransactionDatabase(
+            _universe(5), [7, 21, 3, 28, 7, 19, 25, 14], backend=backend
+        )
+        state = mine_initial(database, 3)
+        assert counts == []
+        _assert_matches_scratch(state)
+        counts.clear()
+        new, stats = apply_append(state, [31, 6, 12], repair_limit=0)
+        assert stats.remined
+        full = new.database.n_transactions
+        assert [mask for rows, mask in counts if rows == full] == []
+        _assert_matches_scratch(new)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_threshold_raise_touches_no_database(self, backend, counts):
         database = TransactionDatabase(
             _universe(5), [7, 7, 7, 25, 25, 14, 3], backend=backend

@@ -129,11 +129,15 @@ def _decode(headers, raw):
 
 
 def _request(port, path, body=None, headers=None):
+    """GET ``path``, or POST ``body``: JSON-encoded, or bytes as they
+    are."""
     url = f"http://127.0.0.1:{port}{path}"
     if body is not None:
         request = urllib.request.Request(
             url,
-            data=json.dumps(body).encode(),
+            data=(
+                body if isinstance(body, bytes) else json.dumps(body).encode()
+            ),
             headers={"Content-Type": "application/json", **(headers or {})},
             method="POST",
         )
@@ -276,6 +280,11 @@ class TestHTTPEndpoints:
             server.port, "/append", {"rows": [15], "op": 1}
         )
         assert status == 400
+        # Malformed bodies: invalid JSON, invalid UTF-8, and JSON that
+        # is not an object.
+        for body in (b'{"rows": [15]', b'{"rows": [15], "op": "\xff"}', [15]):
+            status, _, _ = _request(server.port, "/append", body)
+            assert status == 400, body
         assert server.core.seq == 0
         status, payload, _ = _request(
             server.port, "/append", {"rows": [15], "op": "good"}
@@ -297,6 +306,11 @@ class TestHTTPEndpoints:
                 server.port, "/threshold", {"min_support": value}
             )
             assert status == 400, value
+        for body in (
+            b'{"min_support": 3', b'{"min_support": 3, "op": "\xff"}', [15]
+        ):
+            status, _, _ = _request(server.port, "/threshold", body)
+            assert status == 400, body
         assert server.core.seq == 0
         status, payload, _ = _request(
             server.port, "/threshold", {"min_support": 3}

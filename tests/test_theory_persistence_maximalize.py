@@ -48,12 +48,24 @@ class TestTheorySerialization:
         assert Theory.from_dict(theory.to_dict()).interesting is None
 
     def test_extra_not_serialized(self):
+        # Only the certificate and its accounting are serialized, not
+        # the support tables or the search figures.
         universe = Universe("AB")
         theory = Theory(
-            universe, (0b01,), (0b10,), extra={"iterations": object()}
+            universe,
+            (0b01,),
+            (0b10,),
+            min_support=1,
+            supports={0: 2, 0b01: 1},
+            border_supports=(0,),
+            nodes=3,
+            iterations=(object(),),
         )
         payload = theory.to_dict()
-        assert "extra" not in payload
+        assert set(payload) == {
+            "universe", "maximal", "negative_border", "interesting",
+            "queries",
+        }
         json.dumps(payload)  # fully JSON-safe
 
     @settings(max_examples=60)

@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test perf perf-check lint bench faults trace-smoke par-smoke \
 	eclat-smoke mmcs-smoke steal-smoke serve-smoke obs-smoke chaos \
-	coverage scale-smoke ledger-smoke
+	coverage scale-smoke ledger-smoke resume-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -11,7 +11,7 @@ test:
 faults:
 	$(PYTHON) -m pytest -x -q tests/test_failure_injection.py \
 		tests/test_runtime_resilient.py tests/test_runtime_budget.py \
-		tests/test_runtime_checkpoint.py
+		tests/test_runtime_checkpoint.py tests/test_runtime_run.py
 
 perf:
 	$(PYTHON) -m benchmarks.run_perf
@@ -70,6 +70,37 @@ par-smoke:
 		--method mmcs --workers 2
 	$(PYTHON) -m benchmarks.trace_report $(PAR_DIR)/smoke.jsonl --validate
 	rm -rf $(PAR_DIR)
+
+# Checkpoint/resume smoke: levelwise and dualize_advance through each
+# transversal engine are cut at 20 queries with a checkpoint (exit 3),
+# resumed, and the resumed stdout must match an uninterrupted run byte
+# for byte (cmp).  A resume at another --min-support must be refused
+# (exit 2: the checkpoint names its predicate), and a traced resume
+# must schema-validate.
+resume-smoke:
+	$(eval RESUME_DIR := $(shell mktemp -d /tmp/resume_smoke.XXXXXX))
+	$(PYTHON) -m repro generate $(RESUME_DIR)/smoke.dat \
+		--items 14 --transactions 200 --seed 7
+	for run in levelwise "dualize_advance --engine berge" \
+		"dualize_advance --engine fk" "dualize_advance --engine mmcs"; do \
+		mine="$(PYTHON) -m repro mine $(RESUME_DIR)/smoke.dat \
+			--min-support 0.6 --algorithm $$run"; \
+		$$mine > $(RESUME_DIR)/full.txt || exit 1; \
+		$$mine --budget-queries 20 --checkpoint $(RESUME_DIR)/ck.json \
+			> /dev/null; test $$? -eq 3 || exit 1; \
+		$$mine --resume $(RESUME_DIR)/ck.json > $(RESUME_DIR)/resumed.txt \
+			|| exit 1; \
+		cmp $(RESUME_DIR)/full.txt $(RESUME_DIR)/resumed.txt || exit 1; \
+	done
+	$(PYTHON) -m repro mine $(RESUME_DIR)/smoke.dat --min-support 0.5 \
+		--algorithm dualize_advance --engine mmcs \
+		--resume $(RESUME_DIR)/ck.json; test $$? -eq 2
+	$(PYTHON) -m repro mine $(RESUME_DIR)/smoke.dat --min-support 0.6 \
+		--algorithm dualize_advance --engine mmcs \
+		--resume $(RESUME_DIR)/ck.json --trace $(RESUME_DIR)/resume.jsonl \
+		--metrics > /dev/null
+	$(PYTHON) -m benchmarks.trace_report $(RESUME_DIR)/resume.jsonl --validate
+	rm -rf $(RESUME_DIR)
 
 # Depth-first engine smoke: a traced eclat mine with live metrics, then
 # the same mine with 2 workers, whose stdout must match the serial

@@ -20,13 +20,19 @@ from collections.abc import Callable, Hashable, Iterable
 
 from repro.obs.tracer import NULL_TRACER
 
+#: The name of an oracle nobody named.  A checkpoint records its
+#: oracle's name only when it is another, and a resume checks it only
+#: against another (:meth:`repro.runtime.checkpoint.Checkpoint.validate_for`).
+UNNAMED = "q"
+
 
 class CountingOracle:
     """Memoizing, counting wrapper around a mask predicate.
 
     Args:
         predicate: the raw ``q``, a function of a sentence bitmask.
-        name: label used in reprs and reports.
+        name: label used in reprs and reports; a checkpoint records it,
+            and a resume under another name is refused.
         memoize: when ``False`` the underlying predicate is re-evaluated
             on repeats (``evaluations`` then exceeds ``distinct_queries``
             whenever an algorithm re-asks).  The paper's cost model
@@ -47,7 +53,7 @@ class CountingOracle:
     def __init__(
         self,
         predicate: Callable[[int], bool],
-        name: str = "q",
+        name: str = UNNAMED,
         memoize: bool = True,
         tracer=None,
     ):

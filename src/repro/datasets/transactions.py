@@ -674,19 +674,27 @@ class TransactionDatabase:
         """True when support count reaches the absolute threshold."""
         return self.support_count(itemset_mask) >= min_support
 
-    def absolute_support(self, min_frequency: float) -> int:
-        """Convert a relative threshold ``σ`` to an absolute row count.
+    def absolute_support(self, min_support: int | float) -> int:
+        """The row count a support threshold asks for: the one threshold rule.
 
-        Uses ceiling semantics: a set is ``σ``-frequent iff its count is
-        at least ``ceil(σ · n)`` (with a floor of 1 row for ``σ > 0``).
+        A ``float`` is a relative frequency ``σ`` in ``[0, 1]``, with
+        ceiling semantics: a set is ``σ``-frequent iff its count is at
+        least ``ceil(σ · n)`` (with a floor of 1 row for ``σ > 0``).
+        Anything else is a row count, normalized with ``int()``; a
+        negative one is an error.
         """
-        if not 0.0 <= min_frequency <= 1.0:
-            raise ValueError("min_frequency must be within [0, 1]")
+        if not isinstance(min_support, float):
+            threshold = int(min_support)
+            if threshold < 0:
+                raise ValueError("min_support must be non-negative")
+            return threshold
+        if not 0.0 <= min_support <= 1.0:
+            raise ValueError("a relative min_support must be within [0, 1]")
+        if min_support == 0.0:
+            return 0
         import math
 
-        if min_frequency == 0.0:
-            return 0
-        return max(1, math.ceil(min_frequency * self._n_rows))
+        return max(1, math.ceil(min_support * self._n_rows))
 
     def item_support_counts(self) -> list[int]:
         """Support count of each single item, in universe order."""

@@ -52,13 +52,7 @@ class FrequencyPredicate:
         self, database: TransactionDatabase, min_support: int | float
     ):
         self.database = database
-        self.threshold = (
-            database.absolute_support(min_support)
-            if isinstance(min_support, float)
-            else min_support
-        )
-        if self.threshold < 0:
-            raise ValueError("min_support must be non-negative")
+        self.threshold = database.absolute_support(min_support)
 
     def __call__(self, itemset_mask: int) -> bool:
         return self.database.support_count(itemset_mask) >= self.threshold
@@ -160,6 +154,12 @@ def mine_frequent_itemsets(
     predicate = FrequencyPredicate(database, min_support)
     threshold = predicate.threshold
     universe = database.universe
+    # The name a checkpoint records: a resume under another threshold
+    # or on other rows is refused.
+    oracle = CountingOracle(
+        predicate,
+        name=f"support >= {threshold} of {database.n_transactions} rows",
+    )
     if algorithm == "eclat":
         result = eclat(
             database, threshold, budget=budget, tracer=tracer, workers=workers
@@ -169,7 +169,7 @@ def mine_frequent_itemsets(
     elif algorithm == "levelwise":
         result = levelwise(
             universe,
-            CountingOracle(predicate, name="frequency"),
+            oracle,
             budget=budget,
             resume=resume,
             tracer=tracer,
@@ -177,7 +177,7 @@ def mine_frequent_itemsets(
     elif algorithm == "dualize_advance":
         result = dualize_and_advance(
             universe,
-            CountingOracle(predicate, name="frequency"),
+            oracle,
             engine=engine,
             shuffle=seed,
             budget=budget,

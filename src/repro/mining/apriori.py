@@ -50,13 +50,7 @@ def apriori(
         default ``max_size`` the theory and both borders coincide with a
         generic levelwise run on the frequency predicate.
     """
-    threshold = (
-        database.absolute_support(min_support)
-        if isinstance(min_support, float)
-        else min_support
-    )
-    if threshold < 0:
-        raise ValueError("min_support must be non-negative")
+    threshold = database.absolute_support(min_support)
     universe = database.universe
     n = len(universe)
     tracer = as_tracer(tracer)

@@ -31,7 +31,8 @@ engine, the practical choice at data-profiling scale.
 Convention: the empty set is probed first.  If even ``∅`` is
 uninteresting the theory is empty (``MTh = ∅``, ``Bd- = {∅}``).
 
-Execution control (PR 2): ``budget=`` bounds distinct queries,
+Execution control: the run goes through :class:`~repro.runtime.run.Run`,
+like every budgeted miner.  ``budget=`` bounds distinct queries,
 wall-clock time, and the live transversal-family size; the same budget
 object is threaded into the Berge multiplication and Fredman–Khachiyan
 recursion underneath, so a dualization blow-up trips the same limits as
@@ -47,21 +48,20 @@ bit-for-bit.
 from __future__ import annotations
 
 import random
-import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
-from repro.core.errors import BudgetExhausted, CheckpointError
-from repro.core.oracle import CountingOracle
+from repro.core.errors import BudgetExhausted
 from repro.core.theory import Theory
-from repro.obs.tracer import Tracer, as_tracer
+from repro.obs.tracer import Tracer
 from repro.hypergraph.berge import berge_step
 from repro.hypergraph.fredman_khachiyan import find_new_minimal_transversal
 from repro.hypergraph.mmcs import mmcs_transversal_masks
 from repro.mining.maximalize import greedy_maximalize
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import Checkpoint
-from repro.runtime.partial import PartialResult, build_partial
+from repro.runtime.partial import PartialResult
+from repro.runtime.run import Run
 from repro.util.bitset import Universe, rank_sorted
 
 _ENGINES = ("fk", "berge", "mmcs")
@@ -248,7 +248,7 @@ def dualize_and_advance(
         on_exhaust: ``"return"`` (default) returns the
             :class:`~repro.runtime.partial.PartialResult`; ``"raise"``
             raises :class:`~repro.core.errors.BudgetExhausted` with the
-            partial attached.
+            partial attached (:meth:`~repro.runtime.run.Run.cut`).
         tracer: optional :class:`~repro.obs.tracer.Tracer`.  Emits a
             ``dualize.run`` span, ``dualize.probe`` /
             ``dualize.counterexample`` / ``dualize.maximal`` events, a
@@ -270,191 +270,103 @@ def dualize_and_advance(
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    if on_exhaust not in ("return", "raise"):
-        raise ValueError(
-            f"on_exhaust must be 'return' or 'raise', got {on_exhaust!r}"
-        )
-    oracle = (
-        predicate
-        if isinstance(predicate, CountingOracle)
-        else CountingOracle(predicate)
+    run = Run(
+        "dualize_advance",
+        universe,
+        predicate,
+        budget=budget,
+        on_exhaust=on_exhaust,
+        tracer=tracer,
+        resume=resume,
+        settings={
+            "engine": engine,
+            "incremental": incremental,
+            "shuffled": shuffle is not None,
+        },
     )
-    tracer = as_tracer(tracer)
-    if tracer.enabled:
-        oracle.attach_tracer(tracer)
-
-    if resume is not None:
-        checkpoint = Checkpoint.coerce(resume)
-        checkpoint.validate_for("dualize_advance", universe)
-        state = checkpoint.state
-        for key, value in (
-            ("engine", engine),
-            ("incremental", incremental),
-            ("shuffled", shuffle is not None),
-        ):
-            if state[key] != value:
-                raise CheckpointError(
-                    f"checkpoint was taken with {key}={state[key]!r}, "
-                    f"cannot resume with {key}={value!r}"
-                )
-        rng = None
-        if state["shuffled"]:
-            rng = random.Random()
-            version, internal, gauss_next = state["rng_state"]
-            rng.setstate((version, tuple(internal), gauss_next))
-        oracle.prime(checkpoint.history)
-        accounting = checkpoint.accounting
-        base_queries = accounting.get("queries", 0)
-        base_total = accounting.get("total_calls", 0)
-        base_evals = accounting.get("evaluations", 0)
-        base_elapsed = accounting.get("elapsed", 0.0)
-        started = state["started"]
-        current_maximal = list(state["current_maximal"])
-        iterations = [
-            DualizeAdvanceIteration(*row) for row in state["iterations"]
-        ]
-        probed = list(state["probed"])
-        enumerated = state["enumerated"]
-        counted_pending = state["counted_pending"]
-        pending = dict(state["pending"]) if state["pending"] else None
-        if incremental:
-            folded = state["folded"]
-            dualizer = _IncrementalDualizer(
-                universe,
-                engine,
-                budget=budget,
-                tracer=tracer,
-            )
-            dualizer.complements = list(state["complements"])
-            dualizer._dead = state["dead"]
-            if engine in ("berge", "mmcs"):
-                family = state["berge_family"]
-                dualizer._berge_family = None if family is None else list(family)
-            else:
-                dualizer._fk_known = list(state["fk_known"])
-        else:
-            folded = 0
-            dualizer = None
-    else:
+    oracle = run.oracle
+    tracer = run.tracer
+    state = run.state
+    if state is None:
         rng = None if shuffle is None else _as_rng(shuffle)
-        base_queries = base_total = base_evals = 0
-        base_elapsed = 0.0
-        started = False
-        current_maximal = []
-        iterations = []
-        probed = []
-        enumerated = 0
-        counted_pending = None
-        pending = None
-        folded = 0
-        dualizer = _IncrementalDualizer(
-            universe,
-            engine,
-            budget=budget,
-            tracer=tracer,
-        )
-
+        state = {
+            "started": False,
+            "current_maximal": [],
+            "iterations": [],
+            "folded": 0,
+            "complements": [],
+            "dead": False,
+            "berge_family": None,
+            "fk_known": [],
+            "probed": [],
+            "enumerated": 0,
+            "counted_pending": None,
+            "pending": None,
+        }
+    elif state["shuffled"]:
+        rng = random.Random()
+        version, internal, gauss_next = state["rng_state"]
+        rng.setstate((version, tuple(internal), gauss_next))
+    else:
+        rng = None
+    started = state["started"]
+    current_maximal = list(state["current_maximal"])
+    iterations = [DualizeAdvanceIteration(*row) for row in state["iterations"]]
+    probed = list(state["probed"])
     probed_set = set(probed)
-    start_queries = oracle.distinct_queries
-    start_total = oracle.total_calls
-    start_evals = oracle.evaluations
-    if budget is not None:
-        budget.begin()
-    run_t0 = time.monotonic()
+    enumerated = state["enumerated"]
+    counted_pending = state["counted_pending"]
+    pending = dict(state["pending"]) if state["pending"] else None
+    folded = state["folded"]
+    dualizer = _IncrementalDualizer(
+        universe, engine, budget=budget, tracer=tracer
+    )
+    dualizer.complements = list(state["complements"])
+    dualizer._dead = state["dead"]
+    family = state["berge_family"]
+    dualizer._berge_family = None if family is None else list(family)
+    dualizer._fk_known = list(state["fk_known"])
 
-    def charged() -> int:
-        return base_queries + oracle.distinct_queries - start_queries
-
-    def elapsed() -> float:
-        # Cumulative across resume segments: the checkpoint banks the
-        # wall-clock spent so far and the clock restarts with each
-        # segment, so gaps between an interrupt and its resume are not
-        # billed (documented in docs/API.md §11).
-        return base_elapsed + time.monotonic() - run_t0
-
-    def make_partial(reason: str) -> PartialResult:
-        if incremental and dualizer is not None:
-            serial_complements = list(dualizer.complements)
-            serial_dead = dualizer._dead
-            serial_berge = (
-                None
-                if dualizer._berge_family is None
-                else list(dualizer._berge_family)
-            )
-            serial_fk = list(dualizer._fk_known)
+    def cut(stop: BaseException) -> PartialResult:
+        # A non-incremental run saves an empty dualizer: its loop
+        # rebuilds the family from ``current_maximal`` on resume.
+        saved = dualizer if incremental else _IncrementalDualizer(
+            universe, engine
+        )
+        if not started:
+            frontier = [0]
+        elif engine == "fk":
+            frontier = dualizer._fk_known
         else:
-            serial_complements, serial_dead = [], False
-            serial_berge, serial_fk = None, []
-        saved = Checkpoint(
-            algorithm="dualize_advance",
-            universe_items=tuple(universe.items),
+            frontier = [] if dualizer._dead else dualizer._berge_family or []
+        # Berge/MMCS materialize Tr of the folded edge prefix, which covers
+        # the whole undecided region (every set outside the bracket hits
+        # all folded complements, hence contains a family member); FK
+        # only holds the transversals enumerated so far — future
+        # witnesses are implicit in the recursion.
+        return run.cut(
+            stop,
+            run_span,
+            frontier=frontier,
+            frontier_complete=engine != "fk" or not started,
             state={
                 "engine": engine,
                 "incremental": incremental,
                 "shuffled": rng is not None,
                 "rng_state": None if rng is None else list(rng.getstate()),
                 "started": started,
-                "current_maximal": list(current_maximal),
-                "iterations": [
-                    [
-                        step.enumerated,
-                        step.counterexample,
-                        step.new_maximal,
-                        step.transversal_family_size,
-                    ]
-                    for step in iterations
-                ],
+                "current_maximal": current_maximal,
+                "iterations": [list(astuple(step)) for step in iterations],
                 "folded": folded if incremental else 0,
-                "complements": serial_complements,
-                "dead": serial_dead,
-                "berge_family": serial_berge,
-                "fk_known": serial_fk,
-                "probed": list(probed),
+                "complements": saved.complements,
+                "dead": saved._dead,
+                "berge_family": saved._berge_family,
+                "fk_known": saved._fk_known,
+                "probed": probed,
                 "enumerated": enumerated,
                 "counted_pending": counted_pending,
                 "pending": pending,
             },
-            history=oracle.history(),
-            accounting={
-                "queries": charged(),
-                "total_calls": base_total + oracle.total_calls - start_total,
-                "evaluations": base_evals + oracle.evaluations - start_evals,
-                "elapsed": elapsed(),
-            },
-        )
-        history = oracle.history()
-        if not started:
-            frontier: list[int] = [0]
-        else:
-            family: list[int] = []
-            if dualizer is not None:
-                if engine in ("berge", "mmcs"):
-                    family = (
-                        []
-                        if dualizer._dead
-                        else list(dualizer._berge_family or [])
-                    )
-                else:
-                    family = list(dualizer._fk_known)
-            frontier = [t for t in family if t not in history]
-        # Berge/MMCS materialize Tr of the folded edge prefix, which covers
-        # the whole undecided region (every set outside the bracket hits
-        # all folded complements, hence contains a family member); FK
-        # only holds the transversals enumerated so far — future
-        # witnesses are implicit in the recursion.
-        frontier_complete = engine in ("berge", "mmcs") or not started
-        return build_partial(
-            universe,
-            "dualize_advance",
-            reason,
-            history,
-            frontier=frontier,
-            frontier_complete=frontier_complete,
-            queries=charged(),
-            total_calls=base_total + oracle.total_calls - start_total,
-            evaluations=base_evals + oracle.evaluations - start_evals,
-            elapsed=elapsed(),
-            checkpoint=saved,
         )
 
     with tracer.span(
@@ -466,8 +378,7 @@ def dualize_and_advance(
     ) as run_span:
         try:
             if not started:
-                if budget is not None:
-                    budget.check(queries=charged())
+                run.check()
                 if not oracle(0):
                     # Even the empty sentence is uninteresting: empty theory.
                     if tracer.enabled:
@@ -476,19 +387,19 @@ def dualize_and_advance(
                         )
                         tracer.event(
                             "dualize.done",
-                            queries=charged(),
+                            queries=run.queries,
                             maximal=0,
                             negative=1,
                             iterations=1,
                             rank=0,
                             n=len(universe),
-                            base_queries=base_queries,
+                            base_queries=run.base_queries,
                         )
                     return Theory(
                         universe=universe,
                         maximal=(),
                         negative_border=(0,),
-                        queries=charged(),
+                        queries=run.queries,
                         iterations=(
                             DualizeAdvanceIteration(
                                 enumerated=1,
@@ -510,14 +421,12 @@ def dualize_and_advance(
                 if pending is not None:
                     # Greedy maximalization is the atomic unit: checked
                     # before, never interrupted inside (≤ n queries overshoot).
-                    if budget is not None:
-                        budget.check(queries=charged())
+                    run.check()
                     new_maximal = greedy_maximalize(
                         universe, oracle, pending["ce"], order=pending["order"]
                     )
                     current_maximal.append(new_maximal)
-                    if dualizer is not None:
-                        dualizer.exclude(pending["ce"])
+                    dualizer.exclude(pending["ce"])
                     iterations.append(
                         DualizeAdvanceIteration(
                             enumerated=pending["enumerated"],
@@ -559,10 +468,7 @@ def dualize_and_advance(
                     elif is_fresh:
                         enumerated += 1
                         counted_pending = transversal
-                    if budget is not None:
-                        budget.check(
-                            queries=charged(), family=dualizer.family_size()
-                        )
+                    run.check(family=dualizer.family_size())
                     answer = oracle(transversal)
                     counted_pending = None
                     if tracer.enabled:
@@ -594,7 +500,7 @@ def dualize_and_advance(
                         universe=universe,
                         maximal=tuple(rank_sorted(current_maximal)),
                         negative_border=tuple(negative_border),
-                        queries=charged(),
+                        queries=run.queries,
                         iterations=tuple(iterations),
                     )
                     if tracer.enabled:
@@ -606,7 +512,7 @@ def dualize_and_advance(
                             iterations=len(result.iterations),
                             rank=result.rank(),
                             n=len(universe),
-                            base_queries=base_queries,
+                            base_queries=run.base_queries,
                         )
                     return result
                 if tracer.enabled:
@@ -621,24 +527,8 @@ def dualize_and_advance(
                     "family_size": family_size,
                     "order": _extension_order(universe, rng),
                 }
-        except BudgetExhausted as exhausted:
-            partial = make_partial(exhausted.reason)
-            if tracer.enabled:
-                run_span.note(outcome="partial", reason=exhausted.reason)
-            if on_exhaust == "raise":
-                raise BudgetExhausted(
-                    exhausted.reason, str(exhausted), partial=partial
-                ) from exhausted
-            return partial
-        except KeyboardInterrupt:
-            partial = make_partial("interrupt")
-            if tracer.enabled:
-                run_span.note(outcome="partial", reason="interrupt")
-            if on_exhaust == "raise":
-                raise BudgetExhausted(
-                    "interrupt", "interrupted by user", partial=partial
-                ) from None
-            return partial
+        except (BudgetExhausted, KeyboardInterrupt) as stop:
+            return cut(stop)
 
 
 def _extension_order(

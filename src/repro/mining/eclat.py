@@ -80,7 +80,8 @@ one check per evaluation: a budgeted run stops at exactly its query
 limit, and a deadline overshoots by at most one node, whose kernel call
 runs before its checks.
 
-A cut — a budget or ``KeyboardInterrupt``, traced or not — returns a
+A cut — a budget or ``KeyboardInterrupt``, traced or not — ends in
+:meth:`~repro.runtime.run.Run.cut`, like every budgeted miner: a
 certified :class:`~repro.runtime.partial.PartialResult` whose ``Bd+``
 prefix and verified ``Bd-`` prefix are genuine, with a *complete* lower
 frontier rebuilt from the DFS stack and the answers recorded so far
@@ -92,16 +93,16 @@ results.
 
 from __future__ import annotations
 
-import time
 from array import array
 from collections.abc import Collection
 
 from repro.core.errors import BudgetExhausted
 from repro.core.theory import Theory
 from repro.datasets.transactions import TransactionDatabase
-from repro.obs.tracer import Tracer, as_tracer
+from repro.obs.tracer import Tracer
 from repro.runtime.budget import Budget
-from repro.runtime.partial import PartialResult, build_partial
+from repro.runtime.partial import PartialResult
+from repro.runtime.run import Run
 from repro.util.bitset import popcount, rank_sorted, rank_sorted_with
 from repro.util.roaring import RoaringBitmap
 
@@ -535,16 +536,17 @@ def _negative_border(
     return negative, negative_supports
 
 
-class _Run:
-    """One Eclat run's policy and answers, shared by both engines.
+class _Run(Run):
+    """One Eclat run's answers and charge path, shared by both engines.
 
-    Validates the arguments, then holds the budget, the tracer and the
-    answers charged so far: ``supports`` (frequent mask → support) and
-    ``rejected`` (infrequent masks in charge order, their supports
-    aligned in ``rejected_supports``).  Every evaluated mask sits in
-    exactly one of the two, so they are the run's whole oracle history
-    and their sizes sum to the query count.  A run ends
-    in :meth:`partial` (a certified cut) or :meth:`complete`.
+    The run control is :class:`~repro.runtime.run.Run`'s; this adds the
+    threshold and the answers charged so far: ``supports`` (frequent
+    mask → support) and ``rejected`` (infrequent masks in charge order,
+    their supports aligned in ``rejected_supports``).  Every evaluated
+    mask sits in exactly one of the two, so they are the run's whole
+    oracle history and their sizes sum to the query count.  A run ends
+    in :meth:`~repro.runtime.run.Run.cut` (a certified cut) or
+    :meth:`complete`.
     """
 
     def __init__(
@@ -555,32 +557,26 @@ class _Run:
         on_exhaust: str,
         tracer: "Tracer | None",
     ):
-        if on_exhaust not in ("return", "raise"):
-            raise ValueError(
-                f"on_exhaust must be 'return' or 'raise', got {on_exhaust!r}"
-            )
-        threshold = (
-            database.absolute_support(min_support)
-            if isinstance(min_support, float)
-            else min_support
-        )
-        if threshold < 0:
-            raise ValueError("min_support must be non-negative")
-        self.universe = database.universe
-        self.threshold = threshold
-        self.budget = budget
-        self.on_exhaust = on_exhaust
-        self.tracer = as_tracer(tracer)
+        self.threshold = database.absolute_support(min_support)
         self.supports: dict[int, int] = {}
         self.rejected: list[int] = []
         self.rejected_supports = array("q")
-        self.t0 = time.monotonic()
-        if budget is not None:
-            budget.begin()
+        super().__init__(
+            "eclat",
+            database.universe,
+            budget=budget,
+            on_exhaust=on_exhaust,
+            tracer=tracer,
+        )
 
     @property
     def queries(self) -> int:
         return len(self.supports) + len(self.rejected)
+
+    def history(self) -> dict[int, bool]:
+        history = dict.fromkeys(self.supports, True)
+        history.update(dict.fromkeys(self.rejected, False))
+        return history
 
     def charge(
         self, prefix: int, is_diff: bool, parent_supp: int, parent_cover, exts
@@ -664,34 +660,6 @@ class _Run:
             self.replay(0, ((0,),), {}, (n_rows,))
         return 0 in self.supports
 
-    def partial(
-        self, reason: str, root_exts, stack: list, run_span
-    ) -> PartialResult:
-        """End a cut run: the certified partial, returned or raised.
-
-        Its frontier comes from the root class's extensions and the DFS
-        frames (:func:`_frontier`).
-        """
-        history = dict.fromkeys(self.supports, True)
-        history.update(dict.fromkeys(self.rejected, False))
-        queries = len(history)
-        partial = build_partial(
-            self.universe,
-            "eclat",
-            reason,
-            history,
-            frontier=_frontier(root_exts, stack, self.supports),
-            queries=queries,
-            total_calls=queries,
-            evaluations=queries,
-            elapsed=time.monotonic() - self.t0,
-        )
-        if self.tracer.enabled:
-            run_span.note(outcome="partial", reason=reason)
-        if self.on_exhaust == "raise":
-            raise BudgetExhausted(reason, partial=partial)
-        return partial
-
     def complete(
         self, maximal, nodes: int, diffset_nodes: int, run_span
     ) -> Theory:
@@ -760,7 +728,7 @@ def eclat(
         on_exhaust: ``"return"`` (default) returns the partial result;
             ``"raise"`` raises
             :class:`~repro.core.errors.BudgetExhausted` with it
-            attached.
+            attached, the budget's message and its cause.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; emits an
             ``eclat.run`` span, one ``oracle.query`` event per support
             evaluation (``charged=True`` — eclat never re-evaluates a
@@ -785,18 +753,18 @@ def eclat(
         :class:`~repro.runtime.partial.PartialResult` — also on
         ``KeyboardInterrupt``, with the same complete frontier.
     """
-    run = _Run(database, min_support, budget, on_exhaust, tracer)
     if workers is not None and workers > 1:
         from repro.parallel.eclat import eclat_parallel
 
         return eclat_parallel(
             database,
-            run.threshold,
+            min_support,
             workers=workers,
             budget=budget,
             on_exhaust=on_exhaust,
             tracer=tracer,
         )
+    run = _Run(database, min_support, budget, on_exhaust, tracer)
     tracer = run.tracer
     supports = run.supports
     n_rows = database.n_transactions
@@ -821,10 +789,10 @@ def eclat(
                     run.charge if budget is not None or tracer.enabled
                     else None,
                 )
-        except BudgetExhausted as exhausted:
-            return run.partial(exhausted.reason, root_exts, stack, run_span)
-        except KeyboardInterrupt:
-            return run.partial("interrupt", root_exts, stack, run_span)
+        except (BudgetExhausted, KeyboardInterrupt) as stop:
+            return run.cut(
+                stop, run_span, frontier=_frontier(root_exts, stack, supports)
+            )
         return run.complete(
             _maximal_from_supports(supports), nodes, diffset_nodes, run_span
         )

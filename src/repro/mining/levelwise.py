@@ -15,32 +15,35 @@ Convention: the subset-lattice version queries the empty set first (level
 0).  If ``∅`` itself is uninteresting the theory is empty and the
 negative border is ``{∅}`` — one query total, still matching Theorem 10.
 
-Execution control (PR 2): ``budget=`` bounds distinct queries,
+Execution control: the run goes through :class:`~repro.runtime.run.Run`,
+like every budgeted miner.  ``budget=`` bounds distinct queries,
 wall-clock time, and live level size via cooperative checks between
-evaluation chunks; on exhaustion (or ``KeyboardInterrupt`` at a chunk
-boundary) the run yields a certified
-:class:`~repro.runtime.partial.PartialResult` carrying a resumable JSON
-:class:`~repro.runtime.checkpoint.Checkpoint`.  ``resume=`` continues
-such a checkpoint and produces a theory and query accounting
-bit-identical to an uninterrupted run (the saved oracle transcript is
-primed into the memo, so nothing is re-evaluated).
+evaluation chunks; on exhaustion (or ``KeyboardInterrupt``) the run
+yields a certified :class:`~repro.runtime.partial.PartialResult`
+carrying a resumable JSON :class:`~repro.runtime.checkpoint.Checkpoint`
+of the level walk: the levels done are the ``interesting`` and
+``negative`` lists by rank, so the state keeps only those and the level
+in flight.  ``resume=`` continues such a checkpoint and produces a
+theory and query accounting bit-identical to an uninterrupted run (the
+saved oracle transcript is primed into the memo, so nothing is
+re-evaluated).
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 
-from repro.core.errors import BudgetExhausted, CheckpointError
+from repro.core.errors import BudgetExhausted
 from repro.core.language import GenericLanguage, SetLanguage
-from repro.core.oracle import CountingOracle, GenericCountingOracle
+from repro.core.oracle import GenericCountingOracle
 from repro.core.theory import Theory
 from repro.hypergraph.hypergraph import maximize_family
-from repro.obs.tracer import Tracer, as_tracer
+from repro.obs.tracer import Tracer
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import Checkpoint
-from repro.runtime.partial import PartialResult, build_partial
+from repro.runtime.partial import PartialResult
+from repro.runtime.run import Run
 from repro.util.bitset import Universe, popcount, rank_sorted
 from repro.util.prefix import prefix_join_candidates
 
@@ -83,7 +86,7 @@ def levelwise(
             :class:`~repro.runtime.partial.PartialResult` on budget
             exhaustion or ``KeyboardInterrupt``; ``"raise"`` raises
             :class:`~repro.core.errors.BudgetExhausted` with the partial
-            attached.
+            attached (:meth:`~repro.runtime.run.Run.cut`).
         tracer: optional :class:`~repro.obs.tracer.Tracer`.  Emits a
             ``levelwise.run`` span, one ``levelwise.level`` span per
             lattice level (opened with ``candidates = |C_l|``, closed
@@ -104,140 +107,50 @@ def levelwise(
         :class:`~repro.runtime.partial.PartialResult` when the budget
         ran out first.
     """
-    if on_exhaust not in ("return", "raise"):
-        raise ValueError(
-            f"on_exhaust must be 'return' or 'raise', got {on_exhaust!r}"
-        )
-    tracer = as_tracer(tracer)
-    oracle = (
-        predicate
-        if isinstance(predicate, CountingOracle)
-        else CountingOracle(predicate)
+    run = Run(
+        "levelwise",
+        universe,
+        predicate,
+        budget=budget,
+        on_exhaust=on_exhaust,
+        tracer=tracer,
+        resume=resume,
+        settings={"max_rank": max_rank},
     )
-    if tracer.enabled:
-        oracle.attach_tracer(tracer)
+    oracle = run.oracle
+    tracer = run.tracer
     n = len(universe)
-
-    if resume is not None:
-        checkpoint = Checkpoint.coerce(resume)
-        checkpoint.validate_for("levelwise", universe)
-        state = checkpoint.state
-        stored_rank = state.get("max_rank")
-        if max_rank is not None and max_rank != stored_rank:
-            raise CheckpointError(
-                f"checkpoint was taken with max_rank={stored_rank!r}, "
-                f"cannot resume with max_rank={max_rank!r}"
-            )
-        max_rank = stored_rank
-        oracle.prime(checkpoint.history)
-        accounting = checkpoint.accounting
-        base_queries = accounting.get("queries", 0)
-        base_total = accounting.get("total_calls", 0)
-        base_evals = accounting.get("evaluations", 0)
-        base_elapsed = accounting.get("elapsed", 0.0)
-        interesting_all = list(state["interesting"])
-        negative_border = list(state["negative"])
-        levels = [tuple(level) for level in state["levels"]]
-        candidates_per_level = list(state["candidates_per_level"])
-        current_candidates = list(state["current_candidates"])
-        position = state["position"]
-        current_level_interesting = list(state["current_level_interesting"])
-        level_rank = state["level_rank"]
-        level_counted = state["level_counted"]
-    else:
-        base_queries = base_total = base_evals = 0
-        base_elapsed = 0.0
-        interesting_all = []
-        negative_border = []
-        levels = []
-        candidates_per_level = []
-        current_candidates = [0]
-        position = 0
-        current_level_interesting = []
-        level_rank = 0
-        level_counted = False
-
-    start_queries = oracle.distinct_queries
-    start_total = oracle.total_calls
-    start_evals = oracle.evaluations
-    run_t0 = time.monotonic()
-    if budget is not None:
-        budget.begin()
-
-    def charged() -> int:
-        return base_queries + oracle.distinct_queries - start_queries
-
-    def elapsed() -> float:
-        # Cumulative across resume segments: the checkpoint banks the
-        # wall-clock spent so far and the clock restarts with each
-        # segment, so gaps between an interrupt and its resume are not
-        # billed (documented in docs/API.md §11).
-        return base_elapsed + time.monotonic() - run_t0
-
-    def make_partial(reason: str) -> PartialResult:
-        saved = Checkpoint(
-            algorithm="levelwise",
-            universe_items=tuple(universe.items),
-            state={
-                "max_rank": max_rank,
-                "level_rank": level_rank,
-                "interesting": list(interesting_all),
-                "negative": list(negative_border),
-                "levels": [list(level) for level in levels],
-                "candidates_per_level": list(candidates_per_level),
-                "current_candidates": list(current_candidates),
-                "position": position,
-                "current_level_interesting": list(current_level_interesting),
-                "level_counted": level_counted,
-            },
-            history=oracle.history(),
-            accounting={
-                "queries": charged(),
-                "total_calls": base_total + oracle.total_calls - start_total,
-                "evaluations": base_evals + oracle.evaluations - start_evals,
-                "elapsed": elapsed(),
-            },
-        )
-        frontier = list(current_candidates[position:])
-        frontier.extend(
-            _generate_candidates(
-                current_level_interesting, set(interesting_all), n
-            )
-        )
-        return build_partial(
-            universe,
-            "levelwise",
-            reason,
-            oracle.history(),
-            interesting=interesting_all,
-            negative_candidates=negative_border,
-            frontier=frontier,
-            queries=charged(),
-            total_calls=base_total + oracle.total_calls - start_total,
-            evaluations=base_evals + oracle.evaluations - start_evals,
-            elapsed=elapsed(),
-            checkpoint=saved,
-        )
+    state = run.state
+    if state is None:
+        state = {
+            "max_rank": max_rank,
+            "level_rank": 0,
+            "interesting": [],
+            "negative": [],
+            "current_candidates": [0],
+            "position": 0,
+            "current_level_interesting": [],
+        }
+    max_rank = state["max_rank"]
+    level_rank = state["level_rank"]
+    interesting_all = list(state["interesting"])
+    negative_border = list(state["negative"])
+    current_candidates = list(state["current_candidates"])
+    position = state["position"]
+    current_level_interesting = list(state["current_level_interesting"])
 
     with tracer.span(
         "levelwise.run", n=n, resumed=resume is not None
     ) as run_span:
         try:
             while current_candidates:
-                if not level_counted:
-                    candidates_per_level.append(len(current_candidates))
-                    level_counted = True
                 with tracer.span(
                     "levelwise.level",
                     rank=level_rank,
                     candidates=len(current_candidates),
                 ) as level_span:
                     while position < len(current_candidates):
-                        if budget is not None:
-                            budget.check(
-                                queries=charged(),
-                                family=len(current_candidates),
-                            )
+                        run.check(family=len(current_candidates))
                         # Chunked whole-level evaluation: accounting is
                         # identical to asking the oracle per candidate
                         # (Theorem 10 query counts unchanged), but a
@@ -245,16 +158,11 @@ def levelwise(
                         # one dispatch.  The chunk never exceeds the
                         # remaining query allowance, so a budgeted run
                         # stops exactly at its limit.
-                        remaining = len(current_candidates) - position
-                        if budget is None:
-                            chunk_size = remaining
-                        else:
-                            allowance = budget.query_allowance(charged())
-                            chunk_size = (
-                                remaining
-                                if allowance is None
-                                else min(remaining, allowance)
-                            )
+                        chunk_size = len(current_candidates) - position
+                        if budget is not None:
+                            allowance = budget.query_allowance(run.queries)
+                            if allowance is not None:
+                                chunk_size = min(chunk_size, allowance)
                             if budget.timeout is not None:
                                 chunk_size = min(chunk_size, _DEADLINE_CHUNK)
                         chunk = current_candidates[
@@ -268,7 +176,6 @@ def levelwise(
                             else:
                                 negative_border.append(candidate)
                         position += len(chunk)
-                    levels.append(tuple(current_level_interesting))
                     if tracer.enabled:
                         level_span.note(
                             interesting=len(current_level_interesting),
@@ -289,30 +196,31 @@ def levelwise(
                 current_candidates = next_candidates
                 position = 0
                 current_level_interesting = []
-                level_counted = False
                 if budget is not None and next_candidates:
                     budget.check(family=len(next_candidates))
-        except BudgetExhausted as exhausted:
-            partial = make_partial(exhausted.reason)
-            if tracer.enabled:
-                run_span.note(outcome="partial", reason=exhausted.reason)
-            if on_exhaust == "raise":
-                raise BudgetExhausted(
-                    exhausted.reason, str(exhausted), partial=partial
-                ) from exhausted
-            return partial
-        except KeyboardInterrupt:
-            partial = make_partial("interrupt")
-            if tracer.enabled:
-                run_span.note(outcome="partial", reason="interrupt")
-            if on_exhaust == "raise":
-                raise BudgetExhausted(
-                    "interrupt", "interrupted by user", partial=partial
-                ) from None
-            return partial
+        except (BudgetExhausted, KeyboardInterrupt) as stop:
+            return run.cut(
+                stop,
+                run_span,
+                interesting=interesting_all,
+                negative_candidates=negative_border,
+                frontier=current_candidates[position:]
+                + _generate_candidates(
+                    current_level_interesting, set(interesting_all), n
+                ),
+                state={
+                    "max_rank": max_rank,
+                    "level_rank": level_rank,
+                    "interesting": interesting_all,
+                    "negative": negative_border,
+                    "current_candidates": current_candidates,
+                    "position": position,
+                    "current_level_interesting": current_level_interesting,
+                },
+            )
 
         maximal = maximize_family(interesting_all)
-        queries = base_queries + oracle.distinct_queries - start_queries
+        queries = run.queries
         if tracer.enabled:
             rank = max((popcount(m) for m in maximal), default=0)
             run_span.note(outcome="complete", queries=queries)
@@ -324,7 +232,7 @@ def levelwise(
                 maximal=len(maximal),
                 rank=rank,
                 n=n,
-                base_queries=base_queries,
+                base_queries=run.base_queries,
             )
         return Theory(
             universe=universe,

@@ -18,17 +18,16 @@ through :func:`maxminer_maxth`.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 
 from repro.core.errors import BudgetExhausted
-from repro.core.oracle import CountingOracle
 from repro.core.theory import Theory
-from repro.obs.tracer import Tracer, as_tracer
+from repro.obs.tracer import Tracer
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.maximalize import maximal_set_tracker
 from repro.runtime.budget import Budget
-from repro.runtime.partial import PartialResult, build_partial
+from repro.runtime.partial import PartialResult
+from repro.runtime.run import Run
 from repro.util.bitset import Universe, rank_sorted
 
 
@@ -57,11 +56,13 @@ def maxminer_maxth(
             On exhaustion the partial result's frontier holds the
             ``head ∪ tail`` envelopes of the unexpanded subtrees
             (``frontier_kind="upper"``): every undiscovered maximal set
-            is a subset of some envelope.  No checkpoint — the search
-            tree is cheap to replay, unlike the engines' oracle
-            transcripts.
-        on_exhaust: ``"return"`` (default) or ``"raise"`` (see
-            :func:`~repro.mining.levelwise.levelwise`).
+            is a subset of some envelope; an interrupt loses the node
+            in flight, so its frontier is marked incomplete.  No
+            checkpoint — the search tree is cheap to replay, unlike the
+            engines' oracle transcripts.
+        on_exhaust: ``"return"`` (default) or ``"raise"``, through
+            :meth:`~repro.runtime.run.Run.cut` like every budgeted
+            miner.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; emits a
             ``maxminer.run`` span, per-node ``maxminer.node`` events
             (``action`` is ``lookahead`` / ``leaf`` / ``split`` /
@@ -75,26 +76,18 @@ def maxminer_maxth(
         are ``None``.  Or a
         :class:`~repro.runtime.partial.PartialResult` on exhaustion.
     """
-    if on_exhaust not in ("return", "raise"):
-        raise ValueError(
-            f"on_exhaust must be 'return' or 'raise', got {on_exhaust!r}"
-        )
-    oracle = (
-        predicate
-        if isinstance(predicate, CountingOracle)
-        else CountingOracle(predicate)
+    run = Run(
+        "maxminer",
+        universe,
+        predicate,
+        budget=budget,
+        on_exhaust=on_exhaust,
+        tracer=tracer,
     )
-    tracer = as_tracer(tracer)
-    if tracer.enabled:
-        oracle.attach_tracer(tracer)
-    start_queries = oracle.distinct_queries
-    start_total = oracle.total_calls
-    start_evals = oracle.evaluations
+    oracle = run.oracle
+    tracer = run.tracer
     n = len(universe)
     order = list(range(n)) if tail_order is None else list(tail_order)
-    if budget is not None:
-        budget.begin()
-    run_t0 = time.monotonic()
 
     # Live Bd+ maintenance: `covered` (the subtree-pruning test) and the
     # final maximal family both come from one incremental tracker instead
@@ -109,36 +102,14 @@ def maxminer_maxth(
     # and on exhaustion the unexpanded subtrees are all on the stack.
     stack: list[tuple[int, list[int]]] = [(0, order)]
 
-    def make_partial(reason: str, complete: bool) -> PartialResult:
-        return build_partial(
-            universe,
-            "maxminer",
-            reason,
-            oracle.history(),
-            frontier=[head | _mask_of(tail) for head, tail in stack],
-            frontier_kind="upper",
-            frontier_complete=complete,
-            queries=oracle.distinct_queries - start_queries,
-            total_calls=oracle.total_calls - start_total,
-            evaluations=oracle.evaluations - start_evals,
-            elapsed=time.monotonic() - run_t0,
-        )
-
-    def finish(reason: str, complete: bool):
-        partial = make_partial(reason, complete)
-        if on_exhaust == "raise":
-            raise BudgetExhausted(reason, partial=partial)
-        return partial
-
     with tracer.span("maxminer.run", n=n) as run_span:
         try:
-            if budget is not None:
-                budget.check(queries=oracle.distinct_queries - start_queries)
+            run.check()
             if not oracle(0):
                 if tracer.enabled:
                     tracer.event(
                         "maxminer.done",
-                        queries=oracle.distinct_queries - start_queries,
+                        queries=run.queries,
                         maximal=0,
                         nodes=0,
                         lookaheads=0,
@@ -147,14 +118,11 @@ def maxminer_maxth(
                     universe=universe,
                     maximal=(),
                     negative_border=None,
-                    queries=oracle.distinct_queries - start_queries,
+                    queries=run.queries,
                 )
             while stack:
                 if budget is not None:
-                    budget.check(
-                        queries=oracle.distinct_queries - start_queries,
-                        family=len(found.masks()),
-                    )
+                    run.check(family=len(found.masks()))
                 head, tail = stack.pop()
                 tail_mask = _mask_of(tail)
                 # Subtree-domination test, evaluated exactly when the
@@ -216,19 +184,19 @@ def maxminer_maxth(
                 ]
                 for child in reversed(children):
                     stack.append(child)
-        except BudgetExhausted as exhausted:
-            if tracer.enabled:
-                run_span.note(outcome="partial", reason=exhausted.reason)
-            return finish(exhausted.reason, complete=True)
-        except KeyboardInterrupt:
-            # The in-flight node was popped and lost: the envelopes on the
-            # stack no longer cover its subtree.
-            if tracer.enabled:
-                run_span.note(outcome="partial", reason="interrupt")
-            return finish("interrupt", complete=False)
+        except (BudgetExhausted, KeyboardInterrupt) as stop:
+            return run.cut(
+                stop,
+                run_span,
+                frontier=[head | _mask_of(tail) for head, tail in stack],
+                frontier_kind="upper",
+                # An interrupt loses the in-flight node, popped from the
+                # stack: the envelopes left no longer cover its subtree.
+                frontier_complete=isinstance(stop, BudgetExhausted),
+            )
 
         maximal = found.masks()
-        queries = oracle.distinct_queries - start_queries
+        queries = run.queries
         if tracer.enabled:
             run_span.note(outcome="complete", queries=queries)
             tracer.event(
@@ -266,13 +234,7 @@ def maxminer(
     extensions are pruned early and the lookahead union leans on the
     highest-support items — Bayardo's original item-ordering trick.
     """
-    threshold = (
-        database.absolute_support(min_support)
-        if isinstance(min_support, float)
-        else min_support
-    )
-    if threshold < 0:
-        raise ValueError("min_support must be non-negative")
+    threshold = database.absolute_support(min_support)
     supports = database.item_support_counts()
     order = sorted(range(database.n_items), key=lambda i: supports[i])
 

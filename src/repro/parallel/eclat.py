@@ -66,6 +66,7 @@ from repro.core.theory import Theory
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import (
     _expand_for,
+    _frontier,
     _maximal_from_supports,
     _mine_subtree,
     _root_cover,
@@ -392,8 +393,7 @@ def eclat_parallel(
     def fold(seq: int, result) -> None:
         for position in pre_charges.get(seq, ()):
             charge_split(position)
-        if budget is not None:
-            budget.check(queries=run.queries, family=len(members))
+        run.check(family=len(members))
         # Stitch the worker's buffered trace records at the fold point:
         # folds happen strictly in sequence order, so the stitched
         # record order is deterministic at every worker count.  (The
@@ -517,19 +517,13 @@ def eclat_parallel(
                         )
             for position in pending_charge:
                 charge_split(position)
-        except BudgetExhausted as exhausted:
-            return run.partial(
-                exhausted.reason,
-                singletons,
-                [(0, root_is_diff, members, 0)],
+        except (BudgetExhausted, KeyboardInterrupt) as stop:
+            return run.cut(
+                stop,
                 run_span,
-            )
-        except KeyboardInterrupt:
-            return run.partial(
-                "interrupt",
-                singletons,
-                [(0, root_is_diff, members, 0)],
-                run_span,
+                frontier=_frontier(
+                    singletons, [(0, root_is_diff, members, 0)], supports
+                ),
             )
         finally:
             pool.close()

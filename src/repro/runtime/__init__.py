@@ -7,8 +7,12 @@ instead of falling over:
 
 * :class:`~repro.runtime.budget.Budget` — cooperative limits on
   distinct oracle queries, wall-clock time, and live family size,
-  threaded through levelwise, Dualize and Advance, MaxMiner, Berge
-  multiplication, and the Fredman–Khachiyan recursion;
+  threaded through levelwise, Dualize and Advance, MaxMiner, Eclat,
+  Berge multiplication, and the Fredman–Khachiyan recursion;
+* :class:`~repro.runtime.run.Run` — the one run-control path of every
+  budgeted miner: oracle wrap, resume, budget clock and check, and the
+  cut that returns or raises the certified partial (not exported; the
+  engines construct it);
 * :class:`~repro.runtime.partial.PartialResult` — the certified bracket
   an exhausted (or interrupted) run still proves, with a
   :meth:`~repro.runtime.partial.PartialResult.certificate` that

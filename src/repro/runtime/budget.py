@@ -60,12 +60,14 @@ class Budget:
         max_family: int | None = None,
         clock: Callable[[], float] | None = None,
     ):
-        if max_queries is not None and max_queries < 0:
-            raise ValueError("max_queries must be non-negative")
-        if timeout is not None and timeout < 0:
-            raise ValueError("timeout must be non-negative")
-        if max_family is not None and max_family < 1:
-            raise ValueError("max_family must be positive")
+        # ``not limit >= bound`` also refuses NaN, which every check
+        # would let pass.
+        if max_queries is not None and not max_queries >= 0:
+            raise ValueError("max_queries must be a non-negative number")
+        if timeout is not None and not timeout >= 0:
+            raise ValueError("timeout must be a non-negative number")
+        if max_family is not None and not max_family >= 1:
+            raise ValueError("max_family must be a positive number")
         self.max_queries = max_queries
         self.timeout = timeout
         self.max_family = max_family

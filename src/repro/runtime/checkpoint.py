@@ -52,6 +52,10 @@ class Checkpoint:
             resumed run reports honest total compute time, not the time
             since the last resume.
         version: format version for forward compatibility.
+        predicate: the name of the oracle that answered ``history``
+            (``None`` for an unnamed one, and in checkpoints written
+            before the record existed); a resume under another name is
+            refused, since the transcript answers this predicate only.
     """
 
     algorithm: str
@@ -60,6 +64,7 @@ class Checkpoint:
     history: dict[int, bool] = field(default_factory=dict)
     accounting: dict = field(default_factory=dict)
     version: int = CHECKPOINT_VERSION
+    predicate: str | None = None
 
     def to_json(self) -> str:
         for item in self.universe_items:
@@ -78,6 +83,7 @@ class Checkpoint:
                 for mask, answer in sorted(self.history.items())
             ],
             "accounting": self.accounting,
+            "predicate": self.predicate,
         }
         return json.dumps(payload)
 
@@ -106,6 +112,7 @@ class Checkpoint:
                 },
                 accounting=payload.get("accounting", {}),
                 version=version,
+                predicate=payload.get("predicate"),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise CheckpointError(f"malformed checkpoint: {error}") from error
@@ -138,8 +145,14 @@ class Checkpoint:
             return cls.from_json(text)
         return cls.load(text)
 
-    def validate_for(self, algorithm: str, universe: Universe) -> None:
-        """Reject resumes against the wrong engine or universe."""
+    def validate_for(
+        self, algorithm: str, universe: Universe, predicate: str | None = None
+    ) -> None:
+        """Reject resumes against the wrong engine, universe or predicate.
+
+        ``predicate`` is the resuming oracle's name; it is checked when
+        both it and the recorded one are given.
+        """
         if self.algorithm != algorithm:
             raise CheckpointError(
                 f"checkpoint is for {self.algorithm!r}, not {algorithm!r}"
@@ -147,4 +160,10 @@ class Checkpoint:
         if tuple(self.universe_items) != tuple(universe.items):
             raise CheckpointError(
                 "checkpoint universe does not match the current universe"
+            )
+        recorded = self.predicate
+        if None not in (recorded, predicate) and recorded != predicate:
+            raise CheckpointError(
+                f"checkpoint was taken with predicate={recorded!r}, "
+                f"cannot resume with predicate={predicate!r}"
             )

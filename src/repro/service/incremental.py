@@ -216,11 +216,7 @@ def mine_initial(
 ) -> MaintainedTheory:
     """Mine the full theory once (depth-first vertical engine) and wrap
     it as the service's maintained state."""
-    threshold = (
-        database.absolute_support(min_support)
-        if isinstance(min_support, float)
-        else int(min_support)
-    )
+    threshold = database.absolute_support(min_support)
     result = eclat(database, threshold, tracer=tracer)
     return MaintainedTheory(
         database=database,
@@ -474,13 +470,7 @@ def apply_threshold(
     lowering it grows the theory through the old ``Bd-``, exactly like
     an append.
     """
-    new_threshold = (
-        state.database.absolute_support(min_support)
-        if isinstance(min_support, float)
-        else int(min_support)
-    )
-    if new_threshold < 0:
-        raise ValueError("min_support must be non-negative")
+    new_threshold = state.database.absolute_support(min_support)
     return _update(
         state, state.database, new_threshold, repair_limit, tracer, []
     )

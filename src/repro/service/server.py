@@ -38,8 +38,8 @@ Degradation contract (the acceptance criteria of the service):
   saturation answers **503** with a ``Retry-After`` header immediately
   instead of queueing unboundedly;
 * every mine runs under a :class:`~repro.runtime.budget.Budget`
-  deadline (``deadline`` query param, capped by the server maximum); a
-  cut returns **206** with the certified bracket — ``Bd+`` so far, the
+  deadline (``deadline`` query param, a number capped by the server
+  maximum; a NaN or negative one is a **400**); a cut returns **206** with the certified bracket — ``Bd+`` so far, the
   verified ``Bd-`` prefix, the open frontier — never a silently
   truncated answer;
 * ``/health`` and ``/metrics`` bypass admission, so the server stays
@@ -296,14 +296,14 @@ class _Handler(BaseHTTPRequestHandler):
         if "min_support" in query:
             raw = query["min_support"][0]
             min_support = float(raw) if "." in raw else int(raw)
-        deadline = min(
-            float(query.get("deadline", [self.server.default_deadline])[0]),
-            self.server.max_deadline,
+        deadline = float(
+            query.get("deadline", [self.server.default_deadline])[0]
         )
+        # Budget refuses a NaN deadline, which min() passes through.
+        budget = Budget(timeout=min(deadline, self.server.max_deadline))
         with tracer.span("service.admission"):
             self.server.admission.acquire(tracer)
         try:
-            budget = Budget(timeout=deadline)
             kind, result = self.core.mine(
                 min_support, budget=budget, tracer=tracer
             )

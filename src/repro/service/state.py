@@ -238,11 +238,8 @@ class ServiceCore:
                 self._state, rows, repair_limit=self._repair_limit
             )
         elif kind == "threshold":
-            value = record["value"]
             new_state, _ = apply_threshold(
-                self._state,
-                float(value) if isinstance(value, float) else int(value),
-                repair_limit=self._repair_limit,
+                self._state, record["value"], repair_limit=self._repair_limit
             )
         else:
             raise WALError(f"unknown WAL record kind {kind!r}")
@@ -297,12 +294,8 @@ class ServiceCore:
         state = self._state
         if min_support is None:
             threshold = state.threshold
-        elif isinstance(min_support, float):
-            threshold = state.database.absolute_support(min_support)
         else:
-            threshold = int(min_support)
-        if threshold < 0:
-            raise ValueError("min_support must be non-negative")
+            threshold = state.database.absolute_support(min_support)
         with t.span("service.mine", threshold=threshold) as span:
             if threshold >= state.threshold:
                 maximal, negative = state.theory_at(threshold)
@@ -406,14 +399,7 @@ class ServiceCore:
                         "outside the universe"
                     )
         else:
-            value = payload["value"]
-            threshold = (
-                self._state.database.absolute_support(value)
-                if isinstance(value, float)
-                else int(value)
-            )
-            if threshold < 0:
-                raise ValueError("min_support must be non-negative")
+            self._state.database.absolute_support(payload["value"])
 
     def _mutate(
         self,

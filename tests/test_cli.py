@@ -275,6 +275,31 @@ class TestBudgetAndResume:
         assert main(base_args + ["--resume", checkpoint]) == 0
         assert capsys.readouterr().out == uninterrupted
 
+    @pytest.mark.parametrize("algorithm", ["levelwise", "dualize_advance"])
+    def test_resume_under_another_min_support_is_refused(
+        self, algorithm, dataset, tmp_path, capsys
+    ):
+        base_args = ["mine", dataset, "--algorithm", algorithm]
+        checkpoint = str(tmp_path / "ck.json")
+        assert (
+            main(base_args + ["--min-support", "0.5", "--budget-queries",
+                              "10", "--checkpoint", checkpoint])
+            == 3
+        )
+        capsys.readouterr()
+        code = main(base_args + ["--min-support", "0.4",
+                                 "--resume", checkpoint])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: checkpoint was taken with predicate=")
+
+    def test_nan_timeout_is_rejected(self, dataset, capsys):
+        code = main(["mine", dataset, "--min-support", "0.5",
+                     "--algorithm", "eclat", "--timeout", "nan"])
+        assert code == 2
+        assert "timeout" in capsys.readouterr().err
+
     def test_maxminer_budget_partial_without_checkpoint(
         self, dataset, capsys
     ):

@@ -106,6 +106,17 @@ class TestAbsoluteSupport:
         with pytest.raises(ValueError):
             database.absolute_support(1.5)
 
+    def test_a_row_count_is_normalized_and_checked(self):
+        # The one threshold rule: anything but a float is a row count.
+        database = TransactionDatabase(Universe("A"), [0b1] * 10)
+        assert database.absolute_support(3) == 3
+        assert type(database.absolute_support(True)) is int
+        assert database.absolute_support(12) == 12
+        with pytest.raises(ValueError, match="non-negative"):
+            database.absolute_support(-1)
+        with pytest.raises(ValueError):
+            database.absolute_support(float("nan"))
+
 
 class TestProjection:
     def test_project_keeps_row_count(self):

@@ -64,6 +64,14 @@ class TestBudgetMechanics:
         assert budget.query_allowance(10) == 0
         assert Budget(timeout=1.0).query_allowance(3) is None
 
+    @pytest.mark.parametrize(
+        "limit", ["max_queries", "timeout", "max_family"]
+    )
+    def test_nan_limit_is_rejected(self, limit):
+        # NaN fails every comparison, so no check would ever trip.
+        with pytest.raises(ValueError, match=limit):
+            Budget(**{limit: float("nan")})
+
     def test_restart_resets_the_clock(self):
         now = [0.0]
         budget = Budget(timeout=5.0, clock=lambda: now[0])

@@ -16,8 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import BudgetExhausted, CheckpointError
+from repro.datasets.synthetic import QuestParameters, generate_quest_database
+from repro.instances.frequent_itemsets import mine_frequent_itemsets
 from repro.mining.dualize_advance import dualize_and_advance
 from repro.mining.levelwise import levelwise
+from repro.core.oracle import CountingOracle
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import CHECKPOINT_VERSION, Checkpoint
 from repro.runtime.partial import PartialResult
@@ -242,3 +245,50 @@ class TestCheckpointFormat:
         assert info.value.reason == "queries"
         assert isinstance(info.value.partial, PartialResult)
         assert info.value.partial.checkpoint is not None
+
+
+class TestPredicateRecord:
+    """A checkpoint names the predicate its transcript answers."""
+
+    @pytest.fixture
+    def database(self):
+        return generate_quest_database(
+            QuestParameters(n_items=14, n_transactions=200), seed=7
+        )
+
+    @pytest.mark.parametrize("algorithm", ["levelwise", "dualize_advance"])
+    def test_resume_under_another_threshold_is_refused(
+        self, database, algorithm
+    ):
+        partial = mine_frequent_itemsets(
+            database, 0.7, algorithm=algorithm, budget=Budget(max_queries=10)
+        )
+        assert isinstance(partial, PartialResult)
+        assert partial.checkpoint.predicate == "support >= 140 of 200 rows"
+        with pytest.raises(CheckpointError, match="predicate="):
+            mine_frequent_itemsets(
+                database, 0.6, algorithm=algorithm, resume=partial.checkpoint
+            )
+        text = partial.checkpoint.to_json()
+        assert mine_frequent_itemsets(
+            database, 140, algorithm=algorithm, resume=text
+        ) == mine_frequent_itemsets(database, 0.7, algorithm=algorithm)
+
+    def test_unnamed_oracle_and_unrecorded_checkpoint_resume(
+        self, figure1_theory
+    ):
+        universe = figure1_theory.universe
+        baseline = levelwise(universe, figure1_theory.is_interesting)
+        partial = _interrupt_levelwise(figure1_theory, 5)
+        assert partial.checkpoint.predicate is None
+        named = CountingOracle(figure1_theory.is_interesting, name="figure 1")
+        assert levelwise(universe, named, resume=partial.checkpoint) == (
+            baseline
+        )
+        partial = levelwise(universe, CountingOracle(
+            figure1_theory.is_interesting, name="figure 1"
+        ), budget=Budget(max_queries=5))
+        assert partial.checkpoint.predicate == "figure 1"
+        assert levelwise(
+            universe, figure1_theory.is_interesting, resume=partial.checkpoint
+        ) == baseline

@@ -232,6 +232,14 @@ class TestHTTPEndpoints:
         assert payload["certified"] is True
         assert payload["reason"] == "timeout"
 
+    def test_mine_nan_deadline_is_400(self, server):
+        # min(nan, max_deadline) is nan: it must not run uncapped.
+        status, payload, _ = _request(
+            server.port, "/mine?min_support=1&deadline=nan"
+        )
+        assert status == 400
+        assert "timeout" in payload["error"]
+
     def test_append_then_duplicate_is_idempotent(self, server):
         status, first, _ = _request(
             server.port, "/append", {"rows": [15, 11], "op": "batch-1"}

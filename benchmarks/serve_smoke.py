@@ -5,9 +5,11 @@ the whole advertised lifecycle over real HTTP: ``/health``,
 ``/borders``, a hot ``/mine``, an ``/append`` batch, a duplicate
 ``/append`` (idempotency), two rejected appends (an over-limit body
 answers 413 and a float row 400, each leaving the digest unchanged), a
-``/threshold`` raise, an append at the
-raised threshold, a lower back (which promotes ``Bd-`` members from
-their stored supports and runs the closure), and ``/metrics`` —
+``/threshold`` raise, cold ``/mine`` requests below it around an
+append at the raised threshold (a miss that becomes the support table,
+a hit at a higher threshold that the table answers, a miss below the
+first; none changes the digest), a lower back (read from that table),
+and ``/metrics`` —
 verifying after every mutation that the *incrementally maintained*
 theory is bit-identical to from-scratch :func:`~repro.mining.eclat.eclat`
 on the same rows.  The server compacts every :data:`COMPACT_EVERY`
@@ -106,6 +108,30 @@ def _check_against_scratch(port: int, database, threshold) -> None:
     assert dict(
         (mask, supp) for mask, supp in mined["supports"]
     ) == scratch.supports, "support table diverged"
+
+
+def _digest(port: int) -> str:
+    """The current digest: what a replay of an applied op returns."""
+    return _post(port, "/append", {"rows": [], "op": "smoke-1"})["digest"]
+
+
+def _cold_mine(port: int, database, threshold: int, source: str) -> None:
+    """A cold ``/mine`` must answer as scratch eclat does, from
+    ``source``, and leave the digest as it was."""
+    before = _digest(port)
+    mined = _get(port, f"/mine?min_support={threshold}")
+    scratch = eclat(database, threshold)
+    assert mined["partial"] is False
+    assert mined["source"] == source, (threshold, mined["source"])
+    assert mined["queries"] == (0 if source == "table" else scratch.queries)
+    assert dict(
+        (mask, supp) for mask, supp in mined["supports"]
+    ) == scratch.supports, f"cold /mine at {threshold}: supports diverged"
+    assert mined["maximal"] == list(scratch.maximal), "cold Bd+ diverged"
+    assert mined["negative"] == list(scratch.negative_border), (
+        "cold Bd- diverged"
+    )
+    assert _digest(port) == before, "a cold /mine changed the digest"
 
 
 def _start(args) -> tuple[subprocess.Popen, int]:
@@ -207,14 +233,20 @@ def main(argv=None) -> int:
         assert metrics["seq"] == 2
         assert metrics["n_transactions"] == database.n_transactions
 
+        _cold_mine(port, database, MIN_SUPPORT, "mined")
         delta = [rng.getrandbits(n_items) for _ in range(10)]
         _, database = _append(port, database, delta, "smoke-2")
         _check_against_scratch(port, database, raised)
         print("serve-smoke: append at the raised threshold == scratch eclat")
+        _cold_mine(port, database, MIN_SUPPORT + 1, "table")
+        _cold_mine(port, database, MIN_SUPPORT - 1, "mined")
+        print("serve-smoke: cold /mine miss, table hit, miss == scratch "
+              "eclat, digest unchanged")
 
         _post(port, "/threshold", {"min_support": MIN_SUPPORT})
         _check_against_scratch(port, database, MIN_SUPPORT)
-        print("serve-smoke: threshold lowered back == scratch eclat")
+        print("serve-smoke: threshold lowered back (from the table) == "
+              "scratch eclat")
 
         metrics = _get(port, "/metrics")
         assert metrics["seq"] == 4

@@ -238,6 +238,25 @@ class TransactionDatabase:
             database._rows = self._rows + delta
         return database
 
+    def tail(self, start: int) -> "TransactionDatabase":
+        """The rows from index ``start`` on, as an ``"auto"`` database.
+
+        Sliced from the row list when this database holds one, else
+        from the columns (``column >> start``), so a vertical-only
+        database decodes no rows: the delta count of the rows appended
+        after some earlier version of it.
+        """
+        if self._rows is not None:
+            return TransactionDatabase(self.universe, self._rows[start:])
+        columns = [
+            (column.to_int() if self._backend == "roaring" else column)
+            >> start
+            for column in self._columns
+        ]
+        return self.from_vertical(
+            self.universe, columns, self._n_rows - start
+        )
+
     def _rows_view(self) -> list[int]:
         """The horizontal row list, materialized from columns on demand.
 
@@ -561,9 +580,23 @@ class TransactionDatabase:
     def _support_counts_numpy_1chunk(self, masks: list[int]) -> list[int]:
         import numpy as np
 
-        n = len(masks)
+        vector = np.fromiter(masks, dtype=np.uint64, count=len(masks))
+        return self.word_support_counts(vector).tolist()
+
+    def word_support_counts(self, vector):
+        """Support counts of masks held as a ``uint64`` numpy vector.
+
+        The vectorized kernel of :meth:`support_counts` for a universe
+        of at most 64 items, array in and ``int64`` array out, so a
+        caller that keeps its masks in numpy makes no Python int per
+        mask.  Any row count; an empty vector gives an empty result.
+        """
+        import numpy as np
+
+        n = len(vector)
         n_rows = self._n_rows
-        vector = np.fromiter(masks, dtype=np.uint64, count=n)
+        if not n:
+            return np.empty(0, dtype=np.int64)
         sizes = np.bitwise_count(vector)
         out = np.empty(n, dtype=np.int64)
         out[sizes == 0] = n_rows
@@ -585,7 +618,7 @@ class TransactionDatabase:
                         axis=1, dtype=np.int64
                     )
                 )
-        return out.tolist()
+        return out
 
     def _support_counts_numpy(self, masks: list[int]) -> list[int]:
         n = len(masks)

@@ -122,7 +122,7 @@ def maxminer_maxth(
                 )
             while stack:
                 if budget is not None:
-                    run.check(family=len(found.masks()))
+                    run.check(family=len(found))
                 head, tail = stack.pop()
                 tail_mask = _mask_of(tail)
                 # Subtree-domination test, evaluated exactly when the

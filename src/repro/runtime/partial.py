@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
-from repro.util.antichain import MaximalFamilyTracker, maximize_masks, minimize_masks
+from repro.util.antichain import DominanceIndex, maximize_masks, minimize_masks
 from repro.util.bitset import Universe, rank_sorted
 
 __all__ = ["PartialResult", "Certificate", "PartialDualization", "build_partial"]
@@ -164,14 +164,10 @@ class PartialResult:
         """
         violations: list[str] = []
         history = self.history
-        # Re-maximize before seeding the tracker: domination queries only
-        # need the maximal members, and the claimed border is not trusted
-        # to be an antichain (check 2 below flags that independently).
-        tracker = MaximalFamilyTracker(
-            self.universe.full_mask,
-            maximize_masks(self.positive_border),
-            assume_antichain=True,
-        )
+        # Re-maximize before indexing: domination queries only need the
+        # maximal members, and the claimed border is not trusted to be
+        # an antichain (check 2 below flags that independently).
+        index = DominanceIndex(maximize_masks(self.positive_border))
 
         for mask in self.positive_border:
             if history.get(mask) is not True:
@@ -190,6 +186,11 @@ class PartialResult:
                 "positive_border is not the maximal antichain of the "
                 "confirmed interesting family"
             )
+            dominates = index.dominates
+        else:
+            # The border covers every confirmed set, so a confirmed set
+            # is dominated without a scan.
+            dominates = _dominance_test(self.interesting, index)
         for mask in self.interesting:
             if history.get(mask) is not True:
                 violations.append(
@@ -205,7 +206,7 @@ class PartialResult:
             while remaining:
                 low = remaining & -remaining
                 parent = mask & ~low
-                if not tracker.dominates(parent):
+                if not dominates(parent):
                     violations.append(
                         f"Bd- member {mask:#x} has an uncertified "
                         f"generalization {parent:#x}"
@@ -213,7 +214,7 @@ class PartialResult:
                 remaining ^= low
 
         for mask, answer in history.items():
-            if not answer and tracker.dominates(mask):
+            if not answer and dominates(mask):
                 violations.append(
                     f"monotonicity violation: {mask:#x} answered False "
                     "below a confirmed interesting set"
@@ -289,6 +290,20 @@ class PartialDualization:
         return False
 
 
+def _dominance_test(
+    confirmed: Iterable[int], index: DominanceIndex
+) -> Callable[[int], bool]:
+    """``mask ↦ mask`` is certified interesting, for an ``index`` over
+    a family that dominates every ``confirmed`` mask: a confirmed mask
+    answers from a set lookup, any other from the index."""
+    confirmed = frozenset(confirmed)
+
+    def dominates(mask: int) -> bool:
+        return mask in confirmed or index.dominates(mask)
+
+    return dominates
+
+
 def build_partial(
     universe: Universe,
     algorithm: str,
@@ -334,9 +349,7 @@ def build_partial(
         negative_candidates = list(negative_candidates)
 
     positive = maximize_masks(interesting)
-    tracker = MaximalFamilyTracker(
-        universe.full_mask, positive, assume_antichain=True
-    )
+    dominates = _dominance_test(interesting, DominanceIndex(positive))
 
     def _is_border_member(mask: int) -> bool:
         if mask == 0:
@@ -344,7 +357,7 @@ def build_partial(
         remaining = mask
         while remaining:
             low = remaining & -remaining
-            if not tracker.dominates(mask & ~low):
+            if not dominates(mask & ~low):
                 return False
             remaining ^= low
         return True

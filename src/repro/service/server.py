@@ -22,9 +22,13 @@ path                   verb  behavior
 ``/mine``              GET   frequent itemsets at ``min_support`` (query
                              param; defaults to the maintained threshold).
                              Hot thresholds are served with zero database
-                             work; looser ones run under the request
-                             deadline and may return **206** with a
-                             certified partial result
+                             work (``"source": "hot"``); looser ones are
+                             read from the last cold mine's support table
+                             when its floor covers them (``"table"``,
+                             ``"queries": 0``), else mined under the
+                             request deadline (``"mined"``), which may
+                             return **206** with a certified partial
+                             result
 ``/append``            POST  ``{"rows": [...], "op": "..."}`` — durably
                              append transactions, repair the borders
 ``/threshold``         POST  ``{"min_support": x, "op": "..."}`` — move

@@ -386,6 +386,57 @@ def _dominated(mask: int, by_bit: dict[int, list[int]]) -> bool:
     return False
 
 
+class DominanceIndex:
+    """A fixed family, indexed by bit: which members contain each item.
+
+    Each item maps to a bitmap over the members that contain it, so
+    :meth:`dominates` — does some member contain ``mask``? — is the AND
+    of the bitmaps of ``mask``'s items, stopping at the first empty
+    one, with no member scanned.
+    :meth:`MaximalFamilyTracker.dominates` instead walks its complement
+    index, whose buckets fill up on a wide family.
+
+    Args:
+        masks: the family (duplicates and non-maximal members allowed).
+    """
+
+    __slots__ = ("_members", "_empty")
+
+    def __init__(self, masks: Iterable[int]):
+        positions: dict[int, list[int]] = {}
+        empty = True
+        for position, mask in enumerate(masks):
+            empty = False
+            remaining = mask
+            while remaining:
+                low = remaining & -remaining
+                positions.setdefault(low, []).append(position)
+                remaining ^= low
+        members: dict[int, int] = {}
+        for low, held in positions.items():
+            bitmap = 0
+            for position in held:
+                bitmap |= 1 << position
+            members[low] = bitmap
+        self._members = members
+        self._empty = empty
+
+    def dominates(self, mask: int) -> bool:
+        """True when ``mask`` is a subset of some member."""
+        if mask == 0:
+            return not self._empty
+        members = self._members
+        common = -1
+        remaining = mask
+        while remaining:
+            low = remaining & -remaining
+            common &= members.get(low, 0)
+            if not common:
+                return False
+            remaining ^= low
+        return True
+
+
 _NAIVE_MERGE_CUTOFF = 1024
 
 
@@ -434,31 +485,15 @@ class MaximalFamilyTracker:
     Args:
         full_mask: the universe mask complements are taken against.
         masks: optional initial family.
-        assume_antichain: when true the initial family is trusted to be
-            an antichain within the universe and bulk-loaded without the
-            per-insert subsumption scan — linear instead of quadratic,
-            which matters when seeding from a large precomputed ``Bd+``
-            (e.g. :func:`repro.runtime.partial.build_partial`).
     """
 
     __slots__ = ("full_mask", "_index")
 
-    def __init__(
-        self,
-        full_mask: int,
-        masks: Iterable[int] = (),
-        *,
-        assume_antichain: bool = False,
-    ):
+    def __init__(self, full_mask: int, masks: Iterable[int] = ()):
         self.full_mask = full_mask
-        if assume_antichain:
-            self._index = AntichainIndex(
-                (full_mask & ~mask for mask in masks), assume_antichain=True
-            )
-        else:
-            self._index = AntichainIndex()
-            for mask in masks:
-                self.add(mask)
+        self._index = AntichainIndex()
+        for mask in masks:
+            self.add(mask)
 
     def __len__(self) -> int:
         return len(self._index)

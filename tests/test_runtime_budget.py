@@ -350,3 +350,111 @@ class TestPartialResultSurface:
             ),
         )
         assert not forged.certificate().ok
+
+
+class TestCutCost:
+    """A cut answers each parent check from the confirmed sets or one
+    by-bit index query; it never walks the live ``Bd+`` tracker."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        from repro.util.antichain import DominanceIndex, MaximalFamilyTracker
+
+        calls = {"index": 0, "tracker": 0}
+        index_dominates = DominanceIndex.dominates
+        tracker_dominates = MaximalFamilyTracker.dominates
+
+        def index(self, mask):
+            calls["index"] += 1
+            return index_dominates(self, mask)
+
+        def tracker(self, mask):
+            calls["tracker"] += 1
+            return tracker_dominates(self, mask)
+
+        monkeypatch.setattr(DominanceIndex, "dominates", index)
+        monkeypatch.setattr(MaximalFamilyTracker, "dominates", tracker)
+        return calls
+
+    @staticmethod
+    def _parents(mask):
+        remaining = mask
+        while remaining:
+            low = remaining & -remaining
+            yield mask & ~low
+            remaining ^= low
+
+    def test_eclat_cut_and_certificate_scan_only_unconfirmed_parents(
+        self, scans
+    ):
+        from repro.datasets.synthetic import (
+            QuestParameters,
+            generate_quest_database,
+        )
+        from repro.mining.eclat import eclat
+        from repro.util.antichain import minimize_masks
+
+        database = generate_quest_database(
+            QuestParameters(
+                n_items=16, n_transactions=200, avg_transaction_length=5
+            ),
+            seed=3,
+        )
+        complete = eclat(database, 0.05)
+        scans.update(index=0, tracker=0)
+        partial = eclat(
+            database, 0.05, budget=Budget(max_queries=complete.queries // 2)
+        )
+        assert isinstance(partial, PartialResult)
+        confirmed = set(partial.interesting)
+        rejected = [m for m, answer in partial.history.items() if not answer]
+        unconfirmed = sum(
+            parent not in confirmed
+            for mask in rejected
+            for parent in self._parents(mask)
+        )
+        total = sum(popcount(mask) for mask in rejected)
+        assert scans["tracker"] == 0
+        assert 0 < scans["index"] <= unconfirmed < total
+        assert partial.negative
+
+        # The verified Bd- prefix is what a brute-force domination test
+        # over the confirmed sets finds.
+        def certified(mask):
+            return any(mask & kept == mask for kept in confirmed)
+
+        assert partial.negative == tuple(minimize_masks(
+            mask for mask in rejected
+            if all(certified(parent) for parent in self._parents(mask))
+        ))
+
+        scans.update(index=0, tracker=0)
+        assert partial.certificate().ok
+        assert scans["tracker"] == 0
+        assert scans["index"] <= len(rejected) + sum(
+            parent not in confirmed
+            for mask in partial.negative
+            for parent in self._parents(mask)
+        )
+
+    def test_maxminer_budget_sorts_no_family_per_node(self, monkeypatch):
+        from repro.util.antichain import MaximalFamilyTracker
+
+        planted = _wide_theory()
+        baseline = maxminer_maxth(planted.universe, planted.is_interesting)
+        sorts = []
+        masks = MaximalFamilyTracker.masks
+
+        def counted(self):
+            sorts.append(len(self))
+            return masks(self)
+
+        monkeypatch.setattr(MaximalFamilyTracker, "masks", counted)
+        budgeted = maxminer_maxth(
+            planted.universe,
+            planted.is_interesting,
+            budget=Budget(max_queries=10**9),
+        )
+        assert budgeted == baseline
+        assert budgeted.nodes > 1
+        assert len(sorts) == 1  # the result's Bd+, once

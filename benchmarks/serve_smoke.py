@@ -16,9 +16,11 @@ on the same rows.  The server compacts every :data:`COMPACT_EVERY`
 records, so a ``SIGTERM`` and a restart on the same state directory
 recover from a snapshot plus WAL records; the recovered theory and one
 more append are checked the same way.  Each ``SIGTERM`` must exit
-cleanly.  ``--backend`` (default ``auto``) is passed to ``repro
-serve``; the from-scratch reference always mines the default backend,
-so the served theory is also checked across backends.  CI runs this as
+cleanly, and the server's standard error must hold no ``Traceback``
+(it is captured, and echoed to ours when not empty).  ``--backend``
+(default ``auto``) is passed to ``repro serve``; the from-scratch
+reference always mines the default backend, so the served theory is
+also checked across backends.  CI runs this as
 ``make serve-smoke``, once per backend; it is also a quick local
 check::
 
@@ -36,6 +38,7 @@ import random
 import signal
 import subprocess
 import sys
+import tempfile
 import urllib.error
 import urllib.request
 
@@ -134,8 +137,10 @@ def _cold_mine(port: int, database, threshold: int, source: str) -> None:
     assert _digest(port) == before, "a cold /mine changed the digest"
 
 
-def _start(args) -> tuple[subprocess.Popen, int]:
-    """``repro serve`` on ``args``' data and state directory."""
+def _start(args):
+    """``repro serve`` on ``args``' data and state directory: the
+    process, its port and the file its standard error goes to."""
+    stderr = tempfile.TemporaryFile()
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", args.data,
@@ -145,6 +150,7 @@ def _start(args) -> tuple[subprocess.Popen, int]:
             "--backend", args.backend,
         ],
         stdout=subprocess.PIPE,
+        stderr=stderr,
         text=True,
     )
     try:
@@ -157,24 +163,32 @@ def _start(args) -> tuple[subprocess.Popen, int]:
             .rsplit(":", 1)[1]
         )
     except BaseException:
-        _stop(process)
+        _stop(process, stderr)
         raise
     print(
         f"serve-smoke: server up on port {port} "
         f"(backend {args.backend})"
     )
-    return process, port
+    return process, port, stderr
 
 
-def _stop(process: subprocess.Popen) -> int:
-    """``SIGTERM`` the server; its exit code."""
+def _stop(process: subprocess.Popen, stderr) -> tuple[int, str]:
+    """``SIGTERM`` the server; its exit code and standard error."""
     process.send_signal(signal.SIGTERM)
-    return process.wait(timeout=15)
+    code = process.wait(timeout=15)
+    stderr.seek(0)
+    text = stderr.read().decode("utf-8", "replace")
+    stderr.close()
+    if text:
+        sys.stderr.write(text)
+    return code, text
 
 
-def _assert_clean(code: int) -> None:
+def _assert_clean(stopped: tuple[int, str]) -> None:
+    code, stderr = stopped
     assert code == 0, f"server exited {code}, wanted clean shutdown"
-    print("serve-smoke: clean shutdown, exit 0")
+    assert "Traceback" not in stderr, "the server printed a traceback"
+    print("serve-smoke: clean shutdown, exit 0, no traceback")
 
 
 def _append(port: int, database, rows: list[int], op: str):
@@ -199,7 +213,7 @@ def main(argv=None) -> int:
     rng = random.Random(13)
     raised = MIN_SUPPORT + 2
 
-    process, port = _start(args)
+    process, port, stderr = _start(args)
     try:
         assert _get(port, "/health")["status"] == "ok"
         _check_against_scratch(port, database, MIN_SUPPORT)
@@ -252,10 +266,10 @@ def main(argv=None) -> int:
         assert metrics["seq"] == 4
         assert metrics["wal_pending"] == 4 - COMPACT_EVERY, metrics
     finally:
-        code = _stop(process)
-    _assert_clean(code)
+        stopped = _stop(process, stderr)
+    _assert_clean(stopped)
 
-    process, port = _start(args)
+    process, port, stderr = _start(args)
     try:
         metrics = _get(port, "/metrics")
         assert metrics["seq"] == 4 and metrics["threshold"] == MIN_SUPPORT
@@ -267,8 +281,8 @@ def main(argv=None) -> int:
         _check_against_scratch(port, database, MIN_SUPPORT)
         print("serve-smoke: append after recovery == scratch eclat")
     finally:
-        code = _stop(process)
-    _assert_clean(code)
+        stopped = _stop(process, stderr)
+    _assert_clean(stopped)
     return 0
 
 

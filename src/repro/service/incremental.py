@@ -63,6 +63,7 @@ from dataclasses import dataclass, field, replace
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import _maximal_from_supports, eclat
 from repro.obs.tracer import as_tracer
+from repro.service.encoding import Families, encode_families
 from repro.service.table import SupportTable
 from repro.util.bitset import rank_sorted
 
@@ -151,6 +152,9 @@ class MaintainedTheory:
     _table: SupportTable | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _encoded: Families | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def is_frequent(self, mask: int) -> bool:
         """Certified membership via the border bracket (zero queries).
@@ -182,6 +186,19 @@ class MaintainedTheory:
         if self._table is None:
             object.__setattr__(self, "_table", self._new_table())
         return self._table
+
+    def encoded(self) -> Families:
+        """``supports``, ``maximal`` and ``negative`` as compact JSON
+        (:func:`~repro.service.encoding.encode_families`), which the
+        digest and the read bodies splice.  Encoded on first use and
+        kept with this state, like :meth:`table`."""
+        if self._encoded is None:
+            object.__setattr__(
+                self,
+                "_encoded",
+                encode_families(self.supports, self.maximal, self.negative),
+            )
+        return self._encoded
 
     def _new_table(self) -> SupportTable:
         """A table of this state's ``Th ∪ Bd-`` of its own, for a

@@ -74,6 +74,7 @@ Observability contract (per request):
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import uuid
@@ -92,6 +93,7 @@ from repro.obs.tracer import NULL_TRACER, as_tracer
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult
 from repro.service.admission import AdmissionController, Saturated
+from repro.service.encoding import encode_families, object_pieces
 from repro.service.state import ServiceCore
 
 __all__ = ["MiningServer"]
@@ -167,9 +169,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_json(self, status: int, payload: dict, headers=()) -> None:
+        """Send ``payload`` as compact JSON.  A ``bytes`` value is JSON
+        already, such as a state's encoded families, and is spliced as
+        it is (:func:`~repro.service.encoding.object_pieces`)."""
         self._send_bytes(
             status,
-            json.dumps(payload).encode("utf-8"),
+            b"".join(object_pieces(payload.items())),
             "application/json",
             headers,
         )
@@ -280,14 +285,15 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _borders(self, tracer) -> None:
-        state = self.core.state
+        state, seq = self.core.published
+        families = state.encoded()
         self._send_json(
             200,
             {
-                "seq": self.core.seq,
+                "seq": seq,
                 "threshold": state.threshold,
-                "maximal": list(state.maximal),
-                "negative": list(state.negative),
+                "maximal": families.maximal,
+                "negative": families.negative,
             },
         )
 
@@ -307,9 +313,10 @@ class _Handler(BaseHTTPRequestHandler):
         budget = Budget(timeout=min(deadline, self.server.max_deadline))
         with tracer.span("service.admission"):
             self.server.admission.acquire(tracer)
+        state = self.core.state
         try:
             kind, result = self.core.mine(
-                min_support, budget=budget, tracer=tracer
+                min_support, budget=budget, tracer=tracer, state=state
             )
         finally:
             self.server.admission.release()
@@ -319,18 +326,21 @@ class _Handler(BaseHTTPRequestHandler):
                 tracer.event("service.deadline", reason=result.reason)
             self._send_json(206, _partial_payload(result))
             return
+        if kind == "hot" and result["threshold"] == state.threshold:
+            families = state.encoded()  # the state's own, kept
+        else:
+            families = encode_families(
+                result["supports"], result["maximal"], result["negative"]
+            )
         self._send_json(
             200,
             {
                 "partial": False,
                 "source": kind,
                 "threshold": result["threshold"],
-                "supports": [
-                    [mask, supp]
-                    for mask, supp in result["supports"].items()
-                ],
-                "maximal": list(result["maximal"]),
-                "negative": list(result["negative"]),
+                "supports": families.supports,
+                "maximal": families.maximal,
+                "negative": families.negative,
                 "queries": result["queries"],
             },
         )
@@ -476,6 +486,14 @@ class MiningServer(ThreadingHTTPServer):
             TraceContext.capture(self.tracer) if self.tracer.enabled else None
         )
         self._thread: threading.Thread | None = None
+
+    def handle_error(self, request, client_address) -> None:
+        """Report an exception that escaped a handler, unless it is a
+        :class:`ConnectionError`: the client reset or closed the
+        connection while being answered, which is no server fault."""
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
 
     # -- per-request tracing ------------------------------------------
 

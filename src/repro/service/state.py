@@ -47,11 +47,10 @@ no table.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.errors import CheckpointError, WALError
 from repro.datasets.transactions import TransactionDatabase
@@ -59,6 +58,7 @@ from repro.mining.eclat import eclat
 from repro.obs.tracer import as_tracer
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.partial import PartialResult
+from repro.service.encoding import compact, object_pieces
 from repro.service.incremental import (
     MaintainedTheory,
     RepairStats,
@@ -70,7 +70,7 @@ from repro.service.table import SupportTable
 from repro.service.wal import WriteAheadLog
 from repro.util.bitset import Universe, popcount
 
-__all__ = ["ServiceCore"]
+__all__ = ["Published", "ServiceCore"]
 
 SNAPSHOT_NAME = "snapshot.json"
 WAL_NAME = "wal.jsonl"
@@ -80,16 +80,44 @@ WAL_NAME = "wal.jsonl"
 _RETIRED_BACKENDS = frozenset({"numpy", "int", "tidset", "diffset"})
 
 
-def _state_payload(state: MaintainedTheory, seq: int, ledger: dict) -> dict:
-    """The canonical JSON-ready description of the full service state."""
+class Published(NamedTuple):
+    """The current state and the sequence number of the operation that
+    made it, published as one reference so a reader never pairs one
+    state with another's ``seq``."""
+
+    state: MaintainedTheory
+    seq: int
+
+
+def _state_payload(
+    state: MaintainedTheory,
+    seq: int,
+    ledger: dict,
+    rows: bytearray | None = None,
+) -> dict:
+    """The canonical description of the full service state.
+
+    Without ``rows``, every value is JSON-ready: the snapshot's payload.
+    With ``rows`` — the database's rows already encoded as a JSON
+    array — the rows and the families are compact JSON fragments
+    (:meth:`~repro.service.incremental.MaintainedTheory.encoded`), for
+    :meth:`ServiceCore.digest` to hash with
+    :func:`~repro.service.encoding.object_pieces`.
+    """
+    if rows is None:
+        rows = list(state.database.transaction_masks)
+        supports = [[mask, supp] for mask, supp in state.supports.items()]
+        maximal, negative = list(state.maximal), list(state.negative)
+    else:
+        supports, maximal, negative = state.encoded()
     return {
         "seq": seq,
-        "rows": list(state.database.transaction_masks),
+        "rows": rows,
         "backend": state.database.backend,
         "threshold": state.threshold,
-        "supports": [[mask, supp] for mask, supp in state.supports.items()],
-        "maximal": list(state.maximal),
-        "negative": list(state.negative),
+        "supports": supports,
+        "maximal": maximal,
+        "negative": negative,
         "queries": state.queries,
         "support_updates": state.support_updates,
         "repairs": state.repairs,
@@ -153,6 +181,10 @@ class ServiceCore:
         # the snapshot and the WAL, so a restart starts without it.
         self._table: SupportTable | None = None
         self._table_lock = threading.Lock()
+        # The JSON array of the rows the digest has encoded so far: the
+        # database only appends, so a digest encodes only newer rows.
+        self._rows_json = bytearray(b"[]")
+        self._rows_encoded = 0
 
         snapshot_seq = 0
         state: MaintainedTheory | None = None
@@ -165,8 +197,7 @@ class ServiceCore:
                 )
         if state is None:
             state = mine_initial(database, min_support)
-        self._state = state
-        self._seq = snapshot_seq
+        self._published = Published(state, snapshot_seq)
 
         if self._dir is not None:
             fsync_observer = None
@@ -193,7 +224,7 @@ class ServiceCore:
                     "service.recover",
                     snapshot_seq=snapshot_seq,
                     replayed=replayed,
-                    seq=self._seq,
+                    seq=self.seq,
                 )
 
     # -- recovery -----------------------------------------------------
@@ -249,16 +280,15 @@ class ServiceCore:
         if kind == "append":
             rows = [int(r) for r in record["rows"]]
             new_state, _ = apply_append(
-                self._state, rows, repair_limit=self._repair_limit
+                self.state, rows, repair_limit=self._repair_limit
             )
         elif kind == "threshold":
             new_state, _ = apply_threshold(
-                self._state, record["value"], repair_limit=self._repair_limit
+                self.state, record["value"], repair_limit=self._repair_limit
             )
         else:
             raise WALError(f"unknown WAL record kind {kind!r}")
-        self._state = new_state
-        self._seq = record["seq"]
+        self._published = Published(new_state, record["seq"])
         op = record.get("op")
         if op is not None:
             self._ledger[op] = record["seq"]
@@ -266,14 +296,19 @@ class ServiceCore:
     # -- reads (lock-free: one reference grab) ------------------------
 
     @property
+    def published(self) -> Published:
+        """The current ``(state, seq)`` pair, read as one reference."""
+        return self._published
+
+    @property
     def state(self) -> MaintainedTheory:
         """The current immutable maintained theory."""
-        return self._state
+        return self._published.state
 
     @property
     def seq(self) -> int:
         """Sequence number of the last applied operation."""
-        return self._seq
+        return self._published.seq
 
     def mine(
         self,
@@ -281,6 +316,7 @@ class ServiceCore:
         *,
         budget=None,
         tracer=None,
+        state: MaintainedTheory | None = None,
     ):
         """Frequent itemsets at ``min_support`` (default: maintained).
 
@@ -302,16 +338,21 @@ class ServiceCore:
         under a ``service.mine`` span whose close note records the
         source, and a cold mine passes the tracer into
         :func:`~repro.mining.eclat.eclat` so the request trace carries
-        the full, monitor-certifiable ``eclat.run`` tree.
+        the full, monitor-certifiable ``eclat.run`` tree.  ``state``
+        answers from a state read earlier from :attr:`published`
+        instead of the current one: the HTTP layer splices that
+        state's encoded families into a hot body.
 
         Returns:
             ``("hot" | "table" | "mined", dict)`` on completion — the
-            dict holds ``threshold``, ``supports``, ``maximal``,
-            ``negative`` and ``queries`` (0 unless mined) — or
-            ``("partial", PartialResult)`` on a deadline cut.
+            dict holds ``threshold``, ``supports`` (the caller's own
+            dict), ``maximal``, ``negative`` and ``queries`` (0 unless
+            mined) — or ``("partial", PartialResult)`` on a deadline
+            cut.
         """
         t = self._tracer if tracer is None else as_tracer(tracer)
-        state = self._state
+        if state is None:
+            state = self.state
         if min_support is None:
             threshold = state.threshold
         else:
@@ -320,11 +361,14 @@ class ServiceCore:
             if threshold >= state.threshold:
                 source = "hot"
                 maximal, negative = state.theory_at(threshold)
-                supports = {
-                    mask: supp
-                    for mask, supp in state.supports.items()
-                    if supp >= threshold
-                }
+                if threshold == state.threshold:
+                    supports = dict(state.supports)
+                else:
+                    supports = {
+                        mask: supp
+                        for mask, supp in state.supports.items()
+                        if supp >= threshold
+                    }
             else:
                 source = "table"
                 read = self._read_table(state.database, threshold)
@@ -388,7 +432,7 @@ class ServiceCore:
 
     def member(self, mask: int) -> dict:
         """Certified membership of ``mask`` via the border bracket."""
-        state = self._state
+        state = self.state
         if mask & ~state.database.universe.full_mask:
             raise ValueError("mask uses items outside the universe")
         frequent, witness = state.member_witness(mask)
@@ -450,7 +494,7 @@ class ServiceCore:
         durably poisons the log and the service can never restart.
         """
         if kind == "append":
-            full = self._state.database.universe.full_mask
+            full = self.state.database.universe.full_mask
             for row in payload["rows"]:
                 if row < 0 or row & ~full:
                     raise ValueError(
@@ -458,7 +502,7 @@ class ServiceCore:
                         "outside the universe"
                     )
         else:
-            self._state.database.absolute_support(payload["value"])
+            self.state.database.absolute_support(payload["value"])
 
     def _mutate(
         self,
@@ -485,11 +529,11 @@ class ServiceCore:
                         **({} if op_id is None else {"op": op_id}),
                     )
             else:
-                seq = self._seq + 1
+                seq = self.seq + 1
             with t.span("service.apply", kind=kind):
                 if kind == "append":
                     new_state, stats = apply_append(
-                        self._state,
+                        self.state,
                         payload["rows"],
                         repair_limit=self._repair_limit,
                         tracer=t,
@@ -498,8 +542,7 @@ class ServiceCore:
                     new_state, stats = self._move_threshold(
                         payload["value"], t
                     )
-            self._state = new_state
-            self._seq = seq
+            self._published = Published(new_state, seq)
             if op_id is not None:
                 self._ledger[op_id] = seq
             if t.enabled:
@@ -523,7 +566,7 @@ class ServiceCore:
         threshold (the table first counts the rows appended since it
         was last used); a raise reads the state's own table and leaves
         the support table alone."""
-        state = self._state
+        state = self.state
         threshold = state.database.absolute_support(value)
         if threshold < state.threshold:
             with self._table_lock:
@@ -553,39 +596,57 @@ class ServiceCore:
             return
         with self._lock:
             t0 = time.perf_counter()
+            state, seq = self._published
             checkpoint = Checkpoint(
                 algorithm="service",
-                universe_items=tuple(
-                    self._state.database.universe.items
-                ),
-                state=_state_payload(self._state, self._seq, self._ledger),
-                accounting={"queries": self._state.queries},
+                universe_items=tuple(state.database.universe.items),
+                state=_state_payload(state, seq, self._ledger),
+                accounting={"queries": state.queries},
             )
             checkpoint.save(os.path.join(self._dir, SNAPSHOT_NAME))
-            self._wal.reset(self._seq)
+            self._wal.reset(seq)
             if self._registry is not None:
                 self._registry.histogram(
                     "repro_compaction_seconds"
                 ).observe(time.perf_counter() - t0)
             if self._tracer.enabled:
-                self._tracer.event("service.compact", seq=self._seq)
+                self._tracer.event("service.compact", seq=seq)
 
     # -- identity -----------------------------------------------------
 
     def digest(self) -> str:
         """SHA-256 over the canonical full state (data, theory,
         borders, accounting, ledger) — two cores with equal digests are
-        bit-identical, which is the chaos suite's acceptance check."""
+        bit-identical, which is the chaos suite's acceptance check.
+
+        The hashed text is ``json.dumps(_state_payload(state, seq,
+        ledger), sort_keys=True, separators=(",", ":"))``, fed to
+        SHA-256 field by field in that key order: the rows from the
+        encoding this core keeps (extended by the rows appended since
+        the last digest), the families from the state's own
+        (:meth:`~repro.service.incremental.MaintainedTheory.encoded`),
+        every other field encoded here."""
+        digest = hashlib.sha256()
         with self._lock:
-            payload = _state_payload(self._state, self._seq, self._ledger)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            state, seq = self._published
+            rows = state.database._masks_view()  # no copy of every row
+            if len(rows) > self._rows_encoded:
+                encoded = compact(rows[self._rows_encoded:])
+                if self._rows_encoded:  # replace "]" with ",new rows]"
+                    self._rows_json[-1:] = b"," + encoded[1:]
+                else:
+                    self._rows_json[:] = encoded
+                self._rows_encoded = len(rows)
+            payload = _state_payload(state, seq, self._ledger, self._rows_json)
+            for piece in object_pieces(sorted(payload.items())):
+                digest.update(piece)
+        return digest.hexdigest()
 
     def metrics(self) -> dict:
         """Counters for ``/metrics`` (monotone within a process life)."""
-        state = self._state
+        state, seq = self._published
         return {
-            "seq": self._seq,
+            "seq": seq,
             "n_transactions": state.database.n_transactions,
             "n_items": len(state.database.universe),
             "threshold": state.threshold,

@@ -8,11 +8,15 @@ including the 503 + ``Retry-After`` and certified-206 contracts.
 from __future__ import annotations
 
 import json
+import random
 import socket
+import struct
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -452,3 +456,124 @@ def test_request_is_stitched_before_it_is_counted():
     assert endpoint == "/mine"
     assert "service.request" in stitched
     assert "service.mine" in stitched
+
+
+def _finished_requests(srv):
+    """A semaphore released as each of ``srv``'s handler threads ends,
+    error report included."""
+    finished = threading.Semaphore(0)
+    process = srv.process_request_thread
+
+    def counted(request, client_address):
+        try:
+            process(request, client_address)
+        finally:
+            finished.release()
+
+    srv.process_request_thread = counted
+    return finished
+
+
+def test_client_reset_mid_answer_prints_no_traceback(capsys):
+    """A client that sends an over-limit ``/append`` header and resets
+    the connection has left: the server reports nothing.  An exception
+    of the server's own is still reported."""
+    from repro.service.server import MAX_BODY_BYTES
+
+    core = ServiceCore(
+        TransactionDatabase(Universe(["a", "b", "c"]), [3, 5, 7]), 2
+    )
+    srv = MiningServer(core, port=0).start_background()
+    finished = _finished_requests(srv)
+    head = (
+        "POST /append HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+    ).encode("ascii")
+    try:
+        for _ in range(5):
+            sock = socket.create_connection(
+                ("127.0.0.1", srv.port), timeout=5
+            )
+            sock.sendall(head)
+            # Linger 0: close() sends a reset instead of a FIN.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+        for _ in range(5):
+            assert finished.acquire(timeout=10)
+        assert "Traceback" not in capsys.readouterr().err
+
+        def broken(mask):
+            raise RuntimeError("member lookup broke")
+
+        core.member = broken
+        with pytest.raises(OSError):  # the server drops the connection
+            urllib.request.urlopen(
+                f"http://127.0.0.1:{srv.port}/member?mask=1", timeout=10
+            )
+        assert finished.acquire(timeout=10)
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "member lookup broke" in err
+    finally:
+        srv.stop()
+
+
+def test_borders_pairs_seq_with_the_state_it_read():
+    """Each ``/borders`` body carries the borders recorded at its own
+    ``seq`` while threshold moves race the reads.  The readers call the
+    handler's ``/borders`` method directly, tens of thousands of times a
+    second, so a read of the state and the ``seq`` as two references
+    shows as a body pairing one state's borders with another's
+    ``seq``."""
+    from repro.service.server import _Handler
+
+    rng = random.Random(1)
+    database = TransactionDatabase(
+        Universe([f"i{k}" for k in range(6)]),
+        [rng.getrandbits(6) for _ in range(30)],
+    )
+    core = ServiceCore(database, 8)
+    state = core.state
+    recorded = {0: (list(state.maximal), list(state.negative))}
+    done = threading.Event()
+    bodies: list[bytes] = []
+
+    def write():
+        try:
+            for step in range(300):
+                seq, _, _ = core.set_threshold(6 if step % 2 else 10)
+                state = core.state  # the one writer: still at seq
+                recorded[seq] = (list(state.maximal), list(state.negative))
+        finally:
+            done.set()
+
+    def read():
+        handler = _Handler.__new__(_Handler)
+        handler.server = SimpleNamespace(core=core)
+        sent: list[bytes] = []
+        handler._send_bytes = lambda status, body, *rest: sent.append(body)
+        while not done.is_set():
+            handler._borders(None)
+        bodies.extend(sent)
+
+    threads = [threading.Thread(target=write)]
+    threads += [threading.Thread(target=read) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(recorded) == 301
+    mismatched = 0
+    for raw in bodies:
+        body = json.loads(raw)
+        mismatched += (body["maximal"], body["negative"]) != (
+            recorded[body["seq"]]
+        )
+    assert mismatched == 0, f"{mismatched} of {len(bodies)} bodies"

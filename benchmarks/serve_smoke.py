@@ -5,11 +5,12 @@ the whole advertised lifecycle over real HTTP: ``/health``,
 ``/borders``, a hot ``/mine``, an ``/append`` batch, a duplicate
 ``/append`` (idempotency), two rejected appends (an over-limit body
 answers 413 and a float row 400, each leaving the digest unchanged), a
-``/threshold`` raise, cold ``/mine`` requests below it around an
-append at the raised threshold (a miss that becomes the support table,
-a hit at a higher threshold that the table answers, a miss below the
-first; none changes the digest), a lower back (read from that table),
-and ``/metrics`` —
+``/threshold`` raise, a ``/mine`` above it (read from a table built
+from the state: ``"hot"``, no queries, the digest unchanged), cold
+``/mine`` requests below it around an append at the raised threshold
+(a miss that becomes the support table, a hit at a higher threshold
+that the table answers, a miss below the first; none changes the
+digest), a lower back (read from that table), and ``/metrics`` —
 verifying after every mutation that the *incrementally maintained*
 theory is bit-identical to from-scratch :func:`~repro.mining.eclat.eclat`
 on the same rows.  The server compacts every :data:`COMPACT_EVERY`
@@ -118,23 +119,25 @@ def _digest(port: int) -> str:
     return _post(port, "/append", {"rows": [], "op": "smoke-1"})["digest"]
 
 
-def _cold_mine(port: int, database, threshold: int, source: str) -> None:
-    """A cold ``/mine`` must answer as scratch eclat does, from
-    ``source``, and leave the digest as it was."""
+def _mine_at(port: int, database, threshold: int, source: str) -> None:
+    """A ``/mine`` off the maintained threshold must answer as scratch
+    eclat does, from ``source``, and leave the digest as it was."""
     before = _digest(port)
     mined = _get(port, f"/mine?min_support={threshold}")
     scratch = eclat(database, threshold)
     assert mined["partial"] is False
     assert mined["source"] == source, (threshold, mined["source"])
-    assert mined["queries"] == (0 if source == "table" else scratch.queries)
+    assert mined["queries"] == (
+        scratch.queries if source == "mined" else 0
+    )
     assert dict(
         (mask, supp) for mask, supp in mined["supports"]
-    ) == scratch.supports, f"cold /mine at {threshold}: supports diverged"
-    assert mined["maximal"] == list(scratch.maximal), "cold Bd+ diverged"
+    ) == scratch.supports, f"/mine at {threshold}: supports diverged"
+    assert mined["maximal"] == list(scratch.maximal), "Bd+ diverged"
     assert mined["negative"] == list(scratch.negative_border), (
-        "cold Bd- diverged"
+        "Bd- diverged"
     )
-    assert _digest(port) == before, "a cold /mine changed the digest"
+    assert _digest(port) == before, f"/mine at {threshold} changed the digest"
 
 
 def _start(args):
@@ -243,17 +246,28 @@ def main(argv=None) -> int:
         _check_against_scratch(port, database, raised)
         print("serve-smoke: post-threshold theory == scratch eclat")
 
+        # Half the rows: the generated data keeps its whole lattice
+        # frequent far above the maintained threshold, and a stricter
+        # answer must differ from the maintained theory to tell.
+        stricter = database.n_transactions // 2
+        assert eclat(database, stricter).supports != eclat(
+            database, raised
+        ).supports, "the stricter threshold does not change the theory"
+        _mine_at(port, database, stricter, "hot")
+        print("serve-smoke: /mine above the threshold == scratch eclat, "
+              "digest unchanged")
+
         metrics = _get(port, "/metrics")
         assert metrics["seq"] == 2
         assert metrics["n_transactions"] == database.n_transactions
 
-        _cold_mine(port, database, MIN_SUPPORT, "mined")
+        _mine_at(port, database, MIN_SUPPORT, "mined")
         delta = [rng.getrandbits(n_items) for _ in range(10)]
         _, database = _append(port, database, delta, "smoke-2")
         _check_against_scratch(port, database, raised)
         print("serve-smoke: append at the raised threshold == scratch eclat")
-        _cold_mine(port, database, MIN_SUPPORT + 1, "table")
-        _cold_mine(port, database, MIN_SUPPORT - 1, "mined")
+        _mine_at(port, database, MIN_SUPPORT + 1, "table")
+        _mine_at(port, database, MIN_SUPPORT - 1, "mined")
         print("serve-smoke: cold /mine miss, table hit, miss == scratch "
               "eclat, digest unchanged")
 

@@ -11,7 +11,8 @@ Eiter and Gottlob (their Theorem 5.4).
 
 Notably the algorithm never reads the hypergraph's structure directly: it
 only asks "is this subset a transversal?", exactly the black-box access
-pattern the paper emphasizes.
+pattern the paper emphasizes.  The search is the library's one Algorithm 9
+engine, :func:`~repro.mining.levelwise.levelwise`, run on that predicate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from repro.hypergraph.hypergraph import minimize_family
-from repro.util.bitset import rank_sorted
+from repro.util.bitset import Universe
 
 
 def levelwise_transversal_masks(
@@ -55,51 +56,11 @@ def levelwise_transversal_masks(
         def is_transversal(mask: int, _edges=tuple(edges)) -> bool:
             return all(mask & edge for edge in _edges)
 
-    transversal_border: list[int] = []
-    # Level 0: the empty set.  It is interesting (a non-transversal)
-    # whenever at least one edge exists, which holds here.
-    current_level: list[int] = [0]
-    while current_level:
-        interesting_current: list[int] = []
-        for candidate in current_level:
-            if is_transversal(candidate):
-                transversal_border.append(candidate)
-            else:
-                interesting_current.append(candidate)
-        current_level = _next_candidates(
-            interesting_current, set(interesting_current), n_vertices
-        )
-    return rank_sorted(transversal_border)
+    # Imported here: transversal methods that never take this path
+    # load no miner.
+    from repro.mining.levelwise import levelwise
 
-
-def _next_candidates(
-    interesting_current: list[int],
-    interesting_set: set[int],
-    n_vertices: int,
-) -> list[int]:
-    """Apriori-style candidate generation for the next lattice level.
-
-    A set of size ``i+1`` is a candidate when all of its ``i``-subsets
-    were interesting (non-transversals) at the previous level; this is
-    precisely Step 5 / the negative-border step of Algorithm 9.
-    """
-    candidates: set[int] = set()
-    for mask in interesting_current:
-        top = mask.bit_length()
-        for bit_index in range(top, n_vertices):
-            extended = mask | (1 << bit_index)
-            if extended == mask or extended in candidates:
-                continue
-            if _all_maximal_subsets_interesting(extended, interesting_set):
-                candidates.add(extended)
-    return sorted(candidates)
-
-
-def _all_maximal_subsets_interesting(mask: int, interesting: set[int]) -> bool:
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        if (mask & ~low) not in interesting:
-            return False
-        remaining ^= low
-    return True
+    theory = levelwise(
+        Universe(range(n_vertices)), lambda mask: not is_transversal(mask)
+    )
+    return list(theory.negative_border)

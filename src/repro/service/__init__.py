@@ -34,7 +34,6 @@ _EXPORTS = {
     "repro.service.incremental": (
         "MaintainedTheory",
         "RepairStats",
-        "append_database",
         "apply_append",
         "apply_threshold",
         "mine_initial",

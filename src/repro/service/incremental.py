@@ -23,22 +23,29 @@ The state keeps the support of every ``Th`` member *and* of every
 supports are what re-verifying it needs — and every update runs
 through a :class:`~repro.service.table.SupportTable` of them:
 
-* rows appended, or a lower below every table: a table of the state
-  (1) refreshes its supports with one *delta-only* counting pass over
-  the appended rows alone, (2) re-verifies the old ``Bd-`` from those
-  refreshed supports, and (3) grows a breadth-first closure from the
-  ``Bd-`` members that crossed the new threshold, generating
-  candidates only when every immediate generalization is already
-  known frequent (the Algorithm 9 safety rule) and counting each on
-  the full database (:meth:`~repro.service.table.SupportTable.sync`);
-* a raise, or a lower to a table kept from an earlier, lower cold
-  mine: no delta, no closure, no database work — the new borders are
-  read from the table by comparing supports.
+* rows appended, or a lower below the given table: a table built
+  from the state for this update (1) refreshes its supports with one
+  *delta-only* counting pass over the appended rows alone, (2)
+  re-verifies the old ``Bd-`` from those refreshed supports, and (3)
+  grows a breadth-first closure from the ``Bd-`` members that crossed
+  the new threshold, generating candidates only when every immediate
+  generalization is already known frequent (the Algorithm 9 safety
+  rule) and counting each on the full database
+  (:meth:`~repro.service.table.SupportTable.sync`);
+* a raise, read from a table built from the state for this update, or
+  a lower to a table the caller kept from an earlier, lower cold mine:
+  no delta, no closure, no database work — the new borders are read
+  from the table by comparing supports.
+
+A state keeps no table: an update, or a read above the maintained
+threshold, builds one from the state for itself
+(:meth:`MaintainedTheory._new_table`), so concurrent readers share
+nothing but the immutable state.
 
 Every support the new theory or new ``Bd-`` needs is evaluated exactly
-once; the result is property-tested bit-identical to from-scratch
-mining across random databases, thresholds, and batch splits
-(``tests/test_service_incremental.py``).
+once; the result is model-checked bit-identical to from-scratch mining
+across random histories of appends, threshold moves and restarts
+(``tests/test_service_model.py``).
 
 When an update invalidates too much of the border — the repair would
 charge more than ``repair_limit`` queries — the repair aborts
@@ -70,7 +77,6 @@ from repro.util.bitset import rank_sorted
 __all__ = [
     "MaintainedTheory",
     "RepairStats",
-    "append_database",
     "apply_append",
     "apply_threshold",
     "mine_initial",
@@ -149,9 +155,6 @@ class MaintainedTheory:
     support_updates: int = 0
     repairs: int = 0
     remines: int = 0
-    _table: SupportTable | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _encoded: Families | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -178,20 +181,11 @@ class MaintainedTheory:
             f"mask {mask:#x} escaped the border bracket"
         )
 
-    def table(self) -> SupportTable:
-        """``Th ∪ Bd-`` with their supports as a
-        :class:`~repro.service.table.SupportTable` at the maintained
-        threshold — every stricter theory, read by comparison.  Built
-        on first use and kept with this state (never changed)."""
-        if self._table is None:
-            object.__setattr__(self, "_table", self._new_table())
-        return self._table
-
     def encoded(self) -> Families:
         """``supports``, ``maximal`` and ``negative`` as compact JSON
         (:func:`~repro.service.encoding.encode_families`), which the
         digest and the read bodies splice.  Encoded on first use and
-        kept with this state, like :meth:`table`."""
+        kept with this state."""
         if self._encoded is None:
             object.__setattr__(
                 self,
@@ -201,8 +195,10 @@ class MaintainedTheory:
         return self._encoded
 
     def _new_table(self) -> SupportTable:
-        """A table of this state's ``Th ∪ Bd-`` of its own, for a
-        repair to change."""
+        """``Th ∪ Bd-`` with their supports as a
+        :class:`~repro.service.table.SupportTable` at the maintained
+        threshold — every stricter theory, read by comparison — built
+        for one caller, which may change it."""
         return SupportTable(
             len(self.database.universe),
             self.supports,
@@ -211,32 +207,6 @@ class MaintainedTheory:
             self.threshold,
             self.database.n_transactions,
         )
-
-    def theory_at(
-        self, threshold: int
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Borders at a *stricter* threshold, from the hot table alone.
-
-        For ``threshold >= self.threshold`` the full support closure
-        already contains every set that could be frequent, so both
-        borders are read from :meth:`table` with zero database work
-        (each member's support against the threshold and its two
-        derived supports).  At the maintained threshold itself the
-        answer is the stored ``(maximal, negative)`` pair.
-
-        Raises:
-            ValueError: for a looser threshold — that needs a repair or
-                a fresh mine, not a filter.
-        """
-        if threshold < self.threshold:
-            raise ValueError(
-                f"threshold {threshold} is below the maintained "
-                f"{self.threshold}; the hot table cannot answer it"
-            )
-        if threshold == self.threshold:
-            return self.maximal, self.negative
-        read = self.table().read(threshold)
-        return tuple(read.maximal.tolist()), tuple(read.negative.tolist())
 
 
 def mine_initial(
@@ -260,16 +230,6 @@ def mine_initial(
     )
 
 
-def append_database(
-    database: TransactionDatabase, delta_masks: list[int]
-) -> TransactionDatabase:
-    """A new database with ``delta_masks`` appended: O(items · delta)
-    column extension, carrying the row list when ``database`` holds one
-    (:meth:`~repro.datasets.transactions.TransactionDatabase.appended`).
-    """
-    return database.appended(delta_masks)
-
-
 class _RepairBudgetExceeded(Exception):
     """Internal: the closure outgrew ``repair_limit``; remine instead."""
 
@@ -285,11 +245,10 @@ def _repair(
     from a support table.
 
     ``table`` (counted on ``state.database``) serves when its floor is
-    at or below ``new_threshold``; else the state's own does.  When the
-    theory can grow past every table — rows appended, or a lower below
-    the floors — a new table of the state syncs to ``new_db`` at
-    ``new_threshold``; see the module docstring for the completeness
-    argument.
+    at or below ``new_threshold``; else a table built from the state
+    does, and when the theory can grow past it — rows appended, or a
+    lower — it syncs to ``new_db`` at ``new_threshold``; see the
+    module docstring for the completeness argument.
 
     Charges: one query per old ``Bd-`` member and per closure
     candidate.  The old ``Th ∪ Bd-`` lies inside the new one unless
@@ -308,16 +267,12 @@ def _repair(
             raise _RepairBudgetExceeded
 
     charge(0)
-    if table is not None and table.floor > new_threshold:
-        table = None
-    if new_db.n_transactions > state.database.n_transactions or (
-        table is None and new_threshold < state.threshold
-    ):
+    grows = new_db.n_transactions > state.database.n_transactions
+    if grows or table is None or table.floor > new_threshold:
         table = state._new_table()
+    if grows or table.floor > new_threshold:
         promoted = table.sync(new_db, new_threshold, charge)
     else:
-        if table is None:
-            table = state.table()
         promoted = sum(
             supp >= new_threshold for supp in state.negative_supports
         )
@@ -335,11 +290,7 @@ def _repair(
             len(read.theory) + len(read.negative) - len(state.supports)
             - evaluated
         )
-    support_updates = (
-        len(state.supports)
-        if new_db.n_transactions > state.database.n_transactions
-        else 0
-    )
+    support_updates = len(state.supports) if grows else 0
     new_state = replace(
         state,
         database=new_db,
@@ -429,7 +380,7 @@ def apply_append(
     Returns:
         ``(new_state, stats)`` — the input state is never mutated.
     """
-    new_db = append_database(state.database, list(delta_masks))
+    new_db = state.database.appended(delta_masks)
     return _update(state, new_db, state.threshold, repair_limit, tracer)
 
 
@@ -445,12 +396,11 @@ def apply_threshold(
 
     A move is read from a support table whenever one covers the new
     threshold: ``table`` (counted on ``state.database``) when its floor
-    is at or below it, else, for a raise, the state's own
-    (:meth:`MaintainedTheory.table`).  No database is touched then.  A
-    lower below every table grows the theory through the old ``Bd-``,
-    exactly like an append.  Either way the state and the
-    :class:`RepairStats` are the same, charges and ``repair_limit``
-    fallback included.
+    is at or below it, else, for a raise, one built from the state.  No
+    database is touched then.  A lower below ``table`` grows the theory
+    through the old ``Bd-``, exactly like an append.  Either way the
+    state and the :class:`RepairStats` are the same, charges and
+    ``repair_limit`` fallback included.
 
     Raises:
         ValueError: when ``table`` counted other rows than

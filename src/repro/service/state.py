@@ -28,20 +28,22 @@ Recovery inverts the protocol: load the snapshot (if any), rebuild the
 theory *bit-for-bit from the stored closure* (no remining — the stored
 ``queries`` accounting stays honest; only the ``Bd-`` supports, which
 the snapshot does not hold, are recounted from its rows, where a mine
-takes them from Eclat's own counts), then replay
-WAL records newer than the snapshot through the same pure apply
-functions.  Because every apply is deterministic, the recovered state
-— theory, borders, supports *and* accounting — is identical to a run
-that never crashed; the chaos suite asserts this via
+takes them from Eclat's own counts), then replay WAL records newer
+than the snapshot through the method a live write applies by
+(``ServiceCore._apply``).  Because every apply is deterministic, the
+recovered state — theory, borders, supports *and* accounting — is
+identical to a run that never crashed; the chaos suite asserts this via
 :meth:`ServiceCore.digest` at randomized kill points.
 
 Beside the state the core keeps one
 :class:`~repro.service.table.SupportTable`: ``Th ∪ Bd-`` of its last
-complete cold mine, which answers later cold mines and threshold moves
+complete cold mine, which answers later cold mines and threshold lowers
 at or above its floor.  It is a cache — outside the state, the digest,
 the snapshot and the WAL, charged nothing, empty after a restart — and
 a move it serves yields the state the closure would, so recovery needs
-no table.
+no table.  It is the only table kept: a state holds none, and every
+other repair or ``/mine`` above the maintained threshold reads one
+built from the state for that call.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _state_payload(
     :func:`~repro.service.encoding.object_pieces`.
     """
     if rows is None:
-        rows = list(state.database.transaction_masks)
+        rows = state.database._masks_view()  # json.dumps copies nothing
         supports = [[mask, supp] for mask, supp in state.supports.items()]
         maximal, negative = list(state.maximal), list(state.negative)
     else:
@@ -218,7 +220,9 @@ class ServiceCore:
             )
             replayed = len(self._wal.records)
             for record in self._wal.records:
-                self._apply_record(record)
+                self._apply(
+                    record.get("kind"), record, record["seq"], record.get("op")
+                )
             if self._tracer.enabled:
                 self._tracer.event(
                     "service.recover",
@@ -274,24 +278,31 @@ class ServiceCore:
             ) from error
         return state, seq, ledger
 
-    def _apply_record(self, record: dict) -> None:
-        """Replay one WAL record through the pure apply functions."""
-        kind = record.get("kind")
+    def _apply(
+        self,
+        kind: str,
+        payload: dict[str, Any],
+        seq: int,
+        op_id: str | None,
+        tracer=None,
+    ) -> RepairStats:
+        """Apply one logged operation — a live write or a replayed WAL
+        record — and publish the state it makes as ``seq``."""
         if kind == "append":
-            rows = [int(r) for r in record["rows"]]
-            new_state, _ = apply_append(
-                self.state, rows, repair_limit=self._repair_limit
+            new_state, stats = apply_append(
+                self.state,
+                payload["rows"],
+                repair_limit=self._repair_limit,
+                tracer=tracer,
             )
         elif kind == "threshold":
-            new_state, _ = apply_threshold(
-                self.state, record["value"], repair_limit=self._repair_limit
-            )
+            new_state, stats = self._move_threshold(payload["value"], tracer)
         else:
             raise WALError(f"unknown WAL record kind {kind!r}")
-        self._published = Published(new_state, record["seq"])
-        op = record.get("op")
-        if op is not None:
-            self._ledger[op] = record["seq"]
+        self._published = Published(new_state, seq)
+        if op_id is not None:
+            self._ledger[op_id] = seq
+        return stats
 
     # -- reads (lock-free: one reference grab) ------------------------
 
@@ -320,15 +331,15 @@ class ServiceCore:
     ):
         """Frequent itemsets at ``min_support`` (default: maintained).
 
-        Thresholds at or above the maintained one are served from the
-        hot closure with **zero** database work — Theorem 2 certifies
-        the filtered table.  A looser threshold is read from the
-        support table of an earlier cold mine when its floor is at or
-        below it: the table first counts the rows appended since, then
-        answers by comparison and re-bases to this threshold.  Any
-        other threshold falls through to a real
-        :func:`~repro.mining.eclat.eclat` run on the hot database under
-        the caller's budget, which may return a certified
+        The maintained threshold is answered from the state; a
+        stricter one from a table built from the state for this call,
+        with **zero** database work — Theorem 2 certifies the read.  A
+        looser threshold is read from the support table of an earlier
+        cold mine when its floor is at or below it: the table first
+        counts the rows appended since, then answers by comparison and
+        re-bases to this threshold.  Any other threshold falls through
+        to a real :func:`~repro.mining.eclat.eclat` run on the hot
+        database under the caller's budget, which may return a certified
         :class:`~repro.runtime.partial.PartialResult`; a complete run
         becomes the support table.  None of this touches the state,
         its charges or its digest.
@@ -358,26 +369,22 @@ class ServiceCore:
         else:
             threshold = state.database.absolute_support(min_support)
         with t.span("service.mine", threshold=threshold) as span:
-            if threshold >= state.threshold:
+            read = None
+            if threshold == state.threshold:
                 source = "hot"
-                maximal, negative = state.theory_at(threshold)
-                if threshold == state.threshold:
-                    supports = dict(state.supports)
-                else:
-                    supports = {
-                        mask: supp
-                        for mask, supp in state.supports.items()
-                        if supp >= threshold
-                    }
+                supports = dict(state.supports)
+                maximal, negative = state.maximal, state.negative
+            elif threshold > state.threshold:
+                source, read = "hot", state._new_table().read(threshold)
             else:
                 source = "table"
                 read = self._read_table(state.database, threshold)
-                if read is not None:
-                    supports = dict(zip(
-                        read.theory.tolist(), read.theory_supports.tolist()
-                    ))
-                    maximal = tuple(read.maximal.tolist())
-                    negative = tuple(read.negative.tolist())
+            if read is not None:
+                supports = dict(zip(
+                    read.theory.tolist(), read.theory_supports.tolist()
+                ))
+                maximal = tuple(read.maximal.tolist())
+                negative = tuple(read.negative.tolist())
             if source == "hot" or read is not None:
                 span.note(source=source, queries=0)
                 return source, {
@@ -531,20 +538,7 @@ class ServiceCore:
             else:
                 seq = self.seq + 1
             with t.span("service.apply", kind=kind):
-                if kind == "append":
-                    new_state, stats = apply_append(
-                        self.state,
-                        payload["rows"],
-                        repair_limit=self._repair_limit,
-                        tracer=t,
-                    )
-                else:
-                    new_state, stats = self._move_threshold(
-                        payload["value"], t
-                    )
-            self._published = Published(new_state, seq)
-            if op_id is not None:
-                self._ledger[op_id] = seq
+                stats = self._apply(kind, payload, seq, op_id, t)
             if t.enabled:
                 t.event(
                     "service.append" if kind == "append" else
@@ -564,8 +558,10 @@ class ServiceCore:
         """:func:`~repro.service.incremental.apply_threshold`.  A lower
         is read from the support table when its floor covers the new
         threshold (the table first counts the rows appended since it
-        was last used); a raise reads the state's own table and leaves
-        the support table alone."""
+        was last used); a raise, or a lower it does not cover, goes
+        through a table built from the state and leaves the support
+        table alone.  WAL replay takes this path too: recovery starts
+        with no support table, so its moves are the closure's."""
         state = self.state
         threshold = state.database.absolute_support(value)
         if threshold < state.threshold:

@@ -2,24 +2,23 @@
 
 :meth:`ServiceCore.digest` hashes the rows from an encoding the core
 extends as rows arrive and the families from the one each state keeps;
-``/borders`` and a hot ``/mine`` splice the same family bytes.  Random
-histories pin both to the full encodings they replace: the digest byte
-for byte to the SHA-256 of ``json.dumps(_state_payload(...),
-sort_keys=True, separators=(",", ":"))``, and every body value for
-value to what the handler built from lists before.
+``/borders`` and a hot ``/mine`` splice the same family bytes.  The
+references here pin both to the full encodings they replace — the
+digest byte for byte to the SHA-256 of ``json.dumps(_state_payload(...),
+sort_keys=True, separators=(",", ":"))`` (:func:`_reference_digest`),
+every body value for value to what the handler built from lists before
+(:func:`_reference_bodies`) — and ``tests/test_service_model.py``
+checks them after every step of its random service histories.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import tempfile
 from types import SimpleNamespace
 
-from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import BACKENDS
 from repro.datasets.transactions import TransactionDatabase
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
@@ -97,95 +96,6 @@ def _served_bodies(core: ServiceCore) -> tuple[dict, ...]:
         handler._mine({"min_support": [str(min_support)]}, NULL_TRACER)
     assert [status for status, _ in sent] == [200] * 4
     return tuple(json.loads(body) for _, body in sent)
-
-
-@st.composite
-def _history(draw):
-    n_items = draw(st.integers(2, 6))
-    n_rows = draw(st.integers(1, 10))
-    rows = [
-        draw(st.integers(0, (1 << n_items) - 1)) for _ in range(n_rows)
-    ]
-    threshold = draw(st.integers(1, n_rows))
-    level = st.one_of(
-        st.integers(0, n_rows + 8), st.sampled_from([0.1, 0.3, 0.5])
-    )
-    steps = []
-    for _ in range(draw(st.integers(1, 10))):
-        kind = draw(st.sampled_from(["append"] * 3 + ["threshold", "reopen"]))
-        if kind == "append":
-            payload = [
-                draw(st.integers(0, (1 << n_items) - 1))
-                for _ in range(draw(st.integers(0, 4)))
-            ]
-        elif kind == "threshold":
-            payload = draw(level)
-        else:
-            payload = None
-        steps.append((kind, payload, draw(_OP_IDS)))
-    return n_items, rows, threshold, steps
-
-
-class TestEncodedState:
-    @given(_history(), st.sampled_from(["rows", "vertical"]))
-    @settings(max_examples=60, deadline=None)
-    def test_digest_and_bodies_equal_the_full_encoding(self, history, layout):
-        n_items, rows, threshold, steps = history
-        universe = Universe([f"i{k}" for k in range(n_items)])
-        for backend in BACKENDS:
-            database = TransactionDatabase(universe, rows, backend=backend)
-            if layout == "vertical":
-                database = TransactionDatabase.from_vertical(
-                    universe,
-                    database.tidsets_view(),
-                    database.n_transactions,
-                    backend=backend,
-                )
-            with tempfile.TemporaryDirectory() as state_dir:
-                self._replay(database, threshold, steps, state_dir)
-
-    @staticmethod
-    def _replay(database, threshold, steps, state_dir):
-        def open_core():
-            return ServiceCore(
-                database, threshold, state_dir=state_dir, durable=False,
-                compact_every=2,
-            )
-
-        ledger: dict[str, int] = {}
-        core = open_core()
-        try:
-            assert core.digest() == _reference_digest(core, ledger)
-            for kind, payload, op_id in steps:
-                if kind == "reopen":
-                    core.close()
-                    core = open_core()
-                    assert core.digest() == _reference_digest(core, ledger)
-                    continue
-                if kind == "append":
-                    seq, stats, digest = core.append(payload, op_id=op_id)
-                else:
-                    seq, stats, digest = core.set_threshold(
-                        payload, op_id=op_id
-                    )
-                if op_id is not None and stats is not None:
-                    ledger[op_id] = seq
-                assert digest == core.digest()
-                assert digest == _reference_digest(core, ledger)
-                borders, mine, stricter = _reference_bodies(core)
-                assert mine["supports"] == [
-                    list(pair) for pair in core.state.supports.items()
-                ]
-                assert _served_bodies(core) == (
-                    borders, mine, mine, stricter
-                )
-                state = core.state
-                source, answer = core.mine()
-                assert source == "hot"
-                assert answer["supports"] == state.supports
-                assert answer["supports"] is not state.supports
-        finally:
-            core.close()
 
 
 def test_object_pieces_equal_sorted_json_dumps():

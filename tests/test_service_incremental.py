@@ -3,16 +3,17 @@
 Theorem 2 / Corollary 4 say the old border is *sufficient information*
 to certify and repair the theory after an update — so the repaired
 state must be indistinguishable from remining: same support table (in
-canonical order), same ``Bd+``, same ``Bd-``.  The hypothesis sweep
-drives random databases through random append/threshold histories with
-random batch splits and random repair budgets, comparing against
-:func:`~repro.mining.eclat.eclat` at every step.
+canonical order), same ``Bd+``, same ``Bd-``.  The references here —
+:func:`_assert_matches_scratch` against :func:`~repro.mining.eclat.eclat`
+and :func:`_reference_update`, the repair that recounts every old
+``Bd-`` member — are what ``tests/test_service_model.py`` checks every
+step of its random service histories against; this file pins the
+repair's mechanics, the support table and the core's use of it.
 """
 
 from __future__ import annotations
 
 import random
-import tempfile
 from collections import deque
 
 import pytest
@@ -24,7 +25,6 @@ from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import eclat
 from repro.service.incremental import (
     RepairStats,
-    append_database,
     apply_append,
     apply_threshold,
     mine_initial,
@@ -44,12 +44,6 @@ def _assert_matches_scratch(state):
     assert state.maximal == scratch.maximal
     assert state.negative == scratch.negative_border
     assert state.supports == scratch.supports
-    # A hot read at the maintained threshold answers from the stored
-    # borders; they must be the exact borders, whatever path built them.
-    assert state.theory_at(state.threshold) == (
-        scratch.maximal,
-        scratch.negative_border,
-    )
     # Canonical iteration order regardless of the path that built it.
     assert list(state.supports) == sorted(
         state.supports, key=lambda m: (popcount(m), m)
@@ -141,50 +135,7 @@ def _reference_update(state, new_db, new_threshold, repair_limit):
     )
 
 
-@st.composite
-def _scenario(draw):
-    n_items = draw(st.integers(2, 6))
-    n_rows = draw(st.integers(1, 12))
-    rows = [
-        draw(st.integers(0, (1 << n_items) - 1)) for _ in range(n_rows)
-    ]
-    threshold = draw(st.integers(1, max(1, n_rows)))
-    steps = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
-            batch = [
-                draw(st.integers(0, (1 << n_items) - 1))
-                for _ in range(draw(st.integers(1, 4)))
-            ]
-            steps.append(("append", batch))
-        else:
-            steps.append(("threshold", draw(st.integers(1, n_rows + 6))))
-    limit = draw(st.one_of(st.none(), st.integers(0, 8)))
-    return n_items, rows, threshold, steps, limit
-
-
 class TestEquivalenceWithScratchMining:
-    @given(_scenario())
-    @settings(max_examples=120, deadline=None)
-    def test_update_history_matches_remining(self, scenario):
-        n_items, rows, threshold, steps, limit = scenario
-        for backend in BACKENDS:
-            database = TransactionDatabase(
-                _universe(n_items), rows, backend=backend
-            )
-            state = mine_initial(database, threshold)
-            _assert_matches_scratch(state)
-            for kind, payload in steps:
-                if kind == "append":
-                    state, stats = apply_append(
-                        state, payload, repair_limit=limit
-                    )
-                else:
-                    state, stats = apply_threshold(
-                        state, payload, repair_limit=limit
-                    )
-                _assert_matches_scratch(state)
-
     @given(
         st.integers(2, 5),
         st.lists(st.integers(0, 31), min_size=1, max_size=10),
@@ -305,23 +256,6 @@ class TestRepairMechanics:
 
 
 class TestHotTableQueries:
-    def test_theory_at_stricter_threshold_matches_scratch(self):
-        database = TransactionDatabase(
-            _universe(5), [7, 7, 21, 21, 28, 3, 31]
-        )
-        state = mine_initial(database, 2)
-        for threshold in (2, 3, 4, 5, 9):
-            maximal, negative = state.theory_at(threshold)
-            scratch = eclat(database, threshold)
-            assert maximal == scratch.maximal
-            assert negative == scratch.negative_border
-
-    def test_theory_at_looser_threshold_is_refused(self):
-        database = TransactionDatabase(_universe(3), [3, 5, 7])
-        state = mine_initial(database, 3)
-        with pytest.raises(ValueError, match="below the maintained"):
-            state.theory_at(1)
-
     def test_member_witness_certifies_both_answers(self):
         database = TransactionDatabase(_universe(4), [3, 3, 5, 9, 15])
         state = mine_initial(database, 2)
@@ -344,9 +278,9 @@ class TestAppendDatabase:
         old = [7, 21, 3]
         delta = [31, 8, 0]
         for backend in BACKENDS:
-            appended = append_database(
-                TransactionDatabase(universe, old, backend=backend), delta
-            )
+            appended = TransactionDatabase(
+                universe, old, backend=backend
+            ).appended(delta)
             rebuilt = TransactionDatabase(
                 universe, old + delta, backend=backend
             )
@@ -358,7 +292,7 @@ class TestAppendDatabase:
     def test_foreign_items_are_rejected(self):
         database = TransactionDatabase(_universe(3), [3])
         with pytest.raises(ValueError, match="unknown items"):
-            append_database(database, [8])
+            database.appended([8])
 
 
 class TestRowListCarriedThroughAppends:
@@ -431,38 +365,6 @@ class TestStoredBorderSupports:
     re-verifies the old border from a table the delta pass refreshed
     instead of recounting it on the full database — at the same charge
     per member."""
-
-    @given(_scenario())
-    @settings(max_examples=120, deadline=None)
-    def test_accounting_equals_the_recounting_repair(self, scenario):
-        n_items, rows, threshold, steps, limit = scenario
-        for backend in BACKENDS:
-            database = TransactionDatabase(
-                _universe(n_items), rows, backend=backend
-            )
-            state = mine_initial(database, threshold)
-            queries = state.queries
-            support_updates = 0
-            for kind, payload in steps:
-                if kind == "append":
-                    new, stats = apply_append(
-                        state, payload, repair_limit=limit
-                    )
-                else:
-                    new, stats = apply_threshold(
-                        state, payload, repair_limit=limit
-                    )
-                supports, negative, expected = _reference_update(
-                    state, new.database, new.threshold, limit
-                )
-                assert stats == expected
-                assert new.supports == supports
-                assert new.negative == negative
-                queries += expected.evaluated
-                support_updates += expected.support_updates
-                assert new.queries == queries
-                assert new.support_updates == support_updates
-                state = new
 
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -610,7 +512,7 @@ class TestSupportTable:
         table = _table_of(database, 4)
         for step in range(4):
             delta = _random_database(n_items, 8, seed=10 + step)
-            database = append_database(database, delta.transaction_masks)
+            database = database.appended(delta.transaction_masks)
             table.sync(database)
             assert table.n_rows == database.n_transactions
             for threshold in (table.floor, table.floor + 1, table.floor + 3):
@@ -621,54 +523,21 @@ class TestSupportTable:
 
     def test_sync_refuses_a_database_it_ran_ahead_of(self):
         database = _random_database(5, 10, seed=0)
-        table = _table_of(append_database(database, [31]), 2)
+        table = _table_of(database.appended([31]), 2)
         with pytest.raises(ValueError, match="counted 11 rows"):
             table.sync(database)
-
-    @given(_scenario(), st.integers(0, 6))
-    @settings(max_examples=120, deadline=None)
-    def test_threshold_move_from_a_table_equals_the_closure(
-        self, scenario, below
-    ):
-        """The state, the stats and the ``repair_limit`` fallback of a
-        table-read move equal the closure's (the path WAL replay
-        takes, with no table)."""
-        n_items, rows, threshold, steps, limit = scenario
-        state = mine_initial(
-            TransactionDatabase(_universe(n_items), rows), threshold
-        )
-        for kind, payload in steps:
-            if kind == "append":
-                state, _ = apply_append(state, payload)
-                continue
-            floor = max(0, payload - below)
-            table = _table_of(state.database, floor)
-            closure, closure_stats = apply_threshold(
-                state, payload, repair_limit=limit
-            )
-            read, read_stats = apply_threshold(
-                state, payload, repair_limit=limit, table=table
-            )
-            assert read == closure and read_stats == closure_stats
-            assert list(read.supports.items()) == list(
-                closure.supports.items()
-            )
-            assert read.negative_supports == closure.negative_supports
-            _assert_matches_scratch(read)
-            state = read
 
     def test_a_table_counted_on_other_rows_is_refused(self):
         database = _random_database(5, 10, seed=0)
         state = mine_initial(database, 3)
-        table = _table_of(append_database(database, [31]), 2)
+        table = _table_of(database.appended([31]), 2)
         with pytest.raises(ValueError, match="counted 11 rows"):
             apply_threshold(state, 2, table=table)
 
     def test_threads_reading_one_fresh_table_agree_with_eclat(self):
-        """A state's table is read without a lock (hot ``/mine``,
-        ``theory_at``, raises): readers that find its derived supports
-        missing each derive them, and none sees another's half-done
-        work."""
+        """A table nobody changes is read without a lock: readers that
+        find its derived supports missing each derive them, and none
+        sees another's half-done work."""
         import sys
         import threading
 
@@ -682,7 +551,7 @@ class TestSupportTable:
         sys.setswitchinterval(1e-5)
         try:
             for _ in range(8):
-                table = mine_initial(database, 4).table()  # underived
+                table = mine_initial(database, 4)._new_table()  # underived
                 barrier = threading.Barrier(len(thresholds))
                 answers = []
 
@@ -713,97 +582,10 @@ class TestSupportTable:
             sys.setswitchinterval(interval)
 
 
-@st.composite
-def _service_history(draw):
-    n_items = draw(st.integers(2, 6))
-    n_rows = draw(st.integers(1, 12))
-    rows = [
-        draw(st.integers(0, (1 << n_items) - 1)) for _ in range(n_rows)
-    ]
-    threshold = draw(st.integers(1, max(1, n_rows)))
-    # Mostly below the maintained threshold, where the table serves.
-    level = st.one_of(
-        st.integers(0, threshold - 1),
-        st.integers(0, n_rows + 6),
-        st.sampled_from([0.1, 0.25, 0.5]),
-    )
-    kinds = ["append"] * 3 + ["cold"] * 4 + ["threshold"] * 2 + ["reopen"]
-    steps = []
-    for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(kinds))
-        if kind == "append":
-            payload = [
-                draw(st.integers(0, (1 << n_items) - 1))
-                for _ in range(draw(st.integers(1, 4)))
-            ]
-        elif kind == "reopen":
-            payload = None
-        else:
-            payload = draw(level)
-        steps.append((kind, payload))
-    limit = draw(st.one_of(st.none(), st.integers(0, 8)))
-    return n_items, rows, threshold, steps, limit
-
-
 class TestServiceSupportTable:
     """A core that serves cold mines from its support table answers
     each as a fresh Eclat would and stays digest-identical to a twin
     that never served one; a restart empties the table."""
-
-    @given(_service_history())
-    @settings(max_examples=100, deadline=None)
-    def test_table_answers_equal_eclat_and_leave_the_state_alone(
-        self, history
-    ):
-        n_items, rows, threshold, steps, limit = history
-        for backend in BACKENDS:
-            database = TransactionDatabase(
-                _universe(n_items), rows, backend=backend
-            )
-            with tempfile.TemporaryDirectory() as state_dir:
-                self._replay(
-                    database, threshold, steps, limit, state_dir
-                )
-
-    @staticmethod
-    def _replay(database, threshold, steps, limit, state_dir):
-        def open_core():
-            return ServiceCore(
-                database, threshold, state_dir=state_dir, durable=False,
-                compact_every=3, repair_limit=limit,
-            )
-
-        core = open_core()
-        twin = ServiceCore(database, threshold, repair_limit=limit)
-        try:
-            for kind, payload in steps:
-                if kind == "append":
-                    assert core.append(payload) == twin.append(payload)
-                elif kind == "threshold":
-                    assert core.set_threshold(payload) == (
-                        twin.set_threshold(payload)
-                    )
-                elif kind == "reopen":
-                    core.close()
-                    core = open_core()
-                    assert core._table is None
-                else:
-                    source, answer = core.mine(payload)
-                    scratch = eclat(core.state.database, answer["threshold"])
-                    assert answer["supports"] == scratch.supports
-                    assert tuple(answer["maximal"]) == scratch.maximal
-                    assert tuple(answer["negative"]) == (
-                        scratch.negative_border
-                    )
-                    if source == "mined":
-                        assert answer["queries"] == scratch.queries
-                    else:
-                        assert answer["queries"] == 0
-                assert core.digest() == twin.digest()
-                assert core.state.queries == twin.state.queries
-        finally:
-            core.close()
-            twin.close()
 
     def test_hit_miss_rebase_and_restart(self, tmp_path, monkeypatch):
         import repro.service.state as service_state
@@ -842,9 +624,9 @@ class TestServiceSupportTable:
             assert core.mine(5)[0] == "mined"  # the restart emptied it
 
     def test_a_raise_leaves_the_cold_table_alone(self):
-        """A raise reads the state's own table: the cold-mine table
-        catches up on appended rows only when a lower or a cold mine
-        uses it."""
+        """A raise reads a table built from the state: the cold-mine
+        table catches up on appended rows only when a lower or a cold
+        mine uses it."""
         database = _random_database(8, 40, seed=5)
         core = ServiceCore(database, 12)
         twin = ServiceCore(database, 12)

@@ -183,11 +183,13 @@ steal-smoke:
 # from-scratch eclat after every mutation, then SIGTERM and assert a
 # clean exit (benchmarks/serve_smoke.py does the driving).  Runs once
 # per vertical backend (`--backend auto`, then `roaring`), each on a
-# fresh state directory.
+# fresh state directory.  The data has a non-empty Bd- at every
+# threshold the smoke compares (654-1,259 members at 2-6), which the
+# smoke asserts.
 serve-smoke:
 	$(eval SERVE_DIR := $(shell mktemp -d /tmp/serve_smoke.XXXXXX))
 	$(PYTHON) -m repro generate $(SERVE_DIR)/smoke.dat \
-		--items 12 --transactions 120 --seed 7
+		--items 20 --transactions 120 --avg-length 5 --seed 7
 	$(PYTHON) -m benchmarks.serve_smoke $(SERVE_DIR)/smoke.dat \
 		--state-dir $(SERVE_DIR)/state-auto --backend auto
 	$(PYTHON) -m benchmarks.serve_smoke $(SERVE_DIR)/smoke.dat \

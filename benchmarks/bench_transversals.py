@@ -259,8 +259,8 @@ def run_suite(repeats: int = 2) -> dict:
             "(agree-set complements, where MMCS must beat Berge 3x, "
             "asserted serially), the medium-random regime where Berge "
             "stays competitive, the small regime where full FK "
-            "enumeration is affordable, and the depth-2 "
-            "work-stealing driver (CPU-gated). See "
+            "enumeration is affordable, and ordered depth-2 "
+            "subtree tasks at 2 workers (CPU-gated). See "
             "benchmarks/bench_transversals.py."
         ),
         "available_cpus": cpus,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro.util.antichain import maximize_masks, minimize_masks
+from repro.util.antichain import DominanceIndex, maximize_masks, minimize_masks
 from repro.util.bitset import Universe, iter_bits, popcount, rank_sorted
 
 
@@ -81,13 +81,18 @@ class Hypergraph:
                     raise NonSimpleHypergraphError(
                         "edge uses vertices outside the universe"
                     )
-            for i, a in enumerate(masks):
-                for b in masks[i + 1 :]:
-                    if a & b == a:
-                        raise NonSimpleHypergraphError(
-                            "family is not an antichain: "
-                            f"{universe.label(a)} ⊆ {universe.label(b)}"
-                        )
+            # Distinct and rank-sorted, so every edge containing masks[i]
+            # other than itself sits at a later position: the lowest one
+            # is the first pair a ⊆ b in (i, j) order.
+            index = DominanceIndex(masks)
+            for position, a in enumerate(masks):
+                supersets = index.containing(a) ^ (1 << position)
+                if supersets:
+                    b = masks[(supersets & -supersets).bit_length() - 1]
+                    raise NonSimpleHypergraphError(
+                        "family is not an antichain: "
+                        f"{universe.label(a)} ⊆ {universe.label(b)}"
+                    )
         self.edge_masks: tuple[int, ...] = tuple(masks)
         # Lazily cached derived facts (the class is immutable, but these
         # were recomputed on every call before PR 1).

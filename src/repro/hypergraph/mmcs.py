@@ -8,12 +8,14 @@ of Murakami & Uno, benchmarked at scale by Bläsius et al.,
 Profiling" (arXiv:1805.01310).  This module implements MMCS:
 depth-first search over partial hitting sets ``S`` with *incremental*
 critical-edge bookkeeping.  ``uncov`` is the set of edges not yet hit,
-and ``crit[u]`` the edges hit by ``u`` alone.  Adding a vertex updates
-both with one big-int operation per member; a snapshot of ``crit``
-taken at the node restores it on backtrack, so a node costs far less
-than re-scanning the hypergraph.  A branch is cut the moment some
-``u ∈ S`` loses its last critical edge — no extension of that branch
-can ever be minimal.
+and ``crit[u]`` the edges hit by ``u`` alone.  Adding a vertex ``v``
+updates both with one big-int AND per member against ``keep[v]``, the
+edges missing ``v`` (one positive mask per vertex, derived from the
+item→edge :class:`~repro.util.antichain.DominanceIndex` that also
+minimizes the input), into a fresh list for the child, so a node costs
+far less than re-scanning the hypergraph and nothing is restored on
+backtrack.  A branch is cut the moment some ``u ∈ S`` loses its last
+critical edge — no extension of that branch can ever be minimal.
 
 The search enumerates each minimal transversal exactly once: a node
 picks an uncovered edge ``e`` minimizing ``|e ∩ cand|``, branches on
@@ -32,34 +34,24 @@ engines; ``repro.parallel.mmcs`` adds the depth-2 subtree fan-out for
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.core.errors import BudgetExhausted
-from repro.hypergraph.hypergraph import minimize_family
 from repro.obs.tracer import as_tracer
-from repro.util.bitset import iter_bits, popcount, rank_sorted
+from repro.util.antichain import DominanceIndex
+from repro.util.bitset import popcount, rank_sorted
 
 __all__ = ["mmcs_transversal_masks"]
-
-
-def _vertex_edge_index(edges: Sequence[int]) -> dict[int, int]:
-    """Map vertex index -> bitmask over *edge indices* containing it."""
-    index: dict[int, int] = {}
-    for position, edge in enumerate(edges):
-        bit = 1 << position
-        for vertex in iter_bits(edge):
-            index[vertex] = index.get(vertex, 0) | bit
-    return index
 
 
 class _SearchState:
     """Shared mutable state of one enumeration run."""
 
-    __slots__ = ("edges", "by_vertex", "found", "nodes", "budget", "tracer")
+    __slots__ = ("edges", "keep", "found", "nodes", "budget", "tracer")
 
-    def __init__(self, edges, by_vertex, budget, tracer):
+    def __init__(self, edges, keep, budget, tracer):
         self.edges = edges
-        self.by_vertex = by_vertex
+        self.keep = keep
         self.found: list[int] = []
         self.nodes = 0
         self.budget = budget
@@ -68,41 +60,41 @@ class _SearchState:
 
 def _search(
     state: _SearchState,
-    members: list[int],
-    members_mask: int,
+    members: int,
     cand: int,
     uncov: int,
     crit: list[int],
     depth: int,
     max_depth: int | None = None,
-    frontier: list[tuple[tuple[int, ...], int, int]] | None = None,
+    frontier: list[tuple[int, int, int, list[int]]] | None = None,
 ) -> None:
-    """One node: either report ``S``, or branch on an uncovered edge.
+    """One node whose ``S`` (``members``) misses some edge: branch.
+
+    A child whose vertex hits every uncovered edge is a transversal.
+    The branch loop closes it on the spot, with the node count, budget
+    check, ``mmcs.node``/``mmcs.output`` events and discovery order a
+    call on it would give, so no call is ever made with ``uncov == 0``.
 
     With ``max_depth``, nodes at that depth are not expanded; their
-    ``(members, cand, uncov)`` snapshots are appended to ``frontier``
-    in traversal order instead — the depth-limited prefix walk the
-    parallel driver uses to build its task list.  (``crit`` need not be
-    shipped: a subtree rebuilds it from the covered edges, and the
-    branch condition below was already enforced on the path down.)
+    ``(members, cand, uncov, crit)`` snapshots are appended to
+    ``frontier`` in traversal order instead — the depth-limited prefix
+    walk the parallel driver uses to build its task list.
     """
     state.nodes += 1
-    if state.budget is not None:
-        state.budget.check(family=len(state.found))
-    if state.tracer.enabled:
-        state.tracer.event(
+    budget = state.budget
+    found = state.found
+    if budget is not None:
+        budget.check(family=len(found))
+    tracer = state.tracer
+    if tracer.enabled:
+        tracer.event(
             "mmcs.node",
             depth=depth,
             uncov=popcount(uncov),
             cand=popcount(cand),
         )
-    if uncov == 0:
-        state.found.append(members_mask)
-        if state.tracer.enabled:
-            state.tracer.event("mmcs.output", mask=members_mask)
-        return
     if max_depth is not None and depth >= max_depth:
-        frontier.append((tuple(members), cand, uncov))
+        frontier.append((members, cand, uncov, crit))
         return
     # The MMCS rule: branch on the uncovered edge minimizing
     # |e ∩ cand|, ties toward the lowest edge index — which keeps the
@@ -124,81 +116,97 @@ def _search(
     branch = cand & edges[best]
     if branch == 0:
         return  # dead end: the chosen edge can never be hit
-    by_vertex = state.by_vertex
-    cand &= ~branch
-    # Adding vertex v takes v's edges from every member's criticals; a
-    # member left with none cuts the branch (minimality is
-    # unrecoverable below it), so the update stops there.  One snapshot
-    # restores every member after each branch vertex.
-    saved = crit[:]
+    keep = state.keep
+    cand ^= branch
+    depth += 1
+    # Adding vertex v leaves each member's criticals, and uncov, with
+    # only the edges ``keep[v]`` holds (those missing v); a member left
+    # with none cuts the branch, since minimality is unrecoverable
+    # below it.  Each child gets its own list, so nothing is restored.
     rest = branch
     while rest:
         low = rest & -rest
         rest ^= low
-        vertex = low.bit_length() - 1
-        vertex_edges = by_vertex[vertex]
-        keep = ~vertex_edges
-        viable = True
-        for position in range(len(crit)):
-            left = crit[position] & keep
+        vertex_keep = keep[low]
+        child_crit = []
+        for edges_left in crit:
+            left = edges_left & vertex_keep
             if not left:
-                viable = False
                 break
-            crit[position] = left
-        if viable:
-            members.append(vertex)
-            crit.append(uncov & vertex_edges)
-            _search(
-                state,
-                members,
-                members_mask | low,
-                cand,
-                uncov & keep,
-                crit,
-                depth + 1,
-                max_depth,
-                frontier,
-            )
-            members.pop()
-            crit.pop()
-        crit[:] = saved
+            child_crit.append(left)
+        else:
+            child_uncov = uncov & vertex_keep
+            if child_uncov:
+                child_crit.append(uncov ^ child_uncov)
+                _search(
+                    state,
+                    members | low,
+                    cand,
+                    child_uncov,
+                    child_crit,
+                    depth,
+                    max_depth,
+                    frontier,
+                )
+            else:
+                state.nodes += 1
+                if budget is not None:
+                    budget.check(family=len(found))
+                if tracer.enabled:
+                    tracer.event(
+                        "mmcs.node", depth=depth, uncov=0, cand=popcount(cand)
+                    )
+                found.append(members | low)
+                if tracer.enabled:
+                    tracer.event("mmcs.output", mask=members | low)
         # Re-admit v for its *later* siblings: sets containing several
         # branch vertices are enumerated under the last one chosen.
         cand |= low
 
 
-def _prepare(edge_masks: Sequence[int]):
-    """Minimize and index; ``None`` payload signals a degenerate case."""
-    edges = minimize_family(edge_masks)
-    if not edges:
-        return edges, None, None
-    if edges[0] == 0:
-        return edges, None, None
-    full_cand = 0
+def _keep_masks(
+    edges: Sequence[int], index: DominanceIndex, vertices: int
+) -> dict[int, int]:
+    """Map each vertex bit of ``vertices`` to the bitmap of the edge
+    positions that do *not* contain it."""
+    everything = (1 << len(edges)) - 1
+    keep: dict[int, int] = {}
+    rest = vertices
+    while rest:
+        low = rest & -rest
+        keep[low] = everything ^ index.containing(low)
+        rest ^= low
+    return keep
+
+
+def _prepare(edge_masks: Iterable[int]):
+    """Minimize and index: ``(edges, keep, vertices)``.
+
+    ``keep`` is ``None`` when the family is empty or holds the empty
+    edge.  ``edges`` is :func:`minimize_family`'s list: an edge is
+    dropped when the index finds another edge inside it.
+    """
+    edges = rank_sorted(set(edge_masks))
+    if not edges or edges[0] == 0:
+        return edges, None, 0
+    index = DominanceIndex(edges)
+    # Distinct and rank-sorted, so only later positions can contain an
+    # edge; an edge already dropped adds nothing its subset did not.
+    dropped = 0
+    for position, edge in enumerate(edges):
+        if not dropped >> position & 1:
+            dropped |= index.containing(edge) ^ (1 << position)
+    if dropped:
+        edges = [
+            edge
+            for position, edge in enumerate(edges)
+            if not dropped >> position & 1
+        ]
+        index = DominanceIndex(edges)
+    vertices = 0
     for edge in edges:
-        full_cand |= edge
-    return edges, _vertex_edge_index(edges), full_cand
-
-
-def _rebuild_crit(
-    edges: Sequence[int],
-    by_vertex: dict[int, int],
-    members: Sequence[int],
-    uncov: int,
-) -> list[int]:
-    """Criticals of ``members`` w.r.t. the covered edges (subtree entry)."""
-    members_mask = 0
-    for vertex in members:
-        members_mask |= 1 << vertex
-    covered = ((1 << len(edges)) - 1) & ~uncov
-    crit = []
-    for vertex in members:
-        private = 0
-        for position in iter_bits(covered & by_vertex[vertex]):
-            if edges[position] & members_mask == 1 << vertex:
-                private |= 1 << position
-        crit.append(private)
-    return crit
+        vertices |= edge
+    return edges, _keep_masks(edges, index, vertices), vertices
 
 
 def _with_prefix_partial(
@@ -237,25 +245,17 @@ def _enumerate(
             (:func:`_with_prefix_partial`).
     """
     tracer = as_tracer(tracer)
-    edges, by_vertex, full_cand = _prepare(edge_masks)
-    if by_vertex is None:
+    edges, keep, full_cand = _prepare(edge_masks)
+    if keep is None:
         degenerate = [0] if not edges else []
         return degenerate, 0
     if budget is not None:
         budget.begin()
-    state = _SearchState(edges, by_vertex, budget, tracer)
+    state = _SearchState(edges, keep, budget, tracer)
     uncov_all = (1 << len(edges)) - 1
     with tracer.span("mmcs.run", edges=len(edges)) as run_span:
         try:
-            _search(
-                state,
-                [],
-                0,
-                full_cand,
-                uncov_all,
-                [],
-                0,
-            )
+            _search(state, 0, full_cand, uncov_all, [], 0)
         except BudgetExhausted as exhausted:
             if tracer.enabled:
                 run_span.note(outcome="partial", reason=exhausted.reason)

@@ -5,10 +5,10 @@ parallel engine uses the same seam: the coordinator walks the tree to
 a fixed *split depth*, collecting the depth-limited frontier nodes as
 tasks **in serial traversal order** — the task's index is its sequence
 number — then runs them through
-:meth:`~repro.parallel.pool.WorkerPool.map_in_order`.  Each worker
-rebuilds the node's ``crit`` state from its ``(members, cand, uncov)``
-snapshot (cheaper to recompute once per subtree than to ship) and
-enumerates the subtree with the serial kernel.
+:meth:`~repro.parallel.pool.WorkerPool.map_in_order`.  Each task
+carries the node's ``(members, cand, uncov, crit)`` snapshot, and the
+worker enumerates the subtree with the serial kernel over ``keep``
+masks it derives from the shipped edges as the serial engine does.
 
 Determinism contract, same as every parallel engine here: results fold
 strictly in sequence order, the fold order equals the serial discovery
@@ -35,14 +35,14 @@ from repro.core.errors import BudgetExhausted
 from repro.hypergraph.mmcs import (
     _SearchState,
     _enumerate,
+    _keep_masks,
     _prepare,
-    _rebuild_crit,
     _search,
-    _vertex_edge_index,
     _with_prefix_partial,
 )
 from repro.obs.tracer import as_tracer
 from repro.parallel.pool import WorkerPool, WorkerPoolBroken, resolve_workers
+from repro.util.antichain import DominanceIndex
 from repro.util.bitset import rank_sorted
 
 __all__ = ["mmcs_transversals_parallel", "SPLIT_DEPTH"]
@@ -56,52 +56,41 @@ __all__ = ["mmcs_transversals_parallel", "SPLIT_DEPTH"]
 SPLIT_DEPTH = 2
 
 #: Per-worker state installed by the pool initializer (fork-shared
-#: read-only after that): the minimized edge list and vertex index.
+#: read-only after that): the minimized edge list and keep masks.
 _WORKER_STATE: dict = {}
 
 
-def _init_mmcs_worker(edges: list[int]) -> None:
+def _init_mmcs_worker(edges: list[int], vertices: int) -> None:
     # The coordinator ships edges it has already minimized, so the
     # worker only indexes them.
     _WORKER_STATE.clear()
     _WORKER_STATE["edges"] = edges
-    _WORKER_STATE["by_vertex"] = _vertex_edge_index(edges)
+    _WORKER_STATE["keep"] = _keep_masks(edges, DominanceIndex(edges), vertices)
 
 
 def _subtree(
     edges: Sequence[int],
-    by_vertex: dict[int, int],
-    members: tuple[int, ...],
+    keep: dict[int, int],
+    members: int,
     cand: int,
     uncov: int,
+    crit: list[int],
 ) -> tuple[list[int], int]:
     """Enumerate one frontier subtree; returns (found, nodes)."""
-    state = _SearchState(edges, by_vertex, None, as_tracer(None))
-    members_list = list(members)
-    members_mask = 0
-    for vertex in members_list:
-        members_mask |= 1 << vertex
-    crit = _rebuild_crit(edges, by_vertex, members_list, uncov)
-    _search(
-        state,
-        members_list,
-        members_mask,
-        cand,
-        uncov,
-        crit,
-        SPLIT_DEPTH,
-    )
+    state = _SearchState(edges, keep, None, as_tracer(None))
+    _search(state, members, cand, uncov, crit, SPLIT_DEPTH)
     return state.found, state.nodes
 
 
-def _mmcs_task(members: tuple[int, ...], cand: int, uncov: int):
+def _mmcs_task(members: int, cand: int, uncov: int, crit: list[int]):
     """Pure task function: payload in, (found, nodes) out."""
     return _subtree(
         _WORKER_STATE["edges"],
-        _WORKER_STATE["by_vertex"],
+        _WORKER_STATE["keep"],
         members,
         cand,
         uncov,
+        crit,
     )
 
 
@@ -137,8 +126,8 @@ def mmcs_transversals_parallel(
         found, _ = _enumerate(edge_masks, budget, tracer)
         return rank_sorted(found)
     tracer = as_tracer(tracer)
-    edges, by_vertex, full_cand = _prepare(edge_masks)
-    if by_vertex is None:
+    edges, keep, full_cand = _prepare(edge_masks)
+    if keep is None:
         return [0] if not edges else []
     if budget is not None:
         budget.begin()
@@ -147,9 +136,9 @@ def mmcs_transversals_parallel(
         # Phase 1: depth-limited prefix walk on the coordinator.  The
         # frontier list is the task list; transversals completed above
         # the split depth land in ``found`` in discovery order.
-        state = _SearchState(edges, by_vertex, budget, tracer)
+        state = _SearchState(edges, keep, budget, tracer)
         found = state.found
-        frontier: list[tuple[tuple[int, ...], int, int]] = []
+        frontier: list[tuple[int, int, int, list[int]]] = []
 
         def fold(result) -> None:
             nonlocal nodes
@@ -165,7 +154,6 @@ def mmcs_transversals_parallel(
         try:
             _search(
                 state,
-                [],
                 0,
                 full_cand,
                 (1 << len(edges)) - 1,
@@ -178,7 +166,7 @@ def mmcs_transversals_parallel(
             with WorkerPool(
                 workers,
                 initializer=_init_mmcs_worker,
-                initargs=(list(edges),),
+                initargs=(list(edges), full_cand),
                 tracer=tracer,
             ) as pool:
                 folded = 0
@@ -193,8 +181,8 @@ def mmcs_transversals_parallel(
                     # whose result never landed.
                     if tracer.enabled:
                         tracer.event("worker.fallback", reason=str(error))
-                    for members, cand, uncov in frontier[folded:]:
-                        fold(_subtree(edges, by_vertex, members, cand, uncov))
+                    for task in frontier[folded:]:
+                        fold(_subtree(edges, keep, *task))
         except BudgetExhausted as exhausted:
             if tracer.enabled:
                 run_span.note(outcome="partial", reason=exhausted.reason)

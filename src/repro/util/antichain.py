@@ -389,10 +389,10 @@ def _dominated(mask: int, by_bit: dict[int, list[int]]) -> bool:
 class DominanceIndex:
     """A fixed family, indexed by bit: which members contain each item.
 
-    Each item maps to a bitmap over the members that contain it, so
-    :meth:`dominates` — does some member contain ``mask``? — is the AND
-    of the bitmaps of ``mask``'s items, stopping at the first empty
-    one, with no member scanned.
+    Each item maps to a bitmap over the member positions (bit ``i`` is
+    ``masks[i]``) that contain it, so :meth:`containing` — which members
+    contain ``mask``? — is the AND of the bitmaps of ``mask``'s items,
+    stopping at the first empty one, with no member scanned.
     :meth:`MaximalFamilyTracker.dominates` instead walks its complement
     index, whose buckets fill up on a wide family.
 
@@ -400,13 +400,13 @@ class DominanceIndex:
         masks: the family (duplicates and non-maximal members allowed).
     """
 
-    __slots__ = ("_members", "_empty")
+    __slots__ = ("_members", "_all")
 
     def __init__(self, masks: Iterable[int]):
         positions: dict[int, list[int]] = {}
-        empty = True
+        size = 0
         for position, mask in enumerate(masks):
-            empty = False
+            size += 1
             remaining = mask
             while remaining:
                 low = remaining & -remaining
@@ -419,22 +419,25 @@ class DominanceIndex:
                 bitmap |= 1 << position
             members[low] = bitmap
         self._members = members
-        self._empty = empty
+        self._all = (1 << size) - 1
 
-    def dominates(self, mask: int) -> bool:
-        """True when ``mask`` is a subset of some member."""
-        if mask == 0:
-            return not self._empty
+    def containing(self, mask: int) -> int:
+        """Bitmap of the member positions whose mask contains ``mask``
+        (every member for ``mask == 0``)."""
         members = self._members
-        common = -1
+        common = self._all
         remaining = mask
         while remaining:
             low = remaining & -remaining
             common &= members.get(low, 0)
             if not common:
-                return False
+                return 0
             remaining ^= low
-        return True
+        return common
+
+    def dominates(self, mask: int) -> bool:
+        """True when ``mask`` is a subset of some member."""
+        return self.containing(mask) != 0
 
 
 _NAIVE_MERGE_CUTOFF = 1024

@@ -116,6 +116,28 @@ def mask_families(
 
 
 @st.composite
+def unchecked_families(draw):
+    """``(universe, family)`` over 3–70 vertices, so masks both under and
+    over one 64-bit word occur, seeded with every way to break
+    simplicity: duplicates, nested pairs, empty edges and bits outside
+    the universe."""
+    n = draw(st.one_of(st.integers(3, 64), st.integers(65, 70)))
+    full = (1 << n) - 1
+    family = draw(st.lists(st.integers(0, full), max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("duplicate", "superset", "outside")))
+        if kind == "outside":
+            family.append(
+                draw(st.integers(0, full)) | 1 << draw(st.integers(n, n + 66))
+            )
+        elif family:
+            base = draw(st.sampled_from(family))
+            extra = draw(st.integers(0, full)) if kind == "superset" else 0
+            family.append(base | extra)
+    return Universe(range(n)), draw(st.permutations(family))
+
+
+@st.composite
 def simple_hypergraphs(draw, max_vertices: int = 8, max_edges: int = 6):
     """Strategy: a non-empty simple :class:`Hypergraph`."""
     n, family = draw(

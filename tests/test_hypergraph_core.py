@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from repro.hypergraph.hypergraph import (
     Hypergraph,
@@ -11,9 +11,28 @@ from repro.hypergraph.hypergraph import (
     maximize_family,
     minimize_family,
 )
-from repro.util.bitset import Universe
+from repro.util.bitset import Universe, rank_sorted
 
-from tests.conftest import mask_families
+from tests.conftest import mask_families, unchecked_families
+
+
+def _pairwise_validation_error(universe: Universe, edges) -> str | None:
+    """The O(m²) simplicity check, as the constructor once ran it: the
+    message of the first violation, or ``None`` for a simple family."""
+    masks = rank_sorted(set(edges))
+    for mask in masks:
+        if mask == 0:
+            return "edges must be non-empty"
+        if mask & ~universe.full_mask:
+            return "edge uses vertices outside the universe"
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            if a & b == a:
+                return (
+                    "family is not an antichain: "
+                    f"{universe.label(a)} ⊆ {universe.label(b)}"
+                )
+    return None
 
 
 class TestMinimizeFamily:
@@ -112,6 +131,35 @@ class TestHypergraphConstruction:
         b = Hypergraph(Universe("AB"), [0b01])
         assert a == b
         assert hash(a) == hash(b)
+
+    @settings(max_examples=400, deadline=None)
+    @given(unchecked_families())
+    def test_validation_matches_the_pairwise_check(self, case):
+        universe, family = case
+        expected = _pairwise_validation_error(universe, family)
+        if expected is None:
+            hypergraph = Hypergraph(universe, family)
+            assert hypergraph.edge_masks == tuple(rank_sorted(set(family)))
+        else:
+            with pytest.raises(NonSimpleHypergraphError) as caught:
+                Hypergraph(universe, family)
+            assert str(caught.value) == expected
+        if 0 in family:
+            with pytest.raises(
+                NonSimpleHypergraphError, match="edges must be non-empty"
+            ):
+                Hypergraph.simple(universe, family)
+            return
+        simple = Hypergraph.simple(universe, family)
+        reference = [
+            a
+            for a in set(family)
+            if not any(b != a and a & b == b for b in family)
+        ]
+        assert simple.edge_masks == tuple(rank_sorted(reference))
+        # What simple returns passes validation over a wide enough universe.
+        wide = Universe(range(max(family, default=0).bit_length()))
+        Hypergraph(wide, simple.edge_masks)
 
 
 class TestHypergraphQueries:

@@ -36,14 +36,18 @@ from repro.hypergraph.enumeration import (
     minimal_transversals,
 )
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
-from repro.hypergraph.mmcs import _enumerate, mmcs_transversal_masks
+from repro.hypergraph.mmcs import _enumerate, _prepare, mmcs_transversal_masks
 from repro.obs import JsonlTraceWriter, MultiTracer, TheoremMonitor
 from repro.obs.tracer import Tracer
 from repro.parallel.mmcs import mmcs_transversals_parallel
 from repro.runtime.budget import Budget
-from repro.util.bitset import Universe, popcount
+from repro.util.bitset import Universe, iter_bits, popcount
 
-from tests.conftest import mask_families, simple_hypergraphs
+from tests.conftest import (
+    mask_families,
+    simple_hypergraphs,
+    unchecked_families,
+)
 
 def _canonical(masks) -> list[int]:
     return sorted(masks, key=lambda mask: (popcount(mask), mask))
@@ -117,6 +121,30 @@ class TestOutputIdentity:
         assert mmcs_transversal_masks(family) == mmcs_transversal_masks(
             minimize_family(family)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(unchecked_families())
+    def test_prepared_edges_and_keep_masks(self, case):
+        # The index-based minimization keeps exactly minimize_family's
+        # edges, and keep[v] holds exactly the edges missing v.
+        _, family = case
+        edges, keep, vertices = _prepare(family)
+        minimal = minimize_family(family)
+        if keep is None:
+            assert minimal in ([], [0])
+            return
+        assert edges == minimal
+        union = 0
+        for edge in edges:
+            union |= edge
+        assert vertices == union
+        assert list(keep) == [1 << vertex for vertex in iter_bits(union)]
+        for low, kept in keep.items():
+            assert kept == sum(
+                1 << position
+                for position, edge in enumerate(edges)
+                if not edge & low
+            )
 
     def test_degenerate_contracts(self):
         # Empty family: the empty set hits everything vacuously.
@@ -215,6 +243,55 @@ class TestPinnedSearch:
             assert partial == family
         else:
             assert _digest(partial) == family
+
+
+class TestPinnedTrace:
+    """The tracer and budget contracts of the traversal, event by event.
+
+    The digest of the ``mmcs.node``/``mmcs.output`` stream (names and
+    attributes, in order) was recorded from the kernel that entered a
+    call for every node, leaves included; a kernel that closes leaves
+    in their parent's branch loop must emit the same stream and check
+    the budget once per node, just before that node's event.
+    """
+
+    def test_event_stream_and_budget_checks(self):
+        log: list = []
+
+        class _Log(Tracer):
+            def event(self, name, **attrs):
+                log.append((name, attrs))
+
+        class _CountingBudget(Budget):
+            def check(self, **measures):
+                log.append(("check", measures))
+                super().check(**measures)
+
+        family = mmcs_transversal_masks(
+            _fd_key_edges(), budget=_CountingBudget(), tracer=_Log()
+        )
+        events = [
+            [name, attrs]
+            for name, attrs in log
+            if name in ("mmcs.node", "mmcs.output")
+        ]
+        assert len(events) == 1050 + 579
+        assert hashlib.sha256(
+            json.dumps(events, sort_keys=True).encode()
+        ).hexdigest() == (
+            "1d63fba4258176e0fb2649f04c98b50f41a5f91f724e9e68718cc01abd0254e6"
+        )
+        done = [attrs for name, attrs in log if name == "mmcs.done"]
+        assert [attrs["nodes"] for attrs in done] == [1050]
+        assert sum(name == "check" for name, _ in log) == 1050
+        outputs = 0
+        for position, (name, attrs) in enumerate(log):
+            if name == "check":
+                assert attrs == {"family": outputs}
+                assert log[position + 1][0] == "mmcs.node"
+            elif name == "mmcs.output":
+                outputs += 1
+        assert outputs == len(family) == 579
 
 
 class TestBudgets:

@@ -10,8 +10,8 @@ test:
 
 faults:
 	$(PYTHON) -m pytest -x -q tests/test_failure_injection.py \
-		tests/test_runtime_resilient.py tests/test_runtime_budget.py \
-		tests/test_runtime_checkpoint.py tests/test_runtime_run.py
+		tests/test_runtime_budget.py tests/test_runtime_checkpoint.py \
+		tests/test_runtime_run.py
 
 perf:
 	$(PYTHON) -m benchmarks.run_perf

@@ -14,15 +14,11 @@ instance: ``f = AD ∨ CD`` has ``CNF(f) = (A∨C)(D)`` because
 from __future__ import annotations
 
 from repro.boolean.monotone import MonotoneCNF, MonotoneDNF
-from repro.hypergraph.berge import berge_transversal_masks
 from repro.hypergraph.enumeration import minimal_transversals
 from repro.hypergraph.hypergraph import Hypergraph
 
 
 def _transversals_of(terms: tuple[int, ...], universe, method: str) -> list[int]:
-    if method == "berge" or not terms or terms == (0,):
-        # Berge handles the constant families ([] and [0]) natively.
-        return berge_transversal_masks(terms)
     hypergraph = Hypergraph(universe, terms, validate=False)
     return minimal_transversals(hypergraph, method=method)
 

@@ -22,16 +22,12 @@ _EXPORTS = {
         "BudgetExhausted",
         "CheckpointError",
         "MonotonicityError",
-        "OracleFailure",
-        "OracleTimeout",
         "ReproError",
         "RepresentationError",
     ),
     "repro.core.language": ("GenericLanguage", "SetLanguage"),
     "repro.core.oracle": (
         "CountingOracle",
-        "FailingOracle",
-        "FlakyOracle",
         "GenericCountingOracle",
         "MonotonicityCheckingOracle",
     ),

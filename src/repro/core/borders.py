@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.hypergraph.berge import berge_transversal_masks
 from repro.hypergraph.enumeration import minimal_transversals
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.util.antichain import maximize_masks
@@ -74,8 +73,6 @@ def negative_border_from_positive(
     complements = [full & ~mask for mask in maximal]
     if any(complement == 0 for complement in complements):
         return []
-    if method == "berge":
-        return berge_transversal_masks(complements)
     hypergraph = Hypergraph(universe, complements, validate=False)
     return minimal_transversals(hypergraph, method=method)
 

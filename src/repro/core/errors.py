@@ -28,21 +28,6 @@ class RepresentationError(ReproError):
     """
 
 
-class OracleFailure(ReproError):
-    """An ``Is-interesting`` evaluation failed transiently.
-
-    The paper's cost model assumes the oracle always answers; real
-    backends (a database under load, a remote service) do not.  This is
-    the retryable failure class that
-    :class:`repro.runtime.resilient.ResilientOracle` absorbs and that
-    :class:`repro.core.oracle.FailingOracle` injects in tests.
-    """
-
-
-class OracleTimeout(OracleFailure):
-    """An ``Is-interesting`` evaluation exceeded its time allowance."""
-
-
 class BudgetExhausted(ReproError):
     """A cooperative :class:`repro.runtime.budget.Budget` limit was hit.
 

@@ -15,7 +15,6 @@ tracked separately so wasteful re-asking is visible.
 
 from __future__ import annotations
 
-import random as _random
 from collections.abc import Callable, Hashable, Iterable
 
 from repro.obs.tracer import NULL_TRACER
@@ -296,128 +295,3 @@ class MonotonicityCheckingOracle:
         """Clear counters, memo, and audit history."""
         self._inner.reset()
 
-
-_FAILURE_MODES = ("exception", "timeout", "wrong_answer")
-
-
-class FailingOracle:
-    """Seeded stochastic fault injector around a mask predicate.
-
-    Two independent corruption channels:
-
-    * ``flipped_masks`` — *persistent* lies: the answer for these
-      sentences is always inverted (the original ``FlakyOracle``
-      behaviour, used to test that verification rejects consistent
-      corruption);
-    * ``failure_probability`` — *transient* faults: on each call, with
-      the given probability, one of ``modes`` fires —
-
-      - ``"exception"`` raises :class:`~repro.core.errors.OracleFailure`,
-      - ``"timeout"`` raises :class:`~repro.core.errors.OracleTimeout`,
-      - ``"wrong_answer"`` returns the inverted answer *for this call
-        only* (a retry may get the truth).
-
-    The RNG is seeded, so a fault schedule is reproducible; ``reset()``
-    reseeds it, restoring the exact same schedule.  Counter parity with
-    the counting oracles (``total_calls``, ``distinct_queries``,
-    ``reset``) lets tests assert how much traffic a resilience layer
-    actually generated.
-    """
-
-    __slots__ = (
-        "_predicate",
-        "_flipped",
-        "failure_probability",
-        "modes",
-        "seed",
-        "_rng",
-        "total_calls",
-        "_seen",
-        "failures_injected",
-        "wrong_answers",
-        "exceptions_raised",
-        "timeouts_raised",
-    )
-
-    def __init__(
-        self,
-        predicate: Callable[[int], bool],
-        flipped_masks: Iterable[int] = (),
-        *,
-        failure_probability: float = 0.0,
-        modes: Iterable[str] = ("exception",),
-        seed: int = 0,
-    ):
-        self._predicate = predicate
-        self._flipped = frozenset(flipped_masks)
-        if not 0.0 <= failure_probability <= 1.0:
-            raise ValueError("failure_probability must be in [0, 1]")
-        self.failure_probability = failure_probability
-        self.modes = tuple(modes)
-        for mode in self.modes:
-            if mode not in _FAILURE_MODES:
-                raise ValueError(
-                    f"unknown failure mode {mode!r}; "
-                    f"expected one of {_FAILURE_MODES}"
-                )
-        if failure_probability > 0 and not self.modes:
-            raise ValueError("failure_probability > 0 requires modes")
-        self.seed = seed
-        self._rng = _random.Random(seed)
-        self.total_calls = 0
-        self._seen: set[int] = set()
-        self.failures_injected = 0
-        self.wrong_answers = 0
-        self.exceptions_raised = 0
-        self.timeouts_raised = 0
-
-    def __call__(self, mask: int) -> bool:
-        from repro.core.errors import OracleFailure, OracleTimeout
-
-        self.total_calls += 1
-        self._seen.add(mask)
-        answer = bool(self._predicate(mask))
-        if mask in self._flipped:
-            answer = not answer
-        if (
-            self.failure_probability
-            and self._rng.random() < self.failure_probability
-        ):
-            mode = self.modes[self._rng.randrange(len(self.modes))]
-            self.failures_injected += 1
-            if mode == "exception":
-                self.exceptions_raised += 1
-                raise OracleFailure(f"injected failure for query {mask:#x}")
-            if mode == "timeout":
-                self.timeouts_raised += 1
-                raise OracleTimeout(f"injected timeout for query {mask:#x}")
-            self.wrong_answers += 1
-            return not answer
-        return answer
-
-    @property
-    def distinct_queries(self) -> int:
-        """Number of distinct sentences the injector was asked about."""
-        return len(self._seen)
-
-    def reset(self) -> None:
-        """Clear counters and reseed — the same fault schedule replays."""
-        self._rng = _random.Random(self.seed)
-        self.total_calls = 0
-        self._seen.clear()
-        self.failures_injected = 0
-        self.wrong_answers = 0
-        self.exceptions_raised = 0
-        self.timeouts_raised = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"FailingOracle(p={self.failure_probability}, "
-            f"modes={self.modes}, seed={self.seed}, "
-            f"injected={self.failures_injected}/{self.total_calls})"
-        )
-
-
-#: Backward-compatible name: the deterministic answer-flipping wrapper is
-#: the ``failure_probability=0`` special case of :class:`FailingOracle`.
-FlakyOracle = FailingOracle

@@ -10,10 +10,6 @@ of computation, so query-count results carry over by construction.
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.datasets.categorical": (
-        "encode_relation",
-        "generate_categorical_relation",
-    ),
     "repro.datasets.transactions": ("BACKENDS", "TransactionDatabase"),
     "repro.datasets.baskets": ("ColumnarBuilder", "read_baskets_csv"),
     "repro.datasets.fimi": ("read_fimi", "read_fimi_stream", "write_fimi"),

@@ -13,7 +13,7 @@ does not load it.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -253,13 +253,3 @@ def read_fimi(
 
 #: Alias of :func:`read_fimi`; existing callers import this name.
 read_fimi_stream = read_fimi
-
-
-def write_transactions(
-    transactions: Iterable[Iterable[int]], path: str | os.PathLike
-) -> None:
-    """Write raw integer transactions as FIMI ``.dat`` without a database."""
-    with open(path, "w", encoding="ascii") as handle:
-        for transaction in transactions:
-            handle.write(" ".join(str(item) for item in sorted(transaction)))
-            handle.write("\n")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.hypergraph.berge import berge_transversal_masks
+from repro.core.borders import negative_border_from_positive
 from repro.hypergraph.hypergraph import maximize_family
 from repro.util.bitset import Universe, mask_of_indices, popcount, rank_sorted
 from repro.util.rng import make_rng
@@ -74,13 +74,7 @@ class PlantedTheory:
         all is interesting); for a plant containing the full universe the
         border is empty (everything is interesting).
         """
-        full = self.universe.full_mask
-        if not self.maximal_masks:
-            return [0]
-        complements = [full & ~maximal for maximal in self.maximal_masks]
-        if any(c == 0 for c in complements):
-            return []
-        return berge_transversal_masks(complements)
+        return negative_border_from_positive(self.universe, self.maximal_masks)
 
     def rank(self) -> int:
         """``rank(MTh)``: the size of the largest maximal set."""

@@ -25,19 +25,12 @@ Engines provided:
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.hypergraph.certification": (
-        "TransversalCertificate",
-        "certify_transversal_family",
-    ),
     "repro.hypergraph.hypergraph": (
         "Hypergraph",
         "NonSimpleHypergraphError",
         "minimize_family",
     ),
-    "repro.hypergraph.berge": (
-        "berge_transversal_masks",
-        "transversal_hypergraph",
-    ),
+    "repro.hypergraph.berge": ("berge_transversal_masks",),
     "repro.hypergraph.fredman_khachiyan": (
         "DualityWitness",
         "check_duality",
@@ -48,7 +41,6 @@ _EXPORTS = {
         "brute_force_transversal_masks",
         "iter_minimal_transversals",
         "minimal_transversals",
-        "minimize_transversal_mask",
     ),
     "repro.hypergraph.levelwise_transversal": (
         "levelwise_transversal_masks",

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from itertools import groupby
 
 from repro.core.errors import BudgetExhausted
-from repro.hypergraph.hypergraph import Hypergraph, minimize_family
+from repro.hypergraph.hypergraph import minimize_family
 from repro.obs.tracer import as_tracer
 from repro.util.antichain import AntichainIndex
 from repro.util.bitset import iter_bits, rank_sorted
@@ -165,21 +165,3 @@ def berge_transversal_masks(
         if tracer.enabled:
             run_span.note(family_out=len(index))
         return index.sorted_masks()
-
-
-def transversal_hypergraph(hypergraph: Hypergraph) -> Hypergraph:
-    """``Tr(H)`` as a :class:`Hypergraph` (Berge engine).
-
-    Raises:
-        ValueError: for the empty hypergraph, whose transversal family
-            ``{∅}`` contains the empty set and is therefore not a simple
-            hypergraph.  Use :func:`berge_transversal_masks` when the
-            empty family must be representable.
-    """
-    masks = berge_transversal_masks(hypergraph.edge_masks)
-    if masks == [0]:
-        raise ValueError(
-            "Tr(empty hypergraph) = {∅} is not a simple hypergraph; "
-            "use berge_transversal_masks for the raw mask family"
-        )
-    return Hypergraph(hypergraph.universe, masks, validate=False)

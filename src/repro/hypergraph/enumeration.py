@@ -26,30 +26,11 @@ from repro.hypergraph.fredman_khachiyan import find_new_minimal_transversal
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
 from repro.hypergraph.levelwise_transversal import levelwise_transversal_masks
 from repro.hypergraph.mmcs import _with_prefix_partial, mmcs_transversal_masks
-from repro.util.bitset import iter_bits, rank_sorted
+from repro.util.bitset import rank_sorted
 
 _METHODS = ("berge", "fk", "mmcs", "levelwise", "brute")
 _BUDGETED = ("berge", "fk", "mmcs")
 _PARALLEL = ("mmcs",)
-
-
-def minimize_transversal_mask(edge_masks: Sequence[int], transversal: int) -> int:
-    """Greedily shrink a transversal to a minimal one (vertices low→high).
-
-    Args:
-        edge_masks: the hypergraph edges.
-        transversal: any transversal of the family.
-
-    Raises:
-        ValueError: when ``transversal`` does not hit every edge.
-    """
-    if not all(transversal & edge for edge in edge_masks):
-        raise ValueError("input is not a transversal")
-    for bit_index in iter_bits(transversal):
-        reduced = transversal & ~(1 << bit_index)
-        if all(reduced & edge for edge in edge_masks):
-            transversal = reduced
-    return transversal
 
 
 def brute_force_transversal_masks(

@@ -12,7 +12,6 @@ import random
 
 from repro.hypergraph.hypergraph import Hypergraph, minimize_family
 from repro.util.bitset import Universe, mask_of_indices
-from repro.util.combinatorics import binomial
 from repro.util.rng import make_rng
 
 
@@ -60,11 +59,6 @@ def complete_k_uniform_hypergraph(n: int, k: int) -> Hypergraph:
 
     edges = [mask_of_indices(combo) for combo in combinations(range(n), k)]
     return Hypergraph(universe, edges)
-
-
-def complete_k_uniform_edge_count(n: int, k: int) -> int:
-    """Number of edges of :func:`complete_k_uniform_hypergraph`."""
-    return binomial(n, k)
 
 
 def path_hypergraph(n: int) -> Hypergraph:

@@ -24,12 +24,11 @@ from collections.abc import Callable, Hashable
 from repro.core.oracle import CountingOracle
 from repro.core.theory import Theory
 from repro.datasets.relations import Relation
-from repro.hypergraph.berge import berge_transversal_masks
 from repro.hypergraph.enumeration import minimal_transversals
 from repro.hypergraph.hypergraph import Hypergraph, maximize_family
 from repro.mining.dualize_advance import dualize_and_advance
 from repro.mining.levelwise import levelwise
-from repro.util.bitset import Universe, iter_bits, popcount
+from repro.util.bitset import Universe, iter_bits
 
 
 def key_interestingness_predicate(
@@ -91,8 +90,6 @@ def minimal_keys_via_agree_sets(
     if any(complement == 0 for complement in complements):
         # Two identical rows: nothing distinguishes them, no keys exist.
         return []
-    if method == "berge":
-        return berge_transversal_masks(complements)
     hypergraph = Hypergraph(relation.universe, complements, validate=False)
     return minimal_transversals(hypergraph, method=method)
 
@@ -136,8 +133,6 @@ def fd_lhs_via_agree_sets(
         )
         for edge in edges
     ]
-    if method == "berge":
-        return berge_transversal_masks(reduced_edges)
     hypergraph = Hypergraph(reduced_universe, reduced_edges, validate=False)
     return minimal_transversals(hypergraph, method=method)
 
@@ -173,15 +168,3 @@ def mine_minimal_keys(
         f"unknown algorithm {algorithm!r}; "
         "expected 'levelwise' or 'dualize_advance'"
     )
-
-
-def keys_as_sets(relation: Relation, key_masks: list[int]) -> list[frozenset]:
-    """Render key masks over the relation's attribute universe."""
-    return [relation.universe.to_set(mask) for mask in key_masks]
-
-
-def rank_of_family(masks: list[int]) -> int:
-    """Largest cardinality in a mask family (0 when empty)."""
-    if not masks:
-        return 0
-    return max(popcount(mask) for mask in masks)

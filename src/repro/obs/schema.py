@@ -117,10 +117,6 @@ KNOWN_EVENTS: dict[str, tuple[str, tuple[str, ...]]] = {
         "event",
         ("family", "nodes", "edges", "n", "traced"),
     ),
-    # resilience (repro.runtime.resilient)
-    "resilient.retry": ("event", ("mask", "attempt", "delay")),
-    "resilient.vote": ("event", ("mask", "vote", "answer")),
-    "resilient.failure": ("event", ("mask", "kind")),
     # parallel execution (repro.parallel)
     "worker.pool": ("event", ("workers",)),
     "worker.batch": ("event", ("shard", "size")),

@@ -14,13 +14,12 @@ behaviours every parallel engine here relies on:
 * **bounded crash recovery** — when the pool dies mid-batch (a worker
   was OOM-killed, segfaulted, or the executor broke), the tasks not yet
   yielded are resubmitted to a freshly spawned pool, at most
-  ``max_restarts`` times, mirroring the bounded-retry semantics of
-  :class:`~repro.runtime.resilient.ResilientOracle`.  Once restarts are
-  exhausted the pool marks itself broken and raises
-  :class:`WorkerPoolBroken`; callers fall back to their serial path,
-  so a dying pool degrades a run, never corrupts it.  Re-running a task
-  is safe because every task shipped through this pool is a pure
-  function of its arguments — re-execution cannot change an answer.
+  ``max_restarts`` times.  Once restarts are exhausted the pool marks
+  itself broken and raises :class:`WorkerPoolBroken`; callers fall back
+  to their serial path, so a dying pool degrades a run, never corrupts
+  it.  Re-running a task is safe because every task shipped through
+  this pool is a pure function of its arguments — re-execution cannot
+  change an answer.
 
 The ``fork`` start method is preferred on platforms that offer it (the
 pool is spawned before any numpy threads exist, and fork makes pool

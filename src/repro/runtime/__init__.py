@@ -1,5 +1,5 @@
-"""Execution-control runtime: budgets, certified partial results,
-checkpoint/resume, and oracle resilience.
+"""Execution-control runtime: budgets, certified partial results, and
+checkpoint/resume.
 
 The engines of this library are exact but worst-case exponential
 (Example 19 of the paper); this package makes runs *degrade gracefully*
@@ -19,12 +19,7 @@ instead of falling over:
   re-validates it under Theorem 2 / Corollary 4 semantics;
 * :class:`~repro.runtime.checkpoint.Checkpoint` — JSON snapshots for
   ``levelwise`` and ``dualize_and_advance``; resuming reproduces the
-  uninterrupted theory and query accounting bit-for-bit;
-* :class:`~repro.runtime.resilient.ResilientOracle` — bounded retries,
-  deterministic backoff, and k-of-n majority voting over
-  stochastically-failing predicates (see
-  :class:`~repro.core.oracle.FailingOracle` for the matching fault
-  injector).
+  uninterrupted theory and query accounting bit-for-bit.
 """
 
 from repro._lazy import lazy_exports
@@ -39,7 +34,5 @@ _EXPORTS = {
         "PartialResult",
         "build_partial",
     ),
-    "repro.core.oracle": ("FailingOracle",),
-    "repro.runtime.resilient": ("ResilientOracle",),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -19,20 +19,12 @@ _EXPORTS = {
         "Universe",
         "iter_bits",
         "iter_submasks",
-        "lowest_bit",
         "mask_of_indices",
         "popcount",
         "rank_sorted",
     ),
     "repro.util.prefix": ("parents_all_in", "prefix_join_candidates"),
-    "repro.util.combinatorics": (
-        "binomial",
-        "iter_subsets",
-        "iter_subsets_of_size",
-        "powerset_size",
-        "sum_binomials",
-    ),
+    "repro.util.combinatorics": ("binomial", "sum_binomials"),
     "repro.util.rng": ("make_rng",),
-    "repro.util.stats": ("RunningStats", "geometric_mean"),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -55,17 +55,6 @@ def rank_sorted_with(
     )
 
 
-def lowest_bit(mask: int) -> int:
-    """Index of the least significant set bit of a non-zero ``mask``.
-
-    Raises:
-        ValueError: if ``mask`` is zero (the empty set has no lowest bit).
-    """
-    if mask == 0:
-        raise ValueError("empty mask has no lowest bit")
-    return (mask & -mask).bit_length() - 1
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of set bits of ``mask`` in increasing order."""
     while mask:
@@ -193,29 +182,3 @@ class Universe:
         if sep == "" and any(len(p) > 1 for p in parts):
             sep = ","
         return sep.join(parts)
-
-
-def masks_from_sets(
-    universe: Universe, sets: Iterable[Iterable[Item]]
-) -> list[int]:
-    """Convert a family of item-sets to a list of masks (order preserved)."""
-    return [universe.to_mask(s) for s in sets]
-
-
-def sets_from_masks(universe: Universe, masks: Iterable[int]) -> list[frozenset]:
-    """Convert a family of masks back to ``frozenset`` objects."""
-    return [universe.to_set(m) for m in masks]
-
-
-def is_antichain(masks: Sequence[int]) -> bool:
-    """True when no mask in the family contains another (a simple family).
-
-    This is the "simple hypergraph" condition of the paper (Section 3):
-    ``X ⊆ Y`` implies ``X = Y`` within the family.  Quadratic; intended for
-    validation, not hot paths.
-    """
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if a & b == a or a & b == b:
-                return False
-    return True

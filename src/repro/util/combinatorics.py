@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from itertools import combinations
 from math import comb
 
 
@@ -22,23 +20,3 @@ def sum_binomials(n: int, k: int) -> int:
     of all small sets; it appears in Corollary 14's bound on ``|Bd-|``.
     """
     return sum(binomial(n, i) for i in range(0, min(k, n) + 1))
-
-
-def powerset_size(n: int) -> int:
-    """``2**n`` with a guard against negative ``n``."""
-    if n < 0:
-        raise ValueError("universe size must be non-negative")
-    return 1 << n
-
-
-def iter_subsets(items: Sequence) -> Iterator[frozenset]:
-    """Yield every subset of ``items`` as a ``frozenset`` (2**n of them)."""
-    n = len(items)
-    for mask in range(1 << n):
-        yield frozenset(items[i] for i in range(n) if mask >> i & 1)
-
-
-def iter_subsets_of_size(items: Sequence, size: int) -> Iterator[frozenset]:
-    """Yield every ``size``-element subset of ``items``."""
-    for combo in combinations(items, size):
-        yield frozenset(combo)

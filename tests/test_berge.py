@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from repro.hypergraph.berge import berge_transversal_masks, transversal_hypergraph
+from repro.hypergraph.berge import berge_transversal_masks
 from repro.hypergraph.enumeration import brute_force_transversal_masks
 from repro.hypergraph.generators import (
     complete_k_uniform_hypergraph,
@@ -80,23 +80,12 @@ class TestBergeOnNamedFamilies:
 
 
 class TestTransversalHypergraph:
-    def test_returns_hypergraph(self):
-        universe = Universe("ABC")
-        hypergraph = Hypergraph(universe, [0b011, 0b101])
-        result = transversal_hypergraph(hypergraph)
-        assert isinstance(result, Hypergraph)
-        assert result.universe == universe
-
-    def test_empty_hypergraph_raises(self):
-        with pytest.raises(ValueError):
-            transversal_hypergraph(Hypergraph(Universe("AB"), []))
-
     def test_involution_on_simple_families(self):
         """Tr(Tr(H)) = H for simple hypergraphs (a classical identity)."""
         universe = Universe("ABCDE")
-        hypergraph = Hypergraph.from_sets(
-            [{"A", "B"}, {"B", "C", "D"}, {"E"}], universe
+        edges = list(
+            Hypergraph.from_sets(
+                [{"A", "B"}, {"B", "C", "D"}, {"E"}], universe
+            ).edge_masks
         )
-        assert transversal_hypergraph(
-            transversal_hypergraph(hypergraph)
-        ) == hypergraph
+        assert berge_transversal_masks(berge_transversal_masks(edges)) == edges

@@ -1,4 +1,4 @@
-"""Tests for counting oracles, monotonicity auditing, failure injection."""
+"""Tests for counting oracles and monotonicity auditing."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.core.errors import MonotonicityError
 from repro.core.oracle import (
     CountingOracle,
-    FlakyOracle,
     GenericCountingOracle,
     MonotonicityCheckingOracle,
 )
@@ -122,19 +121,3 @@ class TestMonotonicityCheckingOracle:
         oracle(1)
         oracle.reset()
         assert oracle.distinct_queries == 0
-
-
-class TestFlakyOracle:
-    def test_flips_selected_masks(self):
-        flaky = FlakyOracle(lambda mask: True, flipped_masks=[2])
-        assert flaky(1) is True
-        assert flaky(2) is False
-
-    def test_composes_with_checker(self):
-        """Injected lies about monotonicity are caught by the checker."""
-        truthful = lambda mask: mask == 0  # noqa: E731  only ∅ interesting
-        flaky = FlakyOracle(truthful, flipped_masks=[0b11])
-        oracle = MonotonicityCheckingOracle(flaky)
-        oracle(0b01)  # honestly uninteresting
-        with pytest.raises(MonotonicityError):
-            oracle(0b11)  # lie: reported interesting above an uninteresting set

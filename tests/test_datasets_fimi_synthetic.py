@@ -12,12 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.baskets import ColumnarBuilder
-from repro.datasets.fimi import (
-    read_fimi,
-    read_fimi_stream,
-    write_fimi,
-    write_transactions,
-)
+from repro.datasets.fimi import read_fimi, read_fimi_stream, write_fimi
 from repro.datasets.synthetic import QuestParameters, generate_quest_database
 from repro.datasets.transactions import TransactionDatabase
 from repro.util.bitset import Universe
@@ -91,11 +86,6 @@ class TestFimiRoundTrip:
         assert database.n_transactions == 3
         assert database.support_count(0) == 3
 
-    def test_write_transactions_sorts_items(self, tmp_path):
-        path = tmp_path / "raw.dat"
-        write_transactions([[3, 1, 2], [5]], path)
-        assert path.read_text() == "1 2 3\n5\n"
-
     def test_written_file_is_plain_ascii(self, tmp_path):
         universe = Universe(range(3))
         database = TransactionDatabase(universe, [0b101])
@@ -148,8 +138,11 @@ class TestFimiRoundTrip:
         horizontal construction from the same baskets would."""
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "stream.dat"
-            write_transactions(
-                [sorted(basket) for basket in transactions], path
+            path.write_text(
+                "".join(
+                    " ".join(map(str, sorted(basket))) + "\n"
+                    for basket in transactions
+                )
             )
             eager = TransactionDatabase.from_transactions(transactions)
             streamed = read_fimi(path)

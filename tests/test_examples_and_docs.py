@@ -70,17 +70,48 @@ class TestDocsConsistency:
         assert len(path.read_text(encoding="utf-8")) > 1000, relative
 
     def test_design_layout_matches_tree(self):
-        """Every module named in DESIGN.md's layout block must exist."""
+        """DESIGN.md's layout block names exactly the modules of the tree.
+
+        Each ``src/repro`` line names the modules of one package
+        directory (its first token, or the package root when that token
+        is a module); indented lines continue the entry above.  Every
+        module there must exist, and every module of the tree but the
+        ``__init__.py`` files must be named under its own directory.
+        """
         design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
         start = design.index("src/repro/")
         end = design.index("```", start)
-        block = design[start:end]
-        for token in block.split():
-            if token.endswith(".py"):
-                matches = list(REPO_ROOT.glob(f"src/repro/**/{token}")) + list(
-                    REPO_ROOT.glob(f"examples/{token}")
+        lines = design[start:end].splitlines()[1:]
+        named: dict[str, set[str]] = {}
+        package = ""
+        while lines and lines[0].startswith("  "):
+            line = lines.pop(0)
+            tokens = line.split()
+            if not line.startswith("   "):
+                package = tokens[0] if tokens[0].endswith("/") else ""
+            named.setdefault(package, set()).update(
+                token for token in tokens if token.endswith(".py")
+            )
+        source = REPO_ROOT / "src" / "repro"
+        for package, modules in named.items():
+            for module in modules:
+                assert (source / package / module).is_file(), (
+                    f"DESIGN.md names missing module {package}{module}"
                 )
-                assert matches, f"DESIGN.md names missing module {token}"
+        for path in source.rglob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            package = path.parent.relative_to(source).as_posix() + "/"
+            package = "" if package == "./" else package
+            assert path.name in named.get(package, ()), (
+                f"DESIGN.md's layout omits src/repro/{package}{path.name}"
+            )
+        for line in lines:
+            for token in line.split():
+                if token.endswith(".py"):
+                    assert (REPO_ROOT / "examples" / token).is_file(), (
+                        f"DESIGN.md names missing example {token}"
+                    )
 
     def test_experiment_benches_exist(self):
         """Every bench target named in DESIGN.md's experiment table."""

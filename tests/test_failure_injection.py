@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import MonotonicityError
-from repro.core.oracle import FlakyOracle, MonotonicityCheckingOracle
+from repro.core.oracle import MonotonicityCheckingOracle
 from repro.core.verification import verify_maxth
 from repro.datasets.planted import PlantedTheory, random_planted_theory
 from repro.mining.dualize_advance import dualize_and_advance
@@ -32,7 +32,7 @@ def planted(universe):
 
 def _lying_predicate(planted, lie_mask):
     """The planted predicate with one answer flipped."""
-    return FlakyOracle(planted.is_interesting, flipped_masks=[lie_mask])
+    return lambda mask: planted.is_interesting(mask) != (mask == lie_mask)
 
 
 class TestAuditedMining:

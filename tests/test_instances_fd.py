@@ -11,7 +11,6 @@ from repro.instances.functional_dependencies import (
     fd_interestingness_predicate,
     fd_lhs_via_agree_sets,
     key_interestingness_predicate,
-    keys_as_sets,
     mine_minimal_keys,
     minimal_keys_via_agree_sets,
 )
@@ -59,7 +58,8 @@ class TestKeysOnFixedRelations:
         keys = minimal_keys_via_agree_sets(relation)
         # Maximal agree sets: {A,C} and {B}; complements {B} and {A,C};
         # minimal transversals: {A,B}, {B,C}.
-        assert sorted(keys_as_sets(relation, keys), key=sorted) == [
+        key_sets = [relation.universe.to_set(key) for key in keys]
+        assert sorted(key_sets, key=sorted) == [
             frozenset({"A", "B"}),
             frozenset({"B", "C"}),
         ]

@@ -2,9 +2,9 @@
 
 Every engine is run with a live :class:`JsonlTraceWriter`; the recorded
 file must parse, validate against the event schema, and keep spans
-balanced.  The exception-safety satellite: a ``FailingOracle`` blowing
-up mid-run under an active writer still leaves a balanced, parseable
-trace with the error recorded on the aborted spans.
+balanced.  Exception safety: a predicate raising mid-run under an
+active writer still leaves a balanced, parseable trace with the error
+recorded on the aborted spans.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import json
 
 import pytest
 
-from repro.core.errors import OracleFailure
-from repro.core.oracle import CountingOracle, FailingOracle
-from repro.datasets.planted import PlantedTheory, random_planted_theory
+from repro.core.oracle import CountingOracle
+from repro.datasets.planted import PlantedTheory
 from repro.datasets.synthetic import (
     QuestParameters,
     generate_quest_database,
@@ -28,7 +27,6 @@ from repro.mining.dualize_advance import dualize_and_advance
 from repro.mining.levelwise import levelwise
 from repro.mining.maxminer import maxminer_maxth
 from repro.obs import JsonlTraceWriter, parse_trace, validate_trace
-from repro.runtime.resilient import ResilientOracle
 from repro.util.bitset import Universe
 
 from benchmarks.trace_report import build_report
@@ -115,35 +113,6 @@ class TestSchemaValidRuns:
         names = {record["name"] for record in records}
         assert ("berge.run" if method == "berge" else "fk.check") in names
 
-    def test_resilient_events_validate(self):
-        planted = random_planted_theory(
-            6, 2, min_size=2, max_size=4, seed=11
-        )
-        faulty = FailingOracle(
-            planted.is_interesting,
-            failure_probability=0.2,
-            modes=("exception", "wrong_answer"),
-            seed=11,
-        )
-
-        def run(writer):
-            recovered = ResilientOracle(
-                faulty,
-                votes=5,
-                retries=8,
-                sleep=lambda _d: None,
-                tracer=writer,
-            )
-            levelwise(
-                planted.universe, CountingOracle(recovered), tracer=writer
-            )
-
-        records = _trace(run)
-        assert validate_trace(records) == []
-        names = {record["name"] for record in records}
-        assert "resilient.vote" in names
-        assert "resilient.retry" in names
-
     def test_trace_report_aggregates_levelwise(self):
         universe, planted = _figure1()
         records = _trace(
@@ -157,26 +126,26 @@ class TestSchemaValidRuns:
         assert report["spans"]["levelwise.run"]["count"] == 1
 
 
+class PredicateDown(Exception):
+    """What the failing predicate below raises."""
+
+
+def _always_failing(mask):
+    raise PredicateDown(f"no answer for {mask:#x}")
+
+
 class TestExceptionSafety:
     """Satellite 2: an oracle blow-up leaves a balanced trace."""
 
-    def _always_failing(self, planted):
-        return FailingOracle(
-            planted.is_interesting,
-            failure_probability=1.0,
-            modes=("exception",),
-            seed=0,
-        )
-
     def test_levelwise_failure_leaves_balanced_trace(self):
-        universe, planted = _figure1()
+        universe, _ = _figure1()
         buffer = io.StringIO()
         writer = JsonlTraceWriter(buffer)
-        with pytest.raises(OracleFailure):
+        with pytest.raises(PredicateDown):
             with writer:
                 levelwise(
                     universe,
-                    CountingOracle(self._always_failing(planted)),
+                    CountingOracle(_always_failing),
                     tracer=writer,
                 )
         records = [
@@ -187,17 +156,17 @@ class TestExceptionSafety:
         assert validate_trace(records) == []
         closes = [r for r in records if r["kind"] == "span_close"]
         assert closes, "aborted spans must still emit close records"
-        assert any(r.get("error") == "OracleFailure" for r in closes)
+        assert any(r.get("error") == "PredicateDown" for r in closes)
 
     def test_dualize_failure_leaves_balanced_trace(self):
-        universe, planted = _figure1()
+        universe, _ = _figure1()
         buffer = io.StringIO()
         writer = JsonlTraceWriter(buffer)
-        with pytest.raises(OracleFailure):
+        with pytest.raises(PredicateDown):
             with writer:
                 dualize_and_advance(
                     universe,
-                    CountingOracle(self._always_failing(planted)),
+                    CountingOracle(_always_failing),
                     tracer=writer,
                 )
         records = [
@@ -211,17 +180,17 @@ class TestExceptionSafety:
             for r in records
             if r["kind"] == "span_close" and r["name"] == "dualize.run"
         ]
-        assert run_close and run_close[0]["error"] == "OracleFailure"
+        assert run_close and run_close[0]["error"] == "PredicateDown"
 
     def test_interrupted_file_trace_still_parses(self, tmp_path):
         """Per-line flushing: the file is consumable before close()."""
-        universe, planted = _figure1()
+        universe, _ = _figure1()
         path = tmp_path / "interrupted.jsonl"
         writer = JsonlTraceWriter(path)
-        with pytest.raises(OracleFailure):
+        with pytest.raises(PredicateDown):
             levelwise(
                 universe,
-                CountingOracle(self._always_failing(planted)),
+                CountingOracle(_always_failing),
                 tracer=writer,
             )
         # Simulate never reaching writer.close(): read the file as-is.

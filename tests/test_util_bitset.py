@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 
 from repro.util.bitset import (
     Universe,
-    is_antichain,
     iter_bits,
     iter_submasks,
-    lowest_bit,
     mask_of_indices,
-    masks_from_sets,
     popcount,
     rank_sorted,
-    sets_from_masks,
 )
 
 
@@ -56,22 +52,6 @@ class TestRankSorted:
             masks, key=lambda m: (popcount(m), m)
         )
         assert rank_sorted(iter(masks)) == rank_sorted(masks)
-
-
-class TestLowestBit:
-    def test_single_bit(self):
-        assert lowest_bit(0b1000) == 3
-
-    def test_mixed(self):
-        assert lowest_bit(0b101100) == 2
-
-    def test_zero_raises(self):
-        with pytest.raises(ValueError):
-            lowest_bit(0)
-
-    @given(st.integers(min_value=1, max_value=2**40))
-    def test_is_minimum_of_iter_bits(self, mask):
-        assert lowest_bit(mask) == min(iter_bits(mask))
 
 
 class TestIterBits:
@@ -175,23 +155,3 @@ class TestUniverse:
     def test_mask_set_round_trip(self, subset):
         universe = Universe(range(12))
         assert universe.to_set(universe.to_mask(subset)) == frozenset(subset)
-
-
-class TestFamilyHelpers:
-    def test_masks_from_sets_preserves_order(self):
-        universe = Universe("ABC")
-        masks = masks_from_sets(universe, [{"B"}, {"A", "C"}])
-        assert masks == [0b010, 0b101]
-
-    def test_sets_from_masks(self):
-        universe = Universe("ABC")
-        assert sets_from_masks(universe, [0b011]) == [frozenset({"A", "B"})]
-
-    def test_is_antichain_true(self):
-        assert is_antichain([0b001, 0b010, 0b100])
-
-    def test_is_antichain_false_on_nesting(self):
-        assert not is_antichain([0b001, 0b011])
-
-    def test_is_antichain_empty(self):
-        assert is_antichain([])

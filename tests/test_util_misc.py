@@ -1,23 +1,14 @@
-"""Unit tests for repro.util.combinatorics, rng, and stats."""
+"""Unit tests for repro.util.combinatorics and rng."""
 
 from __future__ import annotations
 
-import math
 import random
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.combinatorics import (
-    binomial,
-    iter_subsets,
-    iter_subsets_of_size,
-    powerset_size,
-    sum_binomials,
-)
+from repro.util.combinatorics import binomial, sum_binomials
 from repro.util.rng import make_rng
-from repro.util.stats import RunningStats, geometric_mean
 
 
 class TestBinomial:
@@ -47,31 +38,6 @@ class TestSumBinomials:
         assert sum_binomials(3, 100) == 8
 
 
-class TestPowersetSize:
-    def test_values(self):
-        assert powerset_size(0) == 1
-        assert powerset_size(5) == 32
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            powerset_size(-1)
-
-
-class TestIterSubsets:
-    def test_count(self):
-        assert len(list(iter_subsets("abc"))) == 8
-
-    def test_contains_empty_and_full(self):
-        subsets = list(iter_subsets("ab"))
-        assert frozenset() in subsets
-        assert frozenset("ab") in subsets
-
-    def test_of_size(self):
-        pairs = list(iter_subsets_of_size("abcd", 2))
-        assert len(pairs) == 6
-        assert all(len(p) == 2 for p in pairs)
-
-
 class TestMakeRng:
     def test_seed_reproducible(self):
         assert make_rng(42).random() == make_rng(42).random()
@@ -82,46 +48,3 @@ class TestMakeRng:
 
     def test_none_gives_rng(self):
         assert isinstance(make_rng(None), random.Random)
-
-
-class TestRunningStats:
-    def test_empty(self):
-        stats = RunningStats()
-        assert stats.count == 0
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-
-    def test_single_value(self):
-        stats = RunningStats()
-        stats.add(5.0)
-        assert stats.mean == 5.0
-        assert stats.variance == 0.0
-        assert stats.minimum == 5.0 == stats.maximum
-
-    def test_matches_closed_forms(self):
-        values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        stats = RunningStats()
-        for value in values:
-            stats.add(value)
-        assert stats.mean == pytest.approx(sum(values) / len(values))
-        mean = sum(values) / len(values)
-        expected_var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-        assert stats.variance == pytest.approx(expected_var)
-        assert stats.stddev == pytest.approx(math.sqrt(expected_var))
-
-    def test_repr_mentions_count(self):
-        stats = RunningStats()
-        stats.add(1)
-        assert "count=1" in repr(stats)
-
-
-class TestGeometricMean:
-    def test_known(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-
-    def test_empty_is_zero(self):
-        assert geometric_mean([]) == 0.0
-
-    def test_nonpositive_raises(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])

@@ -6,8 +6,8 @@ two price points the stack actually has:
 * **service plane** (gated, target ≥ 0.95x — i.e. < 5% overhead): a
   fixed request mix against the HTTP service — hot-threshold mines,
   borders, membership, health — with the full per-request telemetry on
-  (request-scoped trace collectors stitched into a JSONL writer + the
-  theorem monitor, always-on latency histograms) versus the same server
+  (request-scoped record buffers stitched into one tracer feeding a
+  JSONL writer and the theorem monitor, always-on latency histograms) versus the same server
   untraced.  This is the configuration a production ``repro serve
   --trace`` runs, and it must stay effectively free: per-request
   tracing buffers a handful of span records and folds them under one
@@ -43,10 +43,10 @@ from pathlib import Path
 from repro.datasets.synthetic import QuestParameters, generate_quest_database
 from repro.mining.eclat import eclat
 from repro.obs.jsonl import JsonlTraceWriter
-from repro.obs.metrics import MetricsRegistry, MetricsTracer
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import TheoremMonitor
 from repro.obs.schema import parse_trace, validate_trace
-from repro.obs.tracer import MultiTracer
+from repro.obs.tracer import RecordTracer
 from repro.service.server import MiningServer
 from repro.service.state import ServiceCore
 
@@ -101,7 +101,9 @@ def _serve_pass(database, threshold: int, requests: int, traced: bool):
     if traced:
         trace_path = tempfile.mktemp(suffix=".jsonl")
         writer = JsonlTraceWriter(trace_path)
-        tracer = MultiTracer(writer, TheoremMonitor())
+        tracer = RecordTracer(
+            writer.feed_record, TheoremMonitor().feed_record
+        )
         registry = MetricsRegistry()
         core = ServiceCore(database, threshold, tracer=tracer,
                            registry=registry)
@@ -154,8 +156,10 @@ def _engine_pass(database, threshold: int, traced: bool):
         return time.perf_counter() - t0, _theory_payload(theory)
     trace_path = tempfile.mktemp(suffix=".jsonl")
     writer = JsonlTraceWriter(trace_path)
-    tracer = MultiTracer(
-        writer, MetricsTracer(MetricsRegistry()), TheoremMonitor()
+    tracer = RecordTracer(
+        writer.feed_record,
+        MetricsRegistry().feed_record,
+        TheoremMonitor().feed_record,
     )
     t0 = time.perf_counter()
     theory = eclat(database, threshold, tracer=tracer)

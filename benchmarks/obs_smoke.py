@@ -162,7 +162,8 @@ def main(argv=None) -> int:
         problems = validate_trace(records)
         assert not problems, f"{segment}: {problems}"
         total += len(records)
-        monitor.stitch(records)
+        for record in records:
+            monitor.feed_record(record)
         report = build_report(records)
         for endpoint, stats in report["requests"].items():
             row = requests.setdefault(endpoint, 0)

@@ -52,7 +52,6 @@ def exercise() -> None:
         40,
         workers=2,
         budget=Budget(max_queries=30),
-        on_exhaust="return",
     )
     assert isinstance(cut, PartialResult), type(cut)
 

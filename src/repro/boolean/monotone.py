@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from repro.hypergraph.hypergraph import maximize_family, minimize_family
+from repro.util.antichain import maximize_masks, minimize_masks
 from repro.util.bitset import Universe, rank_sorted
 
 
@@ -37,7 +37,7 @@ class MonotoneDNF:
 
     def __init__(self, universe: Universe, term_masks: Iterable[int]):
         self.universe = universe
-        terms = minimize_family(term_masks)
+        terms = minimize_masks(term_masks)
         for term in terms:
             if term & ~universe.full_mask:
                 raise ValueError("term uses variables outside the universe")
@@ -105,7 +105,7 @@ class MonotoneCNF:
 
     def __init__(self, universe: Universe, clause_masks: Iterable[int]):
         self.universe = universe
-        clauses = minimize_family(clause_masks)
+        clauses = minimize_masks(clause_masks)
         for clause in clauses:
             if clause & ~universe.full_mask:
                 raise ValueError("clause uses variables outside the universe")
@@ -175,7 +175,7 @@ def minimal_true_points(
     true_points = [
         mask for mask in range(1 << n_variables) if function(mask)
     ]
-    return minimize_family(true_points)
+    return minimize_masks(true_points)
 
 
 def maximal_false_points(
@@ -189,7 +189,7 @@ def maximal_false_points(
     false_points = [
         mask for mask in range(1 << n_variables) if not function(mask)
     ]
-    return rank_sorted(maximize_family(false_points))
+    return rank_sorted(maximize_masks(false_points))
 
 
 def is_monotone(function: Callable[[int], bool], n_variables: int) -> bool:

@@ -421,19 +421,18 @@ def _build_tracer(args: argparse.Namespace) -> _ObsStack:
     from repro.obs import (
         JsonlTraceWriter,
         MetricsRegistry,
-        MetricsTracer,
-        MultiTracer,
+        RecordTracer,
         TheoremMonitor,
     )
 
     writer = JsonlTraceWriter(trace_path) if trace_path else None
     registry = MetricsRegistry() if want_metrics else None
     monitor = TheoremMonitor()
-    tracer = MultiTracer(
-        writer,
-        MetricsTracer(registry) if registry is not None else None,
-        monitor,
-    )
+    tracer = RecordTracer(*(
+        consumer.feed_record
+        for consumer in (writer, registry, monitor)
+        if consumer is not None
+    ))
 
     def finalize() -> None:
         if writer is not None:

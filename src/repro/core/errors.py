@@ -31,10 +31,11 @@ class RepresentationError(ReproError):
 class BudgetExhausted(ReproError):
     """A cooperative :class:`repro.runtime.budget.Budget` limit was hit.
 
-    Engines either catch this internally and *return* a
-    :class:`~repro.runtime.partial.PartialResult`, or (with
-    ``on_exhaust="raise"``) re-raise it with :attr:`partial` attached so
-    the caller still receives the certified state.
+    The miners catch this internally and *return* a
+    :class:`~repro.runtime.partial.PartialResult`; the transversal
+    engines raise it with :attr:`partial` (a
+    :class:`~repro.runtime.partial.PartialDualization`) attached so the
+    caller still receives the certified state.
 
     Attributes:
         reason: which limit tripped — ``"queries"``, ``"timeout"``,

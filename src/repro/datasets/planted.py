@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.core.borders import negative_border_from_positive
-from repro.hypergraph.hypergraph import maximize_family
+from repro.util.antichain import maximize_masks
 from repro.util.bitset import Universe, mask_of_indices, popcount, rank_sorted
 from repro.util.rng import make_rng
 
@@ -36,7 +36,7 @@ class PlantedTheory:
     def __post_init__(self) -> None:
         # Sort ascending by (cardinality, value) — the order every miner
         # reports — so ground-truth comparisons are plain equality.
-        normalized = tuple(rank_sorted(maximize_family(self.maximal_masks)))
+        normalized = tuple(rank_sorted(maximize_masks(self.maximal_masks)))
         object.__setattr__(self, "maximal_masks", normalized)
 
     @classmethod

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections.abc import Hashable, Iterable, Sequence
 
-from repro.hypergraph.hypergraph import maximize_family
+from repro.util.antichain import maximize_masks
 from repro.util.bitset import Universe, iter_bits, popcount, rank_sorted
 from repro.util.rng import make_rng
 
@@ -88,7 +88,7 @@ class Relation:
 
     def maximal_agree_set_masks(self) -> list[int]:
         """The inclusion-maximal agree sets (the ``max`` sets of [16])."""
-        return maximize_family(self.agree_set_masks())
+        return maximize_masks(self.agree_set_masks())
 
     # -- direct dependency checks -------------------------------------------
 

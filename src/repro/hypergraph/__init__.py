@@ -28,7 +28,6 @@ _EXPORTS = {
     "repro.hypergraph.hypergraph": (
         "Hypergraph",
         "NonSimpleHypergraphError",
-        "minimize_family",
     ),
     "repro.hypergraph.berge": ("berge_transversal_masks",),
     "repro.hypergraph.fredman_khachiyan": (

@@ -29,9 +29,8 @@ from collections.abc import Sequence
 from itertools import groupby
 
 from repro.core.errors import BudgetExhausted
-from repro.hypergraph.hypergraph import minimize_family
 from repro.obs.tracer import as_tracer
-from repro.util.antichain import AntichainIndex
+from repro.util.antichain import AntichainIndex, minimize_masks
 from repro.util.bitset import iter_bits, rank_sorted
 
 
@@ -119,14 +118,14 @@ def berge_transversal_masks(
             under-approximation of the full hitting requirement.
     """
     tracer = as_tracer(tracer)
-    edges = minimize_family(edge_masks)
+    edges = minimize_masks(edge_masks)
     if not edges:
         return [0]
     if edges[0] == 0:
         return []
 
     with tracer.span("berge.run", edges=len(edges)) as run_span:
-        # Process small edges first (minimize_family sorts by
+        # Process small edges first (minimize_masks sorts by
         # cardinality): they branch least, keeping the intermediate
         # antichain small longer.
         index = AntichainIndex(

@@ -23,9 +23,10 @@ from collections.abc import Iterator, Sequence
 from repro.core.errors import BudgetExhausted
 from repro.hypergraph.berge import berge_transversal_masks
 from repro.hypergraph.fredman_khachiyan import find_new_minimal_transversal
-from repro.hypergraph.hypergraph import Hypergraph, minimize_family
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.levelwise_transversal import levelwise_transversal_masks
 from repro.hypergraph.mmcs import _with_prefix_partial, mmcs_transversal_masks
+from repro.util.antichain import minimize_masks
 from repro.util.bitset import rank_sorted
 
 _METHODS = ("berge", "fk", "mmcs", "levelwise", "brute")
@@ -41,7 +42,7 @@ def brute_force_transversal_masks(
     Exponential in ``n_vertices``; intended as the ground truth for tests
     with small universes.
     """
-    edges = minimize_family(edge_masks)
+    edges = minimize_masks(edge_masks)
     if not edges:
         return [0]
     if edges[0] == 0:
@@ -51,7 +52,7 @@ def brute_force_transversal_masks(
         for mask in range(1 << n_vertices)
         if all(mask & edge for edge in edges)
     ]
-    return rank_sorted(minimize_family(transversals))
+    return rank_sorted(minimize_masks(transversals))
 
 
 def iter_minimal_transversals(

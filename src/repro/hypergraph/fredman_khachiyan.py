@@ -28,9 +28,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.hypergraph.hypergraph import minimize_family
 from repro.obs.tracer import NULL_TRACER, as_tracer
-from repro.util.antichain import merge_antichains
+from repro.util.antichain import merge_antichains, minimize_masks
 from repro.util.bitset import iter_bits
 
 
@@ -98,8 +97,8 @@ def check_duality(
             f"unknown variable_rule {variable_rule!r}; "
             f"expected one of {_VARIABLE_RULES}"
         )
-    f_minimized = minimize_family(f_terms)
-    g_minimized = minimize_family(g_terms)
+    f_minimized = minimize_masks(f_terms)
+    g_minimized = minimize_masks(g_terms)
     for term in (*f_minimized, *g_minimized):
         if term & ~variables_mask:
             raise ValueError("term uses variables outside variables_mask")
@@ -276,7 +275,7 @@ def find_new_minimal_transversal(
             a minimal transversal (detected via a "both true" witness or a
             direct precondition failure in the returned candidate).
     """
-    edges = minimize_family(edge_masks)
+    edges = minimize_masks(edge_masks)
     if edges and edges[0] == 0:
         raise ValueError("edges must be non-empty")
     if not edges:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 
-from repro.hypergraph.hypergraph import Hypergraph, minimize_family
+from repro.hypergraph.hypergraph import Hypergraph
+from repro.util.antichain import minimize_masks
 from repro.util.bitset import Universe, mask_of_indices
 from repro.util.rng import make_rng
 
@@ -124,4 +125,4 @@ def random_simple_hypergraph(
     for _ in range(n_edges):
         size = rng.randint(min_edge_size, max_edge_size)
         raw.append(mask_of_indices(rng.sample(range(n), size)))
-    return Hypergraph(universe, minimize_family(raw), validate=False)
+    return Hypergraph(universe, minimize_masks(raw), validate=False)

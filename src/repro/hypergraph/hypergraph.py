@@ -23,31 +23,6 @@ class NonSimpleHypergraphError(ValueError):
     """Raised when a family violates the simple-hypergraph conditions."""
 
 
-def minimize_family(masks: Iterable[int]) -> list[int]:
-    """Return the minimal sets of a family of masks, deduplicated.
-
-    The result is an antichain: the inclusion-minimal members of the
-    input, sorted by (cardinality, value) for determinism.  This is the
-    ``min``-operation used throughout hypergraph dualization (e.g. after a
-    Berge multiplication step, or when fusing ``g0 ∨ g1`` inside the
-    Fredman–Khachiyan recursion).
-
-    Thin wrapper over :func:`repro.util.antichain.minimize_masks`, the
-    popcount-bucketed kernel (same output, bit for bit).
-    """
-    return minimize_masks(masks)
-
-
-def maximize_family(masks: Iterable[int]) -> list[int]:
-    """Return the maximal sets of a family of masks, deduplicated.
-
-    Dual to :func:`minimize_family`; used when forming positive borders
-    from arbitrary collections of interesting sentences.  Thin wrapper
-    over :func:`repro.util.antichain.maximize_masks`.
-    """
-    return maximize_masks(masks)
-
-
 class Hypergraph:
     """An immutable simple hypergraph over a fixed universe.
 
@@ -106,7 +81,7 @@ class Hypergraph:
         Empty edges are rejected (a family containing the empty set has no
         transversals and is not a hypergraph in the paper's sense).
         """
-        minimized = minimize_family(edges)
+        minimized = minimize_masks(edges)
         if minimized and minimized[0] == 0:
             raise NonSimpleHypergraphError("edges must be non-empty")
         return cls(universe, minimized, validate=False)

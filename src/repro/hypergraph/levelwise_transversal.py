@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from repro.hypergraph.hypergraph import minimize_family
+from repro.util.antichain import minimize_masks
 from repro.util.bitset import Universe
 
 
@@ -46,7 +46,7 @@ def levelwise_transversal_masks(
     C(n, i)``, which is polynomial for fixed ``k`` and quasi-polynomial
     for ``k = O(log n)`` (Corollary 14 / 15 of the paper).
     """
-    edges = minimize_family(edge_masks)
+    edges = minimize_masks(edge_masks)
     if not edges:
         return [0]
     if edges[0] == 0:

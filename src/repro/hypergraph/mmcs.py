@@ -183,8 +183,9 @@ def _prepare(edge_masks: Iterable[int]):
     """Minimize and index: ``(edges, keep, vertices)``.
 
     ``keep`` is ``None`` when the family is empty or holds the empty
-    edge.  ``edges`` is :func:`minimize_family`'s list: an edge is
-    dropped when the index finds another edge inside it.
+    edge.  ``edges`` is :func:`~repro.util.antichain.minimize_masks`'
+    list: an edge is dropped when the index finds another edge inside
+    it.
     """
     edges = rank_sorted(set(edge_masks))
     if not edges or edges[0] == 0:

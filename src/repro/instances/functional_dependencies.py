@@ -25,9 +25,10 @@ from repro.core.oracle import CountingOracle
 from repro.core.theory import Theory
 from repro.datasets.relations import Relation
 from repro.hypergraph.enumeration import minimal_transversals
-from repro.hypergraph.hypergraph import Hypergraph, maximize_family
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.mining.dualize_advance import dualize_and_advance
 from repro.mining.levelwise import levelwise
+from repro.util.antichain import maximize_masks
 from repro.util.bitset import Universe, iter_bits
 
 
@@ -115,7 +116,7 @@ def fd_lhs_via_agree_sets(
     # The binding agree sets are the maximal ones *among those missing
     # the RHS* — a globally maximal agree set containing the RHS can
     # subsume smaller RHS-free agree sets that still forbid LHS choices.
-    rhs_free = maximize_family(
+    rhs_free = maximize_masks(
         [s for s in relation.agree_set_masks() if not s & rhs_bit]
     )
     edges = [(full & ~agree) & ~rhs_bit for agree in rhs_free]

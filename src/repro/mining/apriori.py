@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.core.theory import Theory
 from repro.datasets.transactions import TransactionDatabase
 from repro.obs.tracer import Tracer, as_tracer
-from repro.hypergraph.hypergraph import maximize_family
+from repro.util.antichain import maximize_masks
 from repro.util.bitset import rank_sorted, rank_sorted_with
 from repro.util.prefix import prefix_join_candidates
 
@@ -122,7 +122,7 @@ def apriori(
             candidates = prefix_join_candidates(current_frequent, n)
 
         frequent_nonempty = [mask for mask in supports if mask != 0]
-        maximal = maximize_family(frequent_nonempty or [0])
+        maximal = maximize_masks(frequent_nonempty or [0])
         if tracer.enabled:
             run_span.note(passes=passes)
             tracer.event(

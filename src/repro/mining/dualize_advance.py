@@ -208,7 +208,6 @@ def dualize_and_advance(
     incremental: bool = True,
     budget: Budget | None = None,
     resume: "Checkpoint | str | None" = None,
-    on_exhaust: str = "return",
     tracer: "Tracer | None" = None,
 ) -> "Theory | PartialResult":
     """Run Algorithm 16.
@@ -245,10 +244,6 @@ def dualize_and_advance(
             engine/incremental/shuffle configuration; the run continues
             at the exact probe boundary with bit-identical borders and
             query accounting.
-        on_exhaust: ``"return"`` (default) returns the
-            :class:`~repro.runtime.partial.PartialResult`; ``"raise"``
-            raises :class:`~repro.core.errors.BudgetExhausted` with the
-            partial attached (:meth:`~repro.runtime.run.Run.cut`).
         tracer: optional :class:`~repro.obs.tracer.Tracer`.  Emits a
             ``dualize.run`` span, ``dualize.probe`` /
             ``dualize.counterexample`` / ``dualize.maximal`` events, a
@@ -275,7 +270,6 @@ def dualize_and_advance(
         universe,
         predicate,
         budget=budget,
-        on_exhaust=on_exhaust,
         tracer=tracer,
         resume=resume,
         settings={

@@ -554,7 +554,6 @@ class _Run(Run):
         database: TransactionDatabase,
         min_support: int | float,
         budget: "Budget | None",
-        on_exhaust: str,
         tracer: "Tracer | None",
     ):
         self.threshold = database.absolute_support(min_support)
@@ -565,7 +564,6 @@ class _Run(Run):
             "eclat",
             database.universe,
             budget=budget,
-            on_exhaust=on_exhaust,
             tracer=tracer,
         )
 
@@ -701,7 +699,6 @@ def eclat(
     min_support: int | float,
     *,
     budget: "Budget | None" = None,
-    on_exhaust: str = "return",
     tracer: "Tracer | None" = None,
     workers: int | None = None,
 ) -> "Theory | PartialResult":
@@ -725,10 +722,6 @@ def eclat(
             undecided itemset extends one of them.  No checkpoint (like
             MaxMiner, the tree is cheap to replay; resume by
             re-running).
-        on_exhaust: ``"return"`` (default) returns the partial result;
-            ``"raise"`` raises
-            :class:`~repro.core.errors.BudgetExhausted` with it
-            attached, the budget's message and its cause.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; emits an
             ``eclat.run`` span, one ``oracle.query`` event per support
             evaluation (``charged=True`` — eclat never re-evaluates a
@@ -761,10 +754,9 @@ def eclat(
             min_support,
             workers=workers,
             budget=budget,
-            on_exhaust=on_exhaust,
             tracer=tracer,
         )
-    run = _Run(database, min_support, budget, on_exhaust, tracer)
+    run = _Run(database, min_support, budget, tracer)
     tracer = run.tracer
     supports = run.supports
     n_rows = database.n_transactions

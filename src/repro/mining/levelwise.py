@@ -38,12 +38,12 @@ from repro.core.errors import BudgetExhausted
 from repro.core.language import GenericLanguage, SetLanguage
 from repro.core.oracle import GenericCountingOracle
 from repro.core.theory import Theory
-from repro.hypergraph.hypergraph import maximize_family
 from repro.obs.tracer import Tracer
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.partial import PartialResult
 from repro.runtime.run import Run
+from repro.util.antichain import maximize_masks
 from repro.util.bitset import Universe, popcount, rank_sorted
 from repro.util.prefix import prefix_join_candidates
 
@@ -58,7 +58,6 @@ def levelwise(
     max_rank: int | None = None,
     budget: Budget | None = None,
     resume: "Checkpoint | str | None" = None,
-    on_exhaust: str = "return",
     tracer: "Tracer | None" = None,
 ) -> "Theory | PartialResult":
     """Run Algorithm 9 on the subset lattice over ``universe``.
@@ -82,11 +81,6 @@ def levelwise(
             transcript is primed into the oracle memo and the walk
             continues at the exact probe boundary; theory and query
             accounting match an uninterrupted run bit-for-bit.
-        on_exhaust: ``"return"`` (default) returns the
-            :class:`~repro.runtime.partial.PartialResult` on budget
-            exhaustion or ``KeyboardInterrupt``; ``"raise"`` raises
-            :class:`~repro.core.errors.BudgetExhausted` with the partial
-            attached (:meth:`~repro.runtime.run.Run.cut`).
         tracer: optional :class:`~repro.obs.tracer.Tracer`.  Emits a
             ``levelwise.run`` span, one ``levelwise.level`` span per
             lattice level (opened with ``candidates = |C_l|``, closed
@@ -112,7 +106,6 @@ def levelwise(
         universe,
         predicate,
         budget=budget,
-        on_exhaust=on_exhaust,
         tracer=tracer,
         resume=resume,
         settings={"max_rank": max_rank},
@@ -219,7 +212,7 @@ def levelwise(
                 },
             )
 
-        maximal = maximize_family(interesting_all)
+        maximal = maximize_masks(interesting_all)
         queries = run.queries
         if tracer.enabled:
             rank = max((popcount(m) for m in maximal), default=0)

@@ -11,9 +11,8 @@ costs at most ``n - |X|`` queries, within the paper's
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
-from repro.util.antichain import MaximalFamilyTracker
 from repro.util.bitset import Universe
 
 
@@ -47,17 +46,3 @@ def greedy_maximalize(
         if predicate(extended):
             current = extended
     return current
-
-
-def maximal_set_tracker(
-    universe: Universe, masks: Iterable[int] = ()
-) -> MaximalFamilyTracker:
-    """A live ``Bd+`` tracker over this universe's subset lattice.
-
-    Search-style miners that discover interesting sets out of order
-    (MaxMiner's lookahead hits) use this to
-    maintain the maximal family incrementally — ``add`` subsumes, and
-    ``dominates`` answers "is this set under an already-known maximal
-    set?" without the quadratic rescan the seed code performed.
-    """
-    return MaximalFamilyTracker(universe.full_mask, masks)

@@ -24,10 +24,10 @@ from repro.core.errors import BudgetExhausted
 from repro.core.theory import Theory
 from repro.obs.tracer import Tracer
 from repro.datasets.transactions import TransactionDatabase
-from repro.mining.maximalize import maximal_set_tracker
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult
 from repro.runtime.run import Run
+from repro.util.antichain import MaximalFamilyTracker
 from repro.util.bitset import Universe, rank_sorted
 
 
@@ -36,7 +36,6 @@ def maxminer_maxth(
     predicate: Callable[[int], bool],
     tail_order: list[int] | None = None,
     budget: Budget | None = None,
-    on_exhaust: str = "return",
     tracer: "Tracer | None" = None,
 ) -> "Theory | PartialResult":
     """Find all maximal interesting sets by lookahead tree search.
@@ -60,9 +59,6 @@ def maxminer_maxth(
             in flight, so its frontier is marked incomplete.  No
             checkpoint — the search tree is cheap to replay, unlike the
             engines' oracle transcripts.
-        on_exhaust: ``"return"`` (default) or ``"raise"``, through
-            :meth:`~repro.runtime.run.Run.cut` like every budgeted
-            miner.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; emits a
             ``maxminer.run`` span, per-node ``maxminer.node`` events
             (``action`` is ``lookahead`` / ``leaf`` / ``split`` /
@@ -81,7 +77,6 @@ def maxminer_maxth(
         universe,
         predicate,
         budget=budget,
-        on_exhaust=on_exhaust,
         tracer=tracer,
     )
     oracle = run.oracle
@@ -92,7 +87,7 @@ def maxminer_maxth(
     # Live Bd+ maintenance: `covered` (the subtree-pruning test) and the
     # final maximal family both come from one incremental tracker instead
     # of a linear scan per node plus a terminal re-maximization.
-    found = maximal_set_tracker(universe)
+    found = MaximalFamilyTracker(universe.full_mask)
     stats = {"nodes": 0, "lookaheads": 0}
     covered = found.dominates
 

@@ -1,27 +1,30 @@
-"""Cross-process trace propagation: contexts and buffering collectors.
+"""Cross-process trace propagation: contexts and record buffers.
 
-Everything in :mod:`repro.obs` before this module is coordinator-side:
-a :class:`~repro.obs.jsonl.JsonlTraceWriter` owns one file, one span-id
-sequence, and one clock — none of which can be shared with a worker
-process.  This module is the seam that carries tracing *across* the
-pool boundary without giving up the single-stream contract:
+A :class:`~repro.obs.tracer.RecordTracer` owns one span-id sequence and
+one clock zero, and its consumers (the JSONL file, the registry, the
+monitor) live in one process — none of which can be shared with a
+worker process or written from concurrent threads.  This module is the
+seam that carries tracing *across* the pool boundary, and across the
+service's handler threads, without giving up the single-stream
+contract:
 
 * :class:`TraceContext` — the small, picklable identity of the
   coordinator's trace (trace id, the span the remote records belong
-  under, and the coordinator's monotonic clock offset).  It ships to
+  under, and the coordinator's monotonic clock zero).  It ships to
   workers through the existing pool-initializer handshake
   (:class:`~repro.parallel.pool.WorkerPool` ``trace_context=``), the
   same channel the shared-memory handle uses.
-* :class:`WorkerTraceCollector` — a tracer that *buffers* records in
-  the JSONL record shape instead of writing them.  A worker runs its
-  task under collector spans, then :meth:`~WorkerTraceCollector.drain`\\ s
-  the balanced batch and returns it with the task result.  The
-  coordinator folds results in deterministic sequence order and calls
-  :meth:`~repro.obs.tracer.Tracer.stitch` at each fold, so the final
-  trace has one deterministic record order, balanced spans, and
-  monotone timestamps — ``validate_trace``-clean by construction.
+* :class:`RecordBuffer` — a record consumer that *keeps* the records of
+  its own :class:`~repro.obs.tracer.RecordTracer` instead of writing
+  them.  A worker runs its task under the buffer's tracer, then
+  :meth:`~RecordBuffer.drain`\\ s the balanced batch and returns it
+  with the task result.  The coordinator folds results in deterministic
+  sequence order and calls :meth:`~repro.obs.tracer.Tracer.stitch` at
+  each fold, so the final trace has one deterministic record order,
+  balanced spans, and monotone timestamps — ``validate_trace``-clean by
+  construction.
 
-The transport changes *nothing* about mining results: collectors only
+The transport changes *nothing* about mining results: buffers only
 observe, the records ride the existing result tuples, and stitching
 happens at the same fold points that already exist — the
 tracing-on/off bit-identity property suite covers the worker path.
@@ -34,11 +37,11 @@ import uuid
 from dataclasses import dataclass
 from typing import Any
 
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import RecordTracer, Tracer
 
 __all__ = [
     "TraceContext",
-    "WorkerTraceCollector",
+    "RecordBuffer",
     "install_worker_collector",
     "active_collector",
 ]
@@ -71,17 +74,17 @@ class TraceContext:
     def capture(cls, tracer: Tracer) -> "TraceContext":
         """Snapshot ``tracer``'s context for shipment to workers.
 
-        Tracers that own a stream (:class:`~repro.obs.jsonl.JsonlTraceWriter`,
-        :class:`~repro.obs.tracer.MultiTracer`) expose ``trace_context()``
-        and answer with their real identity; for any other tracer a
+        A :class:`~repro.obs.tracer.RecordTracer` answers with its real
+        identity and its innermost open span; for any other tracer a
         fresh anonymous context is minted — workers only need *a*
         consistent clock zero and id to buffer against.
         """
-        getter = getattr(tracer, "trace_context", None)
-        if getter is not None:
-            context = getter()
-            if context is not None:
-                return context
+        if isinstance(tracer, RecordTracer):
+            return cls(
+                trace_id=tracer.trace_id,
+                parent_span=tracer.current_span,
+                clock_offset=tracer.clock_offset,
+            )
         return cls(
             trace_id=uuid.uuid4().hex,
             parent_span=None,
@@ -89,45 +92,8 @@ class TraceContext:
         )
 
 
-class _CollectorSpan(Span):
-    __slots__ = ("_collector", "_id", "_t0")
-
-    def __init__(
-        self,
-        collector: "WorkerTraceCollector",
-        name: str,
-        attrs: dict[str, Any],
-    ):
-        super().__init__(name, attrs)
-        self._collector = collector
-        self._id = collector._next_span_id()
-        self._t0 = collector._now()
-        parent = collector._stack[-1] if collector._stack else None
-        collector._stack.append(self._id)
-        record = {"kind": "span_open", "name": name, "id": self._id}
-        if parent is not None:
-            record["parent"] = parent
-        collector._append(record, attrs)
-
-    def _close(self, error: str | None) -> None:
-        collector = self._collector
-        if collector._stack and collector._stack[-1] == self._id:
-            collector._stack.pop()
-        elif self._id in collector._stack:  # closed out of order
-            collector._stack.remove(self._id)
-        record: dict[str, Any] = {
-            "kind": "span_close",
-            "name": self.name,
-            "id": self._id,
-            "dur": collector._now() - self._t0,
-        }
-        if error is not None:
-            record["error"] = error
-        collector._append(record, self.attrs)
-
-
-class WorkerTraceCollector(Tracer):
-    """A tracer that buffers records for later coordinator stitching.
+class RecordBuffer:
+    """Keep one task's or one request's records for later stitching.
 
     Two deployments share it:
 
@@ -135,106 +101,73 @@ class WorkerTraceCollector(Tracer):
       shipped :class:`TraceContext`; each task drains its batch into
       the result tuple (:func:`install_worker_collector` /
       :func:`active_collector`);
-    * **service handler threads** — one collector per HTTP request, so
-      the single-threaded :class:`~repro.obs.jsonl.JsonlTraceWriter`
-      receives each request's span tree as one contiguous, lock-guarded
-      stitch instead of interleaved writes from concurrent threads.
+    * **service handler threads** — one buffer per HTTP request, so
+      the shared tracer receives each request's span tree as one
+      contiguous, lock-guarded stitch instead of interleaved records
+      from concurrent threads.
 
-    Records use the JSONL shape with *local* span ids (1, 2, ...) and
-    timestamps relative to ``context.clock_offset``; stitching remaps
-    ids into the destination stream and re-stamps ``ts``, keeping the
+    :attr:`tracer` is the buffer's own
+    :class:`~repro.obs.tracer.RecordTracer`, recording under
+    ``context``: records carry *local* span ids and timestamps relative
+    to ``context.clock_offset``, and stitching remaps the ids into the
+    destination stream and re-stamps ``ts``, keeping the
     worker-measured ``dur``.
 
-    :meth:`drain` returns the buffered batch and resets the collector
-    for the next task.  Draining with spans still open raises — a
+    :meth:`drain` returns the buffered batch and empties the buffer for
+    the next task.  Draining with a span still open raises — a
     half-open batch could never satisfy ``validate_trace`` and points
     at a task that leaked a span.
     """
 
-    def __init__(self, context: TraceContext, clock=None):
-        self.context = context
-        self._clock = clock if clock is not None else time.monotonic
+    def __init__(self, context: TraceContext):
         self._records: list[dict[str, Any]] = []
-        self._stack: list[int] = []
-        self._span_counter = 0
-
-    def _now(self) -> float:
-        return max(0.0, self._clock() - self.context.clock_offset)
-
-    def _next_span_id(self) -> int:
-        self._span_counter += 1
-        return self._span_counter
-
-    def _append(
-        self, record: dict[str, Any], attrs: dict[str, Any]
-    ) -> None:
-        record["ts"] = self._now()
-        if attrs:
-            record["attrs"] = attrs
-        self._records.append(record)
-
-    def event(self, name: str, **attrs: Any) -> None:
-        self._append({"kind": "event", "name": name}, attrs)
-
-    def span(self, name: str, **attrs: Any) -> _CollectorSpan:
-        return _CollectorSpan(self, name, attrs)
-
-    def counter(self, name: str, delta: int = 1, **attrs: Any) -> None:
-        self._append(
-            {"kind": "counter", "name": name, "delta": delta}, attrs
-        )
-
-    def gauge(self, name: str, value: float, **attrs: Any) -> None:
-        self._append(
-            {"kind": "gauge", "name": name, "value": value}, attrs
-        )
+        self.tracer = RecordTracer(self._records.append, context=context)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def drain(self) -> tuple[dict[str, Any], ...]:
-        """Take the buffered batch and reset for the next task.
+        """Take the buffered batch and empty the buffer.
 
         Raises:
             ValueError: when a span is still open — the batch would be
                 unbalanced and could never stitch cleanly.
         """
-        if self._stack:
+        if self.tracer.current_span is not None:
             raise ValueError(
-                f"cannot drain with {len(self._stack)} span(s) still "
-                "open; close every span before returning the batch"
+                "cannot drain with a span still open; close every span "
+                "before returning the batch"
             )
         records = tuple(self._records)
-        self._records = []
-        self._span_counter = 0
+        self._records.clear()
         return records
 
     def __repr__(self) -> str:
         return (
-            f"WorkerTraceCollector(trace={self.context.trace_id[:8]}, "
+            f"RecordBuffer(trace={self.tracer.trace_id[:8]}, "
             f"buffered={len(self._records)})"
         )
 
 
-# The per-process collector a pool initializer installs.  One slot per
+# The per-process buffer a pool initializer installs.  One slot per
 # worker process (same pattern as the engines' _WORKER_STATE dicts):
 # tasks are executed strictly one at a time per process, so a single
-# collector per process is race-free.
-_ACTIVE: list[WorkerTraceCollector | None] = [None]
+# buffer per process is race-free.
+_ACTIVE: list[RecordBuffer | None] = [None]
 
 
 def install_worker_collector(context: TraceContext | None) -> None:
-    """Install (or clear) this process's buffering collector.
+    """Install (or clear) this process's record buffer.
 
     Called by the :class:`~repro.parallel.pool.WorkerPool` initializer
     wrapper in each worker process — and again on every pool restart,
     so a rebuilt worker is indistinguishable from the original.
     """
     _ACTIVE[0] = (
-        WorkerTraceCollector(context) if context is not None else None
+        RecordBuffer(context) if context is not None else None
     )
 
 
-def active_collector() -> WorkerTraceCollector | None:
-    """The collector installed in this process, or ``None`` (untraced)."""
+def active_collector() -> RecordBuffer | None:
+    """The buffer installed in this process, or ``None`` (untraced)."""
     return _ACTIVE[0]

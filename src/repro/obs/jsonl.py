@@ -3,18 +3,19 @@
 The format is deliberately plain so that any log tooling (``jq``,
 pandas, :mod:`benchmarks.trace_report`) can consume it:
 
-* every line is one JSON object;
-* ``ts`` is seconds since the writer was created, read from an
+* every line is one JSON object, a record built by a
+  :class:`~repro.obs.tracer.RecordTracer` (see :mod:`repro.obs.schema`
+  for the full record schema);
+* ``ts`` is seconds since the tracer's clock zero, read from its
   *injectable monotonic clock* (tests freeze it; production uses
   :func:`time.monotonic`), so timestamps never go backwards and are
   immune to wall-clock adjustments;
 * ``kind`` is one of ``span_open``, ``span_close``, ``event``,
-  ``counter``, ``gauge`` (see :mod:`repro.obs.schema` for the full
-  record schema);
+  ``counter``, ``gauge``;
 * spans carry an ``id`` (and ``parent`` when nested); the close record
-  repeats the id and adds ``dur`` plus any :meth:`~repro.obs.tracer.Span.note`
-  payload, and records the exception type under ``error`` when the
-  region raised.
+  repeats the id and adds ``dur`` plus any
+  :meth:`~repro.obs.tracer.Span.note` payload, and records the
+  exception type under ``error`` when the region raised.
 
 Each line is flushed immediately, so a trace survives ``SIGKILL``, an
 oracle blowing up mid-span, or Ctrl-C with at most the current line
@@ -27,72 +28,26 @@ from __future__ import annotations
 import io
 import json
 import os
-import time
-import uuid
 from typing import Any
-
-from repro.obs.tracer import Span, Tracer
 
 __all__ = ["JsonlTraceWriter"]
 
 
-class _JsonlSpan(Span):
-    __slots__ = ("_writer", "_id", "_t0")
-
-    def __init__(
-        self, writer: "JsonlTraceWriter", name: str, attrs: dict[str, Any]
-    ):
-        super().__init__(name, attrs)
-        self._writer = writer
-        self._id = writer._next_span_id()
-        self._t0 = writer._now()
-        parent = writer._stack[-1] if writer._stack else None
-        writer._stack.append(self._id)
-        writer._open_spans[self._id] = (name, attrs)
-        record = {"kind": "span_open", "name": name, "id": self._id}
-        if parent is not None:
-            record["parent"] = parent
-        writer._emit(record, attrs)
-
-    def _close(self, error: str | None) -> None:
-        writer = self._writer
-        if writer._stack and writer._stack[-1] == self._id:
-            writer._stack.pop()
-        elif self._id in writer._stack:  # closed out of order
-            writer._stack.remove(self._id)
-        writer._open_spans.pop(self._id, None)
-        record: dict[str, Any] = {
-            "kind": "span_close",
-            "name": self.name,
-            "id": self._id,
-            "dur": writer._now() - self._t0,
-        }
-        if error is not None:
-            record["error"] = error
-        writer._emit(record, self.attrs)
-
-
-class JsonlTraceWriter(Tracer):
+class JsonlTraceWriter:
     """Write trace records as JSON lines to a path or file object.
 
     Args:
         sink: a path (opened and owned by the writer) or an open text
             file object (flushed but not closed by :meth:`close`).
-        clock: monotonic clock; defaults to :func:`time.monotonic`.
-            Timestamps in the file are relative to construction time.
 
-    The writer is single-threaded by design, matching the engines.  It
-    is also a context manager; ``close()`` is idempotent and safe to
-    call from a ``finally`` block after an interrupt.
+    Attach it to a tracer as a consumer,
+    ``RecordTracer(writer.feed_record)``.  The writer is also a context
+    manager; ``close()`` is idempotent and safe to call from a
+    ``finally`` block after an interrupt, and records fed after it are
+    dropped.
     """
 
-    def __init__(
-        self,
-        sink: "str | os.PathLike | io.TextIOBase",
-        clock=None,
-    ):
-        self._clock = clock if clock is not None else time.monotonic
-        self._t0 = self._clock()
+    def __init__(self, sink: "str | os.PathLike | io.TextIOBase"):
         if isinstance(sink, (str, os.PathLike)):
             self._file = open(sink, "w", encoding="utf-8")
             self._owns_file = True
@@ -102,95 +57,28 @@ class JsonlTraceWriter(Tracer):
             self._owns_file = False
             self.path = None
         self._closed = False
-        self._span_counter = 0
-        self._stack: list[int] = []
-        self._open_spans: dict[int, tuple[str, dict[str, Any]]] = {}
+        # The span_open record of each span open in the stream, in
+        # open order: what rotate() closes and re-opens.
+        self._open: dict[int, dict[str, Any]] = {}
+        self._ts = 0.0
         self.records_written = 0
-        self.trace_id = uuid.uuid4().hex
 
-    def _now(self) -> float:
-        return self._clock() - self._t0
-
-    def _next_span_id(self) -> int:
-        self._span_counter += 1
-        return self._span_counter
-
-    def _emit(self, record: dict[str, Any], attrs: dict[str, Any]) -> None:
+    def feed_record(self, record: dict[str, Any]) -> None:
+        """Write one record as a line and flush it."""
         if self._closed:
             return
-        record["ts"] = self._now()
-        if attrs:
-            record["attrs"] = attrs
+        kind = record["kind"]
+        if kind == "span_open":
+            self._open[record["id"]] = record
+        elif kind == "span_close":
+            self._open.pop(record["id"], None)
+        self._write(record)
+
+    def _write(self, record: dict[str, Any]) -> None:
         self._file.write(json.dumps(record, default=str) + "\n")
         self._file.flush()
+        self._ts = record["ts"]
         self.records_written += 1
-
-    def event(self, name: str, **attrs: Any) -> None:
-        self._emit({"kind": "event", "name": name}, attrs)
-
-    def span(self, name: str, **attrs: Any) -> _JsonlSpan:
-        return _JsonlSpan(self, name, attrs)
-
-    def counter(self, name: str, delta: int = 1, **attrs: Any) -> None:
-        self._emit({"kind": "counter", "name": name, "delta": delta}, attrs)
-
-    def gauge(self, name: str, value: float, **attrs: Any) -> None:
-        self._emit({"kind": "gauge", "name": name, "value": value}, attrs)
-
-    def trace_context(self):
-        """A :class:`~repro.obs.context.TraceContext` naming this stream.
-
-        Ships to workers (or per-request collectors) so their buffered
-        records carry timestamps relative to this writer's clock zero
-        and can later be stitched under the currently open span.
-        """
-        from repro.obs.context import TraceContext
-
-        return TraceContext(
-            trace_id=self.trace_id,
-            parent_span=self._stack[-1] if self._stack else None,
-            clock_offset=self._t0,
-        )
-
-    def stitch(self, records) -> None:
-        """Write a drained collector batch into this stream.
-
-        Remote records arrive complete — balanced spans, worker-measured
-        ``dur`` — but carry *local* span ids and worker-relative
-        timestamps, so they cannot be appended verbatim:
-
-        * span ids are remapped onto this writer's id sequence (unique
-          ids per trace);
-        * a top-level remote span is re-parented under the span
-          currently open here (the fold point's span — deterministic,
-          because folds happen in sequence order);
-        * ``ts`` is re-stamped with this writer's clock, keeping the
-          file's monotone-timestamp invariant; the worker-measured
-          ``dur`` is preserved untouched (it is a duration, not a
-          timestamp, and is exactly what per-worker attribution needs).
-
-        Because each batch is balanced, the stitched file still passes
-        :func:`~repro.obs.schema.validate_trace` and rotation keeps
-        working (no remote span is ever left open across a boundary).
-        """
-        id_map: dict[int, int] = {}
-        anchor = self._stack[-1] if self._stack else None
-        for record in records:
-            rec = dict(record)
-            attrs = rec.pop("attrs", None) or {}
-            kind = rec.get("kind")
-            if kind == "span_open":
-                local = rec.get("id")
-                rec["id"] = id_map[local] = self._next_span_id()
-                parent = id_map.get(rec.pop("parent", None), anchor)
-                if parent is not None:
-                    rec["parent"] = parent
-            elif kind == "span_close":
-                mapped = id_map.get(rec.get("id"))
-                if mapped is None:  # close without an open in the batch
-                    continue
-                rec["id"] = mapped
-            self._emit(rec, attrs)
 
     def rotate(self, sink: "str | os.PathLike") -> None:
         """Roll the trace to a new file without dropping open spans.
@@ -198,19 +86,22 @@ class JsonlTraceWriter(Tracer):
         Long-lived processes rotate traces to bound file growth; the
         subtlety is spans open *across* the boundary.  Each file must
         independently satisfy :func:`~repro.obs.schema.validate_trace`
-        (balanced spans), so rotation:
+        (balanced spans), so rotation, from the span opens this writer
+        has written and not yet closed:
 
-        1. emits a synthetic ``span_close`` (``attrs.rotated=True``)
-           into the old file for every open span, innermost first;
+        1. writes a synthetic ``span_close`` (``attrs.rotated=True``,
+           ``dur`` 0) into the old file for every open span, innermost
+           first;
         2. switches to the new file;
-        3. re-emits each open span's ``span_open`` — same id, name,
+        3. writes each open span's ``span_open`` again — same id, name,
            attrs, and parent link — outermost first, tagged
            ``rotated=True``.
 
-        The span objects themselves are untouched: their eventual real
-        close lands in the new file and matches the re-emitted open.
-        Timestamps keep the writer's original zero, so ``ts`` stays
-        monotone within each file.  Only path-owned writers can rotate.
+        The spans themselves are untouched: their eventual real close
+        lands in the new file and matches the re-written open.  The
+        synthetic records carry the ``ts`` of the last record written,
+        so ``ts`` stays monotone within each file.  Only path-owned
+        writers can rotate.
         """
         if self._closed:
             raise ValueError("cannot rotate a closed writer")
@@ -219,32 +110,25 @@ class JsonlTraceWriter(Tracer):
                 "rotate() requires a path-owned writer, not an external "
                 "file object"
             )
-        for span_id in reversed(self._stack):
-            name, attrs = self._open_spans[span_id]
-            self._emit(
-                {
-                    "kind": "span_close",
-                    "name": name,
-                    "id": span_id,
-                    "dur": 0.0,
-                },
-                {**attrs, "rotated": True},
-            )
+        opened = list(self._open.values())
+        for record in reversed(opened):
+            self._write({
+                "kind": "span_close",
+                "name": record["name"],
+                "id": record["id"],
+                "dur": 0.0,
+                "ts": self._ts,
+                "attrs": {**record.get("attrs", {}), "rotated": True},
+            })
         self._file.close()
         self._file = open(sink, "w", encoding="utf-8")
         self.path = os.fspath(sink)
-        parent: int | None = None
-        for span_id in self._stack:
-            name, attrs = self._open_spans[span_id]
-            record: dict[str, Any] = {
-                "kind": "span_open",
-                "name": name,
-                "id": span_id,
-            }
-            if parent is not None:
-                record["parent"] = parent
-            self._emit(record, {**attrs, "rotated": True})
-            parent = span_id
+        for record in opened:
+            self._write({
+                **record,
+                "ts": self._ts,
+                "attrs": {**record.get("attrs", {}), "rotated": True},
+            })
 
     def close(self) -> None:
         if self._closed:

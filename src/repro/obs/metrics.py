@@ -1,11 +1,11 @@
 """In-memory metrics: counters, gauges, fixed-bucket histograms.
 
 A :class:`MetricsRegistry` is a process-local, zero-dependency metric
-store.  It knows nothing about tracing; :class:`MetricsTracer` is the
-adapter that implements the tracer protocol and folds the record stream
-into a registry — event counts per name, span durations into
+store.  Its :meth:`~MetricsRegistry.feed_record` is a record consumer
+of a :class:`~repro.obs.tracer.RecordTracer`: it folds the trace record
+stream into the registry — event counts per name, span durations into
 histograms, counters and gauges straight through — so the CLI's
-``--metrics`` flag is just "attach a MetricsTracer, render the registry
+``--metrics`` flag is just "feed the registry every record, render it
 at exit".
 
 Histograms use *fixed* bucket boundaries chosen at creation (defaults
@@ -28,11 +28,9 @@ from __future__ import annotations
 import sys
 from typing import Any, TextIO
 
-from repro.obs.tracer import Span, Tracer
-
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "MetricsTracer", "DEFAULT_SECONDS_BUCKETS",
-           "LATENCY_SECONDS_BUCKETS", "labelled", "render_prometheus"]
+           "DEFAULT_SECONDS_BUCKETS", "LATENCY_SECONDS_BUCKETS",
+           "labelled", "render_prometheus"]
 
 #: Default histogram boundaries for span durations, in seconds.
 DEFAULT_SECONDS_BUCKETS = (
@@ -157,6 +155,35 @@ class MetricsRegistry:
         if metric is None:
             metric = self._histograms[name] = Histogram(name, boundaries)
         return metric
+
+    def feed_record(self, record: dict[str, Any]) -> None:
+        """Fold one trace record into the registry.
+
+        * events increment ``events.<name>``;
+        * counters increment their own name;
+        * gauges set their own name;
+        * span closes observe their ``dur`` in ``span.<name>.seconds``
+          and count exceptional exits in ``span.<name>.errors``.
+
+        A stitched span's ``dur`` was measured where it ran, so a
+        worker's or a request's time is recorded, not the stitch's.
+        """
+        kind = record["kind"]
+        name = record["name"]
+        if kind == "event":
+            self.counter(f"events.{name}").inc()
+        elif kind == "counter":
+            self.counter(name).inc(int(record.get("delta", 1)))
+        elif kind == "gauge":
+            value = record.get("value")
+            if isinstance(value, (int, float)):
+                self.gauge(name).set(value)
+        elif kind == "span_close":
+            self.histogram(f"span.{name}.seconds").observe(
+                float(record.get("dur", 0.0))
+            )
+            if record.get("error"):
+                self.counter(f"span.{name}.errors").inc()
 
     def snapshot(self) -> dict[str, Any]:
         """A plain-dict view of every metric (stable for tests/JSON)."""
@@ -320,79 +347,3 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         lines.append(f"{base}_sum{suffix} {_prom_number(histogram.sum)}")
         lines.append(f"{base}_count{suffix} {histogram.count}")
     return "\n".join(lines) + "\n" if lines else ""
-
-
-class _MetricsSpan(Span):
-    __slots__ = ("_tracer", "_t0")
-
-    def __init__(
-        self, tracer: "MetricsTracer", name: str, attrs: dict[str, Any]
-    ):
-        super().__init__(name, attrs)
-        self._tracer = tracer
-        self._t0 = tracer._clock()
-
-    def _close(self, error: str | None) -> None:
-        tracer = self._tracer
-        registry = tracer.registry
-        registry.histogram(f"span.{self.name}.seconds").observe(
-            tracer._clock() - self._t0
-        )
-        if error is not None:
-            registry.counter(f"span.{self.name}.errors").inc()
-
-
-class MetricsTracer(Tracer):
-    """Tracer adapter that aggregates the record stream into a registry.
-
-    * events increment ``events.<name>``;
-    * counters increment their own name;
-    * gauges set their own name;
-    * spans observe their duration in ``span.<name>.seconds`` and count
-      exceptional exits in ``span.<name>.errors``.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None, clock=None):
-        import time
-
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._clock = clock if clock is not None else time.monotonic
-
-    def event(self, name: str, **attrs: Any) -> None:
-        self.registry.counter(f"events.{name}").inc()
-
-    def span(self, name: str, **attrs: Any) -> _MetricsSpan:
-        return _MetricsSpan(self, name, attrs)
-
-    def counter(self, name: str, delta: int = 1, **attrs: Any) -> None:
-        self.registry.counter(name).inc(delta)
-
-    def gauge(self, name: str, value: float, **attrs: Any) -> None:
-        self.registry.gauge(name).set(value)
-
-    def stitch(self, records) -> None:
-        """Fold a drained collector batch into the registry.
-
-        Remote span durations were already measured in the worker, so
-        they go straight into the ``span.<name>.seconds`` histograms —
-        re-timing them through :meth:`span` would record stitch time,
-        not work time.
-        """
-        registry = self.registry
-        for record in records:
-            kind = record.get("kind")
-            name = record.get("name", "")
-            if kind == "event":
-                registry.counter(f"events.{name}").inc()
-            elif kind == "counter":
-                registry.counter(name).inc(int(record.get("delta", 1)))
-            elif kind == "gauge":
-                value = record.get("value")
-                if isinstance(value, (int, float)):
-                    registry.gauge(name).set(value)
-            elif kind == "span_close":
-                registry.histogram(f"span.{name}.seconds").observe(
-                    float(record.get("dur", 0.0))
-                )
-                if record.get("error"):
-                    registry.counter(f"span.{name}.errors").inc()

@@ -2,10 +2,11 @@
 
 The paper's quantitative claims are *query-accounting* statements, and a
 trace is a complete record of the accounting, so they can be checked
-while the run happens (the monitor is itself a tracer — attach it next
-to a :class:`~repro.obs.jsonl.JsonlTraceWriter` via
-:class:`~repro.obs.tracer.MultiTracer`) or after the fact against a
-recorded trace (:meth:`TheoremMonitor.from_trace`).
+while the run happens (:meth:`TheoremMonitor.feed_record` is a record
+consumer — attach it to a :class:`~repro.obs.tracer.RecordTracer` next
+to a :class:`~repro.obs.jsonl.JsonlTraceWriter`) or after the fact
+against a recorded trace (:meth:`TheoremMonitor.from_trace`).  Both
+routes read the same records.
 
 Checks performed:
 
@@ -56,8 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
-
-from repro.obs.tracer import Span, Tracer
 
 if False:  # pragma: no cover - import cycle guard, see _bounds()
     from repro.mining import bounds as _bounds_module
@@ -124,22 +123,8 @@ class TheoremReport:
         )
 
 
-class _MonitorSpan(Span):
-    __slots__ = ("_monitor",)
-
-    def __init__(
-        self, monitor: "TheoremMonitor", name: str, attrs: dict[str, Any]
-    ):
-        super().__init__(name, attrs)
-        self._monitor = monitor
-        monitor._on_span_open(name, attrs)
-
-    def _close(self, error: str | None) -> None:
-        self._monitor._on_span_close(self.name, self.attrs, error)
-
-
-class TheoremMonitor(Tracer):
-    """Tracer that checks paper invariants as records arrive."""
+class TheoremMonitor:
+    """Checks paper invariants as trace records arrive."""
 
     def __init__(self):
         self._violations: list[str] = []
@@ -156,15 +141,21 @@ class TheoremMonitor(Tracer):
         self._mmcs_nodes = 0
         self._mmcs_outputs: list[int] = []
 
-    # -- tracer protocol -------------------------------------------------
+    # -- records ---------------------------------------------------------
 
-    def event(self, name: str, **attrs: Any) -> None:
-        handler = _EVENT_HANDLERS.get(name)
-        if handler is not None:
-            handler(self, attrs)
-
-    def span(self, name: str, **attrs: Any) -> _MonitorSpan:
-        return _MonitorSpan(self, name, attrs)
+    def feed_record(self, record: dict) -> None:
+        """Check one trace record, live or replayed from a file."""
+        kind = record.get("kind")
+        if kind == "event":
+            handler = _EVENT_HANDLERS.get(record.get("name"))
+            if handler is not None:
+                handler(self, record.get("attrs") or {})
+        elif kind == "span_open":
+            self._on_span_open(
+                record.get("name", ""), record.get("attrs") or {}
+            )
+        elif kind == "span_close":
+            self._on_span_close(record.get("name", ""))
 
     def _on_span_open(self, name: str, attrs: dict[str, Any]) -> None:
         self._open_spans.append(name)
@@ -173,9 +164,7 @@ class TheoremMonitor(Tracer):
         elif name == "levelwise.level":
             self._level_candidates.append(int(attrs.get("candidates", 0)))
 
-    def _on_span_close(
-        self, name: str, attrs: dict[str, Any], error: str | None
-    ) -> None:
+    def _on_span_close(self, name: str) -> None:
         if name in self._open_spans:
             # Remove the innermost matching open (spans close LIFO).
             for index in range(len(self._open_spans) - 1, -1, -1):
@@ -186,31 +175,6 @@ class TheoremMonitor(Tracer):
             self._violations.append(
                 f"span_close {name!r} without a matching span_open"
             )
-
-    # -- offline feeding -------------------------------------------------
-
-    def feed_record(self, record: dict) -> None:
-        """Replay one parsed JSONL record (offline certification)."""
-        kind = record.get("kind")
-        name = record.get("name", "")
-        attrs = record.get("attrs", {}) or {}
-        if kind == "event":
-            self.event(name, **attrs)
-        elif kind == "span_open":
-            self._on_span_open(name, dict(attrs))
-        elif kind == "span_close":
-            self._on_span_close(name, dict(attrs), record.get("error"))
-
-    def stitch(self, records) -> None:
-        """Fold a drained worker/request batch into the live checks.
-
-        Stitched records are complete JSONL-shaped dicts, so they feed
-        through the same offline path as :meth:`from_trace`; charged
-        ``oracle.query`` events in the batch count toward the enclosing
-        run's accounting exactly as if they had been emitted inline.
-        """
-        for record in records:
-            self.feed_record(record)
 
     @classmethod
     def from_trace(cls, records) -> "TheoremMonitor":

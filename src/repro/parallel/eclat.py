@@ -219,8 +219,8 @@ def _mine_task(position: int, split_index: int | None):
 
     Returns the :func:`_mine_payload` 7-tuple extended with the drained
     trace-record batch (empty when the run is untraced).  The worker
-    wraps its work in a ``worker.task`` span on the process's buffering
-    collector — it never emits ``oracle.query`` events itself; those
+    wraps its work in a ``worker.task`` span on the process's record
+    buffer — it never emits ``oracle.query`` events itself; those
     are re-emitted (and charged) coordinator-side in fold order, so the
     :class:`~repro.obs.monitor.TheoremMonitor` accounting stays
     single-counted and bit-identical to serial.
@@ -233,10 +233,10 @@ def _mine_task(position: int, split_index: int | None):
         position,
         split_index,
     )
-    collector = active_collector()
-    if collector is None:
+    buffer = active_collector()
+    if buffer is None:
         return (*_mine_payload(*args), ())
-    with collector.span(
+    with buffer.tracer.span(
         "worker.task",
         position=position,
         split=split_index,
@@ -249,7 +249,7 @@ def _mine_task(position: int, split_index: int | None):
             nodes=result[3],
             seconds=round(result[5], 6),
         )
-    return (*result, collector.drain())
+    return (*result, buffer.drain())
 
 
 def eclat_parallel(
@@ -258,7 +258,6 @@ def eclat_parallel(
     *,
     workers: int | None = None,
     budget=None,
-    on_exhaust: str = "return",
     tracer=None,
 ) -> "Theory | PartialResult":
     """Depth-first vertical mining, fanned out across a worker pool.
@@ -273,8 +272,6 @@ def eclat_parallel(
             coordinator charges and before every task fold, so cut
             points are identical at every worker count (one task
             subtree is the overshoot unit).
-        on_exhaust: ``"return"`` or ``"raise"``, as in the serial
-            engine.
         tracer: optional tracer.  The coordinator emits the
             ``eclat.run`` span, ``shm.publish``/``shm.attach`` for the
             shared store, root-level ``eclat.node`` events, one
@@ -289,7 +286,7 @@ def eclat_parallel(
             pid, and worker-measured duration — that rides home with
             the result tuple and is stitched into the coordinator
             stream at the fold point (see
-            :class:`~repro.obs.context.WorkerTraceCollector`), so one
+            :class:`~repro.obs.context.RecordBuffer`), so one
             trace file holds the whole multi-process run and still
             certifies unchanged.
 
@@ -307,10 +304,9 @@ def eclat_parallel(
             database,
             min_support,
             budget=budget,
-            on_exhaust=on_exhaust,
             tracer=tracer,
         )
-    run = _Run(database, min_support, budget, on_exhaust, tracer)
+    run = _Run(database, min_support, budget, tracer)
     tracer = run.tracer
     threshold = run.threshold
     supports = run.supports

@@ -42,12 +42,11 @@ def _initializer_with_context(context, initializer, initargs):
     """Worker-process bootstrap when a trace context is shipped.
 
     Must be a module-level function (it crosses the process boundary by
-    pickle).  Installs the process's buffering
-    :class:`~repro.obs.context.WorkerTraceCollector` *before* the
-    engine's own initializer runs, so even initializer-time spans could
-    be collected; because it is stored as the pool's initializer it is
-    rerun on every restart — a rebuilt worker traces exactly like the
-    original.
+    pickle).  Installs the process's
+    :class:`~repro.obs.context.RecordBuffer` *before* the engine's own
+    initializer runs, so even initializer-time spans could be buffered;
+    because it is stored as the pool's initializer it is rerun on every
+    restart — a rebuilt worker traces exactly like the original.
     """
     from repro.obs.context import install_worker_collector
 
@@ -100,9 +99,9 @@ class WorkerPool:
         trace_context: optional :class:`~repro.obs.context.TraceContext`
             shipped to every worker process through the initializer
             handshake (the same channel the shared-memory handle uses).
-            When given, each worker installs a buffering
-            :class:`~repro.obs.context.WorkerTraceCollector` before the
-            engine initializer runs; tasks fetch it with
+            When given, each worker installs a
+            :class:`~repro.obs.context.RecordBuffer` before the engine
+            initializer runs; tasks fetch it with
             :func:`~repro.obs.context.active_collector` and return the
             drained record batch with their results for coordinator-side
             stitching.  Restarts reship the context automatically.

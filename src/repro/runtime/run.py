@@ -7,8 +7,8 @@ keeps only its loop state, its frontier and its result.  By Theorem 2
 and Corollary 4 a cut run's transcript of ``Is-interesting`` answers
 is its certificate, so the run owns the transcript's accounting:
 
-* the ``on_exhaust`` check, the predicate's
-  :class:`~repro.core.oracle.CountingOracle` wrap and its tracer;
+* the predicate's :class:`~repro.core.oracle.CountingOracle` wrap and
+  its tracer;
 * resume: the checkpoint is coerced and validated against the
   algorithm, the universe, the predicate's name and the engine's
   settings, its transcript is primed into the oracle, its accounting
@@ -18,9 +18,7 @@ is its certificate, so the run owns the transcript's accounting:
 * the cut: one accounting snapshot builds both the certified
   :class:`~repro.runtime.partial.PartialResult` and its
   :class:`~repro.runtime.checkpoint.Checkpoint`, the run span notes
-  the outcome, and the partial is returned, or raised as
-  :class:`~repro.core.errors.BudgetExhausted` with the budget's own
-  message and the budget's exception as its cause.
+  the outcome, and the partial is returned.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ class Run:
             :meth:`history`.
         budget: optional :class:`~repro.runtime.budget.Budget`; its
             clock starts here.
-        on_exhaust: ``"return"`` or ``"raise"`` (see :meth:`cut`).
         tracer: optional :class:`~repro.obs.tracer.Tracer`, attached
             to the oracle.
         resume: a checkpoint, a path to one, or its JSON text.
@@ -72,19 +69,13 @@ class Run:
         predicate=None,
         *,
         budget=None,
-        on_exhaust: str = "return",
         tracer=None,
         resume=None,
         settings: dict | None = None,
     ):
-        if on_exhaust not in ("return", "raise"):
-            raise ValueError(
-                f"on_exhaust must be 'return' or 'raise', got {on_exhaust!r}"
-            )
         self.algorithm = algorithm
         self.universe = universe
         self.budget = budget
-        self.on_exhaust = on_exhaust
         self.tracer = as_tracer(tracer)
         oracle = predicate
         if predicate is not None:
@@ -171,7 +162,7 @@ class Run:
         state: dict | None = None,
         **fields,
     ) -> PartialResult:
-        """End a cut run: the certified partial, returned or raised.
+        """End a cut run: return the certified partial.
 
         Args:
             stop: the :class:`~repro.core.errors.BudgetExhausted` or
@@ -183,16 +174,10 @@ class Run:
             **fields: the engine's bracket pieces for
                 :func:`~repro.runtime.partial.build_partial`
                 (``frontier``, ``interesting``, ...).
-
-        With ``on_exhaust="raise"`` the partial rides on a
-        :class:`~repro.core.errors.BudgetExhausted` that carries the
-        budget's message and has the budget's exception as its cause;
-        an interrupt raises ``"interrupted by user"`` with no cause.
         """
-        if isinstance(stop, BudgetExhausted):
-            reason, message, cause = stop.reason, str(stop), stop
-        else:
-            reason, message, cause = "interrupt", "interrupted by user", None
+        reason = (
+            stop.reason if isinstance(stop, BudgetExhausted) else "interrupt"
+        )
         accounting = self.accounting()
         history = self.history()
         checkpoint = None
@@ -216,6 +201,4 @@ class Run:
         )
         if self.tracer.enabled:
             run_span.note(outcome="partial", reason=reason)
-        if self.on_exhaust == "raise":
-            raise BudgetExhausted(reason, message, partial=partial) from cause
         return partial

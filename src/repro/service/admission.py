@@ -108,7 +108,7 @@ class AdmissionController:
 
         ``tracer`` overrides the constructor tracer for this call's
         ``service.shed`` event — the HTTP layer passes its
-        request-scoped collector so shed records land inside the
+        request-scoped tracer so shed records land inside the
         request's stitched span tree instead of racing other handler
         threads into the shared writer.
         """

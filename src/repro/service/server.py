@@ -54,16 +54,17 @@ Observability contract (per request):
 * every request gets a **request id** — the client's ``X-Request-Id``
   header, or a fresh one — echoed back as ``X-Request-Id`` on the
   response and attached to the request's trace records;
-* when tracing is on, each request runs under its own
-  :class:`~repro.obs.context.WorkerTraceCollector`: a
-  ``service.request`` span tree covering admission wait
-  (``service.admission``), WAL fsync (``service.wal``), border repair
-  (``service.apply``), and the mine itself (``service.mine`` with the
-  full ``eclat.run`` tree on cold mines).  The finished batch is
-  stitched into the shared tracer under one lock at request end, so the
-  single-threaded :class:`~repro.obs.jsonl.JsonlTraceWriter` sees each
-  request as one contiguous, balanced, monitor-certifiable block —
-  never interleaved writes from concurrent handler threads;
+* when tracing is on, each request records into its own
+  :class:`~repro.obs.context.RecordBuffer`: a ``service.request`` span
+  tree covering admission wait (``service.admission``), WAL fsync
+  (``service.wal``), border repair (``service.apply``), and the mine
+  itself (``service.mine`` with the full ``eclat.run`` tree on cold
+  mines).  The finished batch is stitched into the shared tracer under
+  one lock at request end, so the shared tracer's consumers (the
+  :class:`~repro.obs.jsonl.JsonlTraceWriter`, the registry, the
+  monitor) see each request as one contiguous, balanced,
+  monitor-certifiable block — never interleaved records from
+  concurrent handler threads;
 * the **registry instruments are always on** (no tracing needed):
   ``repro_request_seconds{endpoint=...}`` latency histograms,
   ``repro_requests_total{endpoint=...,status=...}``,
@@ -82,7 +83,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.core.errors import ReproError
-from repro.obs.context import TraceContext, WorkerTraceCollector
+from repro.obs.context import RecordBuffer, TraceContext
 from repro.obs.metrics import (
     LATENCY_SECONDS_BUCKETS,
     MetricsRegistry,
@@ -197,16 +198,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, handler) -> None:
         """Run one endpoint handler under the request's span tree.
 
-        The handler receives the request-scoped tracer (a buffering
-        collector when tracing is on, else the null tracer) and must
-        route every record through it — the batch is stitched into the
-        shared tracer exactly once, at the end, under the server's
-        stitch lock.  Latency and status are recorded in the registry
-        on every path, traced or not, after the stitch.
+        The handler receives the request-scoped tracer (the tracer of
+        the request's buffer when tracing is on, else the null tracer)
+        and must route every record through it — the batch is stitched
+        into the shared tracer exactly once, at the end, under the
+        server's stitch lock.  Latency and status are recorded in the
+        registry on every path, traced or not, after the stitch.
         """
         endpoint = urlparse(self.path).path
         request_id = self._request_identity()
-        tracer = self.server.request_tracer()
+        buffer = self.server.request_buffer()
+        tracer = NULL_TRACER if buffer is None else buffer.tracer
         self._status = 0
         t0 = time.perf_counter()
         try:
@@ -236,8 +238,8 @@ class _Handler(BaseHTTPRequestHandler):
             # Stitch before counting: a client that sees the request in
             # the counters may stop the server, and the trace must
             # already hold the request's records whole by then.
-            if tracer.enabled:
-                self.server.stitch_request(tracer)
+            if buffer is not None:
+                self.server.stitch_request(buffer)
             self.server.observe_request(
                 endpoint, self._status, time.perf_counter() - t0
             )
@@ -425,18 +427,16 @@ class MiningServer(ThreadingHTTPServer):
         max_deadline: hard cap on client-requested deadlines.
         tracer: optional tracer.  Handler threads never write to it
             directly: each request buffers its records in a
-            :class:`~repro.obs.context.WorkerTraceCollector` and the
-            batch is stitched under :attr:`_stitch_lock` at request
-            end, so a single-threaded
-            :class:`~repro.obs.jsonl.JsonlTraceWriter` (or
-            :class:`~repro.obs.monitor.TheoremMonitor`) is safe behind
-            a threading server.
+            :class:`~repro.obs.context.RecordBuffer` and the batch is
+            stitched under :attr:`_stitch_lock` at request end, so a
+            single-threaded :class:`~repro.obs.tracer.RecordTracer` and
+            its consumers are safe behind a threading server.
         registry: optional :class:`~repro.obs.metrics.MetricsRegistry`
             backing ``/metrics``; a private one is created when absent,
             so the production instruments are always on.
         trace_writer: the path-owned
-            :class:`~repro.obs.jsonl.JsonlTraceWriter` inside
-            ``tracer``, when rotation is wanted.
+            :class:`~repro.obs.jsonl.JsonlTraceWriter` consuming
+            ``tracer``'s records, when rotation is wanted.
         trace_rotate: rotate ``trace_writer`` after this many written
             records (0 = never).  Rotation happens between requests
             (under the stitch lock, when no spans are open), to
@@ -497,13 +497,13 @@ class MiningServer(ThreadingHTTPServer):
 
     # -- per-request tracing ------------------------------------------
 
-    def request_tracer(self):
-        """A fresh request-scoped tracer (collector or null)."""
+    def request_buffer(self) -> RecordBuffer | None:
+        """A fresh request-scoped record buffer (``None`` untraced)."""
         if self._trace_context is None:
-            return NULL_TRACER
-        return WorkerTraceCollector(self._trace_context)
+            return None
+        return RecordBuffer(self._trace_context)
 
-    def stitch_request(self, collector) -> None:
+    def stitch_request(self, buffer: RecordBuffer) -> None:
         """Fold one finished request's records into the shared tracer.
 
         Serialized by the stitch lock — each request lands as one
@@ -511,7 +511,7 @@ class MiningServer(ThreadingHTTPServer):
         writer provably has no open spans.
         """
         try:
-            records = collector.drain()
+            records = buffer.drain()
         except ValueError:  # a handler leaked a span — drop, don't crash
             return
         if not records:

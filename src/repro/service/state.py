@@ -151,7 +151,7 @@ class ServiceCore:
             :meth:`mine`, :meth:`append`, and :meth:`set_threshold`
             additionally accept a per-call ``tracer`` override so the
             HTTP layer can route each request's records through its
-            request-scoped collector.
+            request-scoped tracer.
         registry: optional :class:`~repro.obs.metrics.MetricsRegistry`
             for the always-on production instruments: every durable
             WAL fsync is observed into ``repro_wal_fsync_seconds`` and
@@ -345,7 +345,7 @@ class ServiceCore:
         its charges or its digest.
 
         ``tracer`` overrides the core tracer for this one call (the
-        HTTP layer passes the request-scoped collector): the call runs
+        HTTP layer passes the request-scoped tracer): the call runs
         under a ``service.mine`` span whose close note records the
         source, and a cold mine passes the tracer into
         :func:`~repro.mining.eclat.eclat` so the request trace carries
@@ -473,7 +473,7 @@ class ServiceCore:
         re-sending its whole history after a crash ends holding the
         digest of the state it converged on.  ``tracer`` overrides the
         core tracer for this one mutation's records (the HTTP layer's
-        request-scoped collector).
+        request-scoped tracer).
         """
         return self._mutate(
             "append", {"rows": [int(r) for r in rows]}, op_id, tracer

@@ -206,7 +206,7 @@ class WriteAheadLog:
 
         ``tracer`` overrides the constructor tracer for this one
         append's ``wal.record`` event — the service routes each HTTP
-        request's events through a per-request collector this way, so
+        request's events through a per-request buffer this way, so
         no payload key may be named ``tracer``.
         """
         if self._file is None:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.datasets.planted import PlantedTheory
-from repro.hypergraph.hypergraph import Hypergraph, minimize_family
+from repro.hypergraph.hypergraph import Hypergraph
+from repro.util.antichain import minimize_masks
 from repro.util.bitset import Universe
 
 try:
@@ -147,7 +148,7 @@ def simple_hypergraphs(draw, max_vertices: int = 8, max_edges: int = 6):
             allow_empty_family=False,
         )
     )
-    minimized = minimize_family(family)
+    minimized = minimize_masks(family)
     universe = Universe(range(n))
     return Hypergraph(universe, minimized, validate=False)
 

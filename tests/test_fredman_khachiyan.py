@@ -12,7 +12,7 @@ from repro.hypergraph.fredman_khachiyan import (
     check_duality,
     find_new_minimal_transversal,
 )
-from repro.hypergraph.hypergraph import minimize_family
+from repro.util.antichain import minimize_masks
 from repro.util.bitset import Universe
 
 from tests.conftest import mask_families
@@ -85,7 +85,7 @@ class TestCheckDualityProperty:
     def test_agrees_with_berge_and_witnesses_check_out(self, data):
         n, family = data
         variables_mask = (1 << n) - 1
-        f_terms = minimize_family(family)
+        f_terms = minimize_masks(family)
         true_dual = berge_transversal_masks(f_terms)
         # The true dual must be certified.
         assert check_duality(f_terms, true_dual, variables_mask) is None
@@ -98,7 +98,7 @@ class TestCheckDualityProperty:
     def test_perturbed_dual_yields_valid_witness(self, data, rng):
         n, family = data
         variables_mask = (1 << n) - 1
-        f_terms = minimize_family(family)
+        f_terms = minimize_masks(family)
         true_dual = berge_transversal_masks(f_terms)
         if not true_dual:
             return

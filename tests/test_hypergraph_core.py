@@ -1,16 +1,14 @@
-"""Unit tests for the Hypergraph value type and family minimization."""
+"""Unit tests for the Hypergraph value type and family minimization
+(:func:`~repro.util.antichain.minimize_masks` and
+:func:`~repro.util.antichain.maximize_masks`)."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 
-from repro.hypergraph.hypergraph import (
-    Hypergraph,
-    NonSimpleHypergraphError,
-    maximize_family,
-    minimize_family,
-)
+from repro.hypergraph.hypergraph import Hypergraph, NonSimpleHypergraphError
+from repro.util.antichain import maximize_masks, minimize_masks
 from repro.util.bitset import Universe, rank_sorted
 
 from tests.conftest import mask_families, unchecked_families
@@ -37,24 +35,24 @@ def _pairwise_validation_error(universe: Universe, edges) -> str | None:
 
 class TestMinimizeFamily:
     def test_empty(self):
-        assert minimize_family([]) == []
+        assert minimize_masks([]) == []
 
     def test_removes_supersets(self):
-        assert minimize_family([0b111, 0b001, 0b011]) == [0b001]
+        assert minimize_masks([0b111, 0b001, 0b011]) == [0b001]
 
     def test_keeps_antichain(self):
-        assert minimize_family([0b001, 0b110]) == [0b001, 0b110]
+        assert minimize_masks([0b001, 0b110]) == [0b001, 0b110]
 
     def test_deduplicates(self):
-        assert minimize_family([0b01, 0b01]) == [0b01]
+        assert minimize_masks([0b01, 0b01]) == [0b01]
 
     def test_empty_set_dominates(self):
-        assert minimize_family([0, 0b1, 0b11]) == [0]
+        assert minimize_masks([0, 0b1, 0b11]) == [0]
 
     @given(mask_families())
     def test_result_is_antichain_covering_input(self, data):
         _, family = data
-        minimized = minimize_family(family)
+        minimized = minimize_masks(family)
         # Antichain:
         for i, a in enumerate(minimized):
             for b in minimized[i + 1 :]:
@@ -66,15 +64,15 @@ class TestMinimizeFamily:
 
 class TestMaximizeFamily:
     def test_removes_subsets(self):
-        assert maximize_family([0b111, 0b001, 0b011]) == [0b111]
+        assert maximize_masks([0b111, 0b001, 0b011]) == [0b111]
 
     def test_empty(self):
-        assert maximize_family([]) == []
+        assert maximize_masks([]) == []
 
     @given(mask_families())
     def test_result_is_antichain_covered_by_input(self, data):
         _, family = data
-        maximized = maximize_family(family)
+        maximized = maximize_masks(family)
         for i, a in enumerate(maximized):
             for b in maximized[i + 1 :]:
                 assert a & b != a and a & b != b

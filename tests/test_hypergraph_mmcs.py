@@ -35,12 +35,13 @@ from repro.hypergraph.enumeration import (
     brute_force_transversal_masks,
     minimal_transversals,
 )
-from repro.hypergraph.hypergraph import Hypergraph, minimize_family
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.mmcs import _enumerate, _prepare, mmcs_transversal_masks
-from repro.obs import JsonlTraceWriter, MultiTracer, TheoremMonitor
+from repro.obs import JsonlTraceWriter, RecordTracer, TheoremMonitor
 from repro.obs.tracer import Tracer
 from repro.parallel.mmcs import mmcs_transversals_parallel
 from repro.runtime.budget import Budget
+from repro.util.antichain import minimize_masks
 from repro.util.bitset import Universe, iter_bits, popcount
 
 from tests.conftest import (
@@ -119,17 +120,17 @@ class TestOutputIdentity:
     def test_invariant_under_minimization(self, data):
         _, family = data
         assert mmcs_transversal_masks(family) == mmcs_transversal_masks(
-            minimize_family(family)
+            minimize_masks(family)
         )
 
     @settings(max_examples=200, deadline=None)
     @given(unchecked_families())
     def test_prepared_edges_and_keep_masks(self, case):
-        # The index-based minimization keeps exactly minimize_family's
+        # The index-based minimization keeps exactly minimize_masks'
         # edges, and keep[v] holds exactly the edges missing v.
         _, family = case
         edges, keep, vertices = _prepare(family)
-        minimal = minimize_family(family)
+        minimal = minimize_masks(family)
         if keep is None:
             assert minimal in ([], [0])
             return
@@ -342,7 +343,7 @@ class TestBudgets:
                 hypergraph.edge_masks,
                 workers=worker_count,
                 budget=Budget(max_family=1),
-                tracer=monitor,
+                tracer=RecordTracer(monitor.feed_record),
             )
         except BudgetExhausted as exhausted:
             assert set(exhausted.partial.family) <= full
@@ -357,7 +358,8 @@ class TestCertifiedTraces:
         monitor = TheoremMonitor()
         with JsonlTraceWriter(buffer) as writer:
             family = mmcs_transversal_masks(
-                edge_masks, tracer=MultiTracer(writer, monitor)
+                edge_masks,
+                tracer=RecordTracer(writer.feed_record, monitor.feed_record),
             )
         records = [
             json.loads(line)

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import BudgetExhausted
 from repro.core.oracle import CountingOracle
 from repro.datasets.transactions import TransactionDatabase
 from repro.instances.frequent_itemsets import (
@@ -29,7 +28,7 @@ from repro.mining.levelwise import levelwise
 from repro.obs.jsonl import JsonlTraceWriter
 from repro.obs.monitor import TheoremMonitor
 from repro.obs.schema import parse_trace, validate_trace
-from repro.obs.tracer import MultiTracer, Tracer
+from repro.obs.tracer import RecordTracer, Tracer
 from repro.parallel.eclat import eclat_parallel
 from repro.runtime.budget import Budget
 from repro.runtime.partial import PartialResult
@@ -120,10 +119,6 @@ class TestEclatEdgeCases:
         assert result.maximal == (0b11,)
         assert result.negative_border == ()
 
-    def test_rejects_bad_on_exhaust(self, figure1_database):
-        with pytest.raises(ValueError):
-            eclat(figure1_database, 1, on_exhaust="explode")
-
 
 class TestEclatEquivalence:
     @settings(max_examples=60, deadline=None)
@@ -198,18 +193,6 @@ class TestEclatBudgets:
         assert budgeted.maximal == full.maximal
         assert budgeted.queries == full.queries
 
-    def test_on_exhaust_raise(self):
-        database = self._database()
-        with pytest.raises(BudgetExhausted) as excinfo:
-            eclat(
-                database,
-                4,
-                budget=Budget(max_queries=2),
-                on_exhaust="raise",
-            )
-        assert excinfo.value.partial is not None
-        assert excinfo.value.partial.certificate().ok
-
     def test_frontier_bounds_the_undecided_region(self):
         """Every undecided mask specializes a frontier mask (the lower
         frontier completeness claim the certificate relies on)."""
@@ -235,9 +218,13 @@ class TestEclatTracing:
         trace_path = tmp_path / "eclat.jsonl"
         writer = JsonlTraceWriter(trace_path)
         monitor = TheoremMonitor()
-        traced = eclat(figure1_database, 2, tracer=writer)
+        traced = eclat(
+            figure1_database, 2, tracer=RecordTracer(writer.feed_record)
+        )
         writer.close()
-        monitored = eclat(figure1_database, 2, tracer=monitor)
+        monitored = eclat(
+            figure1_database, 2, tracer=RecordTracer(monitor.feed_record)
+        )
         assert traced.maximal == plain.maximal
         assert traced.queries == plain.queries
         assert monitored.maximal == plain.maximal
@@ -261,7 +248,10 @@ class TestEclatTracing:
         )
         monitor = TheoremMonitor()
         partial = eclat(
-            database, 3, budget=Budget(max_queries=9), tracer=monitor
+            database,
+            3,
+            budget=Budget(max_queries=9),
+            tracer=RecordTracer(monitor.feed_record),
         )
         assert isinstance(partial, PartialResult)
         report = monitor.report()
@@ -447,6 +437,15 @@ def _roaring_pair(rng, n_items, n_rows):
     )
 
 
+def _events(records):
+    """The ``(name, attrs)`` of every event record, in order."""
+    return [
+        (record["name"], record.get("attrs", {}))
+        for record in records
+        if record["kind"] == "event"
+    ]
+
+
 class _RecordingTracer(Tracer):
     """Capture every event as ``(name, attrs)`` for comparison."""
 
@@ -499,9 +498,13 @@ class TestEclatRoaringBitIdentity:
         reference_db, roaring_db = _roaring_pair(rng, n_items, n_rows)
         traces = []
         for database in (reference_db, roaring_db):
-            recorder = _RecordingTracer()
+            records = []
             monitor = TheoremMonitor()
-            eclat(database, 2, tracer=MultiTracer(recorder, monitor))
+            eclat(
+                database,
+                2,
+                tracer=RecordTracer(records.append, monitor.feed_record),
+            )
             report = monitor.report()
             assert report.ok, report.summary()
             traces.append(
@@ -514,7 +517,7 @@ class TestEclatRoaringBitIdentity:
                             if key not in self.DIAGNOSTIC_ATTRS
                         },
                     )
-                    for name, attrs in recorder.events
+                    for name, attrs in _events(records)
                 ]
             )
         assert traces[0] == traces[1]
@@ -619,15 +622,19 @@ class TestEclatBlockBitIdentity:
         database = _random_database(rng, n_items, n_rows)
         traces = []
         for blocks in (False, True):
-            recorder = _RecordingTracer()
+            records = []
             monitor = TheoremMonitor()
             with mock.patch.object(
                 _eclat_module, "_BLOCK_MIN_ROWS", 0 if blocks else 1 << 62
             ):
-                eclat(database, 2, tracer=MultiTracer(recorder, monitor))
+                eclat(
+                    database,
+                    2,
+                    tracer=RecordTracer(records.append, monitor.feed_record),
+                )
             report = monitor.report()
             assert report.ok, report.summary()
-            traces.append(recorder.events)
+            traces.append(_events(records))
         assert traces[0] == traces[1]
 
     @settings(max_examples=25, deadline=None)

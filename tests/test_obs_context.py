@@ -1,14 +1,15 @@
-"""Cross-process trace propagation: contexts, collectors, stitching.
+"""Cross-process trace propagation: contexts, buffers, stitching.
 
 Covers the transport seam end to end at the unit level: capturing a
-:class:`~repro.obs.context.TraceContext` from a writer, buffering
-records in a :class:`~repro.obs.context.WorkerTraceCollector` (relative
-timestamps, local ids, drain-resets, drain-refuses-open-spans), and
-stitching drained batches back into a
-:class:`~repro.obs.jsonl.JsonlTraceWriter` (id remapping, anchoring
-under the open span, monotone timestamps, preserved worker durations)
-plus the :class:`~repro.obs.tracer.MultiTracer` and
-:class:`~repro.obs.monitor.TheoremMonitor` fan-out paths.
+:class:`~repro.obs.context.TraceContext` from a record tracer,
+recording under a shipped context (relative timestamps, local ids, the
+clock-skew clamp), buffering in a
+:class:`~repro.obs.context.RecordBuffer` (drain empties,
+drain-refuses-open-spans), and stitching drained batches back through a
+:class:`~repro.obs.tracer.RecordTracer` into its consumers (id
+remapping, anchoring under the open span, monotone timestamps,
+preserved worker durations) — the JSONL writer, the metrics registry
+and the :class:`~repro.obs.monitor.TheoremMonitor`.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import pytest
 from repro.obs import (
     JsonlTraceWriter,
     MetricsRegistry,
-    MetricsTracer,
-    MultiTracer,
+    RecordBuffer,
+    RecordTracer,
     TheoremMonitor,
     TraceContext,
-    WorkerTraceCollector,
+    Tracer,
     validate_trace,
 )
 from repro.obs.context import active_collector, install_worker_collector
@@ -49,25 +50,24 @@ def _context(offset=100.0):
 
 
 class TestTraceContext:
-    def test_capture_from_writer_carries_identity_and_open_span(self):
+    def test_capture_from_record_tracer_carries_identity_and_open_span(
+        self,
+    ):
         clock = _FakeClock()
-        writer = JsonlTraceWriter(io.StringIO(), clock=clock)
-        with writer.span("eclat.run", n=4, threshold=3):
-            context = TraceContext.capture(writer)
-            assert context.trace_id == writer.trace_id
+        tracer = RecordTracer(
+            JsonlTraceWriter(io.StringIO()).feed_record, clock=clock
+        )
+        with tracer.span("eclat.run", n=4, threshold=3):
+            context = TraceContext.capture(tracer)
+            assert context.trace_id == tracer.trace_id
             assert context.parent_span == 1
             assert context.clock_offset == 100.0
 
     def test_capture_from_plain_tracer_mints_fresh_context(self):
-        a = TraceContext.capture(TheoremMonitor())
-        b = TraceContext.capture(TheoremMonitor())
+        a = TraceContext.capture(Tracer())
+        b = TraceContext.capture(Tracer())
         assert a.trace_id != b.trace_id
         assert a.parent_span is None
-
-    def test_capture_through_multitracer_finds_the_writer(self):
-        writer = JsonlTraceWriter(io.StringIO())
-        fanout = MultiTracer(TheoremMonitor(), writer)
-        assert TraceContext.capture(fanout).trace_id == writer.trace_id
 
     def test_context_is_picklable(self):
         import pickle
@@ -76,15 +76,18 @@ class TestTraceContext:
         assert pickle.loads(pickle.dumps(context)) == context
 
 
-class TestWorkerTraceCollector:
+class TestRecordBuffer:
     def test_records_use_local_ids_and_relative_timestamps(self):
         clock = _FakeClock(100.0)
-        collector = WorkerTraceCollector(_context(100.0), clock=clock)
-        with collector.span("worker.task", position=0) as span:
+        batch = []
+        tracer = RecordTracer(
+            batch.append, context=_context(100.0), clock=clock
+        )
+        with tracer.span("worker.task", position=0) as span:
             clock.advance(0.25)
-            collector.event("oracle.query", mask=3, answer=True, charged=True)
+            tracer.event("oracle.query", mask=3, answer=True, charged=True)
             span.note(nodes=7)
-        batch = collector.drain()
+        assert tracer.trace_id == "t" * 32
         assert [r["kind"] for r in batch] == [
             "span_open", "event", "span_close",
         ]
@@ -95,33 +98,39 @@ class TestWorkerTraceCollector:
 
     def test_clock_skew_clamps_to_zero_not_negative(self):
         clock = _FakeClock(99.0)  # behind the coordinator's zero
-        collector = WorkerTraceCollector(_context(100.0), clock=clock)
-        collector.event("worker.batch", n=1)
-        assert collector.drain()[0]["ts"] == 0.0
+        batch = []
+        tracer = RecordTracer(
+            batch.append, context=_context(100.0), clock=clock
+        )
+        tracer.event("worker.batch", n=1)
+        assert batch[0]["ts"] == 0.0
 
-    def test_drain_resets_ids_and_buffer(self):
-        collector = WorkerTraceCollector(_context())
-        with collector.span("worker.task", position=0):
+    def test_drain_empties_the_buffer(self):
+        buffer = RecordBuffer(_context())
+        with buffer.tracer.span("worker.task", position=0):
             pass
-        first = collector.drain()
-        with collector.span("worker.task", position=1):
+        first = buffer.drain()
+        assert len(buffer) == 0
+        with buffer.tracer.span("worker.task", position=1):
             pass
-        second = collector.drain()
-        assert first[0]["id"] == 1 and second[0]["id"] == 1
-        assert len(collector) == 0
+        second = buffer.drain()
+        assert [r["attrs"]["position"] for r in first + second] == [
+            0, 0, 1, 1
+        ]
+        assert len(buffer) == 0
 
     def test_drain_refuses_open_spans(self):
-        collector = WorkerTraceCollector(_context())
-        span = collector.span("worker.task", position=0)
+        buffer = RecordBuffer(_context())
+        span = buffer.tracer.span("worker.task", position=0)
         with pytest.raises(ValueError, match="still"):
-            collector.drain()
+            buffer.drain()
         span.__exit__(None, None, None)
-        assert len(collector.drain()) == 2
+        assert len(buffer.drain()) == 2
 
     def test_install_and_active_collector_roundtrip(self):
         try:
             install_worker_collector(_context())
-            assert isinstance(active_collector(), WorkerTraceCollector)
+            assert isinstance(active_collector(), RecordBuffer)
             install_worker_collector(None)
             assert active_collector() is None
         finally:
@@ -129,29 +138,29 @@ class TestWorkerTraceCollector:
 
 
 def _drained_batch(context, *, events=1):
-    collector = WorkerTraceCollector(context, clock=_FakeClock(100.5))
-    with collector.span("worker.task", position=0, worker=1234):
+    buffer = RecordBuffer(context)
+    with buffer.tracer.span("worker.task", position=0, worker=1234):
         for i in range(events):
-            collector.event(
+            buffer.tracer.event(
                 "oracle.query", mask=i, answer=True, charged=True
             )
-    return collector.drain()
+    return buffer.drain()
 
 
 class TestJsonlStitch:
     def test_stitch_remaps_ids_and_anchors_under_open_span(self):
         clock = _FakeClock()
         sink = io.StringIO()
-        writer = JsonlTraceWriter(sink, clock=clock)
-        with writer.span("eclat.run", n=4, threshold=2):
+        tracer = RecordTracer(JsonlTraceWriter(sink).feed_record, clock=clock)
+        with tracer.span("eclat.run", n=4, threshold=2):
             clock.advance(1.0)
-            writer.stitch(_drained_batch(writer.trace_context()))
+            tracer.stitch(_drained_batch(TraceContext.capture(tracer)))
         records = [
             json.loads(line) for line in sink.getvalue().splitlines()
         ]
         assert validate_trace(records) == []
         opened = [r for r in records if r["kind"] == "span_open"]
-        # The remote span got a fresh id in this writer's sequence and
+        # The remote span got a fresh id in this tracer's sequence and
         # the open eclat.run span as its parent.
         assert opened[1]["name"] == "worker.task"
         assert opened[1]["id"] == 2
@@ -160,11 +169,11 @@ class TestJsonlStitch:
     def test_stitch_restamps_ts_but_preserves_worker_dur(self):
         clock = _FakeClock()
         sink = io.StringIO()
-        writer = JsonlTraceWriter(sink, clock=clock)
-        batch = _drained_batch(writer.trace_context())
+        tracer = RecordTracer(JsonlTraceWriter(sink).feed_record, clock=clock)
+        batch = _drained_batch(TraceContext.capture(tracer))
         worker_dur = batch[-1]["dur"]
         clock.advance(5.0)
-        writer.stitch(batch)
+        tracer.stitch(batch)
         records = [
             json.loads(line) for line in sink.getvalue().splitlines()
         ]
@@ -176,19 +185,23 @@ class TestJsonlStitch:
 
     def test_stitch_drops_close_without_matching_open(self):
         sink = io.StringIO()
-        writer = JsonlTraceWriter(sink)
-        writer.stitch(
+        registry = MetricsRegistry()
+        tracer = RecordTracer(
+            JsonlTraceWriter(sink).feed_record, registry.feed_record
+        )
+        tracer.stitch(
             [{"kind": "span_close", "name": "worker.task", "id": 9,
               "dur": 0.1, "ts": 0.0}]
         )
         assert sink.getvalue() == ""
+        assert registry.snapshot()["histograms"] == {}
 
     def test_sequential_stitches_yield_distinct_ids(self):
         sink = io.StringIO()
-        writer = JsonlTraceWriter(sink)
-        context = writer.trace_context()
-        writer.stitch(_drained_batch(context))
-        writer.stitch(_drained_batch(context))
+        tracer = RecordTracer(JsonlTraceWriter(sink).feed_record)
+        context = TraceContext.capture(tracer)
+        tracer.stitch(_drained_batch(context))
+        tracer.stitch(_drained_batch(context))
         records = [
             json.loads(line) for line in sink.getvalue().splitlines()
         ]
@@ -198,18 +211,23 @@ class TestJsonlStitch:
 
 
 class TestFanoutStitch:
-    def test_multitracer_stitch_reaches_every_child(self):
+    def test_stitch_reaches_every_consumer(self):
         sink = io.StringIO()
-        writer = JsonlTraceWriter(sink)
         registry = MetricsRegistry()
-        fanout = MultiTracer(writer, MetricsTracer(registry))
-        fanout.stitch(_drained_batch(writer.trace_context(), events=3))
+        monitor = TheoremMonitor()
+        tracer = RecordTracer(
+            JsonlTraceWriter(sink).feed_record,
+            registry.feed_record,
+            monitor.feed_record,
+        )
+        tracer.stitch(_drained_batch(TraceContext.capture(tracer), events=3))
         assert sink.getvalue().count("\n") == 5
         assert registry.counter("events.oracle.query").value == 3
+        assert monitor._charged == 3
 
     def test_metrics_stitch_folds_span_durations(self):
         registry = MetricsRegistry()
-        MetricsTracer(registry).stitch(
+        RecordTracer(registry.feed_record).stitch(
             _drained_batch(_context(), events=0)
         )
         histogram = registry.histogram("span.worker.task.seconds")
@@ -217,7 +235,9 @@ class TestFanoutStitch:
 
     def test_monitor_stitch_feeds_the_live_checks(self):
         monitor = TheoremMonitor()
-        monitor.stitch(_drained_batch(_context(), events=2))
+        RecordTracer(monitor.feed_record).stitch(
+            _drained_batch(_context(), events=2)
+        )
         # No *.done accounting events in the batch — nothing to certify,
         # but the records were accepted without error.
         assert monitor.report().ok

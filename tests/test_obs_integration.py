@@ -1,8 +1,8 @@
 """Traced engine runs: schema-valid JSONL, exception-safe emission.
 
-Every engine is run with a live :class:`JsonlTraceWriter`; the recorded
-file must parse, validate against the event schema, and keep spans
-balanced.  Exception safety: a predicate raising mid-run under an
+Every engine is run with a live :class:`JsonlTraceWriter` behind a
+:class:`RecordTracer`; the recorded file must parse, validate against
+the event schema, and keep spans balanced.  Exception safety: a predicate raising mid-run under an
 active writer still leaves a balanced, parseable trace with the error
 recorded on the aborted spans.
 """
@@ -26,7 +26,12 @@ from repro.mining.apriori import apriori
 from repro.mining.dualize_advance import dualize_and_advance
 from repro.mining.levelwise import levelwise
 from repro.mining.maxminer import maxminer_maxth
-from repro.obs import JsonlTraceWriter, parse_trace, validate_trace
+from repro.obs import (
+    JsonlTraceWriter,
+    RecordTracer,
+    parse_trace,
+    validate_trace,
+)
 from repro.util.bitset import Universe
 
 from benchmarks.trace_report import build_report
@@ -44,7 +49,7 @@ def _trace(run):
     """Run an engine under a buffer-backed writer; return its records."""
     buffer = io.StringIO()
     with JsonlTraceWriter(buffer) as writer:
-        run(writer)
+        run(RecordTracer(writer.feed_record))
     return [
         json.loads(line) for line in buffer.getvalue().splitlines() if line
     ]
@@ -146,7 +151,7 @@ class TestExceptionSafety:
                 levelwise(
                     universe,
                     CountingOracle(_always_failing),
-                    tracer=writer,
+                    tracer=RecordTracer(writer.feed_record),
                 )
         records = [
             json.loads(line)
@@ -167,7 +172,7 @@ class TestExceptionSafety:
                 dualize_and_advance(
                     universe,
                     CountingOracle(_always_failing),
-                    tracer=writer,
+                    tracer=RecordTracer(writer.feed_record),
                 )
         records = [
             json.loads(line)
@@ -191,7 +196,7 @@ class TestExceptionSafety:
             levelwise(
                 universe,
                 CountingOracle(_always_failing),
-                tracer=writer,
+                tracer=RecordTracer(writer.feed_record),
             )
         # Simulate never reaching writer.close(): read the file as-is.
         records = parse_trace(str(path))

@@ -16,7 +16,7 @@ from repro.core.oracle import CountingOracle
 from repro.datasets.planted import PlantedTheory, random_planted_theory
 from repro.mining.dualize_advance import dualize_and_advance
 from repro.mining.levelwise import levelwise
-from repro.obs import JsonlTraceWriter, MultiTracer, TheoremMonitor
+from repro.obs import JsonlTraceWriter, RecordTracer, TheoremMonitor
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.partial import PartialResult
@@ -35,7 +35,9 @@ def _record_levelwise(universe, predicate):
     """Run levelwise under a writer; return the parsed records."""
     buffer = io.StringIO()
     with JsonlTraceWriter(buffer) as writer:
-        levelwise(universe, predicate, tracer=writer)
+        levelwise(
+            universe, predicate, tracer=RecordTracer(writer.feed_record)
+        )
     return [
         json.loads(line) for line in buffer.getvalue().splitlines() if line
     ]
@@ -45,7 +47,11 @@ class TestLiveCertification:
     def test_levelwise_figure1_certifies_theorem10(self):
         universe, planted = _figure1()
         monitor = TheoremMonitor()
-        result = levelwise(universe, planted.is_interesting, tracer=monitor)
+        result = levelwise(
+            universe,
+            planted.is_interesting,
+            tracer=RecordTracer(monitor.feed_record),
+        )
         report = monitor.report()
         assert report.ok, report.violations
         assert report.certified("theorem10")
@@ -62,7 +68,11 @@ class TestLiveCertification:
     def test_dualize_certifies_theorem21_and_monotonicity(self):
         universe, planted = _figure1()
         monitor = TheoremMonitor()
-        dualize_and_advance(universe, planted.is_interesting, tracer=monitor)
+        dualize_and_advance(
+            universe,
+            planted.is_interesting,
+            tracer=RecordTracer(monitor.feed_record),
+        )
         report = monitor.report()
         assert report.ok, report.violations
         assert report.certified("theorem21")
@@ -78,7 +88,7 @@ class TestLiveCertification:
             levelwise(
                 planted.universe,
                 CountingOracle(planted.is_interesting),
-                tracer=monitor,
+                tracer=RecordTracer(monitor.feed_record),
             )
             report = monitor.report()
             assert report.ok, (seed, report.violations)
@@ -87,7 +97,11 @@ class TestLiveCertification:
     def test_summary_mentions_status(self):
         universe, planted = _figure1()
         monitor = TheoremMonitor()
-        levelwise(universe, planted.is_interesting, tracer=monitor)
+        levelwise(
+            universe,
+            planted.is_interesting,
+            tracer=RecordTracer(monitor.feed_record),
+        )
         summary = monitor.report().summary()
         assert "ok" in summary
         assert "theorem10" in summary
@@ -143,29 +157,33 @@ class TestTamperDetection:
 
     def test_contradictory_answers_are_flagged(self):
         monitor = TheoremMonitor()
-        monitor.event("oracle.query", mask=3, answer=True, charged=True)
-        monitor.event("oracle.query", mask=3, answer=False, charged=False)
+        tracer = RecordTracer(monitor.feed_record)
+        tracer.event("oracle.query", mask=3, answer=True, charged=True)
+        tracer.event("oracle.query", mask=3, answer=False, charged=False)
         report = monitor.report()
         assert any("both ways" in v for v in report.violations)
 
     def test_non_growing_bracket_is_flagged(self):
         """A fabricated dualize.maximal inside an earlier maximal set."""
         monitor = TheoremMonitor()
-        monitor.event("dualize.maximal", mask=0b111, iteration=1)
-        monitor.event("dualize.maximal", mask=0b011, iteration=2)
+        tracer = RecordTracer(monitor.feed_record)
+        tracer.event("dualize.maximal", mask=0b111, iteration=1)
+        tracer.event("dualize.maximal", mask=0b011, iteration=2)
         report = monitor.report()
         assert any("did not grow" in v for v in report.violations)
 
     def test_frontier_regrowth_is_flagged(self):
         monitor = TheoremMonitor()
-        monitor.event("dualize.probe", mask=0b101, answer=False, fresh=True)
-        monitor.event("dualize.counterexample", mask=0b101, iteration=1)
+        tracer = RecordTracer(monitor.feed_record)
+        tracer.event("dualize.probe", mask=0b101, answer=False, fresh=True)
+        tracer.event("dualize.counterexample", mask=0b101, iteration=1)
         report = monitor.report()
         assert any("frontier grew back" in v for v in report.violations)
 
     def test_unclosed_span_is_flagged(self):
         monitor = TheoremMonitor()
-        monitor.span("levelwise.run", n=4, resumed=False)  # never closed
+        tracer = RecordTracer(monitor.feed_record)
+        tracer.span("levelwise.run", n=4, resumed=False)  # never closed
         report = monitor.report()
         assert any("never closed" in v for v in report.violations)
 
@@ -237,7 +255,7 @@ class TestCumulativeElapsed:
             budget=Budget(max_queries=3),
         )
         monitor = TheoremMonitor()
-        tracer = MultiTracer(monitor)
+        tracer = RecordTracer(monitor.feed_record)
         result = levelwise(
             planted.universe,
             planted.is_interesting,

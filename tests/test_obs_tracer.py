@@ -1,9 +1,10 @@
 """Unit tests for the ``repro.obs`` primitives.
 
-Covers the tracer protocol (null/default semantics, fan-out, span
-lifecycle), the JSONL writer (record shape, injectable clock, span
-nesting, interrupt safety), the metrics registry/adapter, and the
-record-schema validators.
+Covers the tracer protocol (null/default semantics), the record tracer
+(record shape, injectable clock, span lifecycle, consumer isolation),
+the JSONL writer (span nesting, interrupt safety, rotation), the
+metrics registry as a record consumer, and the record-schema
+validators.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from repro.obs import (
     DEFAULT_SECONDS_BUCKETS,
     JsonlTraceWriter,
     MetricsRegistry,
-    MetricsTracer,
-    MultiTracer,
     NULL_TRACER,
-    NullTracer,
-    Tracer,
+    RecordTracer,
     as_tracer,
     validate_record,
     validate_trace,
@@ -29,36 +27,15 @@ from repro.obs import (
 from repro.obs.metrics import Histogram
 
 
-class _Recorder(Tracer):
-    """Collects every record as plain tuples, for assertions."""
+def _ticking():
+    """A clock that advances one second per reading."""
+    clock_value = [0.0]
 
-    def __init__(self):
-        self.records = []
+    def clock():
+        clock_value[0] += 1.0
+        return clock_value[0]
 
-    def event(self, name, **attrs):
-        self.records.append(("event", name, attrs))
-
-    def span(self, name, **attrs):
-        self.records.append(("span_open", name, attrs))
-        outer = self
-
-        class _S:
-            def note(self, **kw):
-                attrs.update(kw)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, exc_type, exc, tb):
-                outer.records.append(("span_close", name, attrs))
-
-        return _S()
-
-    def counter(self, name, delta=1, **attrs):
-        self.records.append(("counter", name, delta))
-
-    def gauge(self, name, value, **attrs):
-        self.records.append(("gauge", name, value))
+    return clock
 
 
 class TestProtocol:
@@ -72,32 +49,29 @@ class TestProtocol:
 
     def test_as_tracer_normalizes_none(self):
         assert as_tracer(None) is NULL_TRACER
-        recorder = _Recorder()
-        assert as_tracer(recorder) is recorder
+        tracer = RecordTracer()
+        assert as_tracer(tracer) is tracer
 
-    def test_multitracer_skips_disabled_children(self):
-        recorder = _Recorder()
-        fanout = MultiTracer(None, NullTracer(), recorder)
-        assert fanout.enabled is True
-        fanout.event("e", k=1)
-        assert recorder.records == [("event", "e", {"k": 1})]
-
-    def test_multitracer_all_disabled_behaves_like_null(self):
-        fanout = MultiTracer(None, NullTracer())
-        assert fanout.enabled is False
-        fanout.event("e")  # no-op, no error
-
-    def test_multitracer_span_fans_out_notes(self):
-        first, second = _Recorder(), _Recorder()
-        fanout = MultiTracer(first, second)
-        with fanout.span("s", a=1) as span:
+    def test_span_notes_reach_every_consumer(self):
+        first, second = [], []
+        tracer = RecordTracer(first.append, second.append)
+        with tracer.span("s", a=1) as span:
             span.note(b=2)
-        for recorder in (first, second):
-            assert recorder.records[-1] == (
-                "span_close",
-                "s",
-                {"a": 1, "b": 2},
-            )
+        assert first == second
+        assert [r["kind"] for r in first] == ["span_open", "span_close"]
+        assert first[-1]["attrs"] == {"a": 1, "b": 2}
+
+    def test_counter_and_gauge_record_shape(self):
+        records = []
+        tracer = RecordTracer(records.append, clock=lambda: 0.0)
+        tracer.counter("oracle.cache_hit", 2)
+        tracer.gauge("dualize.family", 7, rank=1)
+        assert records == [
+            {"kind": "counter", "name": "oracle.cache_hit", "delta": 2,
+             "ts": 0.0},
+            {"kind": "gauge", "name": "dualize.family", "value": 7,
+             "ts": 0.0, "attrs": {"rank": 1}},
+        ]
 
 
 class TestJsonlWriter:
@@ -111,8 +85,9 @@ class TestJsonlWriter:
     def test_event_record_shape_with_frozen_clock(self):
         ticks = iter([0.0, 1.5])
         buffer = io.StringIO()
-        writer = JsonlTraceWriter(buffer, clock=lambda: next(ticks))
-        writer.event("oracle.query", mask=3, answer=True, charged=True)
+        writer = JsonlTraceWriter(buffer)
+        tracer = RecordTracer(writer.feed_record, clock=lambda: next(ticks))
+        tracer.event("oracle.query", mask=3, answer=True, charged=True)
         [record] = self._records(buffer)
         assert record == {
             "kind": "event",
@@ -123,16 +98,12 @@ class TestJsonlWriter:
         assert writer.records_written == 1
 
     def test_span_nesting_ids_parent_and_dur(self):
-        clock_value = [0.0]
-
-        def clock():
-            clock_value[0] += 1.0
-            return clock_value[0]
-
         buffer = io.StringIO()
-        writer = JsonlTraceWriter(buffer, clock=clock)
-        with writer.span("outer", n=4):
-            with writer.span("inner") as inner:
+        tracer = RecordTracer(
+            JsonlTraceWriter(buffer).feed_record, clock=_ticking()
+        )
+        with tracer.span("outer", n=4):
+            with tracer.span("inner") as inner:
                 inner.note(done=True)
         records = self._records(buffer)
         kinds = [(r["kind"], r["name"]) for r in records]
@@ -152,9 +123,11 @@ class TestJsonlWriter:
 
     def test_span_close_records_error_type(self):
         buffer = io.StringIO()
-        writer = JsonlTraceWriter(buffer, clock=lambda: 0.0)
+        tracer = RecordTracer(
+            JsonlTraceWriter(buffer).feed_record, clock=lambda: 0.0
+        )
         with pytest.raises(RuntimeError):
-            with writer.span("risky"):
+            with tracer.span("risky"):
                 raise RuntimeError("boom")
         close = self._records(buffer)[-1]
         assert close["kind"] == "span_close"
@@ -163,25 +136,26 @@ class TestJsonlWriter:
     def test_each_line_is_flushed_and_close_is_idempotent(self, tmp_path):
         path = tmp_path / "t.jsonl"
         writer = JsonlTraceWriter(path)
-        writer.event("oracle.cache_hit")
+        tracer = RecordTracer(writer.feed_record)
+        tracer.event("oracle.cache_hit")
         # Readable before close: flushed per line.
         assert path.read_text().count("\n") == 1
         writer.close()
         writer.close()
-        writer.event("late")  # dropped silently after close
+        tracer.event("late")  # dropped silently after close
         assert writer.records_written == 1
 
     def test_file_object_sink_is_not_closed(self):
         buffer = io.StringIO()
         with JsonlTraceWriter(buffer) as writer:
-            writer.event("e")
+            RecordTracer(writer.feed_record).event("e")
         assert not buffer.closed
 
     def test_timestamps_are_monotone_in_file_order(self):
         buffer = io.StringIO()
-        writer = JsonlTraceWriter(buffer)
+        tracer = RecordTracer(JsonlTraceWriter(buffer).feed_record)
         for _ in range(5):
-            writer.event("e")
+            tracer.event("e")
         timestamps = [r["ts"] for r in self._records(buffer)]
         assert timestamps == sorted(timestamps)
 
@@ -205,10 +179,12 @@ class TestMetrics:
         with pytest.raises(ValueError):
             registry.counter("c").inc(-1)
 
-    def test_metrics_tracer_folds_record_stream(self):
+    def test_registry_folds_record_stream(self):
         registry = MetricsRegistry()
-        ticks = iter([0.0, 0.25])
-        tracer = MetricsTracer(registry, clock=lambda: next(ticks))
+        ticks = iter([0.0, 0.0, 0.0, 0.0, 0.0, 0.25])
+        tracer = RecordTracer(
+            registry.feed_record, clock=lambda: next(ticks)
+        )
         tracer.event("oracle.query", mask=1)
         tracer.counter("oracle.cache_hit", 2)
         tracer.gauge("dualize.family", 7)
@@ -224,7 +200,7 @@ class TestMetrics:
 
     def test_span_error_counter(self):
         registry = MetricsRegistry()
-        tracer = MetricsTracer(registry, clock=lambda: 0.0)
+        tracer = RecordTracer(registry.feed_record, clock=lambda: 0.0)
         with pytest.raises(ValueError):
             with tracer.span("fk.check"):
                 raise ValueError
@@ -361,18 +337,13 @@ class TestCrashArtifactsAndRotation:
     def test_rotate_keeps_both_files_balanced(self, tmp_path):
         from repro.obs import parse_trace
 
-        clock_value = [0.0]
-
-        def clock():
-            clock_value[0] += 1.0
-            return clock_value[0]
-
         first = tmp_path / "trace.1.jsonl"
         second = tmp_path / "trace.2.jsonl"
-        writer = JsonlTraceWriter(str(first), clock=clock)
-        with writer.span("service.request", endpoint="/mine"):
-            with writer.span("request.work", n=4) as inner:
-                writer.event("oracle.query", mask=1, answer=True,
+        writer = JsonlTraceWriter(str(first))
+        tracer = RecordTracer(writer.feed_record, clock=_ticking())
+        with tracer.span("service.request", endpoint="/mine"):
+            with tracer.span("request.work", n=4) as inner:
+                tracer.event("oracle.query", mask=1, answer=True,
                              charged=True)
                 writer.rotate(str(second))
                 inner.note(queries=1)
@@ -418,106 +389,65 @@ class TestCrashArtifactsAndRotation:
             owned.rotate(str(tmp_path / "z.jsonl"))
 
 
-class _Grenade(Tracer):
-    """A tracer whose every method raises — the worst possible sibling."""
-
-    def event(self, name, **attrs):
-        raise RuntimeError("event boom")
-
-    def span(self, name, **attrs):
-        raise RuntimeError("span boom")
-
-    def counter(self, name, delta=1, **attrs):
-        raise RuntimeError("counter boom")
-
-    def gauge(self, name, value, **attrs):
-        raise RuntimeError("gauge boom")
-
-    def stitch(self, records):
-        raise RuntimeError("stitch boom")
+def _grenade(record):
+    """A consumer that raises on every record — the worst sibling."""
+    raise RuntimeError(f"{record['kind']} boom")
 
 
-class _GrenadeSpan:
-    def note(self, **attrs):
-        raise RuntimeError("note boom")
+class TestConsumerIsolation:
+    """Regression: one raising consumer must never starve its siblings.
 
-    def __enter__(self):
-        raise RuntimeError("enter boom")
-
-    def __exit__(self, exc_type, exc, tb):
-        raise RuntimeError("exit boom")
-
-
-class _SpanGrenade(Tracer):
-    """Opens spans fine; every span method then raises."""
-
-    def span(self, name, **attrs):
-        return _GrenadeSpan()
-
-
-class TestMultiTracerIsolation:
-    """Regression: one raising child must never starve its siblings.
-
-    The ordering matters — the crashing child is registered *first*, so
-    a fan-out that stops at the first exception would drop the record
-    for everyone after it.
+    The ordering matters — the crashing consumer is registered *first*,
+    so a tracer that stopped at the first exception would drop the
+    record for everyone after it.
     """
 
-    def test_event_counter_gauge_reach_later_children(self):
-        recorder = _Recorder()
-        fanout = MultiTracer(_Grenade(), recorder)
-        fanout.event("eclat.node", prefix=1, tail=2, kind="closed")
-        fanout.counter("queries", 3)
-        fanout.gauge("depth", 4)
-        assert ("event", "eclat.node",
-                {"prefix": 1, "tail": 2, "kind": "closed"}) in recorder.records
-        assert ("counter", "queries", 3) in recorder.records
-        assert ("gauge", "depth", 4) in recorder.records
+    def test_event_counter_gauge_reach_later_consumers(self):
+        records = []
+        tracer = RecordTracer(_grenade, records.append)
+        tracer.event("eclat.node", prefix=1, tail=2, kind="closed")
+        tracer.counter("queries", 3)
+        tracer.gauge("depth", 4)
+        assert [(r["kind"], r["name"]) for r in records] == [
+            ("event", "eclat.node"), ("counter", "queries"),
+            ("gauge", "depth"),
+        ]
+        assert records[0]["attrs"] == {"prefix": 1, "tail": 2,
+                                       "kind": "closed"}
 
-    def test_span_open_close_survive_a_crashing_sibling(self):
-        recorder = _Recorder()
-        fanout = MultiTracer(_Grenade(), recorder)
-        with fanout.span("eclat.run", n=4, threshold=2) as span:
+    def test_span_open_close_survive_a_crashing_consumer(self):
+        records = []
+        tracer = RecordTracer(_grenade, records.append)
+        with tracer.span("eclat.run", n=4, threshold=2) as span:
             span.note(nodes=9)
-        kinds = [(kind, name) for kind, name, *_ in recorder.records]
-        assert kinds == [
+        assert [(r["kind"], r["name"]) for r in records] == [
             ("span_open", "eclat.run"), ("span_close", "eclat.run")
         ]
-        close_attrs = recorder.records[-1][2]
-        assert close_attrs["nodes"] == 9, "note was lost behind the crash"
+        assert records[-1]["attrs"]["nodes"] == 9, (
+            "note was lost behind the crash"
+        )
 
-    def test_span_methods_isolate_too(self):
-        recorder = _Recorder()
-        fanout = MultiTracer(_SpanGrenade(), recorder)
-        with fanout.span("worker.task", position=0) as span:
-            span.note(stolen=True)
-        assert recorder.records[-1][2]["stolen"] is True
-
-    def test_stitch_reaches_later_children(self):
-        recorder = _Recorder()
-        seen = []
-
-        class _StitchRecorder(Tracer):
-            def stitch(self, records):
-                seen.append(list(records))
-
+    def test_stitch_reaches_later_consumers(self):
+        records = []
         batch = [{"kind": "event", "name": "worker.batch", "ts": 0.0,
                   "attrs": {"n": 1}}]
-        MultiTracer(_Grenade(), _StitchRecorder(), recorder).stitch(batch)
-        assert seen == [batch]
+        RecordTracer(_grenade, records.append).stitch(batch)
+        assert [(r["name"], r["attrs"]) for r in records] == [
+            ("worker.batch", {"n": 1})
+        ]
 
     def test_instrumented_code_never_sees_the_exception(self):
-        fanout = MultiTracer(_Grenade())
-        fanout.event("anything")  # must not raise
-        with fanout.span("region"):
+        tracer = RecordTracer(_grenade)
+        tracer.event("anything")  # must not raise
+        with tracer.span("region"):
             pass
 
     def test_durable_writer_stays_valid_next_to_a_grenade(self):
         sink = io.StringIO()
         writer = JsonlTraceWriter(sink)
-        fanout = MultiTracer(_Grenade(), writer, _SpanGrenade())
-        with fanout.span("eclat.run", n=3, threshold=1):
-            fanout.event("eclat.node", prefix=0, tail=1, kind="open")
+        tracer = RecordTracer(_grenade, writer.feed_record, _grenade)
+        with tracer.span("eclat.run", n=3, threshold=1):
+            tracer.event("eclat.node", prefix=0, tail=1, kind="open")
         records = [json.loads(line) for line in sink.getvalue().splitlines()]
         assert validate_trace(records) == []
         assert [r["kind"] for r in records] == [

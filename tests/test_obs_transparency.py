@@ -22,8 +22,7 @@ from repro.mining.maxminer import maxminer_maxth
 from repro.obs import (
     JsonlTraceWriter,
     MetricsRegistry,
-    MetricsTracer,
-    MultiTracer,
+    RecordTracer,
     TheoremMonitor,
 )
 
@@ -45,10 +44,10 @@ _PLANTED = _planted()
 
 def _full_stack():
     """The complete tracer stack the CLI would wire up."""
-    return MultiTracer(
-        JsonlTraceWriter(io.StringIO()),
-        MetricsTracer(MetricsRegistry()),
-        TheoremMonitor(),
+    return RecordTracer(
+        JsonlTraceWriter(io.StringIO()).feed_record,
+        MetricsRegistry().feed_record,
+        TheoremMonitor().feed_record,
     )
 
 
@@ -116,7 +115,7 @@ class TestTracingTransparency:
         levelwise(
             planted.universe,
             CountingOracle(planted.is_interesting),
-            tracer=monitor,
+            tracer=RecordTracer(monitor.feed_record),
         )
         report = monitor.report()
         assert report.ok, report.violations
@@ -126,7 +125,7 @@ class TestTracingTransparency:
 
 class TestParallelTracingTransparency:
     """The cross-process plane is transparent too: worker-side
-    collectors buffer and ship their records, but the mined theory and
+    buffers keep and ship their records, but the mined theory and
     the query accounting stay bit-identical to an untraced run."""
 
     def _database(self):
@@ -154,7 +153,9 @@ class TestParallelTracingTransparency:
         writer = JsonlTraceWriter(sink)
         traced = eclat_parallel(
             database, 10, workers=2,
-            tracer=MultiTracer(writer, TheoremMonitor()),
+            tracer=RecordTracer(
+                writer.feed_record, TheoremMonitor().feed_record
+            ),
         )
         assert traced.maximal == plain.maximal
         assert traced.negative_border == plain.negative_border

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import eclat
 from repro.obs.monitor import TheoremMonitor
-from repro.obs.tracer import MultiTracer, Tracer
+from repro.obs.tracer import RecordTracer, Tracer
 from repro.parallel.eclat import (
     _SPLIT_TAIL,
     _mine_payload,
@@ -184,7 +184,7 @@ def test_budget_cut_trace_certified(worker_count):
         5,
         workers=worker_count,
         budget=Budget(max_queries=20),
-        tracer=monitor,
+        tracer=RecordTracer(monitor.feed_record),
     )
     assert isinstance(partial, PartialResult)
     report = monitor.report()
@@ -197,15 +197,19 @@ def test_budget_cut_trace_certified(worker_count):
 def test_monitor_certifies_stolen_trace(worker_count):
     database = _random_database(random.Random(31), 11, 120)
     monitor = TheoremMonitor()
-    done = _Done()
+    records = []
     parallel = eclat_parallel(
         database,
         5,
         workers=worker_count,
-        tracer=MultiTracer(monitor, done),
+        tracer=RecordTracer(monitor.feed_record, records.append),
     )
     serial = eclat(database, 5)
     _assert_identical(serial, parallel)
+    done = _Done()
+    for record in records:
+        if record["kind"] == "event":
+            done.event(record["name"], **record.get("attrs", {}))
     _assert_done_identical(database, 5, done)
     report = monitor.report()
     assert report.ok, report.summary()
@@ -221,7 +225,12 @@ def test_steal_events_validate_against_schema(worker_count):
     database = _random_database(random.Random(32), 10, 100)
     buffer = io.StringIO()
     writer = JsonlTraceWriter(buffer)
-    eclat_parallel(database, 4, workers=worker_count, tracer=writer)
+    eclat_parallel(
+        database,
+        4,
+        workers=worker_count,
+        tracer=RecordTracer(writer.feed_record),
+    )
     writer.close()
     records = [
         json.loads(line)

@@ -18,9 +18,9 @@ from repro.hypergraph.enumeration import (
     iter_minimal_transversals,
     minimal_transversals,
 )
-from repro.hypergraph.hypergraph import minimize_family
 from repro.mining.dualize_advance import dualize_and_advance
 from repro.mining.levelwise import levelwise
+from repro.util.antichain import minimize_masks
 from repro.util.bitset import popcount
 
 from tests.conftest import mask_families, planted_theories, simple_hypergraphs
@@ -68,7 +68,7 @@ class TestTransversalEngines:
     def test_transversals_invariant_under_minimization(self, data):
         _, family = data
         assert berge_transversal_masks(family) == berge_transversal_masks(
-            minimize_family(family)
+            minimize_masks(family)
         )
 
 

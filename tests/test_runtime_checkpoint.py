@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import BudgetExhausted, CheckpointError
+from repro.core.errors import CheckpointError
 from repro.datasets.synthetic import QuestParameters, generate_quest_database
 from repro.instances.frequent_itemsets import mine_frequent_itemsets
 from repro.mining.dualize_advance import dualize_and_advance
@@ -233,18 +233,6 @@ class TestCheckpointFormat:
                 max_rank=2,
                 resume=partial.checkpoint,
             )
-
-    def test_on_exhaust_raise_attaches_partial(self, figure1_theory):
-        with pytest.raises(BudgetExhausted) as info:
-            levelwise(
-                figure1_theory.universe,
-                figure1_theory.is_interesting,
-                budget=Budget(max_queries=5),
-                on_exhaust="raise",
-            )
-        assert info.value.reason == "queries"
-        assert isinstance(info.value.partial, PartialResult)
-        assert info.value.partial.checkpoint is not None
 
 
 class TestPredicateRecord:

@@ -5,9 +5,7 @@ transversal engine, MaxMiner over a predicate, and Eclat serial and at
 2 workers — opens, checks and cuts its run through
 :class:`repro.runtime.run.Run`, so each must keep the same contract:
 
-* a bad ``on_exhaust`` is a ``ValueError``;
-* ``on_exhaust="raise"`` raises the budget's own message, with the
-  budget's exception as its cause and a certified partial attached;
+* a budget cut returns a certified partial with the budget's reason;
 * a ``KeyboardInterrupt`` from the predicate (Eclat: from its kernel)
   returns a certified partial with reason ``"interrupt"``;
 * the resumable miners build a partial and its checkpoint from one
@@ -23,7 +21,6 @@ import os
 
 import pytest
 
-from repro.core.errors import BudgetExhausted
 from repro.datasets.transactions import TransactionDatabase
 from repro.instances.frequent_itemsets import FrequencyPredicate
 from repro.mining.dualize_advance import dualize_and_advance
@@ -84,20 +81,8 @@ def _assert_certified(partial, reason):
     assert partial.certificate(PREDICATE).ok
 
 
-def test_bad_on_exhaust_is_rejected(route):
-    with pytest.raises(ValueError, match="on_exhaust"):
-        ROUTES[route](on_exhaust="bogus")
-
-
-def test_raise_carries_the_budget_message_and_cause(route):
-    with pytest.raises(BudgetExhausted) as info:
-        ROUTES[route](budget=Budget(max_queries=5), on_exhaust="raise")
-    error = info.value
-    assert error.reason == "queries"
-    assert isinstance(error.__cause__, BudgetExhausted)
-    assert str(error) == str(error.__cause__)
-    assert str(error).startswith("query budget exhausted (")
-    _assert_certified(error.partial, "queries")
+def test_budget_cut_returns_a_certified_partial(route):
+    _assert_certified(ROUTES[route](budget=Budget(max_queries=5)), "queries")
 
 
 class _InterruptAt:

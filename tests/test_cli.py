@@ -370,6 +370,32 @@ class TestEclatCli:
         assert "partial result (queries)" in out
         assert "certificate: valid" in out
 
+    def test_metrics_without_trace_match_the_traced_run(
+        self, dataset, tmp_path, capsys
+    ):
+        # --metrics alone feeds the registry and the monitor with no
+        # writer; both must conclude what they do beside the writer.
+        def tables(stderr):
+            return [
+                line.split(" sum=")[0]
+                for line in stderr.splitlines()
+                if not line.startswith("trace written to")
+            ]
+
+        base = ["mine", dataset, "--min-support", "0.5",
+                "--algorithm", "eclat", "--metrics"]
+        assert main(base) == 0
+        alone = capsys.readouterr()
+        assert main(base + ["--trace", str(tmp_path / "t.jsonl")]) == 0
+        traced = capsys.readouterr()
+        assert alone.out == traced.out
+        assert tables(alone.err) == tables(traced.err)
+        assert any(
+            line.startswith("events.oracle.query")
+            for line in tables(alone.err)
+        )
+        assert "theorem monitor: ok" in alone.err
+
 
 class TestBackendFlag:
     @pytest.fixture

@@ -126,18 +126,14 @@ def minimal_transversals(
     if workers is not None and workers > 1 and method not in _PARALLEL:
         raise ValueError(f"workers are only supported by methods {_PARALLEL}")
     if method == "mmcs":
+        # MMCS takes the hypergraph itself, to reuse its kept index.
         if workers is not None and workers > 1:
             from repro.parallel.mmcs import mmcs_transversals_parallel
 
             return mmcs_transversals_parallel(
-                hypergraph.edge_masks,
-                workers,
-                budget=budget,
-                tracer=tracer,
+                hypergraph, workers, budget=budget, tracer=tracer
             )
-        return mmcs_transversal_masks(
-            hypergraph.edge_masks, budget=budget, tracer=tracer
-        )
+        return mmcs_transversal_masks(hypergraph, budget=budget, tracer=tracer)
     if method == "berge":
         return berge_transversal_masks(
             hypergraph.edge_masks, budget=budget, tracer=tracer

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro.util.antichain import DominanceIndex, maximize_masks, minimize_masks
+from repro.util.antichain import DominanceIndex, minimize_masks
 from repro.util.bitset import Universe, iter_bits, popcount, rank_sorted
 
 
@@ -35,9 +35,19 @@ class Hypergraph:
 
     The empty hypergraph (no edges) is allowed and is simple; its unique
     minimal transversal is the empty set.
+
+    Attributes:
+        edge_index: the :class:`~repro.util.antichain.DominanceIndex`
+            over ``edge_masks`` that validation builds (and
+            :meth:`simple` builds for its minimized family), kept so MMCS
+            reuses it instead of minimizing and indexing the edges
+            again.  ``None`` when ``validate=False``: such edges are not
+            known to be an antichain.
     """
 
-    __slots__ = ("universe", "edge_masks", "_covered_mask", "_max_size")
+    __slots__ = (
+        "universe", "edge_masks", "edge_index", "_covered_mask", "_max_size"
+    )
 
     def __init__(
         self,
@@ -48,6 +58,7 @@ class Hypergraph:
     ):
         self.universe = universe
         masks = rank_sorted(set(edges))
+        index = None
         if validate:
             for mask in masks:
                 if mask == 0:
@@ -69,6 +80,7 @@ class Hypergraph:
                         f"{universe.label(a)} ⊆ {universe.label(b)}"
                     )
         self.edge_masks: tuple[int, ...] = tuple(masks)
+        self.edge_index: DominanceIndex | None = index
         # Lazily cached derived facts (the class is immutable, but these
         # were recomputed on every call before PR 1).
         self._covered_mask: int | None = None
@@ -84,7 +96,9 @@ class Hypergraph:
         minimized = minimize_masks(edges)
         if minimized and minimized[0] == 0:
             raise NonSimpleHypergraphError("edges must be non-empty")
-        return cls(universe, minimized, validate=False)
+        hypergraph = cls(universe, minimized, validate=False)
+        hypergraph.edge_index = DominanceIndex(minimized)
+        return hypergraph
 
     @classmethod
     def from_sets(

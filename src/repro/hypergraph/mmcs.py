@@ -11,11 +11,15 @@ critical-edge bookkeeping.  ``uncov`` is the set of edges not yet hit,
 and ``crit[u]`` the edges hit by ``u`` alone.  Adding a vertex ``v``
 updates both with one big-int AND per member against ``keep[v]``, the
 edges missing ``v`` (one positive mask per vertex, derived from the
-item→edge :class:`~repro.util.antichain.DominanceIndex` that also
-minimizes the input), into a fresh list for the child, so a node costs
-far less than re-scanning the hypergraph and nothing is restored on
-backtrack.  A branch is cut the moment some ``u ∈ S`` loses its last
-critical edge — no extension of that branch can ever be minimal.
+item→edge :class:`~repro.util.antichain.DominanceIndex` — the one a
+validated :class:`~repro.hypergraph.hypergraph.Hypergraph` keeps, or
+the one that minimizes raw input), into a fresh list for the child, so
+a node costs far less than re-scanning the hypergraph and nothing is
+restored on backtrack.  A branch is cut the moment some ``u ∈ S``
+loses its last critical edge — no extension of that branch can ever be
+minimal.  The edge choice reads a list of the uncovered edges' masks,
+small integers over the vertices, instead of walking the bits of the
+edge-wide ``uncov``.
 
 The search enumerates each minimal transversal exactly once: a node
 picks an uncovered edge ``e`` minimizing ``|e ∩ cand|``, branches on
@@ -37,131 +41,153 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.core.errors import BudgetExhausted
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs.tracer import as_tracer
 from repro.util.antichain import DominanceIndex
-from repro.util.bitset import popcount, rank_sorted
+from repro.util.bitset import rank_sorted
 
 __all__ = ["mmcs_transversal_masks"]
 
 
-class _SearchState:
-    """Shared mutable state of one enumeration run."""
-
-    __slots__ = ("edges", "keep", "found", "nodes", "budget", "tracer")
-
-    def __init__(self, edges, keep, budget, tracer):
-        self.edges = edges
-        self.keep = keep
-        self.found: list[int] = []
-        self.nodes = 0
-        self.budget = budget
-        self.tracer = tracer
-
-
 def _search(
-    state: _SearchState,
-    members: int,
-    cand: int,
-    uncov: int,
-    crit: list[int],
-    depth: int,
+    edges: Sequence[int],
+    keep: dict[int, int],
+    found: list[int],
+    root: tuple,
+    budget=None,
+    tracer=None,
     max_depth: int | None = None,
-    frontier: list[tuple[int, int, int, list[int]]] | None = None,
-) -> None:
-    """One node whose ``S`` (``members``) misses some edge: branch.
+    frontier: list | None = None,
+) -> int:
+    """Enumerate the subtree of one node; returns how many nodes it
+    visited.
 
-    A child whose vertex hits every uncovered edge is a transversal.
-    The branch loop closes it on the spot, with the node count, budget
-    check, ``mmcs.node``/``mmcs.output`` events and discovery order a
-    call on it would give, so no call is ever made with ``uncov == 0``.
+    ``root`` is the node's ``(members, cand, uncov, uncov_edges, crit,
+    depth)``: ``members`` is its ``S``, ``uncov`` the bitmap of the
+    uncovered edge positions and ``uncov_edges`` the list of those
+    edges' masks in position order — the bitmap serves the set
+    algebra, the list the edge choice.  Transversals are appended to
+    ``found`` in discovery order.  The recursion is a closure: it reads
+    the run's state from closure variables, which cost less per node
+    than attribute loads.
 
     With ``max_depth``, nodes at that depth are not expanded; their
-    ``(members, cand, uncov, crit)`` snapshots are appended to
-    ``frontier`` in traversal order instead — the depth-limited prefix
-    walk the parallel driver uses to build its task list.
+    ``(members, cand, uncov, uncov_edges, crit)`` snapshots are appended
+    to ``frontier`` in traversal order instead — the depth-limited
+    prefix walk the parallel driver uses to build its task list.
     """
-    state.nodes += 1
-    budget = state.budget
-    found = state.found
-    if budget is not None:
-        budget.check(family=len(found))
-    tracer = state.tracer
-    if tracer.enabled:
-        tracer.event(
-            "mmcs.node",
-            depth=depth,
-            uncov=popcount(uncov),
-            cand=popcount(cand),
-        )
-    if max_depth is not None and depth >= max_depth:
-        frontier.append((members, cand, uncov, crit))
-        return
-    # The MMCS rule: branch on the uncovered edge minimizing
-    # |e ∩ cand|, ties toward the lowest edge index — which keeps the
-    # traversal, and so the discovery order, node count and any partial
-    # family, deterministic.
-    edges = state.edges
-    best = 0
-    best_size = -1
-    rest = uncov
-    while rest:
-        low = rest & -rest
-        position = low.bit_length() - 1
-        size = (edges[position] & cand).bit_count()
-        if best_size < 0 or size < best_size:
-            best, best_size = position, size
-            if size == 0:
-                break
-        rest ^= low
-    branch = cand & edges[best]
-    if branch == 0:
-        return  # dead end: the chosen edge can never be hit
-    keep = state.keep
-    cand ^= branch
-    depth += 1
-    # Adding vertex v leaves each member's criticals, and uncov, with
-    # only the edges ``keep[v]`` holds (those missing v); a member left
-    # with none cuts the branch, since minimality is unrecoverable
-    # below it.  Each child gets its own list, so nothing is restored.
-    rest = branch
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        vertex_keep = keep[low]
-        child_crit = []
-        for edges_left in crit:
-            left = edges_left & vertex_keep
-            if not left:
-                break
-            child_crit.append(left)
-        else:
+    nodes = 0
+    check = budget.check if budget is not None else None
+    traced = tracer is not None and tracer.enabled
+    event = tracer.event if traced else None
+    discover = found.append
+
+    def search(members, cand, uncov, uncov_edges, crit, depth):
+        """One node whose ``S`` misses some edge: branch.
+
+        A child whose vertex hits every uncovered edge is a
+        transversal.  The branch loop closes it on the spot, with the
+        node count, budget check, ``mmcs.node``/``mmcs.output`` events
+        and discovery order a call on it would give, so no call is ever
+        made with ``uncov == 0``.
+        """
+        nonlocal nodes
+        nodes += 1
+        if check is not None:
+            check(family=len(found))
+        if traced:
+            event(
+                "mmcs.node",
+                depth=depth,
+                uncov=len(uncov_edges),
+                cand=cand.bit_count(),
+            )
+        if max_depth is not None and depth >= max_depth:
+            frontier.append((members, cand, uncov, uncov_edges, crit))
+            return
+        # The MMCS rule: branch on the uncovered edge minimizing
+        # |e ∩ cand|, ties toward the lowest edge position — which
+        # keeps the traversal, and so the discovery order, node count
+        # and any partial family, deterministic.
+        best = 0
+        best_size = cand.bit_count() + 1
+        for edge in uncov_edges:
+            size = (edge & cand).bit_count()
+            if size < best_size:
+                best, best_size = edge, size
+                if not size:
+                    return  # dead end: this edge can never be hit
+        branch = cand & best
+        cand ^= branch
+        depth += 1
+        # Adding vertex v leaves each member's criticals, and uncov,
+        # with only the edges ``keep[v]`` holds (those missing v); a
+        # member left with none cuts the branch, since minimality is
+        # unrecoverable below it.  Each child gets its own lists, so
+        # nothing is restored.
+        rest = branch
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            vertex_keep = keep[low]
             child_uncov = uncov & vertex_keep
             if child_uncov:
-                child_crit.append(uncov ^ child_uncov)
-                _search(
-                    state,
-                    members | low,
-                    cand,
-                    child_uncov,
-                    child_crit,
-                    depth,
-                    max_depth,
-                    frontier,
-                )
-            else:
-                state.nodes += 1
-                if budget is not None:
-                    budget.check(family=len(found))
-                if tracer.enabled:
-                    tracer.event(
-                        "mmcs.node", depth=depth, uncov=0, cand=popcount(cand)
+                child_crit = []
+                for edges_left in crit:
+                    left = edges_left & vertex_keep
+                    if not left:
+                        break
+                    child_crit.append(left)
+                else:
+                    child_crit.append(uncov ^ child_uncov)
+                    # One edge left is read off its position; more are
+                    # filtered from this node's list, in order.
+                    if child_uncov & (child_uncov - 1):
+                        child_edges = [
+                            edge for edge in uncov_edges if not edge & low
+                        ]
+                    else:
+                        child_edges = [edges[child_uncov.bit_length() - 1]]
+                    search(
+                        members | low,
+                        cand,
+                        child_uncov,
+                        child_edges,
+                        child_crit,
+                        depth,
                     )
-                found.append(members | low)
-                if tracer.enabled:
-                    tracer.event("mmcs.output", mask=members | low)
-        # Re-admit v for its *later* siblings: sets containing several
-        # branch vertices are enumerated under the last one chosen.
-        cand |= low
+            else:
+                # A leaf: S + v is a transversal, minimal iff every
+                # member keeps a critical edge.
+                for edges_left in crit:
+                    if not edges_left & vertex_keep:
+                        break
+                else:
+                    nodes += 1
+                    if check is not None:
+                        check(family=len(found))
+                    if traced:
+                        event(
+                            "mmcs.node",
+                            depth=depth,
+                            uncov=0,
+                            cand=cand.bit_count(),
+                        )
+                    discover(members | low)
+                    if traced:
+                        event("mmcs.output", mask=members | low)
+            # Re-admit v for its *later* siblings: sets containing
+            # several branch vertices are enumerated under the last one
+            # chosen.
+            cand |= low
+
+    try:
+        search(*root)
+    finally:
+        # ``search`` reaches itself through its closure: break that
+        # cycle, or it keeps ``found`` alive until a full collection.
+        search = None
+    return nodes
 
 
 def _keep_masks(
@@ -179,31 +205,43 @@ def _keep_masks(
     return keep
 
 
-def _prepare(edge_masks: Iterable[int]):
+def _prepare(edge_masks: Iterable[int] | Hypergraph):
     """Minimize and index: ``(edges, keep, vertices)``.
 
     ``keep`` is ``None`` when the family is empty or holds the empty
-    edge.  ``edges`` is :func:`~repro.util.antichain.minimize_masks`'
-    list: an edge is dropped when the index finds another edge inside
-    it.
+    edge.  A :class:`~repro.hypergraph.hypergraph.Hypergraph` that kept
+    its validation index (``edge_index``) is taken as it is: its edges
+    are distinct, rank-sorted, non-empty and an antichain, so only the
+    keep masks are derived from that index.  Any other input is
+    minimized: ``edges`` is :func:`~repro.util.antichain.minimize_masks`'
+    list, an edge dropped when the index finds another edge inside it.
     """
-    edges = rank_sorted(set(edge_masks))
-    if not edges or edges[0] == 0:
-        return edges, None, 0
-    index = DominanceIndex(edges)
-    # Distinct and rank-sorted, so only later positions can contain an
-    # edge; an edge already dropped adds nothing its subset did not.
-    dropped = 0
-    for position, edge in enumerate(edges):
-        if not dropped >> position & 1:
-            dropped |= index.containing(edge) ^ (1 << position)
-    if dropped:
-        edges = [
-            edge
-            for position, edge in enumerate(edges)
-            if not dropped >> position & 1
-        ]
+    index = None
+    if isinstance(edge_masks, Hypergraph):
+        index = edge_masks.edge_index
+    if index is not None:
+        edges = list(edge_masks.edge_masks)
+        if not edges:
+            return edges, None, 0
+    else:
+        edges = rank_sorted(set(edge_masks))
+        if not edges or edges[0] == 0:
+            return edges, None, 0
         index = DominanceIndex(edges)
+        # Distinct and rank-sorted, so only later positions can contain
+        # an edge; an edge already dropped adds nothing its subset did
+        # not.
+        dropped = 0
+        for position, edge in enumerate(edges):
+            if not dropped >> position & 1:
+                dropped |= index.containing(edge) ^ (1 << position)
+        if dropped:
+            edges = [
+                edge
+                for position, edge in enumerate(edges)
+                if not dropped >> position & 1
+            ]
+            index = DominanceIndex(edges)
     vertices = 0
     for edge in edges:
         vertices |= edge
@@ -233,11 +271,7 @@ def _with_prefix_partial(
     )
 
 
-def _enumerate(
-    edge_masks: Sequence[int],
-    budget,
-    tracer,
-):
+def _enumerate(edge_masks: Sequence[int] | Hypergraph, budget, tracer):
     """The serial search; returns ``(found, nodes)``.
 
     Raises:
@@ -252,38 +286,38 @@ def _enumerate(
         return degenerate, 0
     if budget is not None:
         budget.begin()
-    state = _SearchState(edges, keep, budget, tracer)
-    uncov_all = (1 << len(edges)) - 1
+    found: list[int] = []
+    root = (0, full_cand, (1 << len(edges)) - 1, edges, [], 0)
     with tracer.span("mmcs.run", edges=len(edges)) as run_span:
         try:
-            _search(state, 0, full_cand, uncov_all, [], 0)
+            nodes = _search(edges, keep, found, root, budget, tracer)
         except BudgetExhausted as exhausted:
             if tracer.enabled:
                 run_span.note(outcome="partial", reason=exhausted.reason)
-            raise _with_prefix_partial(
-                exhausted, state.found, edges
-            ) from exhausted
+            raise _with_prefix_partial(exhausted, found, edges) from exhausted
         if tracer.enabled:
-            run_span.note(family_out=len(state.found), nodes=state.nodes)
+            run_span.note(family_out=len(found), nodes=nodes)
             tracer.event(
                 "mmcs.done",
-                family=len(state.found),
-                nodes=state.nodes,
+                family=len(found),
+                nodes=nodes,
                 edges=len(edges),
                 n=full_cand.bit_length(),
                 traced=True,
             )
-    return state.found, state.nodes
+    return found, nodes
 
 
 def mmcs_transversal_masks(
-    edge_masks: Sequence[int], budget=None, tracer=None
+    edge_masks: Sequence[int] | Hypergraph, budget=None, tracer=None
 ) -> list[int]:
     """Minimal transversals via the MMCS branch-and-bound enumerator.
 
     Args:
-        edge_masks: the edges; minimized internally (which does not
-            change the transversals).
+        edge_masks: the edges, minimized internally (which does not
+            change the transversals); or a simple
+            :class:`~repro.hypergraph.hypergraph.Hypergraph`, whose
+            kept ``edge_index`` the search reuses instead.
         budget: optional :class:`~repro.runtime.budget.Budget`, checked
             at every search node (wall clock and discovered-family
             size) — the finest checkpoint granularity of any engine

@@ -6,9 +6,10 @@ a fixed *split depth*, collecting the depth-limited frontier nodes as
 tasks **in serial traversal order** — the task's index is its sequence
 number — then runs them through
 :meth:`~repro.parallel.pool.WorkerPool.map_in_order`.  Each task
-carries the node's ``(members, cand, uncov, crit)`` snapshot, and the
-worker enumerates the subtree with the serial kernel over ``keep``
-masks it derives from the shipped edges as the serial engine does.
+carries the node's ``(members, cand, uncov, uncov_edges, crit)``
+snapshot, and the worker enumerates the subtree with the serial kernel
+over the edges and ``keep`` masks the coordinator prepared once and
+shipped to every worker in the pool's ``initargs``.
 
 Determinism contract, same as every parallel engine here: results fold
 strictly in sequence order, the fold order equals the serial discovery
@@ -32,17 +33,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.errors import BudgetExhausted
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.mmcs import (
-    _SearchState,
     _enumerate,
-    _keep_masks,
     _prepare,
     _search,
     _with_prefix_partial,
 )
 from repro.obs.tracer import as_tracer
 from repro.parallel.pool import WorkerPool, WorkerPoolBroken, resolve_workers
-from repro.util.antichain import DominanceIndex
 from repro.util.bitset import rank_sorted
 
 __all__ = ["mmcs_transversals_parallel", "SPLIT_DEPTH"]
@@ -60,42 +59,31 @@ SPLIT_DEPTH = 2
 _WORKER_STATE: dict = {}
 
 
-def _init_mmcs_worker(edges: list[int], vertices: int) -> None:
-    # The coordinator ships edges it has already minimized, so the
-    # worker only indexes them.
+def _init_mmcs_worker(edges: list[int], keep: dict[int, int]) -> None:
+    # The coordinator ships the edges and keep masks it has prepared,
+    # so a worker indexes nothing.
     _WORKER_STATE.clear()
     _WORKER_STATE["edges"] = edges
-    _WORKER_STATE["keep"] = _keep_masks(edges, DominanceIndex(edges), vertices)
+    _WORKER_STATE["keep"] = keep
 
 
 def _subtree(
-    edges: Sequence[int],
-    keep: dict[int, int],
-    members: int,
-    cand: int,
-    uncov: int,
-    crit: list[int],
+    edges: Sequence[int], keep: dict[int, int], *snapshot
 ) -> tuple[list[int], int]:
-    """Enumerate one frontier subtree; returns (found, nodes)."""
-    state = _SearchState(edges, keep, None, as_tracer(None))
-    _search(state, members, cand, uncov, crit, SPLIT_DEPTH)
-    return state.found, state.nodes
+    """Enumerate one frontier subtree from its ``(members, cand, uncov,
+    uncov_edges, crit)`` snapshot; returns (found, nodes)."""
+    found: list[int] = []
+    nodes = _search(edges, keep, found, (*snapshot, SPLIT_DEPTH))
+    return found, nodes
 
 
-def _mmcs_task(members: int, cand: int, uncov: int, crit: list[int]):
+def _mmcs_task(*snapshot):
     """Pure task function: payload in, (found, nodes) out."""
-    return _subtree(
-        _WORKER_STATE["edges"],
-        _WORKER_STATE["keep"],
-        members,
-        cand,
-        uncov,
-        crit,
-    )
+    return _subtree(_WORKER_STATE["edges"], _WORKER_STATE["keep"], *snapshot)
 
 
 def mmcs_transversals_parallel(
-    edge_masks: Sequence[int],
+    edge_masks: Sequence[int] | Hypergraph,
     workers: int | None = None,
     *,
     budget=None,
@@ -108,7 +96,9 @@ def mmcs_transversals_parallel(
     worker count.
 
     Args:
-        edge_masks: the hypergraph's edges (minimized internally).
+        edge_masks: the hypergraph's edges (minimized internally), or
+            a simple :class:`~repro.hypergraph.hypergraph.Hypergraph`
+            whose kept ``edge_index`` is reused.
         workers: pool size; ``None`` or ``<= 1`` runs the serial
             kernel directly.
         budget: optional :class:`~repro.runtime.budget.Budget`; checked
@@ -136,9 +126,8 @@ def mmcs_transversals_parallel(
         # Phase 1: depth-limited prefix walk on the coordinator.  The
         # frontier list is the task list; transversals completed above
         # the split depth land in ``found`` in discovery order.
-        state = _SearchState(edges, keep, budget, tracer)
-        found = state.found
-        frontier: list[tuple[int, int, int, list[int]]] = []
+        found: list[int] = []
+        frontier: list[tuple] = []
 
         def fold(result) -> None:
             nonlocal nodes
@@ -152,21 +141,20 @@ def mmcs_transversals_parallel(
                     tracer.event("mmcs.output", mask=mask)
 
         try:
-            _search(
-                state,
-                0,
-                full_cand,
-                (1 << len(edges)) - 1,
-                [],
-                0,
+            nodes = _search(
+                edges,
+                keep,
+                found,
+                (0, full_cand, (1 << len(edges)) - 1, edges, [], 0),
+                budget,
+                tracer,
                 SPLIT_DEPTH,
                 frontier,
             )
-            nodes = state.nodes
             with WorkerPool(
                 workers,
                 initializer=_init_mmcs_worker,
-                initargs=(list(edges), full_cand),
+                initargs=(edges, keep),
                 tracer=tracer,
             ) as pool:
                 folded = 0

@@ -149,8 +149,14 @@ class _Handler(BaseHTTPRequestHandler):
     def core(self) -> ServiceCore:
         return self.server.core
 
+    def parse_request(self) -> bool:
+        # One handler serves every request of a keep-alive connection,
+        # so each request resolves its own id.
+        self._request_id = None
+        return super().parse_request()
+
     def _request_identity(self) -> str:
-        rid = getattr(self, "_request_id", None)
+        rid = self._request_id
         if rid is None:
             rid = self.headers.get("X-Request-Id") or uuid.uuid4().hex[:16]
             self._request_id = rid

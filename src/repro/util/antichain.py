@@ -10,7 +10,7 @@ the inclusion-*maximal* members (``Bd+`` upkeep) — and the naive
 This module is the kernel layer that the hot callers
 (:mod:`repro.hypergraph.berge`, :mod:`repro.hypergraph.fredman_khachiyan`,
 :mod:`repro.core.borders`, :mod:`repro.mining.maximalize`) are wired
-onto.  Three engineering devices, all exact:
+onto.  Four engineering devices, all exact:
 
 * **popcount bucketing** — after deduplication, two sets of equal
   cardinality can never strictly contain one another, so candidates are
@@ -19,9 +19,11 @@ onto.  Three engineering devices, all exact:
   matching-family blow-up) reduce in near-linear time.
 * **low-bit indexing** — a kept set ``K ⊆ X`` must have its lowest bit
   inside ``X``, so kept sets are filed under their lowest set bit and a
-  candidate only scans the buckets of its own bits (dually, supersets
-  are filed under *every* bit and the candidate scans its cheapest
-  bucket).
+  candidate only scans the buckets of its own bits.
+* **item bitmaps** — for maximization the dual index keeps, per item, a
+  bitmap of the kept members holding it; a candidate is dominated iff
+  the AND of its items' bitmaps is non-zero, so no member is scanned
+  (:class:`DominanceIndex` is the same index over a fixed family).
 * **signature prefiltering** — masks wider than one machine word are
   folded to a 64-bit signature (OR of their 64-bit chunks);
   ``sig(K) & ~sig(X) != 0`` disproves ``K ⊆ X`` without touching the
@@ -35,15 +37,11 @@ known-transversal family.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.util.bitset import rank_sorted
 
 _WORD = 0xFFFFFFFFFFFFFFFF
-
-
-def _max_sort_key(mask: int) -> tuple[int, int]:
-    return (-mask.bit_count(), mask)
 
 
 def _signature(mask: int) -> int:
@@ -323,20 +321,22 @@ def minimize_masks(masks: Iterable[int]) -> list[int]:
 def maximize_masks(masks: Iterable[int]) -> list[int]:
     """Inclusion-maximal members, sorted by (-cardinality, value).
 
-    Dual of :func:`minimize_masks`.  Kept masks are filed under *every*
-    bit; a candidate is dominated iff one of its bits' buckets holds a
-    superset, and the scan picks the candidate's cheapest bucket.  A bit
-    of the candidate indexing an empty bucket disproves domination
-    immediately.
+    Dual of :func:`minimize_masks`, over :class:`DominanceIndex`'s
+    per-item bitmaps: ``containing[item]`` has bit ``i`` set when kept
+    member ``i`` holds the item, so a candidate is dominated iff the
+    AND of its items' bitmaps is non-zero, and the first empty AND
+    clears it.  No kept member is scanned.  A level's survivors are
+    indexed once the level ends, since members of one cardinality
+    never contain each other.
     """
-    unique = sorted(set(masks), key=_max_sort_key)
-    if not unique:
-        return []
+    unique = sorted(set(masks))
+    # Stable, so members of one cardinality keep their value order.
+    unique.sort(key=int.bit_count, reverse=True)
     total = len(unique)
-    if total == 1:
+    if total <= 1:
         return unique
     kept: list[int] = []
-    by_bit: dict[int, list[int]] = {}
+    containing: dict[int, int] = {}
     position = 0
     while position < total:
         cardinality = unique[position].bit_count()
@@ -351,39 +351,71 @@ def maximize_masks(masks: Iterable[int]) -> list[int]:
                 # The empty set is dominated by anything already kept.
                 if not kept:
                     survivors.append(candidate)
-            elif not _dominated(candidate, by_bit):
+            elif not _containing(containing, candidate, -1):
                 survivors.append(candidate)
             level_end += 1
+        if level_end < total and survivors:
+            offset = len(kept)
+            for low, bitmap in _item_bitmaps(survivors).items():
+                containing[low] = containing.get(low, 0) | bitmap << offset
         kept.extend(survivors)
-        if level_end < total:
-            for mask in survivors:
-                remaining = mask
-                while remaining:
-                    low = remaining & -remaining
-                    by_bit.setdefault(low, []).append(mask)
-                    remaining ^= low
         position = level_end
     return kept
 
 
-def _dominated(mask: int, by_bit: dict[int, list[int]]) -> bool:
-    """True when some kept mask (filed under all its bits) contains ``mask``."""
-    cheapest: list[int] | None = None
+def _containing(bitmaps: dict[int, int], mask: int, common: int) -> int:
+    """``common`` ANDed with the item bitmaps of ``mask``'s items,
+    stopping at the first empty AND: the indexed members containing
+    ``mask``."""
     remaining = mask
     while remaining:
         low = remaining & -remaining
-        bucket = by_bit.get(low)
-        if bucket is None:
-            return False
-        if cheapest is None or len(bucket) < len(cheapest):
-            cheapest = bucket
+        common &= bitmaps.get(low, 0)
+        if not common:
+            return 0
         remaining ^= low
-    if cheapest is None:
-        return False
-    for kept in cheapest:
-        if kept & mask == mask:
-            return True
-    return False
+    return common
+
+
+#: ``_BIT_DIGITS[j]`` translates a byte to the ASCII digit of its bit
+#: ``j`` (``b"0"`` or ``b"1"``).
+_BIT_DIGITS = tuple(
+    bytes(48 | byte >> j & 1 for byte in range(256)) for j in range(8)
+)
+
+
+def _item_bitmaps(masks: Sequence[int]) -> dict[int, int]:
+    """Map each item bit set in some mask to the bitmap of the
+    positions of the masks holding it, ascending by item.
+
+    The transpose runs in C: every mask is packed into ``width`` bytes,
+    last mask first and most significant byte first, so one strided
+    slice lists byte ``k`` of every mask in the digit order
+    ``int(..., 2)`` reads, and one ``translate`` per item turns the
+    slice into that item's binary digits.  Python touches each mask
+    once, not each of its bits.
+    """
+    union = 0
+    for mask in masks:
+        union |= mask
+    if not union:
+        return {}
+    width = (union.bit_length() + 7) >> 3
+    packed = b"".join(
+        [mask.to_bytes(width, "big") for mask in reversed(masks)]
+    )
+    bitmaps: dict[int, int] = {}
+    for byte in range(width):
+        byte_items = union >> 8 * byte & 0xFF
+        if not byte_items:
+            continue
+        lane = packed[width - 1 - byte :: width]
+        for bit in range(8):
+            if byte_items >> bit & 1:
+                bitmaps[1 << 8 * byte + bit] = int(
+                    lane.translate(_BIT_DIGITS[bit]), 2
+                )
+    return bitmaps
 
 
 class DominanceIndex:
@@ -403,37 +435,14 @@ class DominanceIndex:
     __slots__ = ("_members", "_all")
 
     def __init__(self, masks: Iterable[int]):
-        positions: dict[int, list[int]] = {}
-        size = 0
-        for position, mask in enumerate(masks):
-            size += 1
-            remaining = mask
-            while remaining:
-                low = remaining & -remaining
-                positions.setdefault(low, []).append(position)
-                remaining ^= low
-        members: dict[int, int] = {}
-        for low, held in positions.items():
-            bitmap = 0
-            for position in held:
-                bitmap |= 1 << position
-            members[low] = bitmap
-        self._members = members
-        self._all = (1 << size) - 1
+        masks = list(masks)
+        self._members = _item_bitmaps(masks)
+        self._all = (1 << len(masks)) - 1
 
     def containing(self, mask: int) -> int:
         """Bitmap of the member positions whose mask contains ``mask``
         (every member for ``mask == 0``)."""
-        members = self._members
-        common = self._all
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            common &= members.get(low, 0)
-            if not common:
-                return 0
-            remaining ^= low
-        return common
+        return _containing(self._members, mask, self._all)
 
     def dominates(self, mask: int) -> bool:
         """True when ``mask`` is a subset of some member."""

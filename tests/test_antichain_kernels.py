@@ -51,6 +51,38 @@ def test_maximize_matches_reference(family):
     assert maximize_masks(family) == reference_maximize(family)
 
 
+@st.composite
+def dense_families(draw):
+    """Hundreds of members over 8–16 items, most of them dominated: the
+    downward closure of a few random masks, plus a chain."""
+    n_items = draw(st.integers(8, 16))
+    top = (1 << n_items) - 1
+    tops = draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+    family = set()
+    for mask in tops:
+        # The subsets of ``mask``, largest value first, up to a cap.
+        sub = mask
+        while True:
+            family.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+            if len(family) >= 600:
+                break
+    chain = draw(st.permutations(range(n_items)))
+    link = 0
+    for item in chain[: draw(st.integers(0, n_items))]:
+        link |= 1 << item
+        family.add(link)
+    return sorted(family)
+
+
+@settings(deadline=None, max_examples=60)
+@given(dense_families())
+def test_maximize_matches_reference_on_dense_families(family):
+    assert maximize_masks(family) == reference_maximize(family)
+
+
 @given(wide_families())
 def test_antichain_index_incremental_matches_one_shot(family):
     """Adding masks one at a time converges to the minimal family."""

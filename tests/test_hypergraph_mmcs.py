@@ -155,6 +155,64 @@ class TestOutputIdentity:
         assert mmcs_transversal_masks([0]) == []
 
 
+@st.composite
+def nested_families(draw):
+    """``(universe, family)``: a small family plus duplicates of its
+    edges and supersets of them, so it is not simple."""
+    n, family = draw(mask_families(max_vertices=8, max_edges=6))
+    extra = []
+    for mask in family:
+        if draw(st.booleans()):
+            extra.append(mask)
+        if draw(st.booleans()):
+            extra.append(mask | draw(st.integers(0, (1 << n) - 1)))
+    return Universe(range(n)), draw(st.permutations(family + extra))
+
+
+class TestIndexPath:
+    """``minimal_transversals(H, "mmcs")`` reuses the index a simple
+    hypergraph kept from validation and minimizes any other input;
+    both paths agree with Berge."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nested_families())
+    def test_unvalidated_input_is_minimized(self, case):
+        universe, family = case
+        hypergraph = Hypergraph(universe, family, validate=False)
+        assert hypergraph.edge_index is None
+        assert minimal_transversals(hypergraph, method="mmcs") == (
+            minimal_transversals(hypergraph, method="berge")
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(nested_families())
+    def test_simple_and_validated_hypergraphs_reuse_their_index(self, case):
+        universe, family = case
+        simple = Hypergraph.simple(universe, family)
+        validated = Hypergraph(universe, simple.edge_masks)
+        for hypergraph in (simple, validated):
+            assert hypergraph.edge_index is not None
+            assert minimal_transversals(hypergraph, method="mmcs") == (
+                minimal_transversals(hypergraph, method="berge")
+            )
+            # The kept index yields exactly what minimizing would.
+            assert _prepare(hypergraph) == _prepare(family)
+
+    def test_index_path_builds_no_index(self, monkeypatch, worker_count):
+        universe = Universe(range(14))
+        hypergraph = Hypergraph(universe, _fd_key_edges())
+        expected = berge_transversal_masks(hypergraph.edge_masks)
+
+        def refuse(_masks):
+            raise AssertionError("MMCS rebuilt the hypergraph's index")
+
+        monkeypatch.setattr("repro.hypergraph.mmcs.DominanceIndex", refuse)
+        assert minimal_transversals(hypergraph, method="mmcs") == expected
+        assert minimal_transversals(
+            hypergraph, method="mmcs", workers=worker_count
+        ) == expected
+
+
 class TestParallelDriver:
     @settings(max_examples=60, deadline=None)
     @given(hypergraph=simple_hypergraphs())

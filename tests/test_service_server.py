@@ -7,6 +7,7 @@ including the 503 + ``Retry-After`` and certified-206 contracts.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import socket
@@ -456,6 +457,58 @@ def test_request_is_stitched_before_it_is_counted():
     assert endpoint == "/mine"
     assert "service.request" in stitched
     assert "service.mine" in stitched
+
+
+def test_keep_alive_requests_resolve_their_own_ids():
+    """One handler serves every request of a keep-alive connection;
+    each request must echo, and trace, its own id."""
+    tracer = StitchRecorder()
+    core = ServiceCore(
+        TransactionDatabase(Universe(["a", "b", "c"]), [3, 5, 7]), 2
+    )
+    srv = MiningServer(core, port=0, tracer=tracer).start_background()
+    sent = ["first", None, "second", None, "second", "third"]
+    echoed: list[str] = []
+    try:
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", srv.port, timeout=10
+        )
+        try:
+            for request_id in sent:
+                headers = {} if request_id is None else {
+                    "X-Request-Id": request_id
+                }
+                connection.request("GET", "/health", headers=headers)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                assert not response.will_close
+                echoed.append(response.getheader("X-Request-Id"))
+        finally:
+            connection.close()
+        # Each request is stitched after its response goes out.
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            spans = [
+                record["attrs"]["request"]
+                for record in tracer.stitched
+                if record["name"] == "service.request"
+                and record["kind"] == "span_open"
+            ]
+            if len(spans) == len(sent):
+                break
+            time.sleep(0.01)
+    finally:
+        srv.stop()
+    for request_id, got in zip(sent, echoed):
+        if request_id is not None:
+            assert got == request_id
+        else:
+            assert len(got) == 16
+    minted = [got for sent_id, got in zip(sent, echoed) if sent_id is None]
+    assert len(set(minted)) == len(minted)
+    assert minted[0] not in sent
+    assert spans == echoed
 
 
 def _finished_requests(srv):

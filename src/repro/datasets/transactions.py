@@ -59,6 +59,9 @@ _AUTO_MIN_BATCH = 64
 # from about 256-384 masks at 40 items, the multi-word one not below
 # 4,096 (sweep in docs/API.md §9).
 _SMALL_MIN_BATCH = 512
+# Below this many rows word_support_counts tests each row against every
+# mask instead of building conjunctions (sweep in docs/API.md §9).
+_ROW_BY_ROW_MAX_ROWS = 48
 # Vectorized groups are processed in blocks so the shared-conjunction
 # working set stays cache-resident (larger blocks thrash measurably).
 _BATCH_BLOCK = 2048
@@ -583,6 +586,18 @@ class TransactionDatabase:
         vector = np.fromiter(masks, dtype=np.uint64, count=len(masks))
         return self.word_support_counts(vector).tolist()
 
+    def _word_rows(self):
+        """The rows of a database of fewer than 64 rows over at most
+        64 items, as a ``uint64`` vector transposed out of the columns
+        (the row list stays unbuilt)."""
+        import numpy as np
+
+        columns = np.array(self._columns, dtype=np.uint64)
+        bits = columns[:, None] >> np.arange(self._n_rows, dtype=np.uint64)
+        bits &= np.uint64(1)
+        bits <<= np.arange(len(columns), dtype=np.uint64)[:, None]
+        return np.bitwise_or.reduce(bits, axis=0)
+
     def word_support_counts(self, vector):
         """Support counts of masks held as a ``uint64`` numpy vector.
 
@@ -590,6 +605,9 @@ class TransactionDatabase:
         of at most 64 items, array in and ``int64`` array out, so a
         caller that keeps its masks in numpy makes no Python int per
         mask.  Any row count; an empty vector gives an empty result.
+        A database of fewer than 48 rows (a service append's delta) is
+        counted row by row, one ``(masks & row) == masks`` per row;
+        longer ones through the shared-parent conjunctions.
         """
         import numpy as np
 
@@ -597,6 +615,11 @@ class TransactionDatabase:
         n_rows = self._n_rows
         if not n:
             return np.empty(0, dtype=np.int64)
+        if n_rows < _ROW_BY_ROW_MAX_ROWS:
+            out = np.zeros(n, dtype=np.int64)
+            for row in self._word_rows():
+                out += (vector & row) == vector
+            return out
         sizes = np.bitwise_count(vector)
         out = np.empty(n, dtype=np.int64)
         out[sizes == 0] = n_rows

@@ -37,8 +37,9 @@ identical to a run that never crashed; the chaos suite asserts this via
 
 Beside the state the core keeps one
 :class:`~repro.service.table.SupportTable`: ``Th ∪ Bd-`` of its last
-complete cold mine, which answers later cold mines and threshold lowers
-at or above its floor.  It is a cache — outside the state, the digest,
+complete cold mine that held at most ``_TABLE_CAP`` times the state's
+members, which answers later cold mines and threshold lowers at or
+above its floor.  It is a cache — outside the state, the digest,
 the snapshot and the WAL, charged nothing, empty after a restart — and
 a move it serves yields the state the closure would, so recovery needs
 no table.  It is the only table kept: a state holds none, and every
@@ -80,6 +81,11 @@ WAL_NAME = "wal.jsonl"
 # Backend names older snapshots may carry.  All of them held big-int
 # columns with counts identical to "auto", so they load as "auto".
 _RETIRED_BACKENDS = frozenset({"numpy", "int", "tidset", "diffset"})
+
+# A complete cold mine's table is kept only when it holds at most this
+# many times the state's |Th ∪ Bd-| members, so one low cold mine
+# cannot leave a table many times the state's size resident.
+_TABLE_CAP = 16
 
 
 class Published(NamedTuple):
@@ -341,8 +347,9 @@ class ServiceCore:
         to a real :func:`~repro.mining.eclat.eclat` run on the hot
         database under the caller's budget, which may return a certified
         :class:`~repro.runtime.partial.PartialResult`; a complete run
-        becomes the support table.  None of this touches the state,
-        its charges or its digest.
+        becomes the support table unless it holds more than
+        ``_TABLE_CAP`` times the state's ``|Th ∪ Bd-|`` members.  None
+        of this touches the state, its charges or its digest.
 
         ``tracer`` overrides the core tracer for this one call (the
         HTTP layer passes the request-scoped tracer): the call runs
@@ -400,16 +407,20 @@ class ServiceCore:
             if isinstance(result, PartialResult):
                 span.note(source="partial", queries=result.queries)
                 return "partial", result
-            table = SupportTable(
-                len(state.database.universe),
-                result.supports,
-                result.negative_border,
-                result.border_supports,
-                threshold,
-                state.database.n_transactions,
-            )
-            with self._table_lock:
-                self._table = table
+            members = len(result.supports) + len(result.negative_border)
+            if members <= _TABLE_CAP * (
+                len(state.supports) + len(state.negative)
+            ):
+                table = SupportTable(
+                    len(state.database.universe),
+                    result.supports,
+                    result.negative_border,
+                    result.border_supports,
+                    threshold,
+                    state.database.n_transactions,
+                )
+                with self._table_lock:
+                    self._table = table
             span.note(source="mined", queries=result.queries)
             return "mined", {
                 "threshold": threshold,

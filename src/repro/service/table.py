@@ -28,6 +28,16 @@ the members that crossed the floor — the service's border repair
 :meth:`SupportTable.rebase` raises the floor to a threshold already
 read, which drops every member outside ``Th ∪ Bd-`` there, so a table
 re-based to a relative threshold does not grow with the data.
+
+What a table costs follows its members' rank and the delta's size, not
+the universe's width.  The derived supports and the closure's parent
+check peel each mask's bits, lowest first, one numpy pass per bit
+position: as many passes as the largest rank, each finding the parent
+that drops that bit by binary search.  The delta count of a few
+appended rows tests each row against every member
+(:meth:`~repro.datasets.transactions.TransactionDatabase.word_support_counts`).
+Only the closure's candidates, one-item extensions of the members that
+crossed the floor, are generated per item.
 """
 
 from __future__ import annotations
@@ -176,19 +186,22 @@ class SupportTable:
         ordered = masks[order]
         min_parent = np.full(self._size, np.iinfo(np.int64).max)
         max_extension = np.full(self._size, -1)
-        for bit in self._bits:
-            members = np.flatnonzero(masks & bit)
-            if not len(members):
-                continue
-            # Every parent of a member is a member: Th is downward
-            # closed and each Bd- member's parents lie in Th.
-            parents = order[np.searchsorted(ordered, masks[members] ^ bit)]
-            min_parent[members] = np.minimum(
-                min_parent[members], supports[parents]
+        # Pass j peels the j-th lowest bit of every member of rank at
+        # least j: a suffix of the canonical order.  Every parent of a
+        # member is a member: Th is downward closed and each Bd-
+        # member's parents lie in Th.
+        ranks = _popcounts(masks)
+        starts = np.searchsorted(ranks, range(1, ranks.max(initial=0) + 1))
+        rest = masks.copy()
+        for start in starts:
+            peeled = rest[start:]
+            low = peeled & -peeled
+            peeled ^= low
+            parents = order[np.searchsorted(ordered, masks[start:] ^ low)]
+            np.minimum(
+                min_parent[start:], supports[parents], out=min_parent[start:]
             )
-            max_extension[parents] = np.maximum(
-                max_extension[parents], supports[members]
-            )
+            np.maximum.at(max_extension, parents, supports[start:])
         # One assignment: a concurrent reader sees no pair or this one.
         derived = self._derived = (min_parent, max_extension)
         return derived
@@ -306,13 +319,18 @@ class SupportTable:
             fresh = support_of(candidates) < 0
             fresh[1:] &= candidates[1:] != candidates[:-1]
             candidates = candidates[fresh]
-            complete = np.ones(len(candidates), dtype=bool)
-            for bit in bits:
-                members = np.flatnonzero(candidates & bit)
-                complete[members] &= (
-                    support_of(candidates[members] ^ bit) >= floor
-                )
-            candidates = candidates[complete]
+            # Peel each candidate's bits, lowest first, and drop it at
+            # its first parent below the floor.
+            alive = np.arange(len(candidates))
+            rest = candidates.copy()
+            while len(alive):
+                peeled = rest[alive]
+                low = peeled & -peeled
+                kept = support_of(candidates[alive] ^ low) >= floor
+                alive = alive[kept]
+                rest[alive] = peeled[kept] ^ low[kept]
+                alive = alive[rest[alive] != 0]
+            candidates = candidates[rest == 0]
             if charge is not None:
                 charge(len(candidates))
             supports = np.array(

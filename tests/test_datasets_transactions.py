@@ -210,6 +210,37 @@ class TestVerticalBackends:
             assert batches == expected
             batches.clear()
 
+    @pytest.mark.parametrize("n_items", [1, 40, 64])
+    def test_word_support_counts_equal_scalar_counts(self, n_items):
+        """Row by row below 48 rows, shared-parent conjunctions from
+        there: every row count from 0 to 130, on row-built and
+        vertical-only databases, with the zero mask and an empty
+        vector; the vertical-only database builds no row list."""
+        import numpy as np
+
+        rng = random.Random(n_items)
+        universe = Universe(range(n_items))
+        rows = [rng.getrandbits(n_items) for _ in range(130)]
+        masks = [0, universe.full_mask] + [
+            rng.choice(rows) & rng.getrandbits(n_items)
+            & rng.getrandbits(n_items)
+            for _ in range(60)
+        ]
+        vector = np.array(masks, dtype=np.uint64)
+        for n_rows in range(131):
+            built = TransactionDatabase(universe, rows[:n_rows])
+            vertical = TransactionDatabase.from_vertical(
+                universe, built.tidsets_view(), n_rows
+            )
+            expected = [built.support_count(mask) for mask in masks]
+            for database in (built, vertical):
+                counts = database.word_support_counts(vector)
+                assert counts.dtype == np.int64
+                assert counts.tolist() == expected, n_rows
+                empty = database.word_support_counts(vector[:0])
+                assert empty.dtype == np.int64 and not len(empty)
+            assert vertical._rows is None
+
     def test_full_tidset_covers_every_row(self, database):
         assert database.full_tidset == 0b11111
         assert database.tidset(0) == database.full_tidset

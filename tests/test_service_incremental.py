@@ -623,6 +623,38 @@ class TestServiceSupportTable:
             assert core.digest() == twin.digest()
             assert core.mine(5)[0] == "mined"  # the restart emptied it
 
+    def test_a_mine_over_the_cap_answers_but_is_not_kept(self):
+        """A cold mine keeps its table only when it holds at most
+        ``_TABLE_CAP`` times the state's ``|Th ∪ Bd-|`` members; one
+        over the cap answers as Eclat does and leaves the kept table
+        as it was."""
+        from repro.service.state import _TABLE_CAP
+
+        database = _random_database(8, 40, seed=5)
+        # Above the row count Th is empty and Th ∪ Bd- is {∅} alone.
+        core = ServiceCore(database, database.n_transactions + 1)
+        under, over = database.n_transactions, 2
+        size = {
+            threshold: len(theory.supports) + len(theory.negative_border)
+            for threshold in (under, over)
+            for theory in [eclat(database, threshold)]
+        }
+        assert size[under] <= _TABLE_CAP < size[over]
+
+        assert core.mine(under)[0] == "mined"  # under the cap: kept
+        kept = core._table
+        assert (kept.floor, kept.n_rows) == (under, 40)
+        source, answer = core.mine(over)
+        scratch = eclat(database, over)
+        assert source == "mined"
+        assert answer["supports"] == scratch.supports
+        assert tuple(answer["maximal"]) == scratch.maximal
+        assert tuple(answer["negative"]) == scratch.negative_border
+        assert answer["queries"] == scratch.queries
+        assert core._table is kept and kept.floor == under
+        assert len(kept.masks) == size[under]
+        assert core.mine(under)[0] == "table"
+
     def test_a_raise_leaves_the_cold_table_alone(self):
         """A raise reads a table built from the state: the cold-mine
         table catches up on appended rows only when a lower or a cold
